@@ -16,7 +16,7 @@ values is purely a property of the targets file handed in; the pipeline is
 identical.
 
 Exit codes: 0 success, 1 bad input, 2 infeasible targets, 3 every draw
-degenerate.
+degenerate, 4 solver failure (a numerical breakdown in the LP solve).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .errors import (
     AllDrawsDegenerate,
     DspsError,
     InfeasibleError,
+    NumericalBreakdown,
     SmallSampleWarning,
 )
 from .evaluate import evaluate_selection
@@ -122,6 +123,9 @@ def main(argv=None) -> int:
     except AllDrawsDegenerate as exc:
         print(f"degenerate draws: {exc}", file=sys.stderr)
         return 3
+    except NumericalBreakdown as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 4
     except (DspsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

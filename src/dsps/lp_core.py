@@ -1,27 +1,52 @@
-"""Dense two-phase revised simplex for box-constrained linear programs.
+"""Simplex solvers for box-constrained linear programs.
 
 Solves  minimize c.z  subject to  a_r.z (<=|=|>=) b_r  and  l <= z <= u,
 with infinite bounds allowed.  Nonbasic variables sit at either their lower
 or their upper bound (free variables sit at zero), which keeps vertices of
 the box polytope representable without splitting variables.
 
-Implementation notes:
+Two paths, picked from the problem alone by :func:`solve_lp`:
 
-* Every row is converted to an equality by a slack column whose bounds encode
-  the relation; an artificial column per row gives the phase-1 starting basis.
-* Phase 1 minimises the total artificial mass.  A positive optimum is the
-  infeasibility certificate (reported via ``objective_value``).
-* Pricing is by largest reduced-cost violation; after a stall of
-  ``2 * n_rows`` consecutive degenerate pivots the pivot rule switches to
-  smallest-index (Bland) until a nondegenerate step is made, which breaks
-  cycling in practice.
-* The basis is refactorised from scratch every iteration via LAPACK solves;
-  at these problem shapes (tens of rows, possibly thousands of columns) the
-  pricing pass dominates, so no incremental inverse is kept.
+* **Dual simplex** (every ``l`` and ``u`` finite, which covers every program
+  the selection layer builds).  Each row becomes a logical ``r = a_r.z``
+  bounded by the row's relation, and the all-logical basis starts the
+  iteration.  With every structural column boxed, putting each one at the
+  bound its cost sign picks is dual feasible, so no phase 1 is needed.
+  Each iteration prices the most infeasible basic variable and runs a
+  bound-flipping ratio test (Fourer 1994; Koberstein
+  2005): breakpoints ``|d_j| / |alpha_j|`` are passed in order, flipping
+  each boxed column to its opposite bound while the primal-infeasibility
+  slope stays positive, and the column that would turn the slope enters.
+  One iteration can thus move thousands of members, so the selection LP
+  takes tens of iterations where a primal simplex takes thousands.
+* **Primal two-phase simplex** (some bound infinite).  Every row becomes an
+  equality with a slack column whose bounds encode the relation, and an
+  artificial column per row gives the phase-1 starting basis.  Phase 1
+  minimises the total artificial mass; a positive optimum is the
+  infeasibility certificate reported via ``objective_value``.  When the dual
+  path finds a problem infeasible, the primal solves it again to produce
+  that certificate, and its result is the one returned.
+
+Shared rules:
+
+* Both paths recompute basic values (and the dual its reduced costs) from
+  the nonbasic point with fresh LAPACK solves, so no drift builds up; at
+  these shapes (tens of rows, thousands of columns) the passes over the
+  constraint matrix dominate, so no incremental inverse is kept.
+* One pricing pass is one iteration, including the pass that proves
+  optimality or infeasibility, so ``max_iterations`` means the same on both.
+* After ``2 * n_rows`` consecutive degenerate steps the primal switches to
+  smallest-index (Bland) pricing until a nondegenerate step is made.  The
+  dual first perturbs the structural costs once, each by at most half the
+  optimality tolerance in the direction that keeps its reduced cost
+  feasible, which breaks the ties of a fully dual-degenerate vertex (a
+  fixed-size row makes every member's reduced cost zero); a later stall
+  switches it to the smallest-index leaving row until a step is made.
 
 Everything is deterministic for a fixed problem and options: ties are broken
-by first index.  Alternate optima may return different vertices; the
-objective value is the reproducible quantity.
+by first index (in the dual ratio test, columns at their upper bound come
+before columns at their lower bound).  Alternate optima may return
+different vertices; the objective value is the reproducible quantity.
 """
 
 from __future__ import annotations
@@ -167,7 +192,25 @@ def solve_lp(problem: LpProblem, options: SolverOptions | None = None) -> LpSolu
         return LpSolution(SolveStatus.INFEASIBLE, None, float("inf"), 0, float("inf"))
     if problem.n_rows == 0:
         return _solve_box_only(problem)
+    if np.all(np.isfinite(problem.lower)) and np.all(np.isfinite(problem.upper)):
+        solution = _DualSimplex(problem, opts).run()
+        if solution.status is not SolveStatus.INFEASIBLE:
+            return solution
     return _Simplex(problem, opts).run()
+
+
+def _row_system(problem: LpProblem):
+    """Dense ``(A, row_lo, row_hi)`` with each relation as a two-sided range."""
+    A = np.array([row.coeffs for row in problem.rows])
+    b = np.array([row.rhs for row in problem.rows], dtype=float)
+    le = np.array([row.relation is Relation.LE for row in problem.rows], dtype=bool)
+    ge = np.array([row.relation is Relation.GE for row in problem.rows], dtype=bool)
+    return A, np.where(le, -np.inf, b), np.where(ge, np.inf, b)
+
+
+def _max_row_violation(A, row_lo, row_hi, z) -> float:
+    lhs = A @ z
+    return float(np.max(np.maximum(row_lo - lhs, lhs - row_hi), initial=0.0))
 
 
 def _solve_box_only(problem: LpProblem) -> LpSolution:
@@ -198,9 +241,9 @@ class _Simplex:
         self.art0 = n + m
         total = n + 2 * m
 
+        self.row_system = _row_system(problem)
         A = np.zeros((m, total))
-        for r, row in enumerate(problem.rows):
-            A[r, :n] = row.coeffs
+        A[:, :n] = self.row_system[0]
         A[:, self.slack0:self.art0] = np.eye(m)
         self.b = np.array([row.rhs for row in problem.rows], dtype=float)
 
@@ -430,14 +473,169 @@ class _Simplex:
         return LpSolution(status, None, obj, self.iterations, residual)
 
     def _max_row_violation(self) -> float:
-        z = self.x[:self.n_struct]
-        worst = 0.0
-        for row in self.problem.rows:
-            lhs = float(np.dot(row.coeffs, z))
-            if row.relation is Relation.LE:
-                worst = max(worst, lhs - row.rhs)
-            elif row.relation is Relation.GE:
-                worst = max(worst, row.rhs - lhs)
+        return _max_row_violation(*self.row_system, self.x[:self.n_struct])
+
+
+class _DualSimplex:
+    """Bound-flipping dual simplex for problems whose every bound is finite.
+
+    Variables are the ``n`` structurals followed by one logical per row,
+    ``r = A z``, bounded by ``[row_lo, row_hi]``; the constraint matrix is
+    ``[A, -I]`` with right-hand side zero.
+    """
+
+    def __init__(self, problem: LpProblem, opts: SolverOptions):
+        self.problem = problem
+        n, m = problem.n_vars, problem.n_rows
+        self.n, self.m = n, m
+        self.row_system = _row_system(problem)
+        A, row_lo, row_hi = self.row_system
+        self.A = A
+        self.lower = np.concatenate([problem.lower, row_lo])
+        self.upper = np.concatenate([problem.upper, row_hi])
+        self.gap = self.upper - self.lower
+        self.cost = np.concatenate([problem.objective, np.zeros(m)])
+
+        self.basis = np.arange(n, n + m)
+        self.is_basic = np.zeros(n + m, dtype=bool)
+        self.is_basic[self.basis] = True
+        self.at_upper = np.zeros(n + m, dtype=bool)
+        self.at_upper[:n] = problem.objective < 0.0
+        self.x = np.where(self.at_upper, self.upper, self.lower)
+        self.x[self.basis] = 0.0
+
+        # feasibility is judged against each variable's own bounds, not its
+        # row's entries: a slack can only move a row by eta_max, however
+        # large the row's entries are
+        bound_scale = np.maximum(np.abs(np.where(np.isfinite(self.lower), self.lower, 0.0)),
+                                 np.abs(np.where(np.isfinite(self.upper), self.upper, 0.0)))
+        self.feas_tol = opts.feasibility_tolerance * np.maximum(1.0, bound_scale)
+        self.dual_tol = opts.optimality_tolerance * np.maximum(1.0, np.abs(self.cost))
+
+        max_it = opts.max_iterations
+        self.max_iterations = max_it if max_it is not None else 50 * (n + m)
+        self.iterations = 0
+        self.perturbed = False
+
+    def _solve_basis(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        B = np.zeros((self.m, self.m))
+        struct = self.basis < self.n
+        B[:, struct] = self.A[:, self.basis[struct]]
+        B[self.basis[~struct] - self.n, np.flatnonzero(~struct)] = -1.0
+        try:
+            return np.linalg.solve(B.T if transpose else B, rhs)
+        except np.linalg.LinAlgError:
+            raise NumericalBreakdown("singular basis matrix") from None
+
+    def _row(self, v: np.ndarray) -> np.ndarray:
+        """``v^T [A, -I]``: duals to reduced costs, or a tableau row."""
+        return np.concatenate([self.A.T @ v, -v])
+
+    def _refresh(self) -> np.ndarray:
+        """Reduced costs and basic values from scratch; returns ``d``."""
+        y = self._solve_basis(self.cost[self.basis], transpose=True)
+        d = self.cost - self._row(y)
+        d[self.is_basic] = 0.0
+        # a boxed column whose reduced cost drifted to the wrong sign moves to
+        # the bound that sign picks, which keeps the basis dual feasible
+        wrong = ~self.is_basic & (self.gap > 0.0) & np.isfinite(self.gap) & np.where(
+            self.at_upper, d > self.dual_tol, d < -self.dual_tol
+        )
+        self.at_upper[wrong] = ~self.at_upper[wrong]
+        self.x[wrong] = np.where(self.at_upper[wrong], self.upper[wrong], self.lower[wrong])
+
+        x_nb = self.x.copy()
+        x_nb[self.basis] = 0.0
+        rhs = x_nb[self.n:] - self.A @ x_nb[:self.n]
+        self.x[self.basis] = self._solve_basis(rhs)
+        return d
+
+    def _leaving_row(self, bland: bool):
+        """Row of the most infeasible basic variable and its signed violation."""
+        xB = self.x[self.basis]
+        lB, uB = self.lower[self.basis], self.upper[self.basis]
+        tol = self.feas_tol[self.basis]
+        delta = np.where(xB < lB - tol, xB - lB, np.where(xB > uB + tol, xB - uB, 0.0))
+        infeasible = np.flatnonzero(delta)
+        if infeasible.size == 0:
+            return None, 0.0
+        if bland:
+            r = int(infeasible[np.argmin(self.basis[infeasible])])
+        else:
+            r = int(np.argmax(np.abs(delta)))
+        return r, float(delta[r])
+
+    def run(self) -> LpSolution:
+        stall = 0
+        bland = False
+        while True:
+            if self.iterations >= self.max_iterations:
+                return self._finish(SolveStatus.ITERATION_LIMIT)
+            self.iterations += 1
+            d = self._refresh()
+            r, delta = self._leaving_row(bland)
+            if r is None:
+                return self._finish(SolveStatus.OPTIMAL)
+
+            unit = np.zeros(self.m)
+            unit[r] = 1.0
+            alpha = self._row(self._solve_basis(unit, transpose=True))
+            # moving the leaving variable to its violated bound changes each
+            # nonbasic d_j by t * a_j, t >= 0 the dual step
+            a = alpha if delta < 0.0 else -alpha
+            movable = ~self.is_basic & (self.gap > 0.0)
+            cand = np.flatnonzero(
+                movable & np.where(self.at_upper, a > _PIVOT_TOL, a < -_PIVOT_TOL)
+            )
+            if cand.size == 0:
+                return self._finish(SolveStatus.INFEASIBLE)
+            slack = np.where(self.at_upper[cand], -d[cand], d[cand])
+            ratio = np.maximum(slack, 0.0) / np.abs(a[cand])
+            order = np.lexsort((cand, ~self.at_upper[cand], ratio))
+            # passing breakpoint j flips column j, which lowers the slope of
+            # the dual objective by |a_j| * (u_j - l_j)
+            slope = abs(delta) - np.cumsum(np.abs(a[cand[order]]) * self.gap[cand[order]])
+            turn = np.flatnonzero(slope <= 0.0)
+            if turn.size == 0:
+                return self._finish(SolveStatus.INFEASIBLE)
+            k = int(turn[0])
+            flips = cand[order[:k]]
+            enter = int(cand[order[k]])
+            step = float(ratio[order[k]])
+
+            self.at_upper[flips] = ~self.at_upper[flips]
+            self.x[flips] = np.where(self.at_upper[flips], self.upper[flips], self.lower[flips])
+            leave = int(self.basis[r])
+            self.at_upper[leave] = delta > 0.0
+            self.x[leave] = self.upper[leave] if delta > 0.0 else self.lower[leave]
+            self.is_basic[leave] = False
+            self.is_basic[enter] = True
+            self.basis[r] = enter
+
+            if step > _DEGEN_TOL:
+                stall = 0
+                bland = False
             else:
-                worst = max(worst, abs(lhs - row.rhs))
-        return worst
+                stall += 1
+                if stall > 2 * self.m:
+                    if self.perturbed:
+                        bland = True
+                    else:
+                        self._perturb()
+                        stall = 0
+
+    def _perturb(self) -> None:
+        """Spread the structural costs so that no two reduced costs tie."""
+        n = self.n
+        spread = ((np.arange(n) + 1) * 0.6180339887498949) % 1.0
+        xi = 0.5 * self.dual_tol[:n] * (0.5 + 0.5 * spread)
+        self.cost[:n] += np.where(self.at_upper[:n], -xi, xi)
+        self.perturbed = True
+
+    def _finish(self, status: SolveStatus) -> LpSolution:
+        z = self.x[:self.n].copy()
+        residual = _max_row_violation(*self.row_system, z)
+        obj = float(np.dot(self.problem.objective, z))
+        if status is SolveStatus.OPTIMAL:
+            return LpSolution(status, z, obj, self.iterations, residual)
+        return LpSolution(status, None, obj, self.iterations, residual)

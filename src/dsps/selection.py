@@ -20,9 +20,11 @@ variance convention.  Each row is conditioned by the scale ``1/(|t| + eps)``
 of its target, so that with automatic hyperparameters every slack has unit
 objective weight and a uniform bound ``alpha`` in scaled space.
 
-In the relaxed form each row gains a slack ``eta_j`` with
-``|row_j . p - rhs_j| <= eta_j <= eta_max_j``, and the objective trades
-expected size against weighted slack: ``-sum(p) + sum(beta_j eta_j)``.
+In the relaxed form each row gains a pair of slacks ``s+_j, s-_j`` in
+``[0, eta_max_j]`` with ``row_j . p - s+_j + s-_j = rhs_j``, and the
+objective trades expected size against weighted slack:
+``-sum(p) + sum(beta_j (s+_j + s-_j))``.  The reported slack
+``eta_j = |s+_j - s-_j|`` is the row's residual.
 """
 
 from __future__ import annotations
@@ -307,27 +309,24 @@ def _relaxed_problem(
     eta_max: np.ndarray,
     size_sign: float,
 ) -> LpProblem:
-    """Assemble the slack-relaxed program in scaled row space."""
+    """Assemble the slack-relaxed program in scaled row space.
+
+    Variables are ``[p, s_plus, s_minus]``; row ``j`` reads
+    ``A_j p - s_plus_j + s_minus_j = C_j`` with both slacks in
+    ``[0, eta_max_j]`` and costing ``beta_j`` each, all in scaled units.
+    """
     n = system.matrix.shape[1]
     m = system.n_rows
-    A = system.scaled_matrix()
-    C = system.scaled_rhs()
     scales = system.row_scales
-
-    c = np.concatenate([np.full(n, size_sign), beta / scales])
-    rows = []
-    for j in range(m):
-        lo = np.zeros(n + m)
-        lo[:n] = A[j]
-        lo[n + j] = -1.0
-        rows.append(LpRow(lo, Relation.LE, C[j]))
-        hi = np.zeros(n + m)
-        hi[:n] = A[j]
-        hi[n + j] = 1.0
-        rows.append(LpRow(hi, Relation.GE, C[j]))
-    lower = np.zeros(n + m)
-    upper = np.concatenate([np.ones(n), eta_max * scales])
-    return LpProblem(c, tuple(rows), lower, upper)
+    A = np.hstack([system.scaled_matrix(), -np.eye(m), np.eye(m)])
+    C = system.scaled_rhs()
+    weight = beta / scales
+    cap = eta_max * scales
+    c = np.concatenate([np.full(n, size_sign), weight, weight])
+    rows = tuple(LpRow(A[j], Relation.EQ, C[j]) for j in range(m))
+    lower = np.zeros(n + 2 * m)
+    upper = np.concatenate([np.ones(n), cap, cap])
+    return LpProblem(c, rows, lower, upper)
 
 
 def _finish_solve(
@@ -350,7 +349,9 @@ def _finish_solve(
     p = np.clip(solution.z[:n], 0.0, 1.0)
     m = system.n_rows
     if solution.z.size > n:
-        eta = solution.z[n:n + m] / system.row_scales
+        # the row residual |s_plus - s_minus|, which stays within eta_max even
+        # when a zero weight leaves both slacks loose
+        eta = np.abs(solution.z[n:n + m] - solution.z[n + m:]) / system.row_scales
     else:
         eta = None
     return SelectionProbabilities(

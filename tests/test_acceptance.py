@@ -378,3 +378,62 @@ def test_accept_10_feature_rescaling_leaves_the_solution_unchanged():
         f"lambda=1000 on feature 'a': |{sel.expected_size:.6f} - "
         f"{sel2.expected_size:.6f}| = {gap:.2e}",
     )
+
+
+def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
+    """Orders up to 4 planted in the demo population solve in all four modes."""
+    from pathlib import Path
+
+    from dsps.dataset import save_population
+    from dsps.selection import resolve_slack, solve_fixed_size
+
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    pop = generate_population(SynthSpec.from_json((demo / "spec.json").read_text()))
+    idx = np.argsort(pop.data[:, 0])[200:400]
+    pop_path = tmp_path / "population.csv"
+    save_population(pop, pop_path)
+
+    problems = []
+    for top in (3, 4):
+        targets = plant_subset(pop, idx, orders=tuple(range(1, top + 1)))
+        hyper = auto_hyperparams(targets, float(idx.size))
+        system = build_lp_system(pop, targets)
+        _, eta_max = resolve_slack(targets, hyper)
+        slack_tol = 1e-7 / system.row_scales
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SmallSampleWarning)
+            relaxed = solve_max_size(pop, targets, hyper)
+            strict = solve_max_size(pop, targets, hyper, relaxed=False)
+            fixed = solve_fixed_size(pop, targets, float(idx.size), hyper)
+            smallest = solve_min_size(pop, targets, hyper)
+        for mode, sel in (("max", relaxed), ("fixed", fixed), ("min", smallest)):
+            eta = sel.eta[:system.n_rows]
+            resid = np.abs(system.matrix @ sel.p - system.rhs)
+            if np.any(resid > eta + slack_tol) or np.any(eta > eta_max + slack_tol):
+                problems.append(f"orders 1-{top} {mode}: residual outside eta_max")
+        if np.max(np.abs(system.scaled_matrix() @ strict.p - system.scaled_rhs())) > 1e-6:
+            problems.append(f"orders 1-{top} max-strict: rows not met")
+        # the planted members satisfy every row exactly
+        if min(relaxed.expected_size, strict.expected_size) < idx.size - 1e-6:
+            problems.append(f"orders 1-{top}: max size below the planted {idx.size}")
+        if smallest.expected_size > relaxed.expected_size + 1e-9:
+            problems.append(f"orders 1-{top}: min above max")
+        if abs(fixed.expected_size - idx.size) > hyper.alpha + 1e-9:
+            problems.append(f"orders 1-{top}: fixed size off by more than alpha")
+
+        targets_path = tmp_path / f"targets-{top}.json"
+        targets_path.write_text(targets.to_json() + "\n", encoding="utf-8")
+        common = ["select", "--population", str(pop_path), "--targets", str(targets_path),
+                  "--trial-size", str(idx.size), "--seed", "5"]
+        for mode in ("max", "max-strict", "fixed", "min"):
+            extra = ["--n-target", str(idx.size)] if mode == "fixed" else []
+            code = main([*common, "--mode", mode, *extra,
+                         "--out", str(tmp_path / f"run-{top}-{mode}")])
+            if code != 0:
+                problems.append(f"orders 1-{top} CLI --mode {mode}: exit {code}")
+    report(
+        "ACCEPT-11",
+        not problems,
+        "orders 1-3 and 1-4, library and CLI, modes max/max-strict/fixed/min"
+        + (": " + "; ".join(problems) if problems else ""),
+    )

@@ -341,6 +341,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")])
         assert code == 3
 
+    def test_solver_failure_is_four(self, workspace, monkeypatch, capsys):
+        from dsps import selection
+        from dsps.errors import NumericalBreakdown
+
+        def breaks_down(problem, options=None):
+            raise NumericalBreakdown("singular basis matrix")
+
+        monkeypatch.setattr(selection, "solve_lp", breaks_down)
+        tmp, _, _, pop_path, targets_path = workspace
+        code = main(["select", "--population", pop_path, "--targets", targets_path,
+                     "--trial-size", "20", "--out", str(tmp / "x")])
+        assert code == 4
+        assert "solver failure: singular basis matrix" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_stdout_report(self, workspace, capsys):

@@ -1,0 +1,145 @@
+"""Differential checks of the LP solvers against HiGHS and against each other.
+
+Every program here is one the selection layer builds: the solve functions
+run as usual while ``solve_lp`` is recorded, and each recorded program is
+solved again by ``scipy.optimize.linprog(method="highs")`` and by both of
+this package's simplex paths.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from dsps import selection
+from dsps.errors import InfeasibleError, SmallSampleWarning
+from dsps.lp_core import SolveStatus, SolverOptions, _DualSimplex, _Simplex, solve_lp
+from dsps.selection import auto_hyperparams, solve_fixed_size, solve_max_size, solve_min_size
+from dsps.synthgen import (
+    FeatureSpec,
+    LogNormal,
+    Mixture,
+    Normal,
+    SynthSpec,
+    generate_population,
+    plant_subset,
+)
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+MODES = ("max", "min", "fixed", "strict")
+REL_TOL = 1e-7
+
+
+def highs_objective(problem):
+    A = np.array([r.coeffs for r in problem.rows])
+    b = np.array([r.rhs for r in problem.rows])
+    rel = np.array([r.relation.value for r in problem.rows])
+    le, ge, eq = rel == "<=", rel == ">=", rel == "="
+    A_ub = np.vstack([A[le], -A[ge]])
+    b_ub = np.concatenate([b[le], -b[ge]])
+    res = linprog(
+        problem.objective,
+        A_ub=A_ub if A_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=b[eq] if eq.any() else None,
+        bounds=np.column_stack([problem.lower, problem.upper]),
+        method="highs",
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def random_population(rng):
+    feats = []
+    for j in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            dist = Normal(float(rng.uniform(-20, 150)), float(rng.uniform(0.5, 25)))
+        elif kind == 1:
+            dist = LogNormal(float(rng.uniform(0, 4)), float(rng.uniform(0.1, 0.5)))
+        else:
+            dist = Mixture((
+                (0.6, Normal(float(rng.uniform(0, 50)), float(rng.uniform(1, 6)))),
+                (0.4, Normal(float(rng.uniform(50, 120)), float(rng.uniform(1, 6)))),
+            ))
+        feats.append(FeatureSpec(f"f{j}", dist))
+    n_p = int(rng.integers(40, 400))
+    return generate_population(SynthSpec(n_p, int(rng.integers(0, 2**31)), tuple(feats)))
+
+
+def recorded_problems(rng, mode, monkeypatch):
+    """Programs (with the solution handed back) from one random selection solve."""
+    pop = random_population(rng)
+    max_order = int(rng.integers(1, 6))
+    if rng.random() < 0.5:
+        order = np.argsort(pop.data[:, 0])
+        lo = int(rng.integers(0, pop.n_members // 2))
+        idx = order[lo:lo + max(5, pop.n_members // 4)]
+    else:
+        idx = rng.choice(pop.n_members, size=max(5, pop.n_members // 5), replace=False)
+    targets = plant_subset(pop, idx, orders=tuple(range(1, max_order + 1)))
+    hyper = auto_hyperparams(targets, float(idx.size))
+
+    seen = []
+
+    def recording(problem, options=None):
+        solution = solve_lp(problem, options)
+        seen.append((problem, solution))
+        return solution
+
+    monkeypatch.setattr(selection, "solve_lp", recording)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SmallSampleWarning)
+            if mode == "max":
+                solve_max_size(pop, targets, hyper)
+            elif mode == "min":
+                solve_min_size(pop, targets, hyper)
+            elif mode == "fixed":
+                solve_fixed_size(pop, targets, float(idx.size), hyper)
+            else:
+                solve_max_size(pop, targets, hyper, relaxed=False)
+    except InfeasibleError:
+        pass
+    finally:
+        monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_selection_programs_match_highs(mode, monkeypatch):
+    rng = np.random.default_rng({"max": 71, "min": 72, "fixed": 73, "strict": 74}[mode])
+    solved = 0
+    for trial in range(12):
+        for problem, solution in recorded_problems(rng, mode, monkeypatch):
+            want = highs_objective(problem)
+            if want is None:
+                assert solution.status is SolveStatus.INFEASIBLE, f"{mode} trial {trial}"
+                continue
+            assert solution.status is SolveStatus.OPTIMAL, f"{mode} trial {trial}"
+            gap = abs(solution.objective_value - want) / max(1.0, abs(want))
+            assert gap <= REL_TOL, f"{mode} trial {trial}: gap {gap:.2e}"
+            solved += 1
+    assert solved >= 6
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_dual_and_primal_paths_agree(mode, monkeypatch):
+    rng = np.random.default_rng({"max": 81, "min": 82, "fixed": 83, "strict": 84}[mode])
+    compared = 0
+    for trial in range(6):
+        for problem, _ in recorded_problems(rng, mode, monkeypatch):
+            dual = _DualSimplex(problem, SolverOptions()).run()
+            primal = _Simplex(problem, SolverOptions()).run()
+            if dual.status is SolveStatus.INFEASIBLE:
+                assert primal.status is SolveStatus.INFEASIBLE, f"{mode} trial {trial}"
+                continue
+            assert dual.status is primal.status is SolveStatus.OPTIMAL, f"{mode} trial {trial}"
+            scale = max(1.0, abs(primal.objective_value))
+            assert abs(dual.objective_value - primal.objective_value) <= REL_TOL * scale
+            compared += 1
+    assert compared >= 3

@@ -28,6 +28,16 @@ from dsps.selection import (
     solve_min_size,
 )
 
+from dsps.synthgen import (
+    FeatureSpec,
+    LogNormal,
+    Mixture,
+    Normal,
+    SynthSpec,
+    generate_population,
+    plant_subset,
+)
+
 from oracles import best_subset_size
 
 
@@ -404,6 +414,48 @@ class TestSolveMaxSize:
         targets = own_moment_targets(pop)
         sel = solve_max_size(pop, targets, auto_hyperparams(targets, float(len(x))))
         assert sel.expected_size == pytest.approx(len(x), abs=1e-6)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=0.01, max_value=50.0, allow_nan=False),
+            min_size=2,
+            max_size=8,
+        ),
+        st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+    )
+    def test_near_zero_skewness_target_recovers_everyone(self, half, center):
+        # a population symmetric about its centre has skewness ~0, so the
+        # skewness row is scaled by about 1/epsilon = 1e6
+        x = np.concatenate([center + np.asarray(half), center - np.asarray(half)])
+        pop = make_pop({"f": x})
+        targets = plant_subset(pop, np.arange(x.size), orders=(1, 2, 3))
+        assert abs(targets.value_of("f", 3)) < 1e-6
+        hyper = auto_hyperparams(targets, float(x.size))
+        sel = solve_max_size(pop, targets, hyper)
+        assert sel.expected_size == pytest.approx(x.size, abs=1e-6)
+        system = build_lp_system(pop, targets)
+        # rounding in a row sum grows with the magnitude of its terms
+        slack_tol = 1e-7 / system.row_scales + 1e-12 * (np.abs(system.matrix) @ sel.p)
+        assert np.all(np.abs(system.matrix @ sel.p - system.rhs) <= sel.eta + slack_tol)
+        assert np.all(sel.eta <= hyper.eta_max + slack_tol)
+
+    def test_percentile_band_solves_in_few_iterations(self):
+        # the bound-flipping ratio test moves many members per iteration; one
+        # flip per iteration would need about one iteration per member
+        spec = SynthSpec(2000, 11, (
+            FeatureSpec("a", Normal(150.0, 25.0)),
+            FeatureSpec("b", LogNormal(4.2, 0.2)),
+            FeatureSpec("c", Mixture(((0.7, LogNormal(2.5, 0.4)), (0.3, Normal(30.0, 5.0))))),
+        ))
+        pop = generate_population(spec)
+        lo, hi = np.percentile(pop.data[:, 0], (60.0, 90.0))
+        idx = np.flatnonzero((pop.data[:, 0] >= lo) & (pop.data[:, 0] <= hi))
+        targets = plant_subset(pop, idx, orders=(1, 2))
+        sel = solve_max_size(pop, targets, auto_hyperparams(targets, float(idx.size)))
+        assert sel.expected_size >= idx.size - 1e-6
+        assert sel.solver.iterations <= 100
 
 
 class TestSolveMinSize:
