@@ -39,7 +39,6 @@ from .selection import (
     SelectionProbabilities,
     auto_hyperparams,
     build_lp_system,
-    build_sle_system,
     solve_fixed_size,
     solve_max_size,
     solve_min_size,
@@ -78,7 +77,6 @@ __all__ = [
     "HyperParams",
     "auto_hyperparams",
     "build_lp_system",
-    "build_sle_system",
     "SelectionProbabilities",
     "solve_max_size",
     "solve_min_size",

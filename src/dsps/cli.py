@@ -45,7 +45,6 @@ from .moments import TargetSet
 from .realize import SelectionMask, draw_best
 from .selection import (
     HyperParams,
-    resolve_slack,
     solve_fixed_size,
     solve_max_size,
     solve_min_size,
@@ -292,13 +291,6 @@ def cmd_select(args) -> int:
     }
     _write_json(out / "report.json", report)
 
-    alpha = _resolved_alpha_or_none(hyper, args.mode, targets)
-    beta = eta_max = None
-    if args.mode != "max-strict" and len(targets):
-        beta, eta_max = resolve_slack(targets, hyper)
-        if args.mode == "fixed":
-            beta = np.append(beta, 1.0 / (args.n_target + args.epsilon))
-            eta_max = np.append(eta_max, alpha)
     run = {
         "schema": SCHEMA,
         "command": "select",
@@ -306,9 +298,9 @@ def cmd_select(args) -> int:
         "targets": str(args.targets),
         "mode": args.mode,
         "n_target": args.n_target,
-        "alpha": alpha,
-        "beta": beta,
-        "eta_max": eta_max,
+        "alpha": sel.alpha,
+        "beta": sel.beta,
+        "eta_max": sel.eta_max,
         "epsilon": args.epsilon,
         "seed": seed,
         "draws": args.draws,
@@ -325,15 +317,6 @@ def cmd_select(args) -> int:
         f"best_draw={best.mask.draw_index}"
     )
     return 0
-
-
-def _resolved_alpha_or_none(hyper: HyperParams, mode: str, targets):
-    if mode == "max-strict" or (len(targets) == 0 and mode != "fixed"):
-        return None
-    try:
-        return hyper.resolved_alpha()
-    except DspsError:
-        return None
 
 
 def cmd_evaluate(args) -> int:

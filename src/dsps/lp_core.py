@@ -243,24 +243,13 @@ class _Simplex:
 
         self.row_system = _row_system(problem)
         A = np.zeros((m, total))
-        A[:, :n] = self.row_system[0]
+        A[:, :n], row_lo, row_hi = self.row_system
         A[:, self.slack0:self.art0] = np.eye(m)
         self.b = np.array([row.rhs for row in problem.rows], dtype=float)
 
-        lower = np.full(total, -np.inf)
-        upper = np.full(total, np.inf)
-        lower[:n] = problem.lower
-        upper[:n] = problem.upper
-        for r, row in enumerate(problem.rows):
-            j = self.slack0 + r
-            if row.relation is Relation.LE:
-                lower[j], upper[j] = 0.0, np.inf
-            elif row.relation is Relation.GE:
-                lower[j], upper[j] = -np.inf, 0.0
-            else:
-                lower[j], upper[j] = 0.0, 0.0
-        lower[self.art0:] = 0.0
-        upper[self.art0:] = np.inf
+        # slack s = b - a.z carries the row's range: b - row_hi <= s <= b - row_lo
+        lower = np.concatenate([problem.lower, self.b - row_hi, np.zeros(m)])
+        upper = np.concatenate([problem.upper, self.b - row_lo, np.full(m, np.inf)])
 
         self.A = A
         self.lower = lower
@@ -270,20 +259,13 @@ class _Simplex:
         self.c_real = np.zeros(total)
         self.c_real[:n] = problem.objective
 
-        self.state = np.empty(total, dtype=np.int8)
-        self.x = np.zeros(total)
-        for j in range(total):
-            lo, hi = lower[j], upper[j]
-            if np.isfinite(lo) and np.isfinite(hi):
-                at_lower = self.c_real[j] >= 0.0
-                self.state[j] = _AT_LOWER if at_lower else _AT_UPPER
-                self.x[j] = lo if at_lower else hi
-            elif np.isfinite(lo):
-                self.state[j], self.x[j] = _AT_LOWER, lo
-            elif np.isfinite(hi):
-                self.state[j], self.x[j] = _AT_UPPER, hi
-            else:
-                self.state[j], self.x[j] = _FREE, 0.0
+        # a boxed column starts at the bound its cost sign picks, a one-sided
+        # column at its finite bound, a free column at zero
+        lo_finite, hi_finite = np.isfinite(lower), np.isfinite(upper)
+        at_upper = hi_finite & ~(lo_finite & (self.c_real >= 0.0))
+        state = np.where(at_upper, _AT_UPPER, np.where(lo_finite, _AT_LOWER, _FREE))
+        self.state = state.astype(np.int8)
+        self.x = np.where(at_upper, upper, np.where(lo_finite, lower, 0.0))
 
         # artificial basis: flip column signs so every artificial starts >= 0
         resid = self.b - A[:, :self.art0] @ self.x[:self.art0]

@@ -156,21 +156,32 @@ def sample_moment(
     n = x.size
     if n < 1:
         raise InsufficientData("no values")
-    if order == 1:
-        return float(np.mean(x))
-    if center is None:
-        center = float(np.mean(x))
-    d = x - center
+    d = x
+    if order >= 2:
+        d = x - (float(np.mean(x)) if center is None else center)
+    if order == 2 and n < 2:
+        raise InsufficientData("variance needs at least 2 values")
+    sv = _resolve_scale_var(x, scale_var) if order in (3, 4) else None
+    dof, scale, shift = moment_terms(order, sv)
+    return float(np.sum(d**order) / (n - dof) / scale - shift)
+
+
+def moment_terms(order: int, var: float | None = None) -> tuple[int, float, float]:
+    """``(dof, scale, shift)`` of an order, so that under weights ``w``
+
+    ``moment = sum(w * d**order) / (sum(w) - dof) / scale - shift``
+
+    with ``d`` the deviation from the centre (0 for order 1) and ``var`` the
+    variance that standardises orders 3 and 4.  The LP rows are built from
+    the same terms, so a row and the moment it matches cannot drift apart.
+    """
     if order == 2:
-        if n < 2:
-            raise InsufficientData("variance needs at least 2 values")
-        return float(np.sum(d * d) / (n - 1))
-    if order in (3, 4):
-        sv = _resolve_scale_var(x, scale_var)
-        if order == 3:
-            return float(np.sum(d**3) / n / sv**1.5)
-        return float(np.sum(d**4) / n / sv**2 - 3.0)
-    return float(np.sum(d**order) / n)
+        return 1, 1.0, 0.0
+    if order == 3:
+        return 0, var**1.5, 0.0
+    if order == 4:
+        return 0, var**2, 3.0
+    return 0, 1.0, 0.0
 
 
 def _resolve_scale_var(x: np.ndarray, scale_var: float | None) -> float:
@@ -212,26 +223,21 @@ def expected_moment(
     if x.size != q.size:
         raise LengthMismatch(f"{x.size} values but {q.size} probabilities")
     total = expected_size(q)
-    if order == 1:
-        if total <= 0.0:
-            raise DegenerateWeight("expected size is zero")
-        return float(np.dot(q, x) / total)
-    if target_mean is None:
-        raise InsufficientData(f"order-{order} weighted moment requires target_mean")
-    d = x - float(target_mean)
-    if order == 2:
-        if total <= 1.0:
-            raise DegenerateWeight("weighted variance needs expected size above 1")
-        return float(np.dot(q, d * d) / (total - 1.0))
+    d = x
+    if order >= 2:
+        if target_mean is None:
+            raise InsufficientData(f"order-{order} weighted moment requires target_mean")
+        d = x - float(target_mean)
+    if order == 2 and total <= 1.0:
+        raise DegenerateWeight("weighted variance needs expected size above 1")
     if total <= 0.0:
         raise DegenerateWeight("expected size is zero")
+    sv = None
     if order in (3, 4):
         if target_var is None:
             raise InsufficientData(f"order-{order} weighted moment requires target_var")
         sv = float(target_var)
         if sv <= 0.0:
             raise ZeroVariance(f"variance scale {sv} is not positive")
-        if order == 3:
-            return float(np.dot(q, d**3) / total / sv**1.5)
-        return float(np.dot(q, d**4) / total / sv**2 - 3.0)
-    return float(np.dot(q, d**order) / total)
+    dof, scale, shift = moment_terms(order, sv)
+    return float(np.dot(q, d**order) / (total - dof) / scale - shift)

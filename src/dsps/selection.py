@@ -5,18 +5,15 @@ probability-weighted moments hit a set of targets, while maximising (or
 minimising, or pinning) the expected sub-population size ``sum(p)``.
 
 For each (feature, order) criterion one constraint row is built over the
-member axis, using deviations from the *target* mean so the system stays
-linear in ``p``:
-
-* order 1:   entries ``x_i - M1``,                          rhs ``0``
-* order 2:   entries ``(x_i - M1)^2 - M2``,                 rhs ``-M2``
-* order 3:   entries ``(x_i - M1)^3 - M2^1.5 * M3``,        rhs ``0``
-* order 4:   entries ``(x_i - M1)^4 - M2^2 * (M4 + 3)``,    rhs ``0``
-* order k>=5: entries ``(x_i - M1)^k - Mk``,                rhs ``0``
-
-where ``M1, M2`` are the order-1/2 targets for the row's feature and the rhs
-for order 2 makes an exact match correspond to the unbiased ``n - 1``
-variance convention.  Each row is conditioned by the scale ``1/(|t| + eps)``
+member axis, using deviations ``d_i`` from the *target* mean ``M1`` (from 0
+for order 1) so the system stays linear in ``p``.  With the order's
+``(dof, scale, shift)`` from :func:`dsps.moments.moment_terms` -- the same
+terms that define the reported moment -- and ``level = scale * (t + shift)``,
+the row is ``d_i^k - level`` with rhs ``-dof * level``, so ``row . p = rhs``
+exactly when the probability-weighted moment equals the target ``t``.  For
+example order 2 reads ``(x_i - M1)^2 - M2`` with rhs ``-M2`` (the ``n - 1``
+convention) and order 4 ``(x_i - M1)^4 - M2^2 * (M4 + 3)`` with rhs ``0``.
+Each row is conditioned by the scale ``1/(|t| + eps)``
 of its target, so that with automatic hyperparameters every slack has unit
 objective weight and a uniform bound ``alpha`` in scaled space.
 
@@ -30,7 +27,7 @@ objective trades expected size against weighted slack:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,7 +52,7 @@ from .lp_core import (
     SolverOptions,
     solve_lp,
 )
-from .moments import TargetSet
+from .moments import TargetSet, moment_terms
 
 __all__ = [
     "SIZE_ROW",
@@ -64,7 +61,6 @@ __all__ = [
     "resolve_slack",
     "ConstraintSystem",
     "build_lp_system",
-    "build_sle_system",
     "SelectionProbabilities",
     "solve_max_size",
     "solve_min_size",
@@ -89,7 +85,8 @@ class HyperParams:
     rows (criteria sorted by order, then input position).  When left unset
     they follow the target-scaled pattern ``beta_j = 1/(|t_j| + epsilon)``
     and ``eta_max_j = alpha * (|t_j| + epsilon)``, with
-    ``alpha = 0.05 * trial_size`` when only a trial size is given.
+    ``alpha`` set to ``0.05 * trial_size`` on construction when only a trial
+    size is given; an explicit ``alpha`` wins.
     """
 
     alpha: float | None = None
@@ -112,13 +109,15 @@ class HyperParams:
                 if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
                     raise MissingHyperParam(f"{name} entries must be finite and >= 0")
                 object.__setattr__(self, name, arr)
+        alpha = self.alpha
+        if alpha is None and self.trial_size is not None:
+            alpha = ALPHA_FRACTION * float(self.trial_size)
+        object.__setattr__(self, "alpha", None if alpha is None else float(alpha))
 
     def resolved_alpha(self) -> float:
-        if self.alpha is not None:
-            return float(self.alpha)
-        if self.trial_size is not None:
-            return ALPHA_FRACTION * float(self.trial_size)
-        raise MissingHyperParam("need alpha or trial_size to size the slack budget")
+        if self.alpha is None:
+            raise MissingHyperParam("need alpha or trial_size to size the slack budget")
+        return self.alpha
 
 
 def ordered_criteria(targets: TargetSet):
@@ -133,17 +132,9 @@ def auto_hyperparams(
     targets: TargetSet, trial_size: float, epsilon: float = DEFAULT_EPSILON
 ) -> HyperParams:
     """Fully resolved hyperparameters from a trial size alone."""
-    if not trial_size > 0.0:
-        raise InvalidSampleSize(f"trial size must be positive, got {trial_size}")
-    alpha = ALPHA_FRACTION * float(trial_size)
-    scale = np.array([abs(c.value) + epsilon for c in ordered_criteria(targets)])
-    return HyperParams(
-        alpha=alpha,
-        beta=1.0 / scale,
-        eta_max=alpha * scale,
-        epsilon=epsilon,
-        trial_size=float(trial_size),
-    )
+    hyper = HyperParams(epsilon=epsilon, trial_size=float(trial_size))
+    beta, eta_max = resolve_slack(targets, hyper)
+    return replace(hyper, beta=beta, eta_max=eta_max)
 
 
 @dataclass(frozen=True)
@@ -187,18 +178,11 @@ class ConstraintSystem:
 def _row_entries(x: np.ndarray, order: int, targets: TargetSet, feature: str):
     """(entries, rhs) of one criterion row, unscaled."""
     t = targets.value_of(feature, order)
-    if order == 1:
-        return x - t, 0.0
-    m1 = targets.value_of(feature, 1)
-    d = x - m1
-    if order == 2:
-        return d * d - t, -t
-    m2 = targets.value_of(feature, 2)
-    if order == 3:
-        return d**3 - m2**1.5 * t, 0.0
-    if order == 4:
-        return d**4 - m2**2 * (t + 3.0), 0.0
-    return d**order - t, 0.0
+    d = x if order == 1 else x - targets.value_of(feature, 1)
+    var = targets.value_of(feature, 2) if order in (3, 4) else None
+    dof, scale, shift = moment_terms(order, var)
+    level = scale * (t + shift)
+    return d**order - level, 0.0 - dof * level  # 0.0 - keeps a zero rhs +0.0
 
 
 def build_lp_system(
@@ -218,56 +202,15 @@ def build_lp_system(
     return ConstraintSystem(matrix, np.array(rhs), tuple(labels), np.array(scales))
 
 
-def build_sle_system(
-    pop: Population, targets: TargetSet, n_t: float, epsilon: float = DEFAULT_EPSILON
-) -> ConstraintSystem:
-    """Fixed-size system of equations: a size row plus uncentred criterion rows.
-
-    Written for a prescribed expected size ``n_t``: the size row sums ``p`` to
-    ``n_t``; a mean row sums raw values to ``n_t * M1``; a variance row sums
-    squared deviations from ``M1`` to ``(n_t - 1) * M2``; higher orders sum
-    the corresponding power to ``n_t`` times the target central quantity.
-    """
-    if not 1.0 <= float(n_t) <= pop.n_members:
-        raise InvalidSampleSize(
-            f"n_t must lie in [1, {pop.n_members}], got {n_t}"
-        )
-    n_t = float(n_t)
-    rows = [np.ones(pop.n_members)]
-    rhs = [n_t]
-    labels: list = [SIZE_ROW]
-    scales = [1.0 / (n_t + epsilon)]
-    for c in ordered_criteria(targets):
-        x = feature_column(pop, c.feature)
-        t = c.value
-        if c.order == 1:
-            entries, b = x, n_t * t
-        else:
-            m1 = targets.value_of(c.feature, 1)
-            d = x - m1
-            if c.order == 2:
-                entries, b = d * d, (n_t - 1.0) * t
-            elif c.order == 3:
-                m2 = targets.value_of(c.feature, 2)
-                entries, b = d**3, n_t * m2**1.5 * t
-            elif c.order == 4:
-                m2 = targets.value_of(c.feature, 2)
-                entries, b = d**4, n_t * m2**2 * (t + 3.0)
-            else:
-                entries, b = d**c.order, n_t * t
-        rows.append(entries)
-        rhs.append(b)
-        labels.append((c.feature, c.order))
-        scales.append(1.0 / (abs(t) + epsilon))
-    return ConstraintSystem(np.array(rows), np.array(rhs), tuple(labels), np.array(scales))
-
-
 @dataclass(frozen=True)
 class SelectionProbabilities:
     """Solved inclusion probabilities plus the slack actually used.
 
     ``eta`` is in unscaled (target) units, one entry per constraint row, or
     ``None`` for the strict-equality solve.  ``expected_size`` is ``sum(p)``.
+    ``alpha``, ``beta`` and ``eta_max`` are the slack settings the solve used,
+    aligned with ``row_labels`` (the fixed-size row included), or ``None``
+    when the program has no slack rows.
     """
 
     p: np.ndarray
@@ -276,44 +219,43 @@ class SelectionProbabilities:
     row_labels: tuple
     solver: LpSolution
     small_sample_warning: bool = False
+    alpha: float | None = None
+    beta: np.ndarray | None = None
+    eta_max: np.ndarray | None = None
 
 
 def resolve_slack(targets: TargetSet, hyper: HyperParams):
-    """Per-row (beta, eta_max) for the criterion rows, in unscaled target units."""
-    m = len(ordered_criteria(targets))
-    if m == 0:
+    """Per-row (beta, eta_max) for the criterion rows, in unscaled target units.
+
+    Unset vectors follow the target scale ``|t| + epsilon``: ``beta`` is its
+    inverse and ``eta_max`` is ``alpha`` times it.
+    """
+    scale = np.array([abs(c.value) + hyper.epsilon for c in ordered_criteria(targets)])
+    if scale.size == 0:
         return np.empty(0), np.empty(0)
-    if hyper.beta is not None and hyper.eta_max is not None:
-        beta, eta_max = hyper.beta, hyper.eta_max
-        if beta.size != m or eta_max.size != m:
-            raise LengthMismatch(
-                f"beta/eta_max need {m} entries, got {beta.size}/{eta_max.size}"
-            )
-        return beta, eta_max
-    auto = auto_hyperparams(targets, hyper.trial_size or _alpha_as_trial(hyper), hyper.epsilon)
-    beta = hyper.beta if hyper.beta is not None else auto.beta
-    eta_max = hyper.eta_max if hyper.eta_max is not None else auto.eta_max
-    if beta.size != m or eta_max.size != m:
-        raise LengthMismatch(f"beta/eta_max need {m} entries")
+    beta = 1.0 / scale if hyper.beta is None else hyper.beta
+    eta_max = hyper.resolved_alpha() * scale if hyper.eta_max is None else hyper.eta_max
+    if beta.size != scale.size or eta_max.size != scale.size:
+        raise LengthMismatch(
+            f"beta/eta_max need {scale.size} entries, got {beta.size}/{eta_max.size}"
+        )
     return beta, eta_max
 
 
-def _alpha_as_trial(hyper: HyperParams) -> float:
-    # invert alpha = ALPHA_FRACTION * trial_size so auto vectors can be built
-    return hyper.resolved_alpha() / ALPHA_FRACTION
-
-
-def _relaxed_problem(
+def _solve_relaxed(
     system: ConstraintSystem,
+    alpha: float | None,
     beta: np.ndarray,
     eta_max: np.ndarray,
     size_sign: float,
-) -> LpProblem:
-    """Assemble the slack-relaxed program in scaled row space.
+    options: SolverOptions | None,
+) -> SelectionProbabilities:
+    """Solve the slack-relaxed program in scaled row space.
 
     Variables are ``[p, s_plus, s_minus]``; row ``j`` reads
     ``A_j p - s_plus_j + s_minus_j = C_j`` with both slacks in
     ``[0, eta_max_j]`` and costing ``beta_j`` each, all in scaled units.
+    The result carries the slack settings when there are slack rows.
     """
     n = system.matrix.shape[1]
     m = system.n_rows
@@ -326,7 +268,10 @@ def _relaxed_problem(
     rows = tuple(LpRow(A[j], Relation.EQ, C[j]) for j in range(m))
     lower = np.zeros(n + 2 * m)
     upper = np.concatenate([np.ones(n), cap, cap])
-    return LpProblem(c, rows, lower, upper)
+    result = _finish_solve(solve_lp(LpProblem(c, rows, lower, upper), options), system, n)
+    if m == 0:
+        return result
+    return replace(result, alpha=alpha, beta=beta, eta_max=eta_max)
 
 
 def _finish_solve(
@@ -387,8 +332,7 @@ def solve_max_size(
         result = _finish_solve(solve_lp(problem, options), system, n)
     else:
         beta, eta_max = resolve_slack(targets, hyper)
-        problem = _relaxed_problem(system, beta, eta_max, size_sign=-1.0)
-        result = _finish_solve(solve_lp(problem, options), system, n)
+        result = _solve_relaxed(system, hyper.alpha, beta, eta_max, -1.0, options)
     if len(targets) > 0 and result.expected_size <= _EMPTY_SELECTION_TOL:
         raise InfeasibleError(
             "targets admit only the empty selection (max expected size 0)",
@@ -412,8 +356,7 @@ def solve_min_size(
     hyper = hyper or HyperParams()
     system = build_lp_system(pop, targets, hyper.epsilon)
     beta, eta_max = resolve_slack(targets, hyper)
-    problem = _relaxed_problem(system, beta, eta_max, size_sign=1.0)
-    result = _finish_solve(solve_lp(problem, options), system, pop.n_members)
+    result = _solve_relaxed(system, hyper.alpha, beta, eta_max, 1.0, options)
     if result.expected_size < SMALL_SAMPLE_THRESHOLD:
         warnings.warn(
             f"minimised expected size {result.expected_size:.2f} is below "
@@ -421,14 +364,7 @@ def solve_min_size(
             SmallSampleWarning,
             stacklevel=2,
         )
-        return SelectionProbabilities(
-            p=result.p,
-            eta=result.eta,
-            expected_size=result.expected_size,
-            row_labels=result.row_labels,
-            solver=result.solver,
-            small_sample_warning=True,
-        )
+        return replace(result, small_sample_warning=True)
     return result
 
 
@@ -465,5 +401,4 @@ def solve_fixed_size(
     )
     beta = np.append(beta, 1.0 / (n_t + hyper.epsilon))
     eta_max = np.append(eta_max, alpha)
-    problem = _relaxed_problem(system, beta, eta_max, size_sign=-1.0)
-    return _finish_solve(solve_lp(problem, options), system, n)
+    return _solve_relaxed(system, alpha, beta, eta_max, -1.0, options)

@@ -242,6 +242,41 @@ class TestSelect:
         assert report["small_sample_warning"] is True
 
 
+class TestSlackSettings:
+    @pytest.mark.parametrize("mode", ["max", "fixed"])
+    def test_alpha_overrides_trial_size(self, workspace, mode):
+        tmp, pop, targets, pop_path, targets_path = workspace
+        common = ["select", "--population", pop_path, "--targets", targets_path,
+                  "--mode", mode, "--n-target", "20", "--alpha", "1"]
+        assert main([*common, "--out", str(tmp / "alpha")]) == 0
+        assert main([*common, "--trial-size", "400", "--out", str(tmp / "both")]) == 0
+        assert ((tmp / "both" / "probabilities.csv").read_bytes()
+                == (tmp / "alpha" / "probabilities.csv").read_bytes())
+        alone = json.loads((tmp / "alpha" / "run.json").read_text())
+        both = json.loads((tmp / "both" / "run.json").read_text())
+        assert both["alpha"] == alone["alpha"] == 1.0
+        assert both["eta_max"] == alone["eta_max"]
+
+    def test_fixed_run_records_the_size_row(self, workspace):
+        tmp, pop, targets, pop_path, targets_path = workspace
+        assert main(["select", "--population", pop_path, "--targets", targets_path,
+                     "--mode", "fixed", "--n-target", "20", "--alpha", "0.5",
+                     "--epsilon", "1e-6", "--out", str(tmp / "f")]) == 0
+        run = json.loads((tmp / "f" / "run.json").read_text())
+        assert len(run["beta"]) == len(run["eta_max"]) == len(targets) + 1
+        assert run["beta"][-1] == 1.0 / (20.0 + 1e-6)
+        assert run["eta_max"][-1] == run["alpha"] == 0.5
+
+    def test_run_without_slack_rows_records_none(self, workspace):
+        tmp, pop, targets, pop_path, targets_path = workspace
+        empty = tmp / "empty.json"
+        empty.write_text("[]", encoding="utf-8")
+        assert main(["select", "--population", pop_path, "--targets", str(empty),
+                     "--mode", "max", "--alpha", "1", "--out", str(tmp / "e")]) == 0
+        run = json.loads((tmp / "e" / "run.json").read_text())
+        assert run["alpha"] is None and run["beta"] is None and run["eta_max"] is None
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["select", "--population", "x.csv"]) == 1

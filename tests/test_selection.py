@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsps.dataset import Population
+from dsps.dataset import Population, feature_column
 from dsps.errors import (
     EmptyTargetSet,
     InfeasibleError,
@@ -14,13 +14,12 @@ from dsps.errors import (
     MissingHyperParam,
     SmallSampleWarning,
 )
-from dsps.moments import TargetCriterion, TargetSet
+from dsps.moments import TargetCriterion, TargetSet, expected_moment, moment_terms
 from dsps.selection import (
     SIZE_ROW,
     HyperParams,
     auto_hyperparams,
     build_lp_system,
-    build_sle_system,
     ordered_criteria,
     resolve_slack,
     solve_fixed_size,
@@ -133,6 +132,27 @@ class TestBuildLpSystem:
                     assert system.rhs[j] == pytest.approx(rhs, rel=1e-12, abs=1e-12)
                 assert system.row_scales[j] == pytest.approx(1.0 / (abs(t) + 1e-6))
 
+    def test_rows_agree_with_the_reported_expected_moment(self):
+        # A_j p - C_j is the row's residual; scaled back by the moment terms it
+        # must equal the gap between the p-weighted moment and the target
+        rng = np.random.default_rng(4242)
+        for trial in range(5):
+            pop = make_pop({"a": rng.normal(10, 3, 50), "b": rng.lognormal(1, 0.5, 50)})
+            targets = targets_of(*(
+                (f, k, float(rng.normal(0, 2)) if k != 2 else float(rng.uniform(0.5, 9)))
+                for f in ("a", "b") for k in (1, 2, 3, 4, 5)
+            ))
+            p = rng.uniform(0.0, 1.0, 50)
+            system = build_lp_system(pop, targets)
+            for j, (feature, order) in enumerate(system.row_labels):
+                x = feature_column(pop, feature)
+                t1, t2 = targets.value_of(feature, 1), targets.value_of(feature, 2)
+                dof, scale, _ = moment_terms(order, t2)
+                moment = expected_moment(x, p, order, t1, t2)
+                got = system.matrix[j] @ p - system.rhs[j]
+                want = (moment - targets.value_of(feature, order)) * (p.sum() - dof) * scale
+                assert got == pytest.approx(want, rel=1e-9), (trial, feature, order)
+
     def test_rows_sorted_by_order_then_position(self):
         pop = make_pop({"a": [1.0, 2.0], "b": [3.0, 4.0]})
         targets = targets_of(
@@ -158,57 +178,6 @@ class TestBuildLpSystem:
         system = build_lp_system(pop, TargetSet(()))
         assert system.n_rows == 0
         assert system.matrix.shape == (0, 2)
-
-
-class TestBuildSleSystem:
-    def test_rows_and_rhs(self):
-        rng = np.random.default_rng(1999)
-        x = rng.normal(10, 2, 6)
-        pop = make_pop({"f": x})
-        targets = targets_of(
-            ("f", 1, 9.5), ("f", 2, 3.0), ("f", 3, 0.4), ("f", 4, -0.5), ("f", 5, 2.5)
-        )
-        n_t = 4.0
-        system = build_sle_system(pop, targets, n_t)
-        assert system.row_labels[0] == SIZE_ROW
-        np.testing.assert_allclose(system.matrix[0], np.ones(6))
-        assert system.rhs[0] == n_t
-        assert system.row_scales[0] == pytest.approx(1.0 / (n_t + 1e-6))
-
-        by_label = dict(zip(system.row_labels, range(system.n_rows)))
-        d = x - 9.5
-        cases = {
-            ("f", 1): (x, n_t * 9.5),
-            ("f", 2): (d * d, (n_t - 1.0) * 3.0),
-            ("f", 3): (d**3, n_t * 3.0**1.5 * 0.4),
-            ("f", 4): (d**4, n_t * 3.0**2 * (-0.5 + 3.0)),
-            ("f", 5): (d**5, n_t * 2.5),
-        }
-        for label, (entries, rhs) in cases.items():
-            j = by_label[label]
-            np.testing.assert_allclose(system.matrix[j], entries, rtol=1e-12)
-            assert system.rhs[j] == pytest.approx(rhs, rel=1e-12)
-
-    def test_frozen_two_member_size_example(self):
-        pop = make_pop({"f": [1.0, 2.0, 3.0]})
-        system = build_sle_system(pop, targets_of(("f", 1, 2.0)), 2.0)
-        np.testing.assert_array_equal(system.matrix, [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(system.rhs, [2.0, 4.0])
-
-    def test_all_ones_satisfies_full_population_system(self):
-        # with n_t = n_p and the population's own moments as targets, the
-        # all-ones vector solves every row exactly
-        rng = np.random.default_rng(77)
-        pop = make_pop({"f": rng.normal(5, 2, 12), "g": rng.lognormal(1, 0.3, 12)})
-        targets = own_moment_targets(pop)
-        system = build_sle_system(pop, targets, float(pop.n_members))
-        np.testing.assert_allclose(system.matrix @ np.ones(12), system.rhs, rtol=1e-9)
-
-    def test_rejects_size_out_of_range(self):
-        pop = make_pop({"f": [1.0, 2.0]})
-        for n_t in (0.0, 0.5, 3.0):
-            with pytest.raises(InvalidSampleSize):
-                build_sle_system(pop, targets_of(("f", 1, 1.5)), n_t)
 
 
 class TestHyperParams:
