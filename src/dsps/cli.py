@@ -297,7 +297,7 @@ def cmd_select(args) -> int:
         "population": str(args.population),
         "targets": str(args.targets),
         "mode": args.mode,
-        "n_target": args.n_target,
+        "n_target": args.n_target if args.mode == "fixed" else None,
         "alpha": sel.alpha,
         "beta": sel.beta,
         "eta_max": sel.eta_max,

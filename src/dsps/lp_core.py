@@ -5,34 +5,41 @@ with infinite bounds allowed.  Nonbasic variables sit at either their lower
 or their upper bound (free variables sit at zero), which keeps vertices of
 the box polytope representable without splitting variables.
 
-Two paths, picked from the problem alone by :func:`solve_lp`:
+Both paths work in one column form: the ``n`` structurals, then one logical
+per row, ``r = a_r.z``, bounded by the row's relation as ``[row_lo,
+row_hi]``, so the constraint matrix is ``[A, -I]`` with right-hand side
+zero.  A nonbasic column's state is two flags, ``is_basic`` and
+``at_upper``; a free column is one whose bounds are both infinite.  Each
+nonbasic column starts at the bound its cost sign picks (a one-sided column
+at its finite bound, a free column at zero).  :func:`solve_lp` picks the
+path from the problem alone:
 
 * **Dual simplex** (every ``l`` and ``u`` finite, which covers every program
-  the selection layer builds).  Each row becomes a logical ``r = a_r.z``
-  bounded by the row's relation, and the all-logical basis starts the
-  iteration.  With every structural column boxed, putting each one at the
-  bound its cost sign picks is dual feasible, so no phase 1 is needed.
-  Each iteration prices the most infeasible basic variable and runs a
-  bound-flipping ratio test (Fourer 1994; Koberstein
-  2005): breakpoints ``|d_j| / |alpha_j|`` are passed in order, flipping
-  each boxed column to its opposite bound while the primal-infeasibility
-  slope stays positive, and the column that would turn the slope enters.
-  One iteration can thus move thousands of members, so the selection LP
-  takes tens of iterations where a primal simplex takes thousands.
-* **Primal two-phase simplex** (some bound infinite).  Every row becomes an
-  equality with a slack column whose bounds encode the relation, and an
-  artificial column per row gives the phase-1 starting basis.  Phase 1
+  the selection layer builds).  The all-logical basis starts the
+  iteration.  With every structural column boxed, the start point is dual
+  feasible, so no phase 1 is needed.  Each iteration prices the most
+  infeasible basic variable and runs a bound-flipping ratio test (Fourer
+  1994; Koberstein 2005): breakpoints ``|d_j| / |alpha_j|`` are passed in
+  order, flipping each boxed column to its opposite bound while the
+  primal-infeasibility slope stays positive, and the column that would turn
+  the slope enters.  One iteration can thus move thousands of members, so
+  the selection LP takes tens of iterations where a primal simplex takes
+  thousands.
+* **Primal two-phase simplex** (some bound infinite).  One artificial column
+  ``sign_r * e_r`` per row, signed so that it starts nonnegative, is
+  appended to the column form and gives the phase-1 starting basis.  Phase 1
   minimises the total artificial mass; a positive optimum is the
   infeasibility certificate reported via ``objective_value``.  When the dual
   path finds a problem infeasible, the primal solves it again to produce
-  that certificate, and its result is the one returned.
+  that certificate, and its result is the one returned; so it does when the
+  dual's basis turns singular.
 
 Shared rules:
 
-* Both paths recompute basic values (and the dual its reduced costs) from
-  the nonbasic point with fresh LAPACK solves, so no drift builds up; at
-  these shapes (tens of rows, thousands of columns) the passes over the
-  constraint matrix dominate, so no incremental inverse is kept.
+* Both paths recompute basic values (and reduced costs) from the nonbasic
+  point with fresh LAPACK solves, so no drift builds up; at these shapes
+  (tens of rows, thousands of columns) the passes over the constraint
+  matrix dominate, so no incremental inverse is kept.
 * One pricing pass is one iteration, including the pass that proves
   optimality or infeasibility, so ``max_iterations`` means the same on both.
 * After ``2 * n_rows`` consecutive degenerate steps the primal switches to
@@ -42,6 +49,9 @@ Shared rules:
   feasible, which breaks the ties of a fully dual-degenerate vertex (a
   fixed-size row makes every member's reduced cost zero); a later stall
   switches it to the smallest-index leaving row until a step is made.
+
+Bound handling follows Maros 2003, *Computational Techniques of the Simplex
+Method*.
 
 Everything is deterministic for a fixed problem and options: ties are broken
 by first index (in the dual ratio test, columns at their upper bound come
@@ -170,12 +180,6 @@ class LpSolution:
     max_residual: float
 
 
-# nonbasic/basic variable states
-_AT_LOWER = 0
-_AT_UPPER = 1
-_FREE = 2
-_BASIC = 3
-
 _PIVOT_TOL = 1e-10
 _DEGEN_TOL = 1e-11
 _RATIO_TIE = 1e-9
@@ -184,8 +188,8 @@ _RATIO_TIE = 1e-9
 def solve_lp(problem: LpProblem, options: SolverOptions | None = None) -> LpSolution:
     """Solve the program, classifying the outcome rather than raising for it.
 
-    Raises :class:`NumericalBreakdown` only when the basis becomes singular
-    beyond repair, which is distinct from genuine infeasibility.
+    Raises :class:`NumericalBreakdown` only when the primal breaks down (a
+    singular basis), which is distinct from genuine infeasibility.
     """
     opts = options or SolverOptions()
     if np.any(problem.lower > problem.upper):
@@ -193,24 +197,13 @@ def solve_lp(problem: LpProblem, options: SolverOptions | None = None) -> LpSolu
     if problem.n_rows == 0:
         return _solve_box_only(problem)
     if np.all(np.isfinite(problem.lower)) and np.all(np.isfinite(problem.upper)):
-        solution = _DualSimplex(problem, opts).run()
-        if solution.status is not SolveStatus.INFEASIBLE:
-            return solution
+        try:
+            solution = _DualSimplex(problem, opts).run()
+            if solution.status is not SolveStatus.INFEASIBLE:
+                return solution
+        except NumericalBreakdown:
+            pass  # a roundoff pivot made the dual's basis singular; the primal retries
     return _Simplex(problem, opts).run()
-
-
-def _row_system(problem: LpProblem):
-    """Dense ``(A, row_lo, row_hi)`` with each relation as a two-sided range."""
-    A = np.array([row.coeffs for row in problem.rows])
-    b = np.array([row.rhs for row in problem.rows], dtype=float)
-    le = np.array([row.relation is Relation.LE for row in problem.rows], dtype=bool)
-    ge = np.array([row.relation is Relation.GE for row in problem.rows], dtype=bool)
-    return A, np.where(le, -np.inf, b), np.where(ge, np.inf, b)
-
-
-def _max_row_violation(A, row_lo, row_hi, z) -> float:
-    lhs = A @ z
-    return float(np.max(np.maximum(row_lo - lhs, lhs - row_hi), initial=0.0))
 
 
 def _solve_box_only(problem: LpProblem) -> LpSolution:
@@ -230,77 +223,113 @@ def _solve_box_only(problem: LpProblem) -> LpSolution:
     return LpSolution(SolveStatus.OPTIMAL, z, float(np.dot(c, z)), 0, 0.0)
 
 
-class _Simplex:
-    def __init__(self, problem: LpProblem, opts: SolverOptions):
+class _ColumnForm:
+    """The column form and the linear algebra both simplex paths share.
+
+    Columns are the ``n`` structurals, one logical per row, ``r = a_r.z``
+    bounded by ``[row_lo, row_hi]``, and ``n_art`` phase-1 artificials; the
+    constraint matrix is ``[A, -I, diag(signs)]`` with right-hand side zero.
+    Non-structural column ``n + j`` is ``sign[j] * e_(j mod m)``.  The last
+    ``m`` columns form the starting basis.
+    """
+
+    def __init__(self, problem: LpProblem, opts: SolverOptions, n_art: int):
         self.problem = problem
         self.opts = opts
         n, m = problem.n_vars, problem.n_rows
-        self.n_struct = n
-        self.m = m
-        self.slack0 = n
-        self.art0 = n + m
-        total = n + 2 * m
-
-        self.row_system = _row_system(problem)
-        A = np.zeros((m, total))
-        A[:, :n], row_lo, row_hi = self.row_system
-        A[:, self.slack0:self.art0] = np.eye(m)
-        self.b = np.array([row.rhs for row in problem.rows], dtype=float)
-
-        # slack s = b - a.z carries the row's range: b - row_hi <= s <= b - row_lo
-        lower = np.concatenate([problem.lower, self.b - row_hi, np.zeros(m)])
-        upper = np.concatenate([problem.upper, self.b - row_lo, np.full(m, np.inf)])
-
-        self.A = A
-        self.lower = lower
-        self.upper = upper
-        self.total = total
-
-        self.c_real = np.zeros(total)
-        self.c_real[:n] = problem.objective
+        self.n, self.m = n, m
+        self.A = np.array([row.coeffs for row in problem.rows])
+        b = np.array([row.rhs for row in problem.rows], dtype=float)
+        le = np.array([row.relation is Relation.LE for row in problem.rows], dtype=bool)
+        ge = np.array([row.relation is Relation.GE for row in problem.rows], dtype=bool)
+        self.lower = np.concatenate([problem.lower, np.where(le, -np.inf, b), np.zeros(n_art)])
+        self.upper = np.concatenate([problem.upper, np.where(ge, np.inf, b), np.full(n_art, np.inf)])
+        self.gap = self.upper - self.lower
+        self.cost = np.concatenate([problem.objective, np.zeros(m + n_art)])
+        self.sign = np.concatenate([np.full(m, -1.0), np.ones(n_art)])
 
         # a boxed column starts at the bound its cost sign picks, a one-sided
         # column at its finite bound, a free column at zero
-        lo_finite, hi_finite = np.isfinite(lower), np.isfinite(upper)
-        at_upper = hi_finite & ~(lo_finite & (self.c_real >= 0.0))
-        state = np.where(at_upper, _AT_UPPER, np.where(lo_finite, _AT_LOWER, _FREE))
-        self.state = state.astype(np.int8)
-        self.x = np.where(at_upper, upper, np.where(lo_finite, lower, 0.0))
-
-        # artificial basis: flip column signs so every artificial starts >= 0
-        resid = self.b - A[:, :self.art0] @ self.x[:self.art0]
-        signs = np.where(resid < 0.0, -1.0, 1.0)
-        self.A[:, self.art0:] = np.diag(signs)
-        self.basis = np.arange(self.art0, total)
-        self.state[self.basis] = _BASIC
-        self.x[self.basis] = np.abs(resid)
+        lo_finite, hi_finite = np.isfinite(self.lower), np.isfinite(self.upper)
+        self.at_upper = hi_finite & ~(lo_finite & (self.cost >= 0.0))
+        self.x = np.where(self.at_upper, self.upper, np.where(lo_finite, self.lower, 0.0))
+        self.basis = np.arange(n + n_art, n + m + n_art)
+        self.is_basic = np.zeros(self.cost.size, dtype=bool)
+        self.is_basic[self.basis] = True
+        self.bound_scale = np.maximum(np.abs(np.where(lo_finite, self.lower, 0.0)),
+                                      np.abs(np.where(hi_finite, self.upper, 0.0)))
 
         max_it = opts.max_iterations
         self.max_iterations = max_it if max_it is not None else 50 * (n + m)
         self.iterations = 0
-        self.feas_scale = 1.0 + float(np.max(np.abs(self.b))) if m else 1.0
-
-    # -- linear algebra helpers -------------------------------------------
 
     def _solve_basis(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        B = self.A[:, self.basis]
+        B = np.zeros((self.m, self.m))
+        struct = self.basis < self.n
+        B[:, struct] = self.A[:, self.basis[struct]]
+        j = self.basis[~struct] - self.n
+        B[j % self.m, np.flatnonzero(~struct)] = self.sign[j]
         try:
             return np.linalg.solve(B.T if transpose else B, rhs)
         except np.linalg.LinAlgError:
             raise NumericalBreakdown("singular basis matrix") from None
 
+    def _column(self, j: int) -> np.ndarray:
+        if j < self.n:
+            return self.A[:, j]
+        col = np.zeros(self.m)
+        col[(j - self.n) % self.m] = self.sign[j - self.n]
+        return col
+
+    def _row(self, v: np.ndarray) -> np.ndarray:
+        """``v^T [A, -I, diag(signs)]``: duals to reduced costs, or a tableau row.
+
+        The unit columns scale copies of ``v``; a product with a dense
+        ``[A, -I]`` would round ``A^T v`` differently.
+        """
+        return np.concatenate([self.A.T @ v, self.sign * np.tile(v, self.sign.size // self.m)])
+
+    def _tableau_row(self, r: int) -> np.ndarray:
+        unit = np.zeros(self.m)
+        unit[r] = 1.0
+        return self._row(self._solve_basis(unit, transpose=True))
+
+    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        return c - self._row(self._solve_basis(c[self.basis], transpose=True))
+
     def _refresh_basics(self) -> None:
         """Recompute basic values from the nonbasic point to shed drift."""
         x_nb = self.x.copy()
         x_nb[self.basis] = 0.0
-        rhs = self.b - self.A @ x_nb
+        # a nonbasic artificial always sits at zero
+        rhs = x_nb[self.n:self.n + self.m] - self.A @ x_nb[:self.n]
         self.x[self.basis] = self._solve_basis(rhs)
 
-    # -- pivoting ----------------------------------------------------------
+    def _finish(self, status: SolveStatus, objective: float | None = None) -> LpSolution:
+        z = self.x[:self.n].copy()
+        lhs = self.A @ z
+        rows = slice(self.n, self.n + self.m)
+        residual = float(np.max(np.maximum(self.lower[rows] - lhs, lhs - self.upper[rows]),
+                                initial=0.0))
+        if objective is None:
+            objective = (float("-inf") if status is SolveStatus.UNBOUNDED
+                         else float(np.dot(self.problem.objective, z)))
+        z = z if status is SolveStatus.OPTIMAL else None
+        return LpSolution(status, z, objective, self.iterations, residual)
 
-    def _movable(self) -> np.ndarray:
-        gap = self.upper - self.lower
-        return (self.state != _BASIC) & ~(gap <= 0.0)
+
+class _Simplex(_ColumnForm):
+    """Two-phase primal simplex: one artificial column per row starts phase 1."""
+
+    def __init__(self, problem: LpProblem, opts: SolverOptions):
+        super().__init__(problem, opts, n_art=problem.n_rows)
+        self.art0 = self.n + self.m
+        # sign the artificials so that every one starts >= 0
+        resid = self.x[self.n:self.art0] - self.A @ self.x[:self.n]
+        self.sign[self.m:] = np.where(resid < 0.0, -1.0, 1.0)
+        self.x[self.basis] = np.abs(resid)
+        # a logical's finite bound is its row's right-hand side
+        self.feas_scale = 1.0 + float(np.max(self.bound_scale[self.n:self.art0]))
 
     def _iterate(self, c: np.ndarray, phase_one: bool) -> SolveStatus:
         tau = self.opts.optimality_tolerance * np.maximum(1.0, np.abs(c))
@@ -316,11 +345,13 @@ class _Simplex:
                 self._refresh_basics()
                 since_refresh = 0
 
-            y = self._solve_basis(c[self.basis], transpose=True)
-            d = c - self.A.T @ y
-            movable = self._movable()
-            down = movable & (self.state != _AT_UPPER) & (d < -tau)   # increase var
-            up = movable & (self.state != _AT_LOWER) & (d > tau)      # decrease var
+            d = self._reduced_costs(c)
+            movable = ~self.is_basic & (self.gap > 0.0)
+            # a column may increase unless at its upper bound, and decrease when
+            # at its upper bound or free; no column sits at an infinite bound,
+            # so one not at its upper bound with l = -inf is free
+            down = movable & ~self.at_upper & (d < -tau)
+            up = movable & (self.at_upper | np.isneginf(self.lower)) & (d > tau)
             eligible = down | up
             if not eligible.any():
                 return SolveStatus.OPTIMAL
@@ -332,7 +363,7 @@ class _Simplex:
                 e = int(np.argmax(score))
             sigma = 1.0 if down[e] else -1.0
 
-            w = self._solve_basis(self.A[:, e])
+            w = self._solve_basis(self._column(e))
             aw = sigma * w
             xB = self.x[self.basis]
             lB = self.lower[self.basis]
@@ -345,8 +376,7 @@ class _Simplex:
             t_high = np.maximum(t_high, 0.0)
             t_rows = np.minimum(t_low, t_high)
 
-            gap = self.upper[e] - self.lower[e]
-            t_own = gap if np.isfinite(gap) and self.state[e] != _FREE else np.inf
+            t_own = self.gap[e] if np.isfinite(self.gap[e]) else np.inf
             t_block = float(np.min(t_rows))
 
             if not np.isfinite(min(t_block, t_own)):
@@ -358,12 +388,8 @@ class _Simplex:
                 # entering variable runs to its opposite bound; basis unchanged
                 t = t_own
                 self.x[self.basis] = xB - t * aw
-                if self.state[e] == _AT_LOWER:
-                    self.state[e] = _AT_UPPER
-                    self.x[e] = self.upper[e]
-                else:
-                    self.state[e] = _AT_LOWER
-                    self.x[e] = self.lower[e]
+                self.at_upper[e] = not self.at_upper[e]
+                self.x[e] = self.upper[e] if self.at_upper[e] else self.lower[e]
             else:
                 cut = t_block + _RATIO_TIE * (1.0 + t_block)
                 candidates = np.flatnonzero(t_rows <= cut)
@@ -379,9 +405,10 @@ class _Simplex:
 
                 self.x[self.basis] = xB - t * aw
                 self.x[leave] = lB[r] if to_lower else uB[r]
-                self.state[leave] = _AT_LOWER if to_lower else _AT_UPPER
+                self.at_upper[leave] = not to_lower
+                self.is_basic[leave] = False
                 self.x[e] = self.x[e] + sigma * t
-                self.state[e] = _BASIC
+                self.is_basic[e] = True
                 self.basis[r] = e
 
             if t > _DEGEN_TOL:
@@ -392,131 +419,64 @@ class _Simplex:
                 if stall > 2 * self.m:
                     bland = True
 
-    # -- phases ------------------------------------------------------------
-
     def _drive_out_artificials(self) -> None:
-        """Replace basic artificials by structural/slack columns where possible."""
+        """Replace basic artificials by structural/logical columns where possible."""
         for r in range(self.m):
             if self.basis[r] < self.art0:
                 continue
-            unit = np.zeros(self.m)
-            unit[r] = 1.0
-            u = self._solve_basis(unit, transpose=True)
-            v = self.A[:, :self.art0].T @ u
-            v[self.state[:self.art0] == _BASIC] = 0.0
-            v[(self.upper[:self.art0] - self.lower[:self.art0]) <= 0.0] = 0.0
+            v = self._tableau_row(r)[:self.art0]
+            v[self.is_basic[:self.art0] | (self.gap[:self.art0] <= 0.0)] = 0.0
             j = int(np.argmax(np.abs(v)))
             if abs(v[j]) <= 1e-8:
                 continue  # redundant row; artificial stays pinned at zero
             leave = int(self.basis[r])
-            self.state[leave] = _AT_LOWER
+            self.at_upper[leave] = False
             self.x[leave] = 0.0
-            self.state[j] = _BASIC
+            self.is_basic[leave] = False
+            self.is_basic[j] = True
             self.basis[r] = j
         self._refresh_basics()
 
     def run(self) -> LpSolution:
-        c_phase1 = np.zeros(self.total)
+        c_phase1 = np.zeros(self.cost.size)
         c_phase1[self.art0:] = 1.0
+        tol = self.opts.feasibility_tolerance * self.feas_scale
 
         art_mass = float(np.sum(self.x[self.art0:]))
-        if art_mass > self.opts.feasibility_tolerance * self.feas_scale:
+        if art_mass > tol:
             status = self._iterate(c_phase1, phase_one=True)
             if status is SolveStatus.ITERATION_LIMIT:
                 return self._finish(status)
             art_mass = float(np.sum(np.abs(self.x[self.art0:])))
-            if art_mass > self.opts.feasibility_tolerance * self.feas_scale:
-                return LpSolution(
-                    SolveStatus.INFEASIBLE,
-                    None,
-                    art_mass,
-                    self.iterations,
-                    self._max_row_violation(),
-                )
+            if art_mass > tol:
+                return self._finish(SolveStatus.INFEASIBLE, art_mass)
 
         self.upper[self.art0:] = 0.0
-        self.x[self.art0:][self.state[self.art0:] != _BASIC] = 0.0
+        self.gap[self.art0:] = 0.0
+        self.x[self.art0:][~self.is_basic[self.art0:]] = 0.0
         self._drive_out_artificials()
 
-        status = self._iterate(self.c_real, phase_one=False)
-        return self._finish(status)
-
-    def _finish(self, status: SolveStatus) -> LpSolution:
+        status = self._iterate(self.cost, phase_one=False)
         if status is SolveStatus.OPTIMAL:
             self._refresh_basics()
-        z = self.x[:self.n_struct].copy()
-        residual = self._max_row_violation()
-        if status is SolveStatus.OPTIMAL:
-            obj = float(np.dot(self.problem.objective, z))
-            return LpSolution(status, z, obj, self.iterations, residual)
-        if status is SolveStatus.UNBOUNDED:
-            return LpSolution(status, None, float("-inf"), self.iterations, residual)
-        obj = float(np.dot(self.problem.objective, z))
-        return LpSolution(status, None, obj, self.iterations, residual)
-
-    def _max_row_violation(self) -> float:
-        return _max_row_violation(*self.row_system, self.x[:self.n_struct])
+        return self._finish(status)
 
 
-class _DualSimplex:
-    """Bound-flipping dual simplex for problems whose every bound is finite.
-
-    Variables are the ``n`` structurals followed by one logical per row,
-    ``r = A z``, bounded by ``[row_lo, row_hi]``; the constraint matrix is
-    ``[A, -I]`` with right-hand side zero.
-    """
+class _DualSimplex(_ColumnForm):
+    """Bound-flipping dual simplex for problems whose every bound is finite."""
 
     def __init__(self, problem: LpProblem, opts: SolverOptions):
-        self.problem = problem
-        n, m = problem.n_vars, problem.n_rows
-        self.n, self.m = n, m
-        self.row_system = _row_system(problem)
-        A, row_lo, row_hi = self.row_system
-        self.A = A
-        self.lower = np.concatenate([problem.lower, row_lo])
-        self.upper = np.concatenate([problem.upper, row_hi])
-        self.gap = self.upper - self.lower
-        self.cost = np.concatenate([problem.objective, np.zeros(m)])
-
-        self.basis = np.arange(n, n + m)
-        self.is_basic = np.zeros(n + m, dtype=bool)
-        self.is_basic[self.basis] = True
-        self.at_upper = np.zeros(n + m, dtype=bool)
-        self.at_upper[:n] = problem.objective < 0.0
-        self.x = np.where(self.at_upper, self.upper, self.lower)
-        self.x[self.basis] = 0.0
-
+        super().__init__(problem, opts, n_art=0)
         # feasibility is judged against each variable's own bounds, not its
         # row's entries: a slack can only move a row by eta_max, however
         # large the row's entries are
-        bound_scale = np.maximum(np.abs(np.where(np.isfinite(self.lower), self.lower, 0.0)),
-                                 np.abs(np.where(np.isfinite(self.upper), self.upper, 0.0)))
-        self.feas_tol = opts.feasibility_tolerance * np.maximum(1.0, bound_scale)
+        self.feas_tol = opts.feasibility_tolerance * np.maximum(1.0, self.bound_scale)
         self.dual_tol = opts.optimality_tolerance * np.maximum(1.0, np.abs(self.cost))
-
-        max_it = opts.max_iterations
-        self.max_iterations = max_it if max_it is not None else 50 * (n + m)
-        self.iterations = 0
         self.perturbed = False
-
-    def _solve_basis(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        B = np.zeros((self.m, self.m))
-        struct = self.basis < self.n
-        B[:, struct] = self.A[:, self.basis[struct]]
-        B[self.basis[~struct] - self.n, np.flatnonzero(~struct)] = -1.0
-        try:
-            return np.linalg.solve(B.T if transpose else B, rhs)
-        except np.linalg.LinAlgError:
-            raise NumericalBreakdown("singular basis matrix") from None
-
-    def _row(self, v: np.ndarray) -> np.ndarray:
-        """``v^T [A, -I]``: duals to reduced costs, or a tableau row."""
-        return np.concatenate([self.A.T @ v, -v])
 
     def _refresh(self) -> np.ndarray:
         """Reduced costs and basic values from scratch; returns ``d``."""
-        y = self._solve_basis(self.cost[self.basis], transpose=True)
-        d = self.cost - self._row(y)
+        d = self._reduced_costs(self.cost)
         d[self.is_basic] = 0.0
         # a boxed column whose reduced cost drifted to the wrong sign moves to
         # the bound that sign picks, which keeps the basis dual feasible
@@ -525,11 +485,7 @@ class _DualSimplex:
         )
         self.at_upper[wrong] = ~self.at_upper[wrong]
         self.x[wrong] = np.where(self.at_upper[wrong], self.upper[wrong], self.lower[wrong])
-
-        x_nb = self.x.copy()
-        x_nb[self.basis] = 0.0
-        rhs = x_nb[self.n:] - self.A @ x_nb[:self.n]
-        self.x[self.basis] = self._solve_basis(rhs)
+        self._refresh_basics()
         return d
 
     def _leaving_row(self, bland: bool):
@@ -559,9 +515,7 @@ class _DualSimplex:
             if r is None:
                 return self._finish(SolveStatus.OPTIMAL)
 
-            unit = np.zeros(self.m)
-            unit[r] = 1.0
-            alpha = self._row(self._solve_basis(unit, transpose=True))
+            alpha = self._tableau_row(r)
             # moving the leaving variable to its violated bound changes each
             # nonbasic d_j by t * a_j, t >= 0 the dual step
             a = alpha if delta < 0.0 else -alpha
@@ -613,11 +567,3 @@ class _DualSimplex:
         xi = 0.5 * self.dual_tol[:n] * (0.5 + 0.5 * spread)
         self.cost[:n] += np.where(self.at_upper[:n], -xi, xi)
         self.perturbed = True
-
-    def _finish(self, status: SolveStatus) -> LpSolution:
-        z = self.x[:self.n].copy()
-        residual = _max_row_violation(*self.row_system, z)
-        obj = float(np.dot(self.problem.objective, z))
-        if status is SolveStatus.OPTIMAL:
-            return LpSolution(status, z, obj, self.iterations, residual)
-        return LpSolution(status, None, obj, self.iterations, residual)

@@ -46,11 +46,8 @@ class SelectionMask:
 
     def __post_init__(self):
         b = np.asarray(self.b)
-        if b.dtype != np.int8 or not set(np.unique(b)) <= {0, 1}:
-            vals = np.unique(b)
-            if not set(vals.tolist()) <= {0, 1}:
-                raise OutOfRangeProbability(f"mask entries must be 0/1, got {vals[:5]}")
-            b = b.astype(np.int8)
+        if not np.all((b == 0) | (b == 1)):
+            raise OutOfRangeProbability(f"mask entries must be 0/1, got {np.unique(b)[:5]}")
         b = np.ascontiguousarray(b, dtype=np.int8)
         b.setflags(write=False)
         object.__setattr__(self, "b", b)

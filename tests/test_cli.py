@@ -267,6 +267,15 @@ class TestSlackSettings:
         assert run["beta"][-1] == 1.0 / (20.0 + 1e-6)
         assert run["eta_max"][-1] == run["alpha"] == 0.5
 
+    def test_n_target_is_recorded_only_in_fixed_mode(self, workspace):
+        tmp, pop, targets, pop_path, targets_path = workspace
+        for mode, want in (("max", None), ("fixed", 20.0)):
+            assert main(["select", "--population", pop_path, "--targets", targets_path,
+                         "--mode", mode, "--n-target", "20", "--alpha", "1",
+                         "--out", str(tmp / mode)]) == 0
+            run = json.loads((tmp / mode / "run.json").read_text())
+            assert run["n_target"] == want
+
     def test_run_without_slack_rows_records_none(self, workspace):
         tmp, pop, targets, pop_path, targets_path = workspace
         empty = tmp / "empty.json"

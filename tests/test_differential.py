@@ -25,13 +25,11 @@ from dsps.synthgen import (
     plant_subset,
 )
 
-linprog = pytest.importorskip("scipy.optimize").linprog
-
 MODES = ("max", "min", "fixed", "strict")
 REL_TOL = 1e-7
 
 
-def highs_objective(problem):
+def highs_objective(problem, linprog):
     A = np.array([r.coeffs for r in problem.rows])
     b = np.array([r.rhs for r in problem.rows])
     rel = np.array([r.relation.value for r in problem.rows])
@@ -112,11 +110,12 @@ def recorded_problems(rng, mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_selection_programs_match_highs(mode, monkeypatch):
+    linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng({"max": 71, "min": 72, "fixed": 73, "strict": 74}[mode])
     solved = 0
     for trial in range(12):
         for problem, solution in recorded_problems(rng, mode, monkeypatch):
-            want = highs_objective(problem)
+            want = highs_objective(problem, linprog)
             if want is None:
                 assert solution.status is SolveStatus.INFEASIBLE, f"{mode} trial {trial}"
                 continue

@@ -8,6 +8,7 @@ from dsps.lp_core import (
     Relation,
     SolveStatus,
     SolverOptions,
+    _Simplex,
     solve_lp,
 )
 
@@ -151,16 +152,21 @@ class TestAgainstVertexEnumeration:
             status, best = lp_vertex_oracle(
                 problem.objective, oracle_rows, problem.lower, problem.upper
             )
-            sol = solve_lp(problem)
+            solutions = [solve_lp(problem)]
+            if rows:  # solve_lp answers a bare box without a simplex
+                solutions.append(_Simplex(problem, SolverOptions()).run())
+            for sol in solutions:
+                if status == "infeasible":
+                    assert sol.status is SolveStatus.INFEASIBLE, f"instance {i}"
+                else:
+                    assert sol.status is SolveStatus.OPTIMAL, f"instance {i}"
+                    assert sol.objective_value == pytest.approx(best, abs=1e-7), f"instance {i}"
+                    assert sol.max_residual <= 1e-7
+                    assert np.all(sol.z >= problem.lower - 1e-9)
+                    assert np.all(sol.z <= problem.upper + 1e-9)
             if status == "infeasible":
-                assert sol.status is SolveStatus.INFEASIBLE, f"instance {i}"
                 checked_infeasible += 1
             else:
-                assert sol.status is SolveStatus.OPTIMAL, f"instance {i}"
-                assert sol.objective_value == pytest.approx(best, abs=1e-7), f"instance {i}"
-                assert sol.max_residual <= 1e-7
-                assert np.all(sol.z >= problem.lower - 1e-9)
-                assert np.all(sol.z <= problem.upper + 1e-9)
                 checked_feasible += 1
         # the generator must exercise both outcomes
         assert checked_feasible >= 15

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsps.dataset import Population, feature_column
@@ -394,6 +394,10 @@ class TestSolveMaxSize:
         ),
         st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
     )
+    # two equal members make equal columns, whose roundoff tableau entry of
+    # about 1e-5 against 1e10 made the dual enter a copy of a basic column
+    @example([0.11066836690063347, 5.945608352826286, 47.560085438613676,
+              12.272186462481997, 47.560085438613676], 0.0)
     def test_near_zero_skewness_target_recovers_everyone(self, half, center):
         # a population symmetric about its centre has skewness ~0, so the
         # skewness row is scaled by about 1/epsilon = 1e6
