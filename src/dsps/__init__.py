@@ -7,7 +7,7 @@ realize concrete sub-populations by independent Bernoulli draws and score
 them against the targets.
 """
 
-from .dataset import Population, feature_column, load_population, save_population, subset
+from .dataset import Population, feature_column, load_population, save_population
 from .errors import DspsError, SmallSampleWarning
 from .evaluate import (
     EvaluationReport,
@@ -60,7 +60,6 @@ __all__ = [
     "load_population",
     "save_population",
     "feature_column",
-    "subset",
     "TargetCriterion",
     "TargetSet",
     "sample_moment",

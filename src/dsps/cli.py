@@ -252,7 +252,7 @@ def cmd_select(args) -> int:
         expected_report = evaluate_selection(pop, targets, sel.p, args.rsse_epsilon)
     except DspsError:
         expected_report = None  # too little probability mass for weighted moments
-    realized_report = evaluate_selection(pop, targets, best.mask, args.rsse_epsilon)
+    realized_report = best.report
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Union
@@ -20,14 +21,13 @@ import numpy as np
 from .errors import (
     DuplicateFeatureName,
     DuplicateMemberId,
-    EmptySelection,
     LengthMismatch,
     MalformedCsv,
     NonNumericCell,
     UnknownFeature,
 )
 
-__all__ = ["Population", "load_population", "save_population", "feature_column", "subset"]
+__all__ = ["Population", "load_population", "save_population", "feature_column"]
 
 Source = Union[str, Path, bytes, IO[str], IO[bytes]]
 
@@ -101,45 +101,84 @@ def load_population(source: Source) -> Population:
     """Parse a population CSV: header ``id,<feature>,...`` then one row per member."""
     stream, needs_close = _open_text(source)
     try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsv("empty population file") from None
-        if len(header) < 2:
-            raise MalformedCsv("header must name an id column and at least one feature")
-        feature_names = [h.strip() for h in header[1:]]
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue  # trailing blank line
-            if len(row) != len(header):
-                raise MalformedCsv(
-                    f"line {lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            ids.append(row[0].strip())
-            values = []
-            for name, cell in zip(feature_names, row[1:]):
-                text = cell.strip()
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise NonNumericCell(
-                        f"line {lineno}, feature {name!r}: {text!r} is not numeric"
-                    ) from None
-                if not math.isfinite(value):
-                    raise NonNumericCell(
-                        f"line {lineno}, feature {name!r}: {text!r} is not finite"
-                    )
-                values.append(value)
-            rows.append(values)
-        if not rows:
-            raise MalformedCsv("population has a header but no members")
-        return Population(tuple(ids), tuple(feature_names), np.array(rows, dtype=float))
+        lines = list(stream)
     finally:
         if needs_close:
             stream.close()
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedCsv("empty population file") from None
+    if len(header) < 2:
+        raise MalformedCsv("header must name an id column and at least one feature")
+    feature_names = [h.strip() for h in header[1:]]
+    ids, data = _parse_plain(lines, len(header)) or _parse_rows(reader, header, feature_names)
+    return Population(tuple(ids), tuple(feature_names), data)
+
+
+def _parse_plain(lines: list[str], n_cols: int):
+    """``(ids, data)`` parsed by ``np.loadtxt``, or None to use the row loop.
+
+    Only for text the row loop would read the same way: no quotes,
+    ``n_cols - 1`` commas on every non-blank line (``usecols`` would drop
+    extra cells unseen), every cell parsed without error or warning, and
+    every value finite.  Anything else, errors included, goes to
+    :func:`_parse_rows` for its messages.
+    """
+    ids: list[str] = []
+    for line in lines[1:]:
+        if line == "\n" or line == "\r\n":
+            continue  # blank line: csv yields no cells
+        if line.count(",") != n_cols - 1 or '"' in line:
+            return None
+        ids.append(line[: line.index(",")].strip())
+    if not ids:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(
+                lines, delimiter=",", comments=None, skiprows=1,
+                usecols=range(1, n_cols), dtype=float, ndmin=2,
+            )
+    except (ValueError, Warning):
+        return None
+    if data.shape != (len(ids), n_cols - 1) or not np.all(np.isfinite(data)):
+        return None
+    return ids, data
+
+
+def _parse_rows(reader, header: list[str], feature_names: list[str]):
+    """The row loop: every cell through ``float``, each error naming its line."""
+    ids: list[str] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue  # trailing blank line
+        if len(row) != len(header):
+            raise MalformedCsv(
+                f"line {lineno}: expected {len(header)} cells, got {len(row)}"
+            )
+        ids.append(row[0].strip())
+        values = []
+        for name, cell in zip(feature_names, row[1:]):
+            text = cell.strip()
+            try:
+                value = float(text)
+            except ValueError:
+                raise NonNumericCell(
+                    f"line {lineno}, feature {name!r}: {text!r} is not numeric"
+                ) from None
+            if not math.isfinite(value):
+                raise NonNumericCell(
+                    f"line {lineno}, feature {name!r}: {text!r} is not finite"
+                )
+            values.append(value)
+        rows.append(values)
+    if not rows:
+        raise MalformedCsv("population has a header but no members")
+    return ids, np.array(rows, dtype=float)
 
 
 def save_population(pop: Population, destination: Union[str, Path, IO[str]]) -> None:
@@ -159,15 +198,3 @@ def save_population(pop: Population, destination: Union[str, Path, IO[str]]) -> 
 def feature_column(pop: Population, name: str) -> np.ndarray:
     """Read-only view of one feature column, in member order."""
     return pop.data[:, pop.feature_index(name)]
-
-
-def subset(pop: Population, mask) -> Population:
-    """Population restricted to members where the binary mask is 1."""
-    b = np.asarray(getattr(mask, "b", mask))
-    if b.shape != (pop.n_members,):
-        raise LengthMismatch(f"mask length {b.shape} for {pop.n_members} members")
-    keep = b.astype(bool)
-    if not keep.any():
-        raise EmptySelection("mask selects no members")
-    ids = tuple(mid for mid, k in zip(pop.member_ids, keep) if k)
-    return Population(ids, pop.feature_names, pop.data[keep])

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Population, feature_column, subset
-from .errors import LengthMismatch, NonPositiveInput, ZeroTarget
+from .dataset import Population, feature_column
+from .errors import EmptySelection, LengthMismatch, NonPositiveInput, ZeroTarget
 from .moments import TargetSet, expected_moment, expected_size, sample_moment
 
 __all__ = [
@@ -100,17 +100,25 @@ def evaluate_selection(
 
     A mask is anything carrying a binary ``b`` vector or an integer/bool
     array; a float array or an object carrying ``p`` is treated as inclusion
-    probabilities.  Realized moments are the selected sub-population's own
-    sample statistics; expected moments are probability-weighted and centred
-    on the targets, so the two coincide only in expectation.
+    probabilities.  Realized moments are the selected members' own sample
+    statistics: each is :func:`sample_moment` of the feature column indexed
+    by the mask (nonzero entries select), without building a sub-population.
+    A mask whose length is not the population's raises
+    :class:`LengthMismatch` and one that selects nobody
+    :class:`EmptySelection`.  Expected moments are probability-weighted and
+    centred on the targets, so the two coincide only in expectation.
     """
     kind, vec = _classify(selection)
     if kind == "mask":
-        chosen = subset(pop, vec)  # raises EmptySelection on an all-zero mask
-        realized_size = chosen.n_members
+        if vec.shape != (pop.n_members,):
+            raise LengthMismatch(f"mask length {vec.shape} for {pop.n_members} members")
+        keep = vec.astype(bool)
+        realized_size = int(np.count_nonzero(keep))
+        if realized_size == 0:
+            raise EmptySelection("mask selects no members")
         exp_size = None
         achieved = [
-            sample_moment(feature_column(chosen, c.feature), c.order)
+            sample_moment(feature_column(pop, c.feature)[keep], c.order)
             for c in targets
         ]
     else:

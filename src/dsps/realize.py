@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Population, subset
+from .dataset import Population
 from .errors import (
     AllDrawsDegenerate,
     DspsError,
     InvalidDraws,
     OutOfRangeProbability,
 )
-from .evaluate import evaluate_selection
+from .evaluate import EvaluationReport, evaluate_selection
 from .moments import TargetSet
 
 __all__ = [
@@ -68,12 +68,19 @@ class DrawStats:
 
 @dataclass(frozen=True)
 class RealizationResult:
-    """The chosen draw with its realized per-criterion moments and score."""
+    """The chosen draw with the report that scored it."""
 
     mask: SelectionMask
     size: int
-    realized_moments: tuple
-    rsse: float
+    report: EvaluationReport
+
+    @property
+    def realized_moments(self) -> tuple:
+        return self.report.per_criterion
+
+    @property
+    def rsse(self) -> float:
+        return self.report.rsse
 
 
 def uniform_stream(seed: int, draw_index: int, n: int) -> np.ndarray:
@@ -133,7 +140,7 @@ def draw_best(
         stats.append(DrawStats(k, size, report.rsse))
         key = (report.rsse, -size, k)
         if best_key is None or key < best_key:
-            best = RealizationResult(mask, size, report.per_criterion, report.rsse)
+            best = RealizationResult(mask, size, report)
             best_key = key
     if best is None:
         raise AllDrawsDegenerate(

@@ -1,22 +1,21 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsps import dataset
 from dsps.dataset import (
     Population,
     feature_column,
     load_population,
     save_population,
-    subset,
 )
 from dsps.errors import (
     DuplicateFeatureName,
     DuplicateMemberId,
-    EmptySelection,
-    LengthMismatch,
     MalformedCsv,
     NonNumericCell,
     UnknownFeature,
@@ -99,6 +98,11 @@ def test_ragged_row():
         load_population(b"id,x,y\ns1,1.0\n")
 
 
+def test_extra_cell_names_its_line():
+    with pytest.raises(MalformedCsv, match="line 2: expected 2 cells, got 3"):
+        load_population(b"id,x\ns1,1.0,2.0\n")
+
+
 def test_non_numeric_cell():
     with pytest.raises(NonNumericCell) as err:
         load_population(b"id,x\ns1,abc\n")
@@ -139,32 +143,72 @@ def test_feature_column_single_member():
     np.testing.assert_array_equal(feature_column(pop, "x"), [4.25])
 
 
-def test_subset():
-    pop = load_population(CSV.encode())
-    sub = subset(pop, np.array([1, 0, 1], dtype=np.int8))
-    assert sub.member_ids == ("s1", "s3")
-    np.testing.assert_array_equal(sub.data, pop.data[[0, 2]])
-
-
-def test_subset_all_ones_is_identity():
-    pop = load_population(CSV.encode())
-    sub = subset(pop, np.ones(3, dtype=np.int8))
-    assert sub.member_ids == pop.member_ids
-    assert np.array_equal(sub.data, pop.data)
-
-
-def test_subset_empty():
-    pop = load_population(CSV.encode())
-    with pytest.raises(EmptySelection):
-        subset(pop, np.zeros(3, dtype=np.int8))
-
-
-def test_subset_length_mismatch():
-    pop = load_population(CSV.encode())
-    with pytest.raises(LengthMismatch):
-        subset(pop, np.ones(4, dtype=np.int8))
-
-
 def test_population_rejects_nonfinite():
     with pytest.raises(NonNumericCell):
         Population(("a",), ("x",), np.array([[np.inf]]))
+
+
+def _outcome(load, source):
+    """``(ids, feature names, data bytes)`` of a load, or ``(error class, message)``."""
+    try:
+        pop = load(source)
+    except Exception as exc:  # any error, compared by class and message
+        return type(exc), str(exc)
+    return pop.member_ids, pop.feature_names, pop.data.tobytes()
+
+
+def _load_by_rows(source):
+    with mock.patch.object(dataset, "_parse_plain", lambda lines, n_cols: None):
+        return load_population(source)
+
+
+_PLAIN_IDS = st.sampled_from(["s", " s ", "#s", "s\t"])
+_QUOTED_IDS = st.sampled_from(['"s,a"', '"s ""q"""'])
+_GOOD_CELLS = st.sampled_from(["1.5", "-2.25e3", " 7 ", "\t0.1\t", "+.5", "5e-324", "-0.0"])
+_BAD_CELLS = st.sampled_from([
+    "", " ", "nan", "inf", "-inf", "1e400", "1_0", "0x1p3", "#", "3#", '"4.5"', '"1,5"',
+])
+# Mostly well-formed lines, so that both parsers get exercised.
+_LINE_KINDS = st.sampled_from(
+    ["row"] * 12 + ["quoted id", "bad cell", "few cells", "many cells", "stray cr", "blank", "spaces"]
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A population CSV text mixing well-formed rows with the loop's edge cases."""
+    n_features = draw(st.integers(1, 3))
+    lines = [",".join(["id", *(f"f{j}" for j in range(n_features))])]
+    for k in range(draw(st.integers(1, 6))):
+        kind = draw(_LINE_KINDS)
+        if kind in ("blank", "spaces"):
+            lines.append("" if kind == "blank" else draw(st.sampled_from([" ", "\t", "  "])))
+            continue
+        member = draw(_QUOTED_IDS if kind == "quoted id" else _PLAIN_IDS).replace("s", f"s{k}")
+        n_cells = n_features + {"few cells": -1, "many cells": 1}.get(kind, 0)
+        cells = [draw(_GOOD_CELLS) for _ in range(n_cells)]
+        if kind == "bad cell" and cells:
+            cells[draw(st.integers(0, n_cells - 1))] = draw(_BAD_CELLS)
+        line = ",".join([member, *cells])
+        lines.append("\r" + line if kind == "stray cr" else line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return (end.join(lines) + (end if draw(st.booleans()) else "")).encode()
+
+
+@given(_csv_texts())
+@settings(max_examples=300, deadline=None)
+def test_loader_matches_the_row_loop(text):
+    # bytes split lines at "\n" only; a binary stream, like a path, at any line end
+    for source in (lambda: text, lambda: io.BytesIO(text)):
+        assert _outcome(load_population, source()) == _outcome(_load_by_rows, source())
+
+
+def test_plain_csv_skips_the_row_loop():
+    # The repr-written CSV that save_population emits, with either line end,
+    # is parsed without the per-cell loop.
+    for text in (CSV, CSV.replace("\n", "\r\n") + "\r\n"):
+        with mock.patch.object(dataset, "_parse_rows", side_effect=AssertionError("row loop")):
+            pop = load_population(text.encode())
+        want = _load_by_rows(text.encode())
+        assert pop.member_ids == want.member_ids
+        assert pop.data.tobytes() == want.data.tobytes()

@@ -16,7 +16,7 @@ from dsps.evaluate import (
     percentage_error,
     rsse,
 )
-from dsps.moments import TargetCriterion, TargetSet
+from dsps.moments import TargetCriterion, TargetSet, sample_moment
 from dsps.realize import SelectionMask
 
 from oracles import moment_oracle, weighted_moment_oracle
@@ -183,3 +183,69 @@ class TestEvaluateSelection:
         report = evaluate_selection(pop, TargetSet(()), np.full(24, 0.5))
         assert report.per_criterion == ()
         assert report.rsse == 0.0 and report.pe_mean == 0.0 and report.pe_sd == 0.0
+
+
+class TestMaskScoring:
+    """A mask is scored from the masked feature columns of the population."""
+
+    @staticmethod
+    def instance():
+        pop = Population(
+            ("s1", "s2", "s3"),
+            ("hba1c", "fpg"),
+            np.array([[7.5, 160.0], [8.25, 172.5], [6.9, -150.0]]),
+        )
+        targets = TargetSet(tuple(
+            TargetCriterion(f, order, value)
+            for f, values in (("hba1c", (7.0, 0.5)), ("fpg", (60.0, 900.0)))
+            for order, value in zip((1, 2), values)
+        ))
+        return pop, targets
+
+    def test_mask_scores_the_selected_members(self):
+        pop, targets = self.instance()
+        report = evaluate_selection(pop, targets, np.array([1, 0, 1], dtype=np.int8))
+        chosen = Population(("s1", "s3"), pop.feature_names, pop.data[[0, 2]])
+        assert report == evaluate_selection(chosen, targets, np.ones(2, dtype=np.int8))
+        assert report.realized_size == 2
+
+    def test_all_ones_mask_scores_the_full_population(self):
+        pop, targets = self.instance()
+        report = evaluate_selection(pop, targets, np.ones(3, dtype=np.int8))
+        assert report.realized_size == pop.n_members
+        for res in report.per_criterion:
+            j = pop.feature_index(res.feature)
+            assert res.achieved == sample_moment(pop.data[:, j], res.order)
+
+    def test_all_zero_mask_is_empty_selection(self):
+        pop, targets = self.instance()
+        with pytest.raises(EmptySelection):
+            evaluate_selection(pop, targets, np.zeros(3, dtype=np.int8))
+
+    def test_mask_length_mismatch(self):
+        pop, targets = self.instance()
+        with pytest.raises(LengthMismatch):
+            evaluate_selection(pop, targets, np.ones(4, dtype=np.int8))
+
+    @pytest.mark.parametrize("count", [2, 3, 17, 1000, 8191, 8192, 8193, 9000])
+    def test_realized_moments_match_the_row_subset_bit_for_bit(self, count):
+        # Scoring once took each column of the selected rows' matrix, a
+        # strided view; numpy may sum strided and contiguous input in a
+        # different order, so the values are compared exactly.
+        rng = np.random.default_rng(count)
+        n_p = 9001
+        data = np.column_stack(
+            [rng.normal(50, 7, n_p), rng.lognormal(1, 0.8, n_p), rng.uniform(-3, 9, n_p)]
+        )
+        pop = Population(tuple(f"m{i}" for i in range(n_p)), ("a", "b", "c"), data)
+        targets = TargetSet(tuple(
+            TargetCriterion(f, order, 1.0) for f in ("a", "b", "c") for order in range(1, 6)
+        ))
+        keep = np.zeros(n_p, dtype=bool)
+        keep[rng.choice(n_p, count, replace=False)] = True
+        report = evaluate_selection(pop, targets, keep.astype(np.int8))
+        rows = pop.data[keep]
+        assert report.realized_size == count
+        for res in report.per_criterion:
+            want = sample_moment(rows[:, pop.feature_index(res.feature)], res.order)
+            assert res.achieved == want, (res.feature, res.order)
