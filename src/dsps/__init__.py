@@ -22,7 +22,6 @@ from .lp_core import (
     LpSolution,
     Relation,
     SolveStatus,
-    SolverOptions,
     solve_lp,
 )
 from .moments import (
@@ -68,7 +67,6 @@ __all__ = [
     "LpProblem",
     "LpRow",
     "Relation",
-    "SolverOptions",
     "SolveStatus",
     "LpSolution",
     "solve_lp",

@@ -25,14 +25,14 @@ path from the problem alone:
   the slope enters.  One iteration can thus move thousands of members, so
   the selection LP takes tens of iterations where a primal simplex takes
   thousands.
-* **Primal two-phase simplex** (some bound infinite).  One artificial column
-  ``sign_r * e_r`` per row, signed so that it starts nonnegative, is
-  appended to the column form and gives the phase-1 starting basis.  Phase 1
-  minimises the total artificial mass; a positive optimum is the
+* **Primal two-phase simplex** (some bound infinite).  Two artificial
+  columns ``+e_r`` and ``-e_r`` per row are appended to the column form; the
+  one whose sign lets it start nonnegative gives the phase-1 starting basis.
+  Phase 1 minimises the total artificial mass, so a row may be violated in
+  either direction, and a positive optimum is the least total violation: the
   infeasibility certificate reported via ``objective_value``.  When the dual
   path finds a problem infeasible, the primal solves it again to produce
-  that certificate, and its result is the one returned; so it does when the
-  dual's basis turns singular.
+  that certificate, and its result is the one returned.
 
 Shared rules:
 
@@ -42,6 +42,10 @@ Shared rules:
   matrix dominate, so no incremental inverse is kept.
 * One pricing pass is one iteration, including the pass that proves
   optimality or infeasibility, so ``max_iterations`` means the same on both.
+* The dual's ratio test accepts an entry ``a_j`` as a pivot only when
+  ``|a_j|`` exceeds ``_PIVOT_TOL * max(1, max |a_k|)``, the largest taken
+  over the row's movable columns: in a row scaled near ``1e10`` an entry
+  of ``1e-5`` is roundoff, and entering it would make the basis singular.
 * After ``2 * n_rows`` consecutive degenerate steps the primal switches to
   smallest-index (Bland) pricing until a nondegenerate step is made.  The
   dual first perturbs the structural costs once, each by at most half the
@@ -53,7 +57,7 @@ Shared rules:
 Bound handling follows Maros 2003, *Computational Techniques of the Simplex
 Method*.
 
-Everything is deterministic for a fixed problem and options: ties are broken
+Everything is deterministic for a fixed problem: ties are broken
 by first index (in the dual ratio test, columns at their upper bound come
 before columns at their lower bound).  Alternate optima may return
 different vertices; the objective value is the reproducible quantity.
@@ -72,7 +76,6 @@ __all__ = [
     "Relation",
     "LpRow",
     "LpProblem",
-    "SolverOptions",
     "SolveStatus",
     "LpSolution",
     "solve_lp",
@@ -149,13 +152,6 @@ class LpProblem:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    feasibility_tolerance: float = 1e-9
-    optimality_tolerance: float = 1e-9
-    max_iterations: int | None = None  # default 50 * (n_vars + n_rows)
-
-
 class SolveStatus(enum.Enum):
     OPTIMAL = "Optimal"
     INFEASIBLE = "Infeasible"
@@ -180,30 +176,29 @@ class LpSolution:
     max_residual: float
 
 
+_FEAS_TOL = 1e-9
+_OPT_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 _DEGEN_TOL = 1e-11
 _RATIO_TIE = 1e-9
 
 
-def solve_lp(problem: LpProblem, options: SolverOptions | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Solve the program, classifying the outcome rather than raising for it.
 
-    Raises :class:`NumericalBreakdown` only when the primal breaks down (a
-    singular basis), which is distinct from genuine infeasibility.
+    ``max_iterations`` defaults to ``50 * (n_vars + n_rows)``.  Raises
+    :class:`NumericalBreakdown` only when either path breaks down (a singular
+    basis), which is distinct from genuine infeasibility.
     """
-    opts = options or SolverOptions()
     if np.any(problem.lower > problem.upper):
         return LpSolution(SolveStatus.INFEASIBLE, None, float("inf"), 0, float("inf"))
     if problem.n_rows == 0:
         return _solve_box_only(problem)
     if np.all(np.isfinite(problem.lower)) and np.all(np.isfinite(problem.upper)):
-        try:
-            solution = _DualSimplex(problem, opts).run()
-            if solution.status is not SolveStatus.INFEASIBLE:
-                return solution
-        except NumericalBreakdown:
-            pass  # a roundoff pivot made the dual's basis singular; the primal retries
-    return _Simplex(problem, opts).run()
+        solution = _DualSimplex(problem, max_iterations).run()
+        if solution.status is not SolveStatus.INFEASIBLE:
+            return solution
+    return _Simplex(problem, max_iterations).run()
 
 
 def _solve_box_only(problem: LpProblem) -> LpSolution:
@@ -227,15 +222,14 @@ class _ColumnForm:
     """The column form and the linear algebra both simplex paths share.
 
     Columns are the ``n`` structurals, one logical per row, ``r = a_r.z``
-    bounded by ``[row_lo, row_hi]``, and ``n_art`` phase-1 artificials; the
-    constraint matrix is ``[A, -I, diag(signs)]`` with right-hand side zero.
+    bounded by ``[row_lo, row_hi]``, and ``n_art`` (0 or ``2m``) phase-1
+    artificials; the matrix is ``[A, -I, diag(signs)...]``, right-hand side 0.
     Non-structural column ``n + j`` is ``sign[j] * e_(j mod m)``.  The last
     ``m`` columns form the starting basis.
     """
 
-    def __init__(self, problem: LpProblem, opts: SolverOptions, n_art: int):
+    def __init__(self, problem: LpProblem, max_iterations: int | None, n_art: int):
         self.problem = problem
-        self.opts = opts
         n, m = problem.n_vars, problem.n_rows
         self.n, self.m = n, m
         self.A = np.array([row.coeffs for row in problem.rows])
@@ -259,8 +253,7 @@ class _ColumnForm:
         self.bound_scale = np.maximum(np.abs(np.where(lo_finite, self.lower, 0.0)),
                                       np.abs(np.where(hi_finite, self.upper, 0.0)))
 
-        max_it = opts.max_iterations
-        self.max_iterations = max_it if max_it is not None else 50 * (n + m)
+        self.max_iterations = max_iterations if max_iterations is not None else 50 * (n + m)
         self.iterations = 0
 
     def _solve_basis(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -319,20 +312,26 @@ class _ColumnForm:
 
 
 class _Simplex(_ColumnForm):
-    """Two-phase primal simplex: one artificial column per row starts phase 1."""
+    """Two-phase primal simplex: two opposite artificial columns per row.
 
-    def __init__(self, problem: LpProblem, opts: SolverOptions):
-        super().__init__(problem, opts, n_art=problem.n_rows)
+    The last ``m`` columns, signed so that each starts ``>= 0``, form the
+    phase-1 basis; the ``m`` before them carry the opposite signs and start
+    nonbasic at zero, so phase 1 can move a row's violation to either side.
+    """
+
+    def __init__(self, problem: LpProblem, max_iterations: int | None = None):
+        super().__init__(problem, max_iterations, n_art=2 * problem.n_rows)
         self.art0 = self.n + self.m
-        # sign the artificials so that every one starts >= 0
         resid = self.x[self.n:self.art0] - self.A @ self.x[:self.n]
-        self.sign[self.m:] = np.where(resid < 0.0, -1.0, 1.0)
+        # sign the basic artificials so that every one starts >= 0
+        start_sign = np.where(resid < 0.0, -1.0, 1.0)
+        self.sign[self.m:] = np.concatenate([-start_sign, start_sign])
         self.x[self.basis] = np.abs(resid)
         # a logical's finite bound is its row's right-hand side
         self.feas_scale = 1.0 + float(np.max(self.bound_scale[self.n:self.art0]))
 
     def _iterate(self, c: np.ndarray, phase_one: bool) -> SolveStatus:
-        tau = self.opts.optimality_tolerance * np.maximum(1.0, np.abs(c))
+        tau = _OPT_TOL * np.maximum(1.0, np.abs(c))
         stall = 0
         bland = False
         since_refresh = 0
@@ -440,7 +439,7 @@ class _Simplex(_ColumnForm):
     def run(self) -> LpSolution:
         c_phase1 = np.zeros(self.cost.size)
         c_phase1[self.art0:] = 1.0
-        tol = self.opts.feasibility_tolerance * self.feas_scale
+        tol = _FEAS_TOL * self.feas_scale
 
         art_mass = float(np.sum(self.x[self.art0:]))
         if art_mass > tol:
@@ -465,13 +464,13 @@ class _Simplex(_ColumnForm):
 class _DualSimplex(_ColumnForm):
     """Bound-flipping dual simplex for problems whose every bound is finite."""
 
-    def __init__(self, problem: LpProblem, opts: SolverOptions):
-        super().__init__(problem, opts, n_art=0)
+    def __init__(self, problem: LpProblem, max_iterations: int | None = None):
+        super().__init__(problem, max_iterations, n_art=0)
         # feasibility is judged against each variable's own bounds, not its
         # row's entries: a slack can only move a row by eta_max, however
         # large the row's entries are
-        self.feas_tol = opts.feasibility_tolerance * np.maximum(1.0, self.bound_scale)
-        self.dual_tol = opts.optimality_tolerance * np.maximum(1.0, np.abs(self.cost))
+        self.feas_tol = _FEAS_TOL * np.maximum(1.0, self.bound_scale)
+        self.dual_tol = _OPT_TOL * np.maximum(1.0, np.abs(self.cost))
         self.perturbed = False
 
     def _refresh(self) -> np.ndarray:
@@ -520,8 +519,10 @@ class _DualSimplex(_ColumnForm):
             # nonbasic d_j by t * a_j, t >= 0 the dual step
             a = alpha if delta < 0.0 else -alpha
             movable = ~self.is_basic & (self.gap > 0.0)
+            # relative to the row: roundoff in a row near 1e10 passes any absolute threshold
+            pivot_tol = _PIVOT_TOL * max(1.0, float(np.max(np.abs(a[movable]), initial=0.0)))
             cand = np.flatnonzero(
-                movable & np.where(self.at_upper, a > _PIVOT_TOL, a < -_PIVOT_TOL)
+                movable & np.where(self.at_upper, a > pivot_tol, a < -pivot_tol)
             )
             if cand.size == 0:
                 return self._finish(SolveStatus.INFEASIBLE)

@@ -39,7 +39,6 @@ from .errors import (
     IterationLimitExceeded,
     LengthMismatch,
     MissingHyperParam,
-    NumericalBreakdown,
     SmallSampleWarning,
     UnboundedError,
 )
@@ -49,7 +48,6 @@ from .lp_core import (
     LpSolution,
     Relation,
     SolveStatus,
-    SolverOptions,
     solve_lp,
 )
 from .moments import TargetSet, moment_terms
@@ -248,7 +246,6 @@ def _solve_relaxed(
     beta: np.ndarray,
     eta_max: np.ndarray,
     size_sign: float,
-    options: SolverOptions | None,
 ) -> SelectionProbabilities:
     """Solve the slack-relaxed program in scaled row space.
 
@@ -268,7 +265,7 @@ def _solve_relaxed(
     rows = tuple(LpRow(A[j], Relation.EQ, C[j]) for j in range(m))
     lower = np.zeros(n + 2 * m)
     upper = np.concatenate([np.ones(n), cap, cap])
-    result = _finish_solve(solve_lp(LpProblem(c, rows, lower, upper), options), system, n)
+    result = _finish_solve(solve_lp(LpProblem(c, rows, lower, upper)), system, n)
     if m == 0:
         return result
     return replace(result, alpha=alpha, beta=beta, eta_max=eta_max)
@@ -289,8 +286,6 @@ def _finish_solve(
         raise IterationLimitExceeded(
             f"no optimum within {solution.iterations} simplex iterations"
         )
-    if solution.z is None:
-        raise NumericalBreakdown("optimal status without a solution vector")
     p = np.clip(solution.z[:n], 0.0, 1.0)
     m = system.n_rows
     if solution.z.size > n:
@@ -313,7 +308,6 @@ def solve_max_size(
     targets: TargetSet,
     hyper: HyperParams | None = None,
     relaxed: bool = True,
-    options: SolverOptions | None = None,
 ) -> SelectionProbabilities:
     """Largest expected sub-population matching the targets.
 
@@ -329,10 +323,10 @@ def solve_max_size(
         A, C = system.scaled_matrix(), system.scaled_rhs()
         rows = tuple(LpRow(A[j], Relation.EQ, C[j]) for j in range(system.n_rows))
         problem = LpProblem(np.full(n, -1.0), rows, np.zeros(n), np.ones(n))
-        result = _finish_solve(solve_lp(problem, options), system, n)
+        result = _finish_solve(solve_lp(problem), system, n)
     else:
         beta, eta_max = resolve_slack(targets, hyper)
-        result = _solve_relaxed(system, hyper.alpha, beta, eta_max, -1.0, options)
+        result = _solve_relaxed(system, hyper.alpha, beta, eta_max, -1.0)
     if len(targets) > 0 and result.expected_size <= _EMPTY_SELECTION_TOL:
         raise InfeasibleError(
             "targets admit only the empty selection (max expected size 0)",
@@ -345,7 +339,6 @@ def solve_min_size(
     pop: Population,
     targets: TargetSet,
     hyper: HyperParams | None = None,
-    options: SolverOptions | None = None,
 ) -> SelectionProbabilities:
     """Smallest expected sub-population matching the targets.
 
@@ -356,7 +349,7 @@ def solve_min_size(
     hyper = hyper or HyperParams()
     system = build_lp_system(pop, targets, hyper.epsilon)
     beta, eta_max = resolve_slack(targets, hyper)
-    result = _solve_relaxed(system, hyper.alpha, beta, eta_max, 1.0, options)
+    result = _solve_relaxed(system, hyper.alpha, beta, eta_max, 1.0)
     if result.expected_size < SMALL_SAMPLE_THRESHOLD:
         warnings.warn(
             f"minimised expected size {result.expected_size:.2f} is below "
@@ -373,7 +366,6 @@ def solve_fixed_size(
     targets: TargetSet,
     n_t: float,
     hyper: HyperParams | None = None,
-    options: SolverOptions | None = None,
 ) -> SelectionProbabilities:
     """Expected size pinned to ``n_t`` within ``alpha``, targets relaxed as usual.
 
@@ -401,4 +393,4 @@ def solve_fixed_size(
     )
     beta = np.append(beta, 1.0 / (n_t + hyper.epsilon))
     eta_max = np.append(eta_max, alpha)
-    return _solve_relaxed(system, alpha, beta, eta_max, -1.0, options)
+    return _solve_relaxed(system, alpha, beta, eta_max, -1.0)

@@ -133,6 +133,29 @@ def lp_vertex_oracle(c, rows, lower, upper, tol=1e-8):
     return "optimal", best
 
 
+def highs_objective(problem, linprog):
+    """Optimal objective of an ``LpProblem`` from HiGHS, or None if infeasible."""
+    A = np.array([r.coeffs for r in problem.rows])
+    b = np.array([r.rhs for r in problem.rows])
+    rel = np.array([r.relation.value for r in problem.rows])
+    le, ge, eq = rel == "<=", rel == ">=", rel == "="
+    A_ub = np.vstack([A[le], -A[ge]])
+    b_ub = np.concatenate([b[le], -b[ge]])
+    res = linprog(
+        problem.objective,
+        A_ub=A_ub if A_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=b[eq] if eq.any() else None,
+        bounds=np.column_stack([problem.lower, problem.upper]),
+        method="highs",
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 def best_subset_size(A, C, eta_max, tol=1e-9):
     """Largest 0/1 selection with every |row sum - C| within eta_max.
 

@@ -389,7 +389,7 @@ class TestExitCodes:
         from dsps import selection
         from dsps.errors import NumericalBreakdown
 
-        def breaks_down(problem, options=None):
+        def breaks_down(problem, max_iterations=None):
             raise NumericalBreakdown("singular basis matrix")
 
         monkeypatch.setattr(selection, "solve_lp", breaks_down)

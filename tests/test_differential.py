@@ -13,7 +13,7 @@ import pytest
 
 from dsps import selection
 from dsps.errors import InfeasibleError, SmallSampleWarning
-from dsps.lp_core import SolveStatus, SolverOptions, _DualSimplex, _Simplex, solve_lp
+from dsps.lp_core import SolveStatus, _DualSimplex, _Simplex, solve_lp
 from dsps.selection import auto_hyperparams, solve_fixed_size, solve_max_size, solve_min_size
 from dsps.synthgen import (
     FeatureSpec,
@@ -25,30 +25,10 @@ from dsps.synthgen import (
     plant_subset,
 )
 
+from oracles import highs_objective
+
 MODES = ("max", "min", "fixed", "strict")
 REL_TOL = 1e-7
-
-
-def highs_objective(problem, linprog):
-    A = np.array([r.coeffs for r in problem.rows])
-    b = np.array([r.rhs for r in problem.rows])
-    rel = np.array([r.relation.value for r in problem.rows])
-    le, ge, eq = rel == "<=", rel == ">=", rel == "="
-    A_ub = np.vstack([A[le], -A[ge]])
-    b_ub = np.concatenate([b[le], -b[ge]])
-    res = linprog(
-        problem.objective,
-        A_ub=A_ub if A_ub.size else None,
-        b_ub=b_ub if b_ub.size else None,
-        A_eq=A[eq] if eq.any() else None,
-        b_eq=b[eq] if eq.any() else None,
-        bounds=np.column_stack([problem.lower, problem.upper]),
-        method="highs",
-    )
-    if res.status == 2:
-        return None
-    assert res.status == 0, res.message
-    return float(res.fun)
 
 
 def random_population(rng):
@@ -84,8 +64,8 @@ def recorded_problems(rng, mode, monkeypatch):
 
     seen = []
 
-    def recording(problem, options=None):
-        solution = solve_lp(problem, options)
+    def recording(problem, max_iterations=None):
+        solution = solve_lp(problem, max_iterations)
         seen.append((problem, solution))
         return solution
 
@@ -132,8 +112,8 @@ def test_dual_and_primal_paths_agree(mode, monkeypatch):
     compared = 0
     for trial in range(6):
         for problem, _ in recorded_problems(rng, mode, monkeypatch):
-            dual = _DualSimplex(problem, SolverOptions()).run()
-            primal = _Simplex(problem, SolverOptions()).run()
+            dual = _DualSimplex(problem).run()
+            primal = _Simplex(problem).run()
             if dual.status is SolveStatus.INFEASIBLE:
                 assert primal.status is SolveStatus.INFEASIBLE, f"{mode} trial {trial}"
                 continue

@@ -7,12 +7,11 @@ from dsps.lp_core import (
     LpRow,
     Relation,
     SolveStatus,
-    SolverOptions,
     _Simplex,
     solve_lp,
 )
 
-from oracles import lp_vertex_oracle
+from oracles import highs_objective, lp_vertex_oracle
 
 
 def lp(c, rows, lower, upper):
@@ -86,7 +85,7 @@ class TestBasics:
         rows = [LpRow([1.0, 1.0, 1.0], "=", 1.5)]
         sol = solve_lp(
             lp([-1.0, -2.0, -3.0], rows, 0.0, 1.0),
-            SolverOptions(max_iterations=1),
+            max_iterations=1,
         )
         assert sol.status is SolveStatus.ITERATION_LIMIT
         assert sol.z is None
@@ -154,7 +153,7 @@ class TestAgainstVertexEnumeration:
             )
             solutions = [solve_lp(problem)]
             if rows:  # solve_lp answers a bare box without a simplex
-                solutions.append(_Simplex(problem, SolverOptions()).run())
+                solutions.append(_Simplex(problem).run())
             for sol in solutions:
                 if status == "infeasible":
                     assert sol.status is SolveStatus.INFEASIBLE, f"instance {i}"
@@ -189,6 +188,66 @@ class TestAgainstVertexEnumeration:
             np.ones(3),
         )
         assert sol.objective_value == pytest.approx(best, abs=1e-9)
+
+
+def random_rows(rng, n, m):
+    return [
+        LpRow(rng.normal(size=n), ("<=", ">=", "=")[int(rng.integers(0, 3))], 2.0 * rng.normal())
+        for _ in range(m)
+    ]
+
+
+def elastic_program(rows, n):
+    """The least-total-violation program over the unit box, as oracle rows.
+
+    Each direction a row can be violated in gets an elastic column of cost 1,
+    capped by the largest violation the box allows.
+    """
+    cols = [(r, -1.0) for r, row in enumerate(rows) if row.relation is not Relation.GE]
+    cols += [(r, 1.0) for r, row in enumerate(rows) if row.relation is not Relation.LE]
+    oracle_rows = [
+        (np.concatenate([row.coeffs, [s if q == r else 0.0 for q, s in cols]]),
+         row.relation.value, row.rhs)
+        for r, row in enumerate(rows)
+    ]
+    cap = [np.abs(rows[q].coeffs).sum() + abs(rows[q].rhs) for q, _ in cols]
+    c = np.concatenate([np.zeros(n), np.ones(len(cols))])
+    lower = np.zeros(n + len(cols))
+    upper = np.concatenate([np.ones(n), cap])
+    return c, oracle_rows, lower, upper
+
+
+class TestInfeasibilityCertificate:
+    def test_certificate_is_the_least_total_violation(self):
+        rng = np.random.default_rng(3)
+        checked = 0
+        for i in range(60):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            rows = random_rows(rng, n, m)
+            sol = solve_lp(lp(rng.normal(size=n), rows, 0.0, 1.0))
+            if sol.status is not SolveStatus.INFEASIBLE:
+                continue
+            status, best = lp_vertex_oracle(*elastic_program(rows, n))
+            assert status == "optimal"
+            assert sol.objective_value == pytest.approx(best, rel=1e-7, abs=1e-9), f"program {i}"
+            checked += 1
+        assert checked >= 30
+
+    def test_certificate_matches_highs_elastic_minimum(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(0)
+        checked = 0
+        for i in range(200):
+            n, m = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+            rows = random_rows(rng, n, m)
+            sol = solve_lp(lp(rng.normal(size=n), rows, 0.0, 1.0))
+            if sol.status is not SolveStatus.INFEASIBLE:
+                continue
+            c, oracle_rows, lower, upper = elastic_program(rows, n)
+            want = highs_objective(lp(c, [LpRow(*r) for r in oracle_rows], lower, upper), linprog)
+            assert sol.objective_value == pytest.approx(want, rel=1e-7, abs=1e-9), f"program {i}"
+            checked += 1
+        assert checked >= 100
 
 
 class TestScaleAndSlack:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dsps import lp_core
 from dsps.dataset import Population, feature_column
 from dsps.errors import (
     EmptyTargetSet,
@@ -413,6 +414,46 @@ class TestSolveMaxSize:
         slack_tol = 1e-7 / system.row_scales + 1e-12 * (np.abs(system.matrix) @ sel.p)
         assert np.all(np.abs(system.matrix @ sel.p - system.rhs) <= sel.eta + slack_tol)
         assert np.all(sel.eta <= hyper.eta_max + slack_tol)
+
+    @pytest.fixture
+    def dual_only(self, monkeypatch):
+        """Fail any solve that reaches the primal simplex."""
+
+        def no_primal(*args, **kwargs):
+            raise AssertionError("a feasible boxed program reached the primal simplex")
+
+        monkeypatch.setattr(lp_core, "_Simplex", no_primal)
+
+    @staticmethod
+    def solve_symmetric(half, center):
+        """Max-size solve of a symmetric population planted at orders 1-3."""
+        x = np.concatenate([center + np.asarray(half), center - np.asarray(half)])
+        pop = make_pop({"f": x})
+        targets = plant_subset(pop, np.arange(x.size), orders=(1, 2, 3))
+        return solve_max_size(pop, targets, auto_hyperparams(targets, float(x.size)))
+
+    @pytest.mark.usefixtures("dual_only")
+    def test_recorded_population_needs_no_primal(self):
+        # the roundoff entry of this population's skewness row once entered
+        # the dual's basis as a copy of a basic column
+        half = [0.11066836690063347, 5.945608352826286, 47.560085438613676,
+                12.272186462481997, 47.560085438613676]
+        sel = self.solve_symmetric(half, 0.0)
+        assert sel.expected_size == pytest.approx(10.0, abs=1e-6)
+
+    @pytest.mark.usefixtures("dual_only")
+    @pytest.mark.parametrize("seed", [6, 49])
+    def test_symmetric_populations_need_no_primal(self, seed):
+        # each seed's sample holds one population on which an absolute pivot
+        # threshold of 1e-10 made the dual's basis singular
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            k = int(rng.integers(1, 8))
+            half = rng.uniform(0.01, 50.0, k)
+            half = np.append(half, half[int(rng.integers(k))])
+            center = 0.0 if rng.random() < 0.5 else float(rng.uniform(-100.0, 100.0))
+            sel = self.solve_symmetric(half, center)
+            assert sel.expected_size == pytest.approx(2 * half.size, abs=1e-6)
 
     def test_percentile_band_solves_in_few_iterations(self):
         # the bound-flipping ratio test moves many members per iteration; one
