@@ -44,6 +44,8 @@ from .evaluate import evaluate_selection
 from .moments import TargetSet
 from .realize import SelectionMask, draw_best
 from .selection import (
+    DEFAULT_EPSILON,
+    SMALL_SAMPLE_THRESHOLD,
     HyperParams,
     solve_fixed_size,
     solve_max_size,
@@ -86,7 +88,7 @@ def _build_parser() -> _Parser:
                      help="slack budget; overrides --trial-size")
     sel.add_argument("--trial-size", type=float, default=None,
                      help="intended cohort size; alpha defaults to 5%% of it")
-    sel.add_argument("--epsilon", type=float, default=1e-6,
+    sel.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                      help="denominator guard in scales and weights")
     sel.add_argument("--seed", type=int, default=None,
                      help=f"draw seed; falls back to ${SEED_ENV}, then 0")
@@ -145,29 +147,16 @@ def _resolve_seed(arg_seed) -> int:
     return 0
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-    path.write_text(text + "\n", encoding="utf-8")
+def _json_text(payload: dict) -> str:
+    # arrays are the only values json cannot write; np.float64 is a float
+    return json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n"
 
 
 def _write_vector_csv(path: Path, header: tuple[str, str], ids, values, fmt) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for mid, val in zip(ids, values):
-            writer.writerow([mid, fmt(val)])
+        writer.writerows([mid, fmt(val)] for mid, val in zip(ids, values))
 
 
 def _load_mask_csv(path, pop) -> SelectionMask:
@@ -189,20 +178,28 @@ def _load_mask_csv(path, pop) -> SelectionMask:
     return SelectionMask(b, seed=0, draw_index=0)
 
 
-def _criteria_payload(targets, expected_report, realized_report):
-    rows = []
-    exp = {(c.feature, c.order): c for c in expected_report.per_criterion} if expected_report else {}
-    real = {(c.feature, c.order): c for c in realized_report.per_criterion} if realized_report else {}
-    for c in targets:
-        key = (c.feature, c.order)
-        row = {"feature": c.feature, "order": c.order, "target": float(c.value)}
-        if key in exp:
-            row["expected"] = exp[key].achieved
-        if key in real:
-            row["realized"] = real[key].achieved
-            row["percentage_error"] = real[key].percentage_error
-        rows.append(row)
-    return rows
+def _report(realized, expected=None, **fields) -> dict:
+    """report.json from a realized report, the optional expected one, and ``fields``.
+
+    Both reports list the criteria in target order.
+    """
+    criteria = [
+        {"feature": r.feature, "order": r.order, "target": r.target,
+         "realized": r.achieved, "percentage_error": r.percentage_error}
+        for r in realized.per_criterion
+    ]
+    if expected is not None:
+        for row, e in zip(criteria, expected.per_criterion):
+            row["expected"] = e.achieved
+    return {
+        "schema": SCHEMA,
+        "criteria": criteria,
+        "rsse": realized.rsse,
+        "pe_mean": realized.pe_mean,
+        "pe_sd": realized.pe_sd,
+        "realized_size": realized.realized_size,
+        **fields,
+    }
 
 
 # ---- commands ------------------------------------------------------------
@@ -242,8 +239,8 @@ def cmd_select(args) -> int:
             sel = solve_fixed_size(pop, targets, args.n_target, hyper)
     if sel.small_sample_warning:
         print(
-            f"warning: expected size {sel.expected_size:.2f} is below 30; "
-            "realized moments will be noisy",
+            f"warning: expected size {sel.expected_size:.2f} is below "
+            f"{SMALL_SAMPLE_THRESHOLD:g}; realized moments will be noisy",
             file=sys.stderr,
         )
 
@@ -252,7 +249,6 @@ def cmd_select(args) -> int:
         expected_report = evaluate_selection(pop, targets, sel.p, args.rsse_epsilon)
     except DspsError:
         expected_report = None  # too little probability mass for weighted moments
-    realized_report = best.report
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,26 +257,22 @@ def cmd_select(args) -> int:
     _write_vector_csv(out / "mask.csv", ("member_id", "selected"),
                       pop.member_ids, best.mask.b, lambda v: str(int(v)))
 
-    report = {
-        "schema": SCHEMA,
-        "criteria": _criteria_payload(targets, expected_report, realized_report),
-        "rsse": realized_report.rsse,
-        "pe_mean": realized_report.pe_mean,
-        "pe_sd": realized_report.pe_sd,
-        "expected_size": sel.expected_size,
-        "realized_size": best.size,
-        "solver": {
+    report = _report(
+        best.report,
+        expected_report,
+        expected_size=sel.expected_size,
+        solver={
             "status": sel.solver.status.value,
             "iterations": sel.solver.iterations,
             "max_residual": sel.solver.max_residual,
         },
-        "seeds": {
+        seeds={
             "seed": seed,
             "n_draws": args.draws,
             "best_draw_index": best.mask.draw_index,
         },
-        "small_sample_warning": sel.small_sample_warning,
-        "draws": [
+        small_sample_warning=sel.small_sample_warning,
+        draws=[
             {
                 "draw_index": s.draw_index,
                 "size": s.size,
@@ -288,8 +280,8 @@ def cmd_select(args) -> int:
             }
             for s in stats
         ],
-    }
-    _write_json(out / "report.json", report)
+    )
+    (out / "report.json").write_text(_json_text(report), encoding="utf-8")
 
     run = {
         "schema": SCHEMA,
@@ -306,10 +298,10 @@ def cmd_select(args) -> int:
         "draws": args.draws,
         "rsse_epsilon": args.rsse_epsilon,
         "out": str(args.out),
-        "row_labels": [list(l) if isinstance(l, tuple) else l for l in sel.row_labels],
+        "row_labels": sel.row_labels,
         "expected_size": sel.expected_size,
     }
-    _write_json(out / "run.json", run)
+    (out / "run.json").write_text(_json_text(run), encoding="utf-8")
 
     print(
         f"mode={args.mode} expected_size={sel.expected_size:.3f} "
@@ -324,24 +316,14 @@ def cmd_evaluate(args) -> int:
     targets = TargetSet.from_json(Path(args.targets).read_text(encoding="utf-8"))
     mask = _load_mask_csv(args.mask, pop)
     report = evaluate_selection(pop, targets, mask, args.rsse_epsilon)
-    payload = {
-        "schema": SCHEMA,
-        "criteria": _criteria_payload(targets, None, report),
-        "rsse": report.rsse,
-        "pe_mean": report.pe_mean,
-        "pe_sd": report.pe_sd,
-        "expected_size": None,
-        "realized_size": report.realized_size,
-        "solver": None,
-        "seeds": None,
-    }
+    payload = _report(report, expected_size=None, solver=None, seeds=None)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "report.json", payload)
+        (out / "report.json").write_text(_json_text(payload), encoding="utf-8")
         print(f"wrote report for {report.realized_size} selected members to {out}")
     else:
-        print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+        print(_json_text(payload), end="")
     return 0
 
 

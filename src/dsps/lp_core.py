@@ -36,10 +36,11 @@ path from the problem alone:
 
 Shared rules:
 
-* Both paths recompute basic values (and reduced costs) from the nonbasic
-  point with fresh LAPACK solves, so no drift builds up; at these shapes
-  (tens of rows, thousands of columns) the passes over the constraint
-  matrix dominate, so no incremental inverse is kept.
+* No basis inverse is kept: at these shapes (tens of rows, thousands of
+  columns) the passes over the constraint matrix dominate, so reduced costs
+  come from a fresh LAPACK solve every iteration.  The dual recomputes its
+  basic values the same way; the primal updates them along each step and
+  recomputes them every 100 iterations and at the end of each phase.
 * One pricing pass is one iteration, including the pass that proves
   optimality or infeasibility, so ``max_iterations`` means the same on both.
 * The dual's ratio test accepts an entry ``a_j`` as a pivot only when
@@ -282,11 +283,6 @@ class _ColumnForm:
         """
         return np.concatenate([self.A.T @ v, self.sign * np.tile(v, self.sign.size // self.m)])
 
-    def _tableau_row(self, r: int) -> np.ndarray:
-        unit = np.zeros(self.m)
-        unit[r] = 1.0
-        return self._row(self._solve_basis(unit, transpose=True))
-
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         return c - self._row(self._solve_basis(c[self.basis], transpose=True))
 
@@ -418,24 +414,6 @@ class _Simplex(_ColumnForm):
                 if stall > 2 * self.m:
                     bland = True
 
-    def _drive_out_artificials(self) -> None:
-        """Replace basic artificials by structural/logical columns where possible."""
-        for r in range(self.m):
-            if self.basis[r] < self.art0:
-                continue
-            v = self._tableau_row(r)[:self.art0]
-            v[self.is_basic[:self.art0] | (self.gap[:self.art0] <= 0.0)] = 0.0
-            j = int(np.argmax(np.abs(v)))
-            if abs(v[j]) <= 1e-8:
-                continue  # redundant row; artificial stays pinned at zero
-            leave = int(self.basis[r])
-            self.at_upper[leave] = False
-            self.x[leave] = 0.0
-            self.is_basic[leave] = False
-            self.is_basic[j] = True
-            self.basis[r] = j
-        self._refresh_basics()
-
     def run(self) -> LpSolution:
         c_phase1 = np.zeros(self.cost.size)
         c_phase1[self.art0:] = 1.0
@@ -453,7 +431,9 @@ class _Simplex(_ColumnForm):
         self.upper[self.art0:] = 0.0
         self.gap[self.art0:] = 0.0
         self.x[self.art0:][~self.is_basic[self.art0:]] = 0.0
-        self._drive_out_artificials()
+        # a basic artificial, now fixed at [0, 0], leaves through phase 2's
+        # ratio test at a degenerate step, or stays at zero in a redundant row
+        self._refresh_basics()
 
         status = self._iterate(self.cost, phase_one=False)
         if status is SolveStatus.OPTIMAL:
@@ -514,7 +494,9 @@ class _DualSimplex(_ColumnForm):
             if r is None:
                 return self._finish(SolveStatus.OPTIMAL)
 
-            alpha = self._tableau_row(r)
+            unit = np.zeros(self.m)
+            unit[r] = 1.0
+            alpha = self._row(self._solve_basis(unit, transpose=True))
             # moving the leaving variable to its violated bound changes each
             # nonbasic d_j by t * a_j, t >= 0 the dual step
             a = alpha if delta < 0.0 else -alpha

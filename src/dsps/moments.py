@@ -108,12 +108,6 @@ class TargetSet:
         except KeyError:
             raise MissingPrerequisiteTarget(f"no target for ({feature!r}, {order})") from None
 
-    def features(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for c in self.criteria:
-            seen.setdefault(c.feature, None)
-        return tuple(seen)
-
     @staticmethod
     def from_json(text: str | bytes) -> "TargetSet":
         try:

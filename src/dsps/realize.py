@@ -19,9 +19,11 @@ import numpy as np
 from .dataset import Population
 from .errors import (
     AllDrawsDegenerate,
-    DspsError,
+    EmptySelection,
+    InsufficientData,
     InvalidDraws,
     OutOfRangeProbability,
+    ZeroVariance,
 )
 from .evaluate import EvaluationReport, evaluate_selection
 from .moments import TargetSet
@@ -134,7 +136,7 @@ def draw_best(
         size = mask.size
         try:
             report = evaluate_selection(pop, targets, mask, rsse_epsilon=rsse_epsilon)
-        except DspsError:
+        except (EmptySelection, InsufficientData, ZeroVariance):
             stats.append(DrawStats(k, size, float("inf")))
             continue
         stats.append(DrawStats(k, size, report.rsse))

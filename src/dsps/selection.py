@@ -240,40 +240,32 @@ def resolve_slack(targets: TargetSet, hyper: HyperParams):
     return beta, eta_max
 
 
-def _solve_relaxed(
-    system: ConstraintSystem,
-    alpha: float | None,
-    beta: np.ndarray,
-    eta_max: np.ndarray,
-    size_sign: float,
+def _solve(
+    system: ConstraintSystem, size_sign: float, slack: tuple | None
 ) -> SelectionProbabilities:
-    """Solve the slack-relaxed program in scaled row space.
+    """Solve the selection program in scaled row space.
 
     Variables are ``[p, s_plus, s_minus]``; row ``j`` reads
     ``A_j p - s_plus_j + s_minus_j = C_j`` with both slacks in
     ``[0, eta_max_j]`` and costing ``beta_j`` each, all in scaled units.
-    The result carries the slack settings when there are slack rows.
+    ``slack`` is ``(alpha, beta, eta_max)``, or ``None`` for the strict
+    program, which has no slack columns.  The result carries ``eta`` and the
+    slack settings when there are slack rows.
     """
     n = system.matrix.shape[1]
     m = system.n_rows
+    k = 0 if slack is None else m  # slack pairs
+    alpha, beta, eta_max = slack if k else (None, None, None)
     scales = system.row_scales
-    A = np.hstack([system.scaled_matrix(), -np.eye(m), np.eye(m)])
+    A = np.hstack([system.scaled_matrix(), -np.eye(m, k), np.eye(m, k)])
     C = system.scaled_rhs()
-    weight = beta / scales
-    cap = eta_max * scales
+    weight = beta / scales if k else np.empty(0)
+    cap = eta_max * scales if k else np.empty(0)
     c = np.concatenate([np.full(n, size_sign), weight, weight])
     rows = tuple(LpRow(A[j], Relation.EQ, C[j]) for j in range(m))
-    lower = np.zeros(n + 2 * m)
+    lower = np.zeros(n + 2 * k)
     upper = np.concatenate([np.ones(n), cap, cap])
-    result = _finish_solve(solve_lp(LpProblem(c, rows, lower, upper)), system, n)
-    if m == 0:
-        return result
-    return replace(result, alpha=alpha, beta=beta, eta_max=eta_max)
-
-
-def _finish_solve(
-    solution: LpSolution, system: ConstraintSystem, n: int
-) -> SelectionProbabilities:
+    solution = solve_lp(LpProblem(c, rows, lower, upper))
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
             "no probability vector satisfies the targets "
@@ -287,19 +279,18 @@ def _finish_solve(
             f"no optimum within {solution.iterations} simplex iterations"
         )
     p = np.clip(solution.z[:n], 0.0, 1.0)
-    m = system.n_rows
-    if solution.z.size > n:
-        # the row residual |s_plus - s_minus|, which stays within eta_max even
-        # when a zero weight leaves both slacks loose
-        eta = np.abs(solution.z[n:n + m] - solution.z[n + m:]) / system.row_scales
-    else:
-        eta = None
+    # the row residual |s_plus - s_minus|, which stays within eta_max even
+    # when a zero weight leaves both slacks loose
+    eta = np.abs(solution.z[n:n + k] - solution.z[n + k:]) / scales if k else None
     return SelectionProbabilities(
         p=p,
         eta=eta,
         expected_size=float(np.sum(p)),
         row_labels=system.row_labels,
         solver=solution,
+        alpha=alpha,
+        beta=beta,
+        eta_max=eta_max,
     )
 
 
@@ -318,15 +309,8 @@ def solve_max_size(
     """
     hyper = hyper or HyperParams()
     system = build_lp_system(pop, targets, hyper.epsilon)
-    n = pop.n_members
-    if not relaxed:
-        A, C = system.scaled_matrix(), system.scaled_rhs()
-        rows = tuple(LpRow(A[j], Relation.EQ, C[j]) for j in range(system.n_rows))
-        problem = LpProblem(np.full(n, -1.0), rows, np.zeros(n), np.ones(n))
-        result = _finish_solve(solve_lp(problem), system, n)
-    else:
-        beta, eta_max = resolve_slack(targets, hyper)
-        result = _solve_relaxed(system, hyper.alpha, beta, eta_max, -1.0)
+    slack = (hyper.alpha, *resolve_slack(targets, hyper)) if relaxed else None
+    result = _solve(system, -1.0, slack)
     if len(targets) > 0 and result.expected_size <= _EMPTY_SELECTION_TOL:
         raise InfeasibleError(
             "targets admit only the empty selection (max expected size 0)",
@@ -348,8 +332,7 @@ def solve_min_size(
     """
     hyper = hyper or HyperParams()
     system = build_lp_system(pop, targets, hyper.epsilon)
-    beta, eta_max = resolve_slack(targets, hyper)
-    result = _solve_relaxed(system, hyper.alpha, beta, eta_max, 1.0)
+    result = _solve(system, 1.0, (hyper.alpha, *resolve_slack(targets, hyper)))
     if result.expected_size < SMALL_SAMPLE_THRESHOLD:
         warnings.warn(
             f"minimised expected size {result.expected_size:.2f} is below "
@@ -393,4 +376,4 @@ def solve_fixed_size(
     )
     beta = np.append(beta, 1.0 / (n_t + hyper.epsilon))
     eta_max = np.append(eta_max, alpha)
-    return _solve_relaxed(system, alpha, beta, eta_max, -1.0)
+    return _solve(system, -1.0, (alpha, beta, eta_max))

@@ -10,6 +10,7 @@ from dsps.cli import main
 from dsps.dataset import Population, load_population, save_population
 from dsps.evaluate import evaluate_selection
 from dsps.moments import TargetCriterion, TargetSet
+from dsps.selection import HyperParams, solve_fixed_size, solve_max_size
 from dsps.synthgen import plant_subset
 
 SPEC_JSON = json.dumps(
@@ -286,6 +287,38 @@ class TestSlackSettings:
         assert run["alpha"] is None and run["beta"] is None and run["eta_max"] is None
 
 
+class TestJsonEncoding:
+    @pytest.mark.parametrize("mode", ["max", "fixed"])
+    def test_run_json_settings_match_the_solve_bit_for_bit(self, workspace, mode):
+        tmp, pop, targets, pop_path, targets_path = workspace
+        assert main(["select", "--population", pop_path, "--targets", targets_path,
+                     "--mode", mode, "--n-target", "20", "--trial-size", "20",
+                     "--out", str(tmp / mode)]) == 0
+        run = json.loads((tmp / mode / "run.json").read_text())
+        pop = load_population(pop_path)
+        hyper = HyperParams(trial_size=20.0)
+        if mode == "max":
+            sel = solve_max_size(pop, targets, hyper)
+        else:
+            sel = solve_fixed_size(pop, targets, 20.0, hyper)
+        for name in ("beta", "eta_max"):
+            got = np.array(run[name], dtype=float)
+            assert got.tobytes() == getattr(sel, name).tobytes()
+        assert run["alpha"] == sel.alpha and run["expected_size"] == sel.expected_size
+
+    def test_evaluate_stdout_is_the_report_file(self, workspace, capsys):
+        tmp, pop, targets, pop_path, targets_path = workspace
+        assert main(["select", "--population", pop_path, "--targets", targets_path,
+                     "--trial-size", "20", "--out", str(tmp / "sel")]) == 0
+        common = ["evaluate", "--population", pop_path, "--targets", targets_path,
+                  "--mask", str(tmp / "sel" / "mask.csv")]
+        capsys.readouterr()
+        assert main(common) == 0
+        stdout = capsys.readouterr().out
+        assert main([*common, "--out", str(tmp / "ev")]) == 0
+        assert stdout == (tmp / "ev" / "report.json").read_text(encoding="utf-8")
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["select", "--population", "x.csv"]) == 1
@@ -384,6 +417,23 @@ class TestExitCodes:
                      str(targets_path), "--alpha", "0.01", "--seed", "0",
                      "--out", str(tmp_path / "x")])
         assert code == 3
+
+    def test_zero_target_is_one(self, tmp_path, capsys):
+        # mean and skewness targets are exactly 0, so a relative error against
+        # them is undefined whatever the draw: one input error, not exit 3
+        half = np.array([0.1107, 5.9456, 47.5601, 12.2722, 47.5601])
+        pop = make_pop(np.concatenate([half, -half]))
+        targets = plant_subset(pop, np.arange(pop.n_members), orders=(1, 2, 3))
+        assert [c.value for c in targets if c.order != 2] == [0.0, 0.0]
+        pop_path = tmp_path / "pop.csv"
+        targets_path = tmp_path / "targets.json"
+        save_population(pop, pop_path)
+        targets_path.write_text(targets.to_json(), encoding="utf-8")
+        common = ["select", "--population", str(pop_path), "--targets", str(targets_path),
+                  "--mode", "max", "--trial-size", "10", "--draws", "5"]
+        assert main([*common, "--out", str(tmp_path / "x")]) == 1
+        assert "has target 0; relative error is undefined" in capsys.readouterr().err
+        assert main([*common, "--rsse-epsilon", "1e-3", "--out", str(tmp_path / "y")]) == 0
 
     def test_solver_failure_is_four(self, workspace, monkeypatch, capsys):
         from dsps import selection

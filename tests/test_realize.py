@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsps.dataset import Population
-from dsps.errors import AllDrawsDegenerate, InvalidDraws, OutOfRangeProbability
+from dsps.errors import AllDrawsDegenerate, InvalidDraws, OutOfRangeProbability, ZeroTarget
 from dsps.evaluate import evaluate_selection
 from dsps.moments import TargetCriterion, TargetSet
 from dsps.realize import SelectionMask, draw, draw_best, uniform_stream
@@ -204,6 +204,16 @@ class TestDrawBest:
         p = np.full(40, 0.035)
         best, stats = draw_best(p, pop, targets, n_draws=40, seed=11)
         assert any(np.isinf(s.rsse) for s in stats)
+        assert np.isfinite(best.rsse)
+
+    def test_zero_target_is_raised_not_counted_as_unusable(self):
+        # every draw fails the same way because of the targets, so the fault
+        # is the target set's and must surface as such
+        pop = make_pop(np.arange(-10.0, 11.0))
+        targets = TargetSet((TargetCriterion("f", 1, 0.0),))
+        with pytest.raises(ZeroTarget):
+            draw_best(np.full(21, 0.5), pop, targets, n_draws=4, seed=9)
+        best, _ = draw_best(np.full(21, 0.5), pop, targets, n_draws=4, seed=9, rsse_epsilon=1.0)
         assert np.isfinite(best.rsse)
 
     def test_invalid_draw_counts(self):
