@@ -171,6 +171,8 @@ def _load_mask_csv(path, pop) -> SelectionMask:
                 continue
             if len(row) != 2 or row[1].strip() not in ("0", "1"):
                 raise DspsError(f"{path}: bad mask row {row!r}")
+            if row[0].strip() in selected:
+                raise DspsError(f"{path}: member {row[0].strip()!r} is listed twice")
             selected[row[0].strip()] = int(row[1])
     if set(selected) != set(pop.member_ids) or len(selected) != pop.n_members:
         raise DspsError(f"{path}: mask ids do not match the population")

@@ -1,73 +1,65 @@
-"""Simplex solvers for box-constrained linear programs.
+"""Bound-flipping dual simplex for box-constrained linear programs.
 
 Solves  minimize c.z  subject to  a_r.z (<=|=|>=) b_r  and  l <= z <= u,
 with infinite bounds allowed.  Nonbasic variables sit at either their lower
 or their upper bound (free variables sit at zero), which keeps vertices of
 the box polytope representable without splitting variables.
 
-Both paths work in one column form: the ``n`` structurals, then one logical
-per row, ``r = a_r.z``, bounded by the row's relation as ``[row_lo,
-row_hi]``, so the constraint matrix is ``[A, -I]`` with right-hand side
-zero.  A nonbasic column's state is two flags, ``is_basic`` and
-``at_upper``; a free column is one whose bounds are both infinite.  Each
-nonbasic column starts at the bound its cost sign picks (a one-sided column
-at its finite bound, a free column at zero).  :func:`solve_lp` picks the
-path from the problem alone:
+One column form: the ``n`` structurals, then one logical per row,
+``r = a_r.z``, bounded by the row's relation as ``[row_lo, row_hi]``, so the
+constraint matrix is ``[A, -I]`` with right-hand side zero.  Each nonbasic
+column starts at the bound its cost sign picks (a one-sided column at its
+finite bound, a free column at zero), and the all-logical basis starts.
 
-* **Dual simplex** (every ``l`` and ``u`` finite, which covers every program
-  the selection layer builds).  The all-logical basis starts the
-  iteration.  With every structural column boxed, the start point is dual
-  feasible, so no phase 1 is needed.  Each iteration prices the most
-  infeasible basic variable and runs a bound-flipping ratio test (Fourer
-  1994; Koberstein 2005): breakpoints ``|d_j| / |alpha_j|`` are passed in
-  order, flipping each boxed column to its opposite bound while the
-  primal-infeasibility slope stays positive, and the column that would turn
-  the slope enters.  One iteration can thus move thousands of members, so
-  the selection LP takes tens of iterations where a primal simplex takes
-  thousands.
-* **Primal two-phase simplex** (some bound infinite).  Two artificial
-  columns ``+e_r`` and ``-e_r`` per row are appended to the column form; the
-  one whose sign lets it start nonnegative gives the phase-1 starting basis.
-  Phase 1 minimises the total artificial mass, so a row may be violated in
-  either direction, and a positive optimum is the least total violation: the
-  infeasibility certificate reported via ``objective_value``.  When the dual
-  path finds a problem infeasible, the primal solves it again to produce
-  that certificate, and its result is the one returned.
+* **Phase 2.**  Each iteration prices the most infeasible basic variable
+  and runs a bound-flipping ratio test (Fourer 1994; Koberstein 2005):
+  breakpoints ``|d_j| / |alpha_j|`` are passed in order, flipping each boxed
+  column to its opposite bound while the primal-infeasibility slope stays
+  positive, and the column that would turn the slope enters.  One iteration
+  can thus move thousands of members: the selection LP takes tens of
+  iterations.  A free column is a breakpoint at zero for either sign of
+  ``alpha_j``; a column with an infinite bound never flips.
+* **Phase 1**, only when a cost points at an infinite bound (never for the
+  boxed selection LPs).  Phase 2's iteration solves the auxiliary program
+  that keeps the costs and boxes each column by the directions it may move:
+  ``[0, 0]`` if boxed, ``[0, 1]`` or ``[-1, 0]`` if one-sided, ``[-1, 1]``
+  if free.  Its optimal basis is dual feasible for the real program exactly
+  when the real program has a dual feasible basis.
+* **Infeasibility.**  When phase 2 finds no entering column, or phase 1 no
+  dual feasible basis, :func:`solve_lp` solves the elastic program, with one
+  ``+e_r`` and one ``-e_r`` column of cost 1 per row.  Its optimum, the
+  least total violation, is the certificate reported via
+  ``objective_value``, and after phase 1 tells infeasible from unbounded.
 
-Shared rules:
+Rules:
 
 * No basis inverse is kept: at these shapes (tens of rows, thousands of
-  columns) the passes over the constraint matrix dominate, so reduced costs
-  come from a fresh LAPACK solve every iteration.  The dual recomputes its
-  basic values the same way; the primal updates them along each step and
-  recomputes them every 100 iterations and at the end of each phase.
-* One pricing pass is one iteration, including the pass that proves
-  optimality or infeasibility, so ``max_iterations`` means the same on both.
-* The dual's ratio test accepts an entry ``a_j`` as a pivot only when
-  ``|a_j|`` exceeds ``_PIVOT_TOL * max(1, max |a_k|)``, the largest taken
-  over the row's movable columns: in a row scaled near ``1e10`` an entry
-  of ``1e-5`` is roundoff, and entering it would make the basis singular.
-* After ``2 * n_rows`` consecutive degenerate steps the primal switches to
-  smallest-index (Bland) pricing until a nondegenerate step is made.  The
-  dual first perturbs the structural costs once, each by at most half the
-  optimality tolerance in the direction that keeps its reduced cost
-  feasible, which breaks the ties of a fully dual-degenerate vertex (a
-  fixed-size row makes every member's reduced cost zero); a later stall
-  switches it to the smallest-index leaving row until a step is made.
+  columns) the passes over the matrix dominate, so reduced costs and basic
+  values come from a fresh LAPACK solve every iteration.  One pricing pass
+  is one iteration, including the one that proves optimality.
+* An entry ``a_j`` is a pivot only when ``|a_j|`` exceeds ``_PIVOT_TOL *
+  max(1, max |a_k|)`` over the row's movable columns: in a row scaled near
+  ``1e10`` an entry of ``1e-5`` is roundoff that would make the basis
+  singular.  When flipping every candidate leaves the slope within the
+  leaving variable's feasibility tolerance of zero, the last one enters.
+* After ``2 * n_rows`` consecutive degenerate steps the structural costs
+  are perturbed once, each by at most half the optimality tolerance in the
+  direction that keeps its reduced cost feasible, which breaks the ties of
+  a fully dual-degenerate vertex (a fixed-size row makes every member's
+  reduced cost zero); a later stall switches to the smallest-index leaving
+  row until a step is made.  Phase 2 starts from the unperturbed costs.
 
 Bound handling follows Maros 2003, *Computational Techniques of the Simplex
-Method*.
-
-Everything is deterministic for a fixed problem: ties are broken
-by first index (in the dual ratio test, columns at their upper bound come
-before columns at their lower bound).  Alternate optima may return
-different vertices; the objective value is the reproducible quantity.
+Method*.  Everything is deterministic for a fixed problem: ties are broken
+by first index (in the ratio test, columns at their upper bound come first).
+Alternate optima may return different vertices; the objective value is the
+reproducible quantity.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,9 +157,9 @@ class LpSolution:
     """Solver outcome.
 
     ``z`` is populated only for Optimal.  For Infeasible, ``objective_value``
-    holds the phase-1 certificate: the smallest achievable total constraint
+    holds the certificate: the smallest achievable total constraint
     violation.  ``max_residual`` is the worst row violation at the final
-    iterate.
+    iterate; for Infeasible and Unbounded, at the least-violation point.
     """
 
     status: SolveStatus
@@ -181,25 +173,60 @@ _FEAS_TOL = 1e-9
 _OPT_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 _DEGEN_TOL = 1e-11
-_RATIO_TIE = 1e-9
 
 
 def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Solve the program, classifying the outcome rather than raising for it.
 
-    ``max_iterations`` defaults to ``50 * (n_vars + n_rows)``.  Raises
-    :class:`NumericalBreakdown` only when either path breaks down (a singular
-    basis), which is distinct from genuine infeasibility.
+    ``max_iterations`` (default ``50 * (n_vars + n_rows)``) bounds phase 1
+    and phase 2 together.  The elastic run gets a budget of its own, by the
+    same rule, and the reported ``iterations`` count both runs.  Raises
+    :class:`NumericalBreakdown` only when a run breaks down (a singular
+    basis, or a feasible auxiliary program called infeasible), which is
+    distinct from genuine infeasibility.
     """
     if np.any(problem.lower > problem.upper):
         return LpSolution(SolveStatus.INFEASIBLE, None, float("inf"), 0, float("inf"))
     if problem.n_rows == 0:
         return _solve_box_only(problem)
-    if np.all(np.isfinite(problem.lower)) and np.all(np.isfinite(problem.upper)):
-        solution = _DualSimplex(problem, max_iterations).run()
-        if solution.status is not SolveStatus.INFEASIBLE:
-            return solution
-    return _Simplex(problem, max_iterations).run()
+    solution = _DualSimplex(problem, max_iterations).run()
+    if solution.status not in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED):
+        return solution
+    elastic = _DualSimplex(_elastic_program(problem), max_iterations).run()
+    iterations = solution.iterations + elastic.iterations
+    if elastic.status is SolveStatus.ITERATION_LIMIT:
+        return replace(elastic, iterations=iterations)
+    if elastic.status is not SolveStatus.OPTIMAL:
+        raise NumericalBreakdown("the elastic program has no optimum")
+    n, m = problem.n_vars, problem.n_rows
+    # each row's violation is its elastic pair's sum
+    residual = float(np.max(elastic.z[n:n + m] + elastic.z[n + m:]))
+    violation = elastic.objective_value
+    # a total violation the rows' own rounding could produce is zero
+    feasible = violation <= _FEAS_TOL * (1.0 + max(abs(row.rhs) for row in problem.rows))
+    if solution.status is SolveStatus.UNBOUNDED and feasible:
+        return LpSolution(SolveStatus.UNBOUNDED, None, float("-inf"), iterations, residual)
+    return LpSolution(SolveStatus.INFEASIBLE, None, violation, iterations, residual)
+
+
+def _elastic_program(problem: LpProblem) -> LpProblem:
+    """Least total violation: each row gets ``+e_r`` and ``-e_r`` of cost 1.
+
+    The structurals cost 0, so the all-logical start is dual feasible
+    whatever their bounds, and the program is feasible and bounded below.
+    """
+    n, m = problem.n_vars, problem.n_rows
+    eye = np.eye(m)
+    rows = tuple(
+        LpRow(np.concatenate([row.coeffs, eye[r], -eye[r]]), row.relation, row.rhs)
+        for r, row in enumerate(problem.rows)
+    )
+    return LpProblem(
+        np.concatenate([np.zeros(n), np.ones(2 * m)]),
+        rows,
+        np.concatenate([problem.lower, np.zeros(2 * m)]),
+        np.concatenate([problem.upper, np.full(2 * m, np.inf)]),
+    )
 
 
 def _solve_box_only(problem: LpProblem) -> LpSolution:
@@ -219,17 +246,14 @@ def _solve_box_only(problem: LpProblem) -> LpSolution:
     return LpSolution(SolveStatus.OPTIMAL, z, float(np.dot(c, z)), 0, 0.0)
 
 
-class _ColumnForm:
-    """The column form and the linear algebra both simplex paths share.
+class _DualSimplex:
+    """The column form ``[A, -I]`` and the dual simplex that solves it.
 
-    Columns are the ``n`` structurals, one logical per row, ``r = a_r.z``
-    bounded by ``[row_lo, row_hi]``, and ``n_art`` (0 or ``2m``) phase-1
-    artificials; the matrix is ``[A, -I, diag(signs)...]``, right-hand side 0.
-    Non-structural column ``n + j`` is ``sign[j] * e_(j mod m)``.  The last
-    ``m`` columns form the starting basis.
+    ``run`` returns UNBOUNDED when phase 1 finds no dual feasible basis,
+    which :func:`solve_lp` confirms or turns into INFEASIBLE.
     """
 
-    def __init__(self, problem: LpProblem, max_iterations: int | None, n_art: int):
+    def __init__(self, problem: LpProblem, max_iterations: int | None = None):
         self.problem = problem
         n, m = problem.n_vars, problem.n_rows
         self.n, self.m = n, m
@@ -237,51 +261,54 @@ class _ColumnForm:
         b = np.array([row.rhs for row in problem.rows], dtype=float)
         le = np.array([row.relation is Relation.LE for row in problem.rows], dtype=bool)
         ge = np.array([row.relation is Relation.GE for row in problem.rows], dtype=bool)
-        self.lower = np.concatenate([problem.lower, np.where(le, -np.inf, b), np.zeros(n_art)])
-        self.upper = np.concatenate([problem.upper, np.where(ge, np.inf, b), np.full(n_art, np.inf)])
-        self.gap = self.upper - self.lower
-        self.cost = np.concatenate([problem.objective, np.zeros(m + n_art)])
-        self.sign = np.concatenate([np.full(m, -1.0), np.ones(n_art)])
-
-        # a boxed column starts at the bound its cost sign picks, a one-sided
-        # column at its finite bound, a free column at zero
-        lo_finite, hi_finite = np.isfinite(self.lower), np.isfinite(self.upper)
-        self.at_upper = hi_finite & ~(lo_finite & (self.cost >= 0.0))
-        self.x = np.where(self.at_upper, self.upper, np.where(lo_finite, self.lower, 0.0))
-        self.basis = np.arange(n + n_art, n + m + n_art)
-        self.is_basic = np.zeros(self.cost.size, dtype=bool)
+        self.cost = np.concatenate([problem.objective, np.zeros(m)])
+        self.dual_tol = _OPT_TOL * np.maximum(1.0, np.abs(self.cost))
+        self.perturbed = False
+        self.basis = np.arange(n, n + m)
+        self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
-        self.bound_scale = np.maximum(np.abs(np.where(lo_finite, self.lower, 0.0)),
-                                      np.abs(np.where(hi_finite, self.upper, 0.0)))
+        self._set_bounds(np.concatenate([problem.lower, np.where(le, -np.inf, b)]),
+                         np.concatenate([problem.upper, np.where(ge, np.inf, b)]))
 
         self.max_iterations = max_iterations if max_iterations is not None else 50 * (n + m)
         self.iterations = 0
+
+    def _set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Install bounds and put each nonbasic column at its start bound.
+
+        A boxed column starts at the bound its cost sign picks, a one-sided
+        column at its finite bound, a free column at zero.
+        """
+        self.lower, self.upper = lower, upper
+        self.gap = upper - lower
+        lo_finite, hi_finite = np.isfinite(lower), np.isfinite(upper)
+        self.free = ~lo_finite & ~hi_finite
+        self.at_upper = hi_finite & ~(lo_finite & (self.cost >= 0.0))
+        self.x = np.where(self.at_upper, upper, np.where(lo_finite, lower, 0.0))
+        bound_scale = np.maximum(np.abs(np.where(lo_finite, lower, 0.0)),
+                                 np.abs(np.where(hi_finite, upper, 0.0)))
+        # feasibility is judged against each variable's own bounds, not its
+        # row's entries: a slack can only move a row by eta_max, however
+        # large the row's entries are
+        self.feas_tol = _FEAS_TOL * np.maximum(1.0, bound_scale)
 
     def _solve_basis(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         B = np.zeros((self.m, self.m))
         struct = self.basis < self.n
         B[:, struct] = self.A[:, self.basis[struct]]
-        j = self.basis[~struct] - self.n
-        B[j % self.m, np.flatnonzero(~struct)] = self.sign[j]
+        B[self.basis[~struct] - self.n, np.flatnonzero(~struct)] = -1.0
         try:
             return np.linalg.solve(B.T if transpose else B, rhs)
         except np.linalg.LinAlgError:
             raise NumericalBreakdown("singular basis matrix") from None
 
-    def _column(self, j: int) -> np.ndarray:
-        if j < self.n:
-            return self.A[:, j]
-        col = np.zeros(self.m)
-        col[(j - self.n) % self.m] = self.sign[j - self.n]
-        return col
-
     def _row(self, v: np.ndarray) -> np.ndarray:
-        """``v^T [A, -I, diag(signs)]``: duals to reduced costs, or a tableau row.
+        """``v^T [A, -I]``: duals to reduced costs, or a tableau row.
 
-        The unit columns scale copies of ``v``; a product with a dense
+        The logicals' entries are ``-v`` itself; a product with a dense
         ``[A, -I]`` would round ``A^T v`` differently.
         """
-        return np.concatenate([self.A.T @ v, self.sign * np.tile(v, self.sign.size // self.m)])
+        return np.concatenate([self.A.T @ v, -v])
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         return c - self._row(self._solve_basis(c[self.basis], transpose=True))
@@ -290,168 +317,50 @@ class _ColumnForm:
         """Recompute basic values from the nonbasic point to shed drift."""
         x_nb = self.x.copy()
         x_nb[self.basis] = 0.0
-        # a nonbasic artificial always sits at zero
-        rhs = x_nb[self.n:self.n + self.m] - self.A @ x_nb[:self.n]
+        rhs = x_nb[self.n:] - self.A @ x_nb[:self.n]
         self.x[self.basis] = self._solve_basis(rhs)
 
-    def _finish(self, status: SolveStatus, objective: float | None = None) -> LpSolution:
+    def _finish(self, status: SolveStatus) -> LpSolution:
         z = self.x[:self.n].copy()
         lhs = self.A @ z
-        rows = slice(self.n, self.n + self.m)
-        residual = float(np.max(np.maximum(self.lower[rows] - lhs, lhs - self.upper[rows]),
+        residual = float(np.max(np.maximum(self.lower[self.n:] - lhs, lhs - self.upper[self.n:]),
                                 initial=0.0))
-        if objective is None:
-            objective = (float("-inf") if status is SolveStatus.UNBOUNDED
-                         else float(np.dot(self.problem.objective, z)))
+        objective = float(np.dot(self.problem.objective, z))
         z = z if status is SolveStatus.OPTIMAL else None
         return LpSolution(status, z, objective, self.iterations, residual)
 
-
-class _Simplex(_ColumnForm):
-    """Two-phase primal simplex: two opposite artificial columns per row.
-
-    The last ``m`` columns, signed so that each starts ``>= 0``, form the
-    phase-1 basis; the ``m`` before them carry the opposite signs and start
-    nonbasic at zero, so phase 1 can move a row's violation to either side.
-    """
-
-    def __init__(self, problem: LpProblem, max_iterations: int | None = None):
-        super().__init__(problem, max_iterations, n_art=2 * problem.n_rows)
-        self.art0 = self.n + self.m
-        resid = self.x[self.n:self.art0] - self.A @ self.x[:self.n]
-        # sign the basic artificials so that every one starts >= 0
-        start_sign = np.where(resid < 0.0, -1.0, 1.0)
-        self.sign[self.m:] = np.concatenate([-start_sign, start_sign])
-        self.x[self.basis] = np.abs(resid)
-        # a logical's finite bound is its row's right-hand side
-        self.feas_scale = 1.0 + float(np.max(self.bound_scale[self.n:self.art0]))
-
-    def _iterate(self, c: np.ndarray, phase_one: bool) -> SolveStatus:
-        tau = _OPT_TOL * np.maximum(1.0, np.abs(c))
-        stall = 0
-        bland = False
-        since_refresh = 0
-        while True:
-            if self.iterations >= self.max_iterations:
-                return SolveStatus.ITERATION_LIMIT
-            self.iterations += 1
-            since_refresh += 1
-            if since_refresh >= 100:
-                self._refresh_basics()
-                since_refresh = 0
-
-            d = self._reduced_costs(c)
-            movable = ~self.is_basic & (self.gap > 0.0)
-            # a column may increase unless at its upper bound, and decrease when
-            # at its upper bound or free; no column sits at an infinite bound,
-            # so one not at its upper bound with l = -inf is free
-            down = movable & ~self.at_upper & (d < -tau)
-            up = movable & (self.at_upper | np.isneginf(self.lower)) & (d > tau)
-            eligible = down | up
-            if not eligible.any():
-                return SolveStatus.OPTIMAL
-
-            if bland:
-                e = int(np.flatnonzero(eligible)[0])
-            else:
-                score = np.where(eligible, np.abs(d), -1.0)
-                e = int(np.argmax(score))
-            sigma = 1.0 if down[e] else -1.0
-
-            w = self._solve_basis(self._column(e))
-            aw = sigma * w
-            xB = self.x[self.basis]
-            lB = self.lower[self.basis]
-            uB = self.upper[self.basis]
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_low = np.where(aw > _PIVOT_TOL, (xB - lB) / aw, np.inf)
-                t_high = np.where(aw < -_PIVOT_TOL, (uB - xB) / (-aw), np.inf)
-            t_low = np.maximum(t_low, 0.0)
-            t_high = np.maximum(t_high, 0.0)
-            t_rows = np.minimum(t_low, t_high)
-
-            t_own = self.gap[e] if np.isfinite(self.gap[e]) else np.inf
-            t_block = float(np.min(t_rows))
-
-            if not np.isfinite(min(t_block, t_own)):
-                if phase_one:
-                    raise NumericalBreakdown("phase-1 objective claims to be unbounded")
-                return SolveStatus.UNBOUNDED
-
-            if t_own <= t_block:
-                # entering variable runs to its opposite bound; basis unchanged
-                t = t_own
-                self.x[self.basis] = xB - t * aw
-                self.at_upper[e] = not self.at_upper[e]
-                self.x[e] = self.upper[e] if self.at_upper[e] else self.lower[e]
-            else:
-                cut = t_block + _RATIO_TIE * (1.0 + t_block)
-                candidates = np.flatnonzero(t_rows <= cut)
-                if candidates.size == 0:
-                    raise NumericalBreakdown("ratio test found no pivot row")
-                if bland:
-                    r = int(candidates[np.argmin(self.basis[candidates])])
-                else:
-                    r = int(candidates[np.argmax(np.abs(aw[candidates]))])
-                t = float(t_rows[r])
-                leave = int(self.basis[r])
-                to_lower = t_low[r] <= t_high[r]
-
-                self.x[self.basis] = xB - t * aw
-                self.x[leave] = lB[r] if to_lower else uB[r]
-                self.at_upper[leave] = not to_lower
-                self.is_basic[leave] = False
-                self.x[e] = self.x[e] + sigma * t
-                self.is_basic[e] = True
-                self.basis[r] = e
-
-            if t > _DEGEN_TOL:
-                stall = 0
-                bland = False
-            else:
-                stall += 1
-                if stall > 2 * self.m:
-                    bland = True
+    def _dual_infeasible(self, d: np.ndarray) -> bool:
+        """Whether some nonbasic reduced cost points at an infinite bound."""
+        wrong = (np.isneginf(self.lower) & (d > self.dual_tol)) | (
+            np.isposinf(self.upper) & (d < -self.dual_tol))
+        return bool(np.any(wrong & ~self.is_basic))
 
     def run(self) -> LpSolution:
-        c_phase1 = np.zeros(self.cost.size)
-        c_phase1[self.art0:] = 1.0
-        tol = _FEAS_TOL * self.feas_scale
-
-        art_mass = float(np.sum(self.x[self.art0:]))
-        if art_mass > tol:
-            status = self._iterate(c_phase1, phase_one=True)
-            if status is SolveStatus.ITERATION_LIMIT:
-                return self._finish(status)
-            art_mass = float(np.sum(np.abs(self.x[self.art0:])))
-            if art_mass > tol:
-                return self._finish(SolveStatus.INFEASIBLE, art_mass)
-
-        self.upper[self.art0:] = 0.0
-        self.gap[self.art0:] = 0.0
-        self.x[self.art0:][~self.is_basic[self.art0:]] = 0.0
-        # a basic artificial, now fixed at [0, 0], leaves through phase 2's
-        # ratio test at a degenerate step, or stays at zero in a redundant row
-        self._refresh_basics()
-
-        status = self._iterate(self.cost, phase_one=False)
+        # the all-logical start has y = 0, so its reduced costs are the costs
+        status = self._phase_one() if self._dual_infeasible(self.cost) else SolveStatus.OPTIMAL
         if status is SolveStatus.OPTIMAL:
-            self._refresh_basics()
+            status = self._iterate()
         return self._finish(status)
 
+    def _phase_one(self) -> SolveStatus:
+        """Look for a dual feasible basis on the auxiliary direction boxes.
 
-class _DualSimplex(_ColumnForm):
-    """Bound-flipping dual simplex for problems whose every bound is finite."""
-
-    def __init__(self, problem: LpProblem, max_iterations: int | None = None):
-        super().__init__(problem, max_iterations, n_art=0)
-        # feasibility is judged against each variable's own bounds, not its
-        # row's entries: a slack can only move a row by eta_max, however
-        # large the row's entries are
-        self.feas_tol = _FEAS_TOL * np.maximum(1.0, self.bound_scale)
-        self.dual_tol = _OPT_TOL * np.maximum(1.0, np.abs(self.cost))
-        self.perturbed = False
+        Returns OPTIMAL with that basis installed and every nonbasic column
+        at its real start bound, UNBOUNDED if there is none, or
+        ITERATION_LIMIT.
+        """
+        lower, upper, cost = self.lower, self.upper, self.cost.copy()
+        self._set_bounds(np.where(np.isfinite(lower), 0.0, -1.0),
+                         np.where(np.isfinite(upper), 0.0, 1.0))
+        status = self._iterate()
+        # _perturb moves the costs in place; phase 2 starts from the real ones
+        self.cost, self.perturbed = cost, False
+        self._set_bounds(lower, upper)
+        if status is SolveStatus.INFEASIBLE:
+            raise NumericalBreakdown("the phase-1 program claims to be infeasible")
+        if status is SolveStatus.OPTIMAL and self._dual_infeasible(self._reduced_costs(self.cost)):
+            return SolveStatus.UNBOUNDED
+        return status
 
     def _refresh(self) -> np.ndarray:
         """Reduced costs and basic values from scratch; returns ``d``."""
@@ -482,17 +391,17 @@ class _DualSimplex(_ColumnForm):
             r = int(np.argmax(np.abs(delta)))
         return r, float(delta[r])
 
-    def run(self) -> LpSolution:
+    def _iterate(self) -> SolveStatus:
         stall = 0
         bland = False
         while True:
             if self.iterations >= self.max_iterations:
-                return self._finish(SolveStatus.ITERATION_LIMIT)
+                return SolveStatus.ITERATION_LIMIT
             self.iterations += 1
             d = self._refresh()
             r, delta = self._leaving_row(bland)
             if r is None:
-                return self._finish(SolveStatus.OPTIMAL)
+                return SolveStatus.OPTIMAL
 
             unit = np.zeros(self.m)
             unit[r] = 1.0
@@ -503,21 +412,31 @@ class _DualSimplex(_ColumnForm):
             movable = ~self.is_basic & (self.gap > 0.0)
             # relative to the row: roundoff in a row near 1e10 passes any absolute threshold
             pivot_tol = _PIVOT_TOL * max(1.0, float(np.max(np.abs(a[movable]), initial=0.0)))
-            cand = np.flatnonzero(
-                movable & np.where(self.at_upper, a > pivot_tol, a < -pivot_tol)
-            )
+            # a free column may move either way, so either sign of a_j will do
+            cand = np.flatnonzero(movable & (
+                np.where(self.at_upper, a > pivot_tol, a < -pivot_tol)
+                | (self.free & (a > pivot_tol))
+            ))
             if cand.size == 0:
-                return self._finish(SolveStatus.INFEASIBLE)
+                return SolveStatus.INFEASIBLE
             slack = np.where(self.at_upper[cand], -d[cand], d[cand])
             ratio = np.maximum(slack, 0.0) / np.abs(a[cand])
+            # a free column's d_j must stay zero: its breakpoint is the start
+            ratio[self.free[cand]] = 0.0
             order = np.lexsort((cand, ~self.at_upper[cand], ratio))
             # passing breakpoint j flips column j, which lowers the slope of
-            # the dual objective by |a_j| * (u_j - l_j)
+            # the dual objective by |a_j| * (u_j - l_j); an infinite gap
+            # turns the slope at once
             slope = abs(delta) - np.cumsum(np.abs(a[cand[order]]) * self.gap[cand[order]])
             turn = np.flatnonzero(slope <= 0.0)
-            if turn.size == 0:
-                return self._finish(SolveStatus.INFEASIBLE)
-            k = int(turn[0])
+            if turn.size:
+                k = int(turn[0])
+            elif slope[-1] <= self.feas_tol[self.basis[r]]:
+                # flipping every candidate leaves the row feasible within
+                # tolerance: an exact tie, not an infeasible row
+                k = cand.size - 1
+            else:
+                return SolveStatus.INFEASIBLE
             flips = cand[order[:k]]
             enter = int(cand[order[k]])
             step = float(ratio[order[k]])

@@ -330,6 +330,8 @@ def solve_min_size(
     usual large-sample rule of thumb: moment matching with so little mass
     says little about realized draws.
     """
+    if len(targets) == 0:
+        raise EmptyTargetSet("min-size mode needs at least one target criterion")
     hyper = hyper or HyperParams()
     system = build_lp_system(pop, targets, hyper.epsilon)
     result = _solve(system, 1.0, (hyper.alpha, *resolve_slack(targets, hyper)))

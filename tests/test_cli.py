@@ -360,6 +360,15 @@ class TestExitCodes:
                      "--out", str(tmp / "x")]) == 1
         assert "alpha or trial_size" in capsys.readouterr().err
 
+    def test_min_mode_without_targets_is_one(self, workspace, capsys):
+        # with no rows the min-size optimum is p = 0, and every draw is empty
+        tmp, pop, targets, pop_path, targets_path = workspace
+        empty = tmp / "empty.json"
+        empty.write_text("[]", encoding="utf-8")
+        assert main(["select", "--population", pop_path, "--targets", str(empty),
+                     "--mode", "min", "--alpha", "1", "--out", str(tmp / "e")]) == 1
+        assert "at least one target criterion" in capsys.readouterr().err
+
     def test_infeasible_targets_are_two(self, tmp_path):
         pop = make_pop([1.0, 2.0, 3.0])
         targets = TargetSet((
@@ -516,12 +525,19 @@ class TestEvaluate:
             assert row["realized"] == want.achieved
             assert row["percentage_error"] == want.percentage_error
 
-    def test_mask_id_mismatch_is_one(self, workspace):
+    def test_mask_id_mismatch_is_one(self, workspace, capsys):
         tmp, pop, targets, pop_path, targets_path = workspace
         mask_path = tmp / "bad_mask.csv"
         mask_path.write_text("member_id,selected\nstranger,1\n", encoding="utf-8")
         assert main(["evaluate", "--population", pop_path, "--targets", targets_path,
                      "--mask", str(mask_path)]) == 1
+        # a repeated id would otherwise let its last row override the first
+        rows = ["member_id,selected"] + [f"{mid},1" for mid in pop.member_ids]
+        rows.append(f"{pop.member_ids[0]},0")
+        mask_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["evaluate", "--population", pop_path, "--targets", targets_path,
+                     "--mask", str(mask_path)]) == 1
+        assert "listed twice" in capsys.readouterr().err
 
     def test_bad_mask_value_is_one(self, workspace):
         tmp, pop, targets, pop_path, targets_path = workspace

@@ -1,9 +1,9 @@
-"""Differential checks of the LP solvers against HiGHS and against each other.
+"""Differential checks of the LP solver against HiGHS and against itself.
 
 Every program here is one the selection layer builds: the solve functions
 run as usual while ``solve_lp`` is recorded, and each recorded program is
-solved again by ``scipy.optimize.linprog(method="highs")`` and by both of
-this package's simplex paths.
+solved again by ``scipy.optimize.linprog(method="highs")``, and by the dual
+from a start that needs phase 1.
 """
 
 import warnings
@@ -13,7 +13,7 @@ import pytest
 
 from dsps import selection
 from dsps.errors import InfeasibleError, SmallSampleWarning
-from dsps.lp_core import SolveStatus, _DualSimplex, _Simplex, solve_lp
+from dsps.lp_core import LpProblem, LpRow, SolveStatus, _DualSimplex, solve_lp
 from dsps.selection import auto_hyperparams, solve_fixed_size, solve_max_size, solve_min_size
 from dsps.synthgen import (
     FeatureSpec,
@@ -29,6 +29,10 @@ from oracles import highs_objective
 
 MODES = ("max", "min", "fixed", "strict")
 REL_TOL = 1e-7
+
+# free and one-sided columns put infinities into the ratio arithmetic, where
+# an inf - inf or 0 * inf must fail a test rather than pass as a NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def random_population(rng):
@@ -106,19 +110,32 @@ def test_selection_programs_match_highs(mode, monkeypatch):
     assert solved >= 6
 
 
+def pinned_free_column(problem):
+    """The program plus a free column ``t`` of cost -1, pinned by ``t = 0``.
+
+    The same optimum, but the free column's cost points at an infinite
+    bound, so the dual must run phase 1 before phase 2.
+    """
+    rows = [LpRow(np.append(r.coeffs, 0.0), r.relation, r.rhs) for r in problem.rows]
+    rows.append(LpRow(np.append(np.zeros(problem.n_vars), 1.0), "=", 0.0))
+    return LpProblem(np.append(problem.objective, -1.0), tuple(rows),
+                     np.append(problem.lower, -np.inf), np.append(problem.upper, np.inf))
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_dual_and_primal_paths_agree(mode, monkeypatch):
+    # the phase-2 start and the phase-1 start of the dual reach one optimum
     rng = np.random.default_rng({"max": 81, "min": 82, "fixed": 83, "strict": 84}[mode])
     compared = 0
     for trial in range(6):
         for problem, _ in recorded_problems(rng, mode, monkeypatch):
-            dual = _DualSimplex(problem).run()
-            primal = _Simplex(problem).run()
-            if dual.status is SolveStatus.INFEASIBLE:
-                assert primal.status is SolveStatus.INFEASIBLE, f"{mode} trial {trial}"
+            boxed = _DualSimplex(problem).run()
+            pinned = _DualSimplex(pinned_free_column(problem)).run()
+            assert pinned.status is boxed.status, f"{mode} trial {trial}"
+            if boxed.status is SolveStatus.INFEASIBLE:
                 continue
-            assert dual.status is primal.status is SolveStatus.OPTIMAL, f"{mode} trial {trial}"
-            scale = max(1.0, abs(primal.objective_value))
-            assert abs(dual.objective_value - primal.objective_value) <= REL_TOL * scale
+            assert boxed.status is SolveStatus.OPTIMAL, f"{mode} trial {trial}"
+            scale = max(1.0, abs(boxed.objective_value))
+            assert abs(pinned.objective_value - boxed.objective_value) <= REL_TOL * scale
             compared += 1
     assert compared >= 3

@@ -7,11 +7,15 @@ from dsps.lp_core import (
     LpRow,
     Relation,
     SolveStatus,
-    _Simplex,
+    _DualSimplex,
     solve_lp,
 )
 
 from oracles import highs_objective, lp_vertex_oracle
+
+# free and one-sided columns put infinities into the ratio arithmetic, where
+# an inf - inf or 0 * inf must fail a test rather than pass as a NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def lp(c, rows, lower, upper):
@@ -151,18 +155,15 @@ class TestAgainstVertexEnumeration:
             status, best = lp_vertex_oracle(
                 problem.objective, oracle_rows, problem.lower, problem.upper
             )
-            solutions = [solve_lp(problem)]
-            if rows:  # solve_lp answers a bare box without a simplex
-                solutions.append(_Simplex(problem).run())
-            for sol in solutions:
-                if status == "infeasible":
-                    assert sol.status is SolveStatus.INFEASIBLE, f"instance {i}"
-                else:
-                    assert sol.status is SolveStatus.OPTIMAL, f"instance {i}"
-                    assert sol.objective_value == pytest.approx(best, abs=1e-7), f"instance {i}"
-                    assert sol.max_residual <= 1e-7
-                    assert np.all(sol.z >= problem.lower - 1e-9)
-                    assert np.all(sol.z <= problem.upper + 1e-9)
+            sol = solve_lp(problem)
+            if status == "infeasible":
+                assert sol.status is SolveStatus.INFEASIBLE, f"instance {i}"
+            else:
+                assert sol.status is SolveStatus.OPTIMAL, f"instance {i}"
+                assert sol.objective_value == pytest.approx(best, abs=1e-7), f"instance {i}"
+                assert sol.max_residual <= 1e-7
+                assert np.all(sol.z >= problem.lower - 1e-9)
+                assert np.all(sol.z <= problem.upper + 1e-9)
             if status == "infeasible":
                 checked_infeasible += 1
             else:
@@ -172,22 +173,34 @@ class TestAgainstVertexEnumeration:
         assert checked_infeasible >= 5
 
     def test_degenerate_stacked_rows(self):
-        # many tight rows through one vertex force degenerate pivots
-        rows = [
-            LpRow([1.0, 1.0, 1.0], "<=", 1.0),
-            LpRow([1.0, 1.0, 0.0], "<=", 1.0),
-            LpRow([1.0, 0.0, 1.0], "<=", 1.0),
-            LpRow([0.0, 1.0, 1.0], "<=", 1.0),
+        programs = [
+            # many tight rows through one vertex force degenerate pivots
+            ([-1.0, -1.0, -1.0], [
+                LpRow([1.0, 1.0, 1.0], "<=", 1.0),
+                LpRow([1.0, 1.0, 0.0], "<=", 1.0),
+                LpRow([1.0, 0.0, 1.0], "<=", 1.0),
+                LpRow([0.0, 1.0, 1.0], "<=", 1.0),
+            ]),
+            # flipping every ratio-test candidate leaves the slope exactly
+            # zero: the last candidate must enter, the row is not infeasible
+            ([1.0, 1.0, 2.0, -2.0], [
+                LpRow([2.0, -2.0, 2.0, 2.0], "<=", 0.0),
+                LpRow([-2.0, -1.0, -2.0, 0.0], "=", -3.0),
+                LpRow([0.0, -2.0, 2.0, 0.0], ">=", -2.0),
+            ]),
         ]
-        sol = solve_lp(lp([-1.0, -1.0, -1.0], rows, 0.0, 1.0))
-        assert sol.status is SolveStatus.OPTIMAL
-        status, best = lp_vertex_oracle(
-            np.array([-1.0, -1.0, -1.0]),
-            [(r.coeffs, r.relation.value, r.rhs) for r in rows],
-            np.zeros(3),
-            np.ones(3),
-        )
-        assert sol.objective_value == pytest.approx(best, abs=1e-9)
+        for c, rows in programs:
+            problem = lp(c, rows, 0.0, 1.0)
+            status, best = lp_vertex_oracle(
+                problem.objective,
+                [(r.coeffs, r.relation.value, r.rhs) for r in rows],
+                problem.lower,
+                problem.upper,
+            )
+            assert status == "optimal"
+            for sol in (solve_lp(problem), _DualSimplex(problem).run()):
+                assert sol.status is SolveStatus.OPTIMAL
+                assert sol.objective_value == pytest.approx(best, abs=1e-9)
 
 
 def random_rows(rng, n, m):
@@ -248,6 +261,33 @@ class TestInfeasibilityCertificate:
             assert sol.objective_value == pytest.approx(want, rel=1e-7, abs=1e-9), f"program {i}"
             checked += 1
         assert checked >= 100
+
+
+class TestInfiniteBoundsAgainstHighs:
+    def test_seeded_programs_match_highs(self):
+        # every program has a one-sided or free column, so a cost may point
+        # at an infinite bound and send the dual through phase 1
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(11)
+        seen = {status: 0 for status in SolveStatus}
+        for i in range(300):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            kind = rng.integers(0, 4, size=n)  # boxed, lower only, upper only, free
+            kind[int(rng.integers(n))] = int(rng.integers(1, 4))
+            lower = np.where(kind <= 1, 0.0, -np.inf)
+            upper = np.where(kind % 2 == 0, 1.0, np.inf)
+            rows = random_rows(rng, n, m)
+            problem = lp(rng.normal(size=n), rows, lower, upper)
+            sol = solve_lp(problem)
+            seen[sol.status] += 1
+            # a zero objective makes HiGHS answer feasibility alone
+            feasible = highs_objective(lp(np.zeros(n), rows, lower, upper), linprog) is not None
+            assert feasible is (sol.status is not SolveStatus.INFEASIBLE), f"program {i}"
+            if sol.status is SolveStatus.OPTIMAL:
+                want = highs_objective(problem, linprog)
+                assert sol.objective_value == pytest.approx(want, rel=1e-7, abs=1e-7), f"program {i}"
+        assert min(seen[s] for s in (SolveStatus.OPTIMAL, SolveStatus.UNBOUNDED,
+                                     SolveStatus.INFEASIBLE)) >= 50
 
 
 class TestScaleAndSlack:

@@ -417,12 +417,12 @@ class TestSolveMaxSize:
 
     @pytest.fixture
     def dual_only(self, monkeypatch):
-        """Fail any solve that reaches the primal simplex."""
+        """Fail any solve whose dual run ends infeasible and needs the elastic program."""
 
-        def no_primal(*args, **kwargs):
-            raise AssertionError("a feasible boxed program reached the primal simplex")
+        def no_elastic(*args, **kwargs):
+            raise AssertionError("the dual called a feasible boxed program infeasible")
 
-        monkeypatch.setattr(lp_core, "_Simplex", no_primal)
+        monkeypatch.setattr(lp_core, "_elastic_program", no_elastic)
 
     @staticmethod
     def solve_symmetric(half, center):
@@ -522,13 +522,6 @@ class TestSolveMinSize:
         hi = solve_max_size(pop, targets, hyper).expected_size
         assert lo <= hi + 1e-9
 
-    def test_empty_targets_minimise_to_zero_with_warning(self):
-        pop = make_pop({"f": [1.0, 2.0, 3.0]})
-        with pytest.warns(SmallSampleWarning):
-            sel = solve_min_size(pop, TargetSet(()))
-        assert sel.expected_size == 0.0
-        assert sel.small_sample_warning
-
 
 class TestSolveFixedSize:
     def test_size_pinned_within_alpha(self):
@@ -559,9 +552,12 @@ class TestSolveFixedSize:
         assert abs(sel.expected_size - 1.0) <= 0.05 + 1e-9
 
     def test_empty_targets_rejected(self):
+        # min mode too: with no rows its optimum is p = 0, and every draw is empty
         pop = make_pop({"f": [1.0, 2.0]})
         with pytest.raises(EmptyTargetSet):
             solve_fixed_size(pop, TargetSet(()), 1.0)
+        with pytest.raises(EmptyTargetSet):
+            solve_min_size(pop, TargetSet(()))
 
     def test_size_out_of_range_rejected(self):
         pop = make_pop({"f": [1.0, 2.0]})
