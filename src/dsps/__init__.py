@@ -36,7 +36,6 @@ from .selection import (
     ConstraintSystem,
     HyperParams,
     SelectionProbabilities,
-    auto_hyperparams,
     build_lp_system,
     solve_fixed_size,
     solve_max_size,
@@ -72,7 +71,6 @@ __all__ = [
     "solve_lp",
     "ConstraintSystem",
     "HyperParams",
-    "auto_hyperparams",
     "build_lp_system",
     "SelectionProbabilities",
     "solve_max_size",

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import load_population, save_population
+from .dataset import load_population, save_population, write_id_csv
 from .errors import (
     AllDrawsDegenerate,
     DspsError,
@@ -152,13 +152,6 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n"
 
 
-def _write_vector_csv(path: Path, header: tuple[str, str], ids, values, fmt) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([mid, fmt(val)] for mid, val in zip(ids, values))
-
-
 def _load_mask_csv(path, pop) -> SelectionMask:
     selected = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -254,10 +247,8 @@ def cmd_select(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_vector_csv(out / "probabilities.csv", ("member_id", "p"),
-                      pop.member_ids, sel.p, lambda v: repr(float(v)))
-    _write_vector_csv(out / "mask.csv", ("member_id", "selected"),
-                      pop.member_ids, best.mask.b, lambda v: str(int(v)))
+    write_id_csv(out / "probabilities.csv", ("member_id", "p"), pop.member_ids, sel.p)
+    write_id_csv(out / "mask.csv", ("member_id", "selected"), pop.member_ids, best.mask.b)
 
     report = _report(
         best.report,

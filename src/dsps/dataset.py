@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +28,7 @@ from .errors import (
     UnknownFeature,
 )
 
-__all__ = ["Population", "load_population", "save_population", "feature_column"]
+__all__ = ["Population", "load_population", "save_population", "write_id_csv", "feature_column"]
 
 Source = Union[str, Path, bytes, IO[str], IO[bytes]]
 
@@ -183,13 +184,44 @@ def _parse_rows(reader, header: list[str], feature_names: list[str]):
 
 def save_population(pop: Population, destination: Union[str, Path, IO[str]]) -> None:
     """Write a population CSV that reloads to full float precision."""
+    write_id_csv(destination, ("id", *pop.feature_names), pop.member_ids, pop.data)
+
+
+# an id holding one of these may need quoting, so ``csv`` writes its line
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+_CHUNK_ROWS = 1024
+
+
+def _csv_line(cells) -> str:
+    """One line as ``csv.writer(lineterminator="\\n")`` writes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+def write_id_csv(destination: Union[str, Path, IO[str]], header, ids, values) -> None:
+    """Write ``header``, then one ``id,v_1,...,v_k`` line per id.
+
+    ``values`` is a vector (one cell per id) or has one row per id, and each
+    value is written by ``repr``, so a float reloads bit for bit.  The bytes
+    are those of ``csv.writer(lineterminator="\\n")``; only the header and
+    the ids that need quoting go through ``csv``.  Rows become Python lists
+    ``_CHUNK_ROWS`` at a time, which bounds the memory they take.
+    """
+    values = np.asarray(values)
     own = isinstance(destination, (str, Path))
     stream = open(destination, "w", encoding="utf-8", newline="") if own else destination
     try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["id", *pop.feature_names])
-        for i, member_id in enumerate(pop.member_ids):
-            writer.writerow([member_id, *(repr(float(v)) for v in pop.data[i])])
+        stream.write(_csv_line(header))
+        for start in range(0, len(ids), _CHUNK_ROWS):
+            block = values[start:start + _CHUNK_ROWS].tolist()
+            texts = map(repr, block) if values.ndim == 1 else (",".join(map(repr, row)) for row in block)
+            stream.write("".join([
+                # a number's repr has no comma, so splitting gives the cells back
+                _csv_line([member_id, *text.split(",")])
+                if _CSV_SPECIAL.search(member_id) else f"{member_id},{text}\n"
+                for member_id, text in zip(ids[start:start + _CHUNK_ROWS], texts)
+            ]))
     finally:
         if own:
             stream.close()

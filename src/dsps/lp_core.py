@@ -10,6 +10,8 @@ One column form: the ``n`` structurals, then one logical per row,
 constraint matrix is ``[A, -I]`` with right-hand side zero.  Each nonbasic
 column starts at the bound its cost sign picks (a one-sided column at its
 finite bound, a free column at zero), and the all-logical basis starts.
+A program with no rows takes the same path: its basis is empty, so one
+pricing pass puts every column at the bound its cost picks.
 
 * **Phase 2.**  Each iteration prices the most infeasible basic variable
   and runs a bound-flipping ratio test (Fourer 1994; Koberstein 2005):
@@ -187,8 +189,6 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
     """
     if np.any(problem.lower > problem.upper):
         return LpSolution(SolveStatus.INFEASIBLE, None, float("inf"), 0, float("inf"))
-    if problem.n_rows == 0:
-        return _solve_box_only(problem)
     solution = _DualSimplex(problem, max_iterations).run()
     if solution.status not in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED):
         return solution
@@ -200,10 +200,11 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
         raise NumericalBreakdown("the elastic program has no optimum")
     n, m = problem.n_vars, problem.n_rows
     # each row's violation is its elastic pair's sum
-    residual = float(np.max(elastic.z[n:n + m] + elastic.z[n + m:]))
+    residual = float(np.max(elastic.z[n:n + m] + elastic.z[n + m:], initial=0.0))
     violation = elastic.objective_value
     # a total violation the rows' own rounding could produce is zero
-    feasible = violation <= _FEAS_TOL * (1.0 + max(abs(row.rhs) for row in problem.rows))
+    rhs_scale = max((abs(row.rhs) for row in problem.rows), default=0.0)
+    feasible = violation <= _FEAS_TOL * (1.0 + rhs_scale)
     if solution.status is SolveStatus.UNBOUNDED and feasible:
         return LpSolution(SolveStatus.UNBOUNDED, None, float("-inf"), iterations, residual)
     return LpSolution(SolveStatus.INFEASIBLE, None, violation, iterations, residual)
@@ -229,23 +230,6 @@ def _elastic_program(problem: LpProblem) -> LpProblem:
     )
 
 
-def _solve_box_only(problem: LpProblem) -> LpSolution:
-    c, l, u = problem.objective, problem.lower, problem.upper
-    z = np.empty_like(c)
-    for j in range(c.size):
-        if c[j] > 0.0:
-            if not np.isfinite(l[j]):
-                return LpSolution(SolveStatus.UNBOUNDED, None, float("-inf"), 0, 0.0)
-            z[j] = l[j]
-        elif c[j] < 0.0:
-            if not np.isfinite(u[j]):
-                return LpSolution(SolveStatus.UNBOUNDED, None, float("-inf"), 0, 0.0)
-            z[j] = u[j]
-        else:
-            z[j] = l[j] if np.isfinite(l[j]) else (u[j] if np.isfinite(u[j]) else 0.0)
-    return LpSolution(SolveStatus.OPTIMAL, z, float(np.dot(c, z)), 0, 0.0)
-
-
 class _DualSimplex:
     """The column form ``[A, -I]`` and the dual simplex that solves it.
 
@@ -257,7 +241,7 @@ class _DualSimplex:
         self.problem = problem
         n, m = problem.n_vars, problem.n_rows
         self.n, self.m = n, m
-        self.A = np.array([row.coeffs for row in problem.rows])
+        self.A = np.array([row.coeffs for row in problem.rows]).reshape(m, n)
         b = np.array([row.rhs for row in problem.rows], dtype=float)
         le = np.array([row.relation is Relation.LE for row in problem.rows], dtype=bool)
         ge = np.array([row.relation is Relation.GE for row in problem.rows], dtype=bool)

@@ -55,7 +55,6 @@ from .moments import TargetSet, moment_terms
 __all__ = [
     "SIZE_ROW",
     "HyperParams",
-    "auto_hyperparams",
     "resolve_slack",
     "ConstraintSystem",
     "build_lp_system",
@@ -126,13 +125,9 @@ def ordered_criteria(targets: TargetSet):
     )
 
 
-def auto_hyperparams(
-    targets: TargetSet, trial_size: float, epsilon: float = DEFAULT_EPSILON
-) -> HyperParams:
-    """Fully resolved hyperparameters from a trial size alone."""
-    hyper = HyperParams(epsilon=epsilon, trial_size=float(trial_size))
-    beta, eta_max = resolve_slack(targets, hyper)
-    return replace(hyper, beta=beta, eta_max=eta_max)
+def _tolerance_scales(targets: TargetSet, epsilon: float) -> np.ndarray:
+    """Each criterion row's scale ``|t| + epsilon``, in constraint-row order."""
+    return np.array([abs(c.value) + epsilon for c in ordered_criteria(targets)])
 
 
 @dataclass(frozen=True)
@@ -187,17 +182,16 @@ def build_lp_system(
     pop: Population, targets: TargetSet, epsilon: float = DEFAULT_EPSILON
 ) -> ConstraintSystem:
     """One row per criterion, rhs such that ``row . p = rhs`` matches the target."""
-    rows, rhs, labels, scales = [], [], [], []
+    rows, rhs, labels = [], [], []
     for c in ordered_criteria(targets):
         x = feature_column(pop, c.feature)
         entries, b = _row_entries(x, c.order, targets, c.feature)
         rows.append(entries)
         rhs.append(b)
         labels.append((c.feature, c.order))
-        scales.append(1.0 / (abs(c.value) + epsilon))
-    n = len(rows)
-    matrix = np.array(rows) if n else np.empty((0, pop.n_members))
-    return ConstraintSystem(matrix, np.array(rhs), tuple(labels), np.array(scales))
+    matrix = np.array(rows).reshape(len(rows), pop.n_members)
+    scales = 1.0 / _tolerance_scales(targets, epsilon)
+    return ConstraintSystem(matrix, np.array(rhs), tuple(labels), scales)
 
 
 @dataclass(frozen=True)
@@ -228,7 +222,7 @@ def resolve_slack(targets: TargetSet, hyper: HyperParams):
     Unset vectors follow the target scale ``|t| + epsilon``: ``beta`` is its
     inverse and ``eta_max`` is ``alpha`` times it.
     """
-    scale = np.array([abs(c.value) + hyper.epsilon for c in ordered_criteria(targets)])
+    scale = _tolerance_scales(targets, hyper.epsilon)
     if scale.size == 0:
         return np.empty(0), np.empty(0)
     beta = 1.0 / scale if hyper.beta is None else hyper.beta
@@ -240,22 +234,40 @@ def resolve_slack(targets: TargetSet, hyper: HyperParams):
     return beta, eta_max
 
 
-def _solve(
-    system: ConstraintSystem, size_sign: float, slack: tuple | None
+def _select(
+    pop: Population,
+    targets: TargetSet,
+    hyper: HyperParams,
+    size_sign: float,
+    relaxed: bool = True,
+    n_t: float | None = None,
 ) -> SelectionProbabilities:
-    """Solve the selection program in scaled row space.
+    """Build and solve the selection program in scaled row space.
 
     Variables are ``[p, s_plus, s_minus]``; row ``j`` reads
     ``A_j p - s_plus_j + s_minus_j = C_j`` with both slacks in
-    ``[0, eta_max_j]`` and costing ``beta_j`` each, all in scaled units.
-    ``slack`` is ``(alpha, beta, eta_max)``, or ``None`` for the strict
-    program, which has no slack columns.  The result carries ``eta`` and the
+    ``[0, eta_max_j]`` and costing ``beta_j`` each, all in scaled units, and
+    the objective adds ``size_sign * sum(p)``.  ``relaxed=False`` gives the
+    strict program, which has no slack columns.  ``n_t`` appends the size
+    row ``sum(p) = n_t``, whose scale and weight are ``1/(n_t + eps)`` and
+    whose slack is capped by ``alpha``.  The result carries ``eta`` and the
     slack settings when there are slack rows.
     """
-    n = system.matrix.shape[1]
-    m = system.n_rows
-    k = 0 if slack is None else m  # slack pairs
-    alpha, beta, eta_max = slack if k else (None, None, None)
+    system = build_lp_system(pop, targets, hyper.epsilon)
+    if relaxed:
+        beta, eta_max = resolve_slack(targets, hyper)
+    if n_t is not None:
+        size_scale = 1.0 / (n_t + hyper.epsilon)
+        beta = np.append(beta, size_scale)
+        eta_max = np.append(eta_max, hyper.resolved_alpha())
+        system = ConstraintSystem(
+            np.vstack([system.matrix, np.ones((1, pop.n_members))]),
+            np.append(system.rhs, n_t),
+            system.row_labels + (SIZE_ROW,),
+            np.append(system.row_scales, size_scale),
+        )
+    m, n = system.matrix.shape
+    k = m if relaxed else 0  # slack pairs
     scales = system.row_scales
     A = np.hstack([system.scaled_matrix(), -np.eye(m, k), np.eye(m, k)])
     C = system.scaled_rhs()
@@ -288,9 +300,9 @@ def _solve(
         expected_size=float(np.sum(p)),
         row_labels=system.row_labels,
         solver=solution,
-        alpha=alpha,
-        beta=beta,
-        eta_max=eta_max,
+        alpha=hyper.alpha if k else None,
+        beta=beta if k else None,
+        eta_max=eta_max if k else None,
     )
 
 
@@ -307,10 +319,7 @@ def solve_max_size(
     reported as infeasible: the empty selection satisfies any centred moment
     row vacuously, but it is never a usable cohort.
     """
-    hyper = hyper or HyperParams()
-    system = build_lp_system(pop, targets, hyper.epsilon)
-    slack = (hyper.alpha, *resolve_slack(targets, hyper)) if relaxed else None
-    result = _solve(system, -1.0, slack)
+    result = _select(pop, targets, hyper or HyperParams(), -1.0, relaxed)
     if len(targets) > 0 and result.expected_size <= _EMPTY_SELECTION_TOL:
         raise InfeasibleError(
             "targets admit only the empty selection (max expected size 0)",
@@ -332,9 +341,7 @@ def solve_min_size(
     """
     if len(targets) == 0:
         raise EmptyTargetSet("min-size mode needs at least one target criterion")
-    hyper = hyper or HyperParams()
-    system = build_lp_system(pop, targets, hyper.epsilon)
-    result = _solve(system, 1.0, (hyper.alpha, *resolve_slack(targets, hyper)))
+    result = _select(pop, targets, hyper or HyperParams(), 1.0)
     if result.expected_size < SMALL_SAMPLE_THRESHOLD:
         warnings.warn(
             f"minimised expected size {result.expected_size:.2f} is below "
@@ -363,19 +370,4 @@ def solve_fixed_size(
         raise InvalidSampleSize(
             f"n_t must lie in [1, {pop.n_members}], got {n_t}"
         )
-    hyper = hyper or HyperParams()
-    n_t = float(n_t)
-    base = build_lp_system(pop, targets, hyper.epsilon)
-    beta, eta_max = resolve_slack(targets, hyper)
-    alpha = hyper.resolved_alpha()
-
-    n = pop.n_members
-    system = ConstraintSystem(
-        np.vstack([base.matrix, np.ones((1, n))]),
-        np.append(base.rhs, n_t),
-        base.row_labels + (SIZE_ROW,),
-        np.append(base.row_scales, 1.0 / (n_t + hyper.epsilon)),
-    )
-    beta = np.append(beta, 1.0 / (n_t + hyper.epsilon))
-    eta_max = np.append(eta_max, alpha)
-    return _solve(system, -1.0, (alpha, beta, eta_max))
+    return _select(pop, targets, hyper or HyperParams(), -1.0, n_t=float(n_t))

@@ -32,7 +32,6 @@ from dsps.moments import (
 from dsps.realize import draw
 from dsps.selection import (
     HyperParams,
-    auto_hyperparams,
     build_lp_system,
     solve_max_size,
     solve_min_size,
@@ -141,7 +140,7 @@ def test_accept_02_full_population_targets_select_everyone():
                 ))))
         pop = generate_population(SynthSpec(n_p, int(rng.integers(0, 2**31)), tuple(feats)))
         targets = plant_subset(pop, np.arange(n_p))
-        sel = solve_max_size(pop, targets, auto_hyperparams(targets, float(n_p)))
+        sel = solve_max_size(pop, targets, HyperParams(trial_size=float(n_p)))
         system = build_lp_system(pop, targets)
         scaled_eta = np.abs(sel.eta) * system.row_scales
         worst_gap = max(worst_gap, n_p - sel.expected_size)
@@ -355,7 +354,7 @@ def test_accept_10_feature_rescaling_leaves_the_solution_unchanged():
     pop = Population(tuple(f"m{i}" for i in range(500)), ("a", "b", "c"), data)
     idx = np.argsort(data[:, 0] + 0.02 * data[:, 1])[100:220]
     targets = plant_subset(pop, idx)
-    sel = solve_max_size(pop, targets, auto_hyperparams(targets, 120.0))
+    sel = solve_max_size(pop, targets, HyperParams(trial_size=120.0))
 
     lam = 1000.0
     scaled = data.copy()
@@ -368,7 +367,7 @@ def test_accept_10_feature_rescaling_leaves_the_solution_unchanged():
             v *= lam if c.order == 1 else lam**2
         crit.append(TargetCriterion(c.feature, c.order, v))
     targets2 = TargetSet(tuple(crit))
-    sel2 = solve_max_size(pop2, targets2, auto_hyperparams(targets2, 120.0))
+    sel2 = solve_max_size(pop2, targets2, HyperParams(trial_size=120.0))
 
     gap = abs(sel.expected_size - sel2.expected_size)
     ok = gap <= 1e-6
@@ -396,7 +395,7 @@ def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
     problems = []
     for top in (3, 4):
         targets = plant_subset(pop, idx, orders=tuple(range(1, top + 1)))
-        hyper = auto_hyperparams(targets, float(idx.size))
+        hyper = HyperParams(trial_size=float(idx.size))
         system = build_lp_system(pop, targets)
         _, eta_max = resolve_slack(targets, hyper)
         slack_tol = 1e-7 / system.row_scales

@@ -286,6 +286,17 @@ class TestSlackSettings:
         run = json.loads((tmp / "e" / "run.json").read_text())
         assert run["alpha"] is None and run["beta"] is None and run["eta_max"] is None
 
+    def test_run_without_rows_reports_one_pricing_pass(self, workspace):
+        # no rows: the dual prices once and every member gets p = 1
+        tmp, pop, targets, pop_path, targets_path = workspace
+        empty = tmp / "empty.json"
+        empty.write_text("[]", encoding="utf-8")
+        assert main(["select", "--population", pop_path, "--targets", str(empty),
+                     "--mode", "max", "--alpha", "1", "--out", str(tmp / "e")]) == 0
+        report = json.loads((tmp / "e" / "report.json").read_text())
+        assert report["solver"] == {"status": "Optimal", "iterations": 1, "max_residual": 0.0}
+        assert set(read_probabilities(tmp / "e").values()) == {1.0}
+
 
 class TestJsonEncoding:
     @pytest.mark.parametrize("mode", ["max", "fixed"])

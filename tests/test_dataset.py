@@ -1,3 +1,4 @@
+import csv
 import io
 from unittest import mock
 
@@ -12,6 +13,7 @@ from dsps.dataset import (
     feature_column,
     load_population,
     save_population,
+    write_id_csv,
 )
 from dsps.errors import (
     DuplicateFeatureName,
@@ -212,3 +214,72 @@ def test_plain_csv_skips_the_row_loop():
         want = _load_by_rows(text.encode())
         assert pop.member_ids == want.member_ids
         assert pop.data.tobytes() == want.data.tobytes()
+
+
+# ids that csv quotes (",", '"', "\r", "\n") or that sit next to such ids
+_IDS = st.text(alphabet=[",", '"', "\r", "\n", " ", "a", "7", "é", "漢"], max_size=5)
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, -1e-5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _reference_id_csv(header, ids, values) -> str:
+    """The csv module's rendering: a float by repr, an integer by str."""
+    fmt = (lambda v: repr(float(v))) if values.dtype.kind == "f" else (lambda v: str(int(v)))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([mid, *map(fmt, row)] for mid, row in zip(ids, values.reshape(len(ids), -1)))
+    return buf.getvalue()
+
+
+def _id_csv_text(header, ids, values) -> str:
+    buf = io.StringIO()
+    write_id_csv(buf, header, ids, values)
+    return buf.getvalue()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_id_csv_matches_the_csv_module(data):
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, 3))
+    ids = data.draw(st.lists(_IDS, min_size=n, max_size=n))
+    header = ("id", *data.draw(st.lists(_IDS, min_size=k, max_size=k)))
+    floats = np.array(data.draw(st.lists(_FLOATS, min_size=n * k, max_size=n * k)))
+    mask = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    for head, values in (
+        (header, floats.reshape(n, k)),  # population rows
+        (header[:2], floats[:n]),  # probabilities.csv
+        (header[:2], mask),  # mask.csv
+    ):
+        assert _id_csv_text(head, ids, values) == _reference_id_csv(head, ids, values)
+
+
+def test_id_csv_file_bytes_match_the_csv_module(tmp_path):
+    ids = ["a,b", 'say "hi"', "cr\rlf\n", " padded ", "é漢", "", "plain"]
+    values = np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5e300, 7.0])
+    for name, vals in (("p.csv", values), ("mask.csv", (values > 0).astype(np.int8))):
+        write_id_csv(tmp_path / name, ("member_id", "v"), ids, vals)
+        want = _reference_id_csv(("member_id", "v"), ids, vals).encode("utf-8")
+        assert (tmp_path / name).read_bytes() == want
+    pop = Population(tuple(ids), ("u",), values[:, None])
+    save_population(pop, tmp_path / "pop.csv")
+    assert load_population(tmp_path / "pop.csv").data.tobytes() == pop.data.tobytes()
+
+
+def test_id_csv_across_row_chunks():
+    # rows are formatted a chunk at a time; quoted ids sit on both sides of each seam
+    n = 2 * dataset._CHUNK_ROWS + 5
+    ids = [f"m{i}" for i in range(n)]
+    for i in (0, dataset._CHUNK_ROWS - 1, dataset._CHUNK_ROWS, 2 * dataset._CHUNK_ROWS, n - 1):
+        ids[i] = f'id "{i}", quoted'
+    rng = np.random.default_rng(5)
+    data = rng.normal(0.0, 1e3, (n, 3))
+    for head, values in (
+        (("id", "a", "b", "c"), data),
+        (("member_id", "p"), data[:, 0]),
+        (("member_id", "selected"), (data[:, 1] > 0).astype(np.int8)),
+    ):
+        assert _id_csv_text(head, ids, values) == _reference_id_csv(head, ids, values)

@@ -14,7 +14,7 @@ import pytest
 from dsps import selection
 from dsps.errors import InfeasibleError, SmallSampleWarning
 from dsps.lp_core import LpProblem, LpRow, SolveStatus, _DualSimplex, solve_lp
-from dsps.selection import auto_hyperparams, solve_fixed_size, solve_max_size, solve_min_size
+from dsps.selection import HyperParams, solve_fixed_size, solve_max_size, solve_min_size
 from dsps.synthgen import (
     FeatureSpec,
     LogNormal,
@@ -64,7 +64,7 @@ def recorded_problems(rng, mode, monkeypatch):
     else:
         idx = rng.choice(pop.n_members, size=max(5, pop.n_members // 5), replace=False)
     targets = plant_subset(pop, idx, orders=tuple(range(1, max_order + 1)))
-    hyper = auto_hyperparams(targets, float(idx.size))
+    hyper = HyperParams(trial_size=float(idx.size))
 
     seen = []
 

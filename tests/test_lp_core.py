@@ -11,7 +11,7 @@ from dsps.lp_core import (
     solve_lp,
 )
 
-from oracles import highs_objective, lp_vertex_oracle
+from oracles import box_only_oracle, highs_objective, lp_vertex_oracle
 
 # free and one-sided columns put infinities into the ratio arithmetic, where
 # an inf - inf or 0 * inf must fail a test rather than pass as a NaN
@@ -106,6 +106,46 @@ class TestBasics:
     def test_unknown_relation(self):
         with pytest.raises(DimensionMismatch):
             LpRow([1.0], "!=", 1.0)
+
+
+BOUND_KINDS = {
+    "boxed": (-2.0, 3.0),
+    "lower only": (-2.0, np.inf),
+    "upper only": (-np.inf, 3.0),
+    "free": (-np.inf, np.inf),
+}
+BOX_STATUS = {"optimal": SolveStatus.OPTIMAL, "unbounded": SolveStatus.UNBOUNDED}
+
+
+class TestProgramsWithoutRows:
+    """A program with no rows goes through the dual like any other."""
+
+    def check(self, c, lower, upper):
+        status, z = box_only_oracle(c, lower, upper)
+        sol = solve_lp(lp(c, (), lower, upper))
+        assert sol.status is BOX_STATUS[status]
+        assert sol.max_residual == 0.0
+        if status == "optimal":
+            np.testing.assert_array_equal(sol.z, z)
+            assert sol.objective_value == float(np.dot(c, z))
+            assert sol.iterations == 1  # the pricing pass that proves optimality
+        else:
+            assert sol.z is None and sol.objective_value == float("-inf")
+
+    @pytest.mark.parametrize("kind", list(BOUND_KINDS))
+    @pytest.mark.parametrize("cost", [-1.5, 0.0, 1.5])
+    def test_one_column_matches_the_box_rule(self, cost, kind):
+        lo, hi = BOUND_KINDS[kind]
+        self.check([cost], [lo], [hi])
+
+    def test_seeded_mixed_columns_match_the_box_rule(self):
+        rng = np.random.default_rng(1202)
+        kinds = list(BOUND_KINDS.values())
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            c = rng.choice([-1.5, 0.0, 1.5], size=n) * rng.uniform(0.5, 2.0, size=n)
+            lower, upper = np.array([kinds[k] for k in rng.integers(0, 4, size=n)]).T
+            self.check(c, lower, upper)
 
 
 class TestDeterminism:

@@ -19,7 +19,6 @@ from dsps.moments import TargetCriterion, TargetSet, expected_moment, moment_ter
 from dsps.selection import (
     SIZE_ROW,
     HyperParams,
-    auto_hyperparams,
     build_lp_system,
     ordered_criteria,
     resolve_slack,
@@ -184,25 +183,26 @@ class TestBuildLpSystem:
 class TestHyperParams:
     def test_auto_from_trial_size(self):
         targets = targets_of(("f", 1, 8.0), ("f", 2, 2.0))
-        hyper = auto_hyperparams(targets, 413.0)
+        hyper = HyperParams(trial_size=413.0)
+        beta, eta_max = resolve_slack(targets, hyper)
         assert hyper.alpha == pytest.approx(20.65)
         np.testing.assert_allclose(
-            hyper.beta, [1.0 / (8.0 + 1e-6), 1.0 / (2.0 + 1e-6)]
+            beta, [1.0 / (8.0 + 1e-6), 1.0 / (2.0 + 1e-6)]
         )
         np.testing.assert_allclose(
-            hyper.eta_max, [20.65 * (8.0 + 1e-6), 20.65 * (2.0 + 1e-6)]
+            eta_max, [20.65 * (8.0 + 1e-6), 20.65 * (2.0 + 1e-6)]
         )
         assert hyper.trial_size == 413.0
 
     def test_auto_rejects_nonpositive_trial_size(self):
         with pytest.raises(InvalidSampleSize):
-            auto_hyperparams(targets_of(("f", 1, 1.0)), 0.0)
+            HyperParams(trial_size=0.0)
 
     def test_auto_zero_target_falls_back_to_epsilon(self):
         # a zero target would blow up 1/|t|; epsilon keeps both vectors finite
-        hyper = auto_hyperparams(targets_of(("f", 1, 0.0)), 20.0)
-        assert hyper.beta[0] == pytest.approx(1e6)
-        assert hyper.eta_max[0] == pytest.approx(1e-6)
+        beta, eta_max = resolve_slack(targets_of(("f", 1, 0.0)), HyperParams(trial_size=20.0))
+        assert beta[0] == pytest.approx(1e6)
+        assert eta_max[0] == pytest.approx(1e-6)
 
     def test_validation(self):
         with pytest.raises(MissingHyperParam):
@@ -245,7 +245,7 @@ class TestSolveMaxSize:
         rng = np.random.default_rng(77)
         pop = make_pop({"a": rng.normal(5, 1, 25), "b": rng.normal(0, 2, 25)})
         targets = own_moment_targets(pop)
-        sel = solve_max_size(pop, targets, auto_hyperparams(targets, 25.0))
+        sel = solve_max_size(pop, targets, HyperParams(trial_size=25.0))
         np.testing.assert_allclose(sel.p, np.ones(25), atol=1e-8)
         assert sel.expected_size == pytest.approx(25.0, abs=1e-7)
         assert np.all(sel.eta <= 1e-7 * (np.abs(sel.eta) + 1.0))
@@ -279,13 +279,13 @@ class TestSolveMaxSize:
         pop = make_pop({"a": rng.normal(1, 1, 30), "b": rng.normal(6, 3, 30)})
         idx = np.arange(0, 30, 3)
         targets = subset_targets(pop, idx)
-        hyper = auto_hyperparams(targets, 10.0)
+        hyper = HyperParams(trial_size=10.0)
         sel = solve_max_size(pop, targets, hyper)
         system = build_lp_system(pop, targets)
         resid = np.abs(system.matrix @ sel.p - system.rhs)
         slack_tol = 1e-7 / system.row_scales
         assert np.all(resid <= sel.eta + slack_tol)
-        assert np.all(sel.eta <= hyper.eta_max + slack_tol)
+        assert np.all(sel.eta <= resolve_slack(targets, hyper)[1] + slack_tol)
 
     def test_widening_eta_max_cannot_shrink_the_optimum(self):
         rng = np.random.default_rng(89)
@@ -352,7 +352,7 @@ class TestSolveMaxSize:
         pop = make_pop({"a": rng.normal(8, 1.2, 120), "b": rng.normal(120, 25, 120)})
         idx = np.argsort(pop.data[:, 0] + 0.02 * pop.data[:, 1])[20:60]
         targets = subset_targets(pop, idx)
-        sel = solve_max_size(pop, targets, auto_hyperparams(targets, 40.0))
+        sel = solve_max_size(pop, targets, HyperParams(trial_size=40.0))
 
         lam = 1000.0
         scaled = pop.data.copy()
@@ -365,7 +365,7 @@ class TestSolveMaxSize:
                 v *= lam if c.order == 1 else lam**2
             crit.append(TargetCriterion(c.feature, c.order, v))
         targets2 = TargetSet(tuple(crit))
-        sel2 = solve_max_size(pop2, targets2, auto_hyperparams(targets2, 40.0))
+        sel2 = solve_max_size(pop2, targets2, HyperParams(trial_size=40.0))
         assert sel2.expected_size == pytest.approx(sel.expected_size, abs=1e-6)
 
     @settings(max_examples=40, deadline=None)
@@ -382,7 +382,7 @@ class TestSolveMaxSize:
             return
         pop = make_pop({"f": x})
         targets = own_moment_targets(pop)
-        sel = solve_max_size(pop, targets, auto_hyperparams(targets, float(len(x))))
+        sel = solve_max_size(pop, targets, HyperParams(trial_size=float(len(x))))
         assert sel.expected_size == pytest.approx(len(x), abs=1e-6)
 
 
@@ -406,14 +406,14 @@ class TestSolveMaxSize:
         pop = make_pop({"f": x})
         targets = plant_subset(pop, np.arange(x.size), orders=(1, 2, 3))
         assert abs(targets.value_of("f", 3)) < 1e-6
-        hyper = auto_hyperparams(targets, float(x.size))
+        hyper = HyperParams(trial_size=float(x.size))
         sel = solve_max_size(pop, targets, hyper)
         assert sel.expected_size == pytest.approx(x.size, abs=1e-6)
         system = build_lp_system(pop, targets)
         # rounding in a row sum grows with the magnitude of its terms
         slack_tol = 1e-7 / system.row_scales + 1e-12 * (np.abs(system.matrix) @ sel.p)
         assert np.all(np.abs(system.matrix @ sel.p - system.rhs) <= sel.eta + slack_tol)
-        assert np.all(sel.eta <= hyper.eta_max + slack_tol)
+        assert np.all(sel.eta <= resolve_slack(targets, hyper)[1] + slack_tol)
 
     @pytest.fixture
     def dual_only(self, monkeypatch):
@@ -430,7 +430,7 @@ class TestSolveMaxSize:
         x = np.concatenate([center + np.asarray(half), center - np.asarray(half)])
         pop = make_pop({"f": x})
         targets = plant_subset(pop, np.arange(x.size), orders=(1, 2, 3))
-        return solve_max_size(pop, targets, auto_hyperparams(targets, float(x.size)))
+        return solve_max_size(pop, targets, HyperParams(trial_size=float(x.size)))
 
     @pytest.mark.usefixtures("dual_only")
     def test_recorded_population_needs_no_primal(self):
@@ -467,7 +467,7 @@ class TestSolveMaxSize:
         lo, hi = np.percentile(pop.data[:, 0], (60.0, 90.0))
         idx = np.flatnonzero((pop.data[:, 0] >= lo) & (pop.data[:, 0] <= hi))
         targets = plant_subset(pop, idx, orders=(1, 2))
-        sel = solve_max_size(pop, targets, auto_hyperparams(targets, float(idx.size)))
+        sel = solve_max_size(pop, targets, HyperParams(trial_size=float(idx.size)))
         assert sel.expected_size >= idx.size - 1e-6
         assert sel.solver.iterations <= 100
 
@@ -515,7 +515,7 @@ class TestSolveMinSize:
         pop = make_pop({"a": rng.normal(2, 1, 40)})
         idx = np.arange(10, 30)
         targets = subset_targets(pop, idx)
-        hyper = auto_hyperparams(targets, 20.0)
+        hyper = HyperParams(trial_size=20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallSampleWarning)
             lo = solve_min_size(pop, targets, hyper).expected_size
