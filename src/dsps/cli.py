@@ -42,7 +42,7 @@ from .errors import (
 )
 from .evaluate import evaluate_selection
 from .moments import TargetSet
-from .realize import SelectionMask, draw_best
+from .realize import draw_best
 from .selection import (
     DEFAULT_EPSILON,
     SMALL_SAMPLE_THRESHOLD,
@@ -152,7 +152,7 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n"
 
 
-def _load_mask_csv(path, pop) -> SelectionMask:
+def _load_mask_csv(path, pop) -> np.ndarray:
     selected = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -169,8 +169,7 @@ def _load_mask_csv(path, pop) -> SelectionMask:
             selected[row[0].strip()] = int(row[1])
     if set(selected) != set(pop.member_ids) or len(selected) != pop.n_members:
         raise DspsError(f"{path}: mask ids do not match the population")
-    b = np.array([selected[mid] for mid in pop.member_ids], dtype=np.int8)
-    return SelectionMask(b, seed=0, draw_index=0)
+    return np.array([selected[mid] for mid in pop.member_ids], dtype=np.int8)
 
 
 def _report(realized, expected=None, **fields) -> dict:

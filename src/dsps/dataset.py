@@ -122,20 +122,18 @@ def _parse_plain(lines: list[str], n_cols: int):
     """``(ids, data)`` parsed by ``np.loadtxt``, or None to use the row loop.
 
     Only for text the row loop would read the same way: no quotes,
-    ``n_cols - 1`` commas on every non-blank line (``usecols`` would drop
-    extra cells unseen), every cell parsed without error or warning, and
-    every value finite.  Anything else, errors included, goes to
-    :func:`_parse_rows` for its messages.
+    ``n_cols - 1`` commas per non-blank line in total (a line with an extra
+    cell, which ``usecols`` would drop unseen, leaves another line short of
+    the last column, and ``np.loadtxt`` rejects that one), every cell parsed
+    without error or warning, and every value finite.  Anything else, errors
+    included, goes to :func:`_parse_rows` for its messages.
     """
-    ids: list[str] = []
-    for line in lines[1:]:
-        if line == "\n" or line == "\r\n":
-            continue  # blank line: csv yields no cells
-        if line.count(",") != n_cols - 1 or '"' in line:
-            return None
-        ids.append(line[: line.index(",")].strip())
-    if not ids:
+    # csv yields no cells for a blank line
+    rows = [line for line in lines[1:] if line != "\n" and line != "\r\n"]
+    text = "".join(rows)
+    if not rows or '"' in text or text.count(",") != len(rows) * (n_cols - 1):
         return None
+    ids = [line.partition(",")[0].strip() for line in rows]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -187,39 +185,36 @@ def save_population(pop: Population, destination: Union[str, Path, IO[str]]) -> 
     write_id_csv(destination, ("id", *pop.feature_names), pop.member_ids, pop.data)
 
 
-# an id holding one of these may need quoting, so ``csv`` writes its line
+# a cell holding one of these is written in quotes
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 _CHUNK_ROWS = 1024
 
 
-def _csv_line(cells) -> str:
-    """One line as ``csv.writer(lineterminator="\\n")`` writes it."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
-    return buf.getvalue()
+def _quoted(cell: str) -> str:
+    """``cell`` in quotes, each ``"`` doubled, if it holds ``,`` ``"`` CR or LF; else as is."""
+    return '"' + cell.replace('"', '""') + '"' if _CSV_SPECIAL.search(cell) else cell
 
 
 def write_id_csv(destination: Union[str, Path, IO[str]], header, ids, values) -> None:
-    """Write ``header``, then one ``id,v_1,...,v_k`` line per id.
+    """Write ``header``, then one ``id,v_1,...,v_k`` line per id, each ending in ``\\n``.
 
     ``values`` is a vector (one cell per id) or has one row per id, and each
-    value is written by ``repr``, so a float reloads bit for bit.  The bytes
-    are those of ``csv.writer(lineterminator="\\n")``; only the header and
-    the ids that need quoting go through ``csv``.  Rows become Python lists
+    value is written by ``repr``, so a float reloads bit for bit.  Header
+    cells and ids are written by :func:`_quoted`, the one quoting rule; a
+    number's ``repr`` never needs quotes.  Rows become Python lists
     ``_CHUNK_ROWS`` at a time, which bounds the memory they take.
     """
     values = np.asarray(values)
     own = isinstance(destination, (str, Path))
     stream = open(destination, "w", encoding="utf-8", newline="") if own else destination
     try:
-        stream.write(_csv_line(header))
+        stream.write(",".join(map(_quoted, header)) + "\n")
         for start in range(0, len(ids), _CHUNK_ROWS):
             block = values[start:start + _CHUNK_ROWS].tolist()
             texts = map(repr, block) if values.ndim == 1 else (",".join(map(repr, row)) for row in block)
             stream.write("".join([
-                # a number's repr has no comma, so splitting gives the cells back
-                _csv_line([member_id, *text.split(",")])
-                if _CSV_SPECIAL.search(member_id) else f"{member_id},{text}\n"
+                # the search is inline so that a plain id costs no call
+                f"{_quoted(member_id) if _CSV_SPECIAL.search(member_id) else member_id},{text}\n"
                 for member_id, text in zip(ids[start:start + _CHUNK_ROWS], texts)
             ]))
     finally:

@@ -135,16 +135,16 @@ def evaluate_selection(
 
     t = np.array([c.value for c in targets], dtype=float)
     a = np.array(achieved, dtype=float)
-    den = _denominators(t, rsse_epsilon) if t.size else np.empty(0)
-    pes = np.abs(a - t) / den * 100.0 if t.size else np.empty(0)
+    pes = np.abs(a - t) / _denominators(t, rsse_epsilon) * 100.0
     per_criterion = tuple(
         CriterionResult(c.feature, c.order, float(c.value), float(av), float(pe))
         for c, av, pe in zip(targets, a, pes)
     )
-    total = float(np.sum(((a - t) / den) ** 2)) if t.size else 0.0
     pe_mean = float(np.mean(pes)) if pes.size else 0.0
     pe_sd = float(np.std(pes, ddof=1)) if pes.size > 1 else 0.0
-    return EvaluationReport(per_criterion, total, pe_mean, pe_sd, exp_size, realized_size)
+    return EvaluationReport(
+        per_criterion, rsse(a, t, rsse_epsilon), pe_mean, pe_sd, exp_size, realized_size
+    )
 
 
 def _classify(selection):
