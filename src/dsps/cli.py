@@ -22,7 +22,6 @@ degenerate, 4 solver failure (a numerical breakdown in the LP solve).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -40,7 +39,7 @@ from .errors import (
     NumericalBreakdown,
     SmallSampleWarning,
 )
-from .evaluate import evaluate_selection
+from .evaluate import _denominators, evaluate_selection
 from .moments import TargetSet
 from .realize import draw_best
 from .selection import (
@@ -153,21 +152,17 @@ def _json_text(payload: dict) -> str:
 
 
 def _load_mask_csv(path, pop) -> np.ndarray:
-    selected = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise DspsError(f"{path}: mask CSV needs member_id,selected columns")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2 or row[1].strip() not in ("0", "1"):
-                raise DspsError(f"{path}: bad mask row {row!r}")
-            if row[0].strip() in selected:
-                raise DspsError(f"{path}: member {row[0].strip()!r} is listed twice")
-            selected[row[0].strip()] = int(row[1])
-    if set(selected) != set(pop.member_ids) or len(selected) != pop.n_members:
+    try:
+        mask = load_population(path)
+    except DspsError as exc:
+        raise DspsError(f"{path}: {exc}") from None
+    if mask.n_features != 1:
+        raise DspsError(f"{path}: mask CSV needs member_id,selected columns")
+    selected = dict(zip(mask.member_ids, mask.data[:, 0].tolist()))
+    bad = [mid for mid, value in selected.items() if value not in (0.0, 1.0)]
+    if bad:
+        raise DspsError(f"{path}: member {bad[0]!r} has selected {selected[bad[0]]!r}, not 0 or 1")
+    if set(selected) != set(pop.member_ids):
         raise DspsError(f"{path}: mask ids do not match the population")
     return np.array([selected[mid] for mid in pop.member_ids], dtype=np.int8)
 
@@ -210,6 +205,8 @@ def cmd_generate(args) -> int:
 def cmd_select(args) -> int:
     pop = load_population(args.population)
     targets = TargetSet.from_json(Path(args.targets).read_text(encoding="utf-8"))
+    # scoring needs a relative error for every target: fail before the solve
+    _denominators(np.array([c.value for c in targets]), args.rsse_epsilon)
     seed = _resolve_seed(args.seed)
     if args.draws < 1:
         raise DspsError(f"--draws must be >= 1, got {args.draws}")

@@ -56,8 +56,8 @@ class Population:
             raise LengthMismatch(f"{len(self.feature_names)} names for {n_x} columns")
         if not np.all(np.isfinite(data)):
             raise NonNumericCell("population contains non-finite entries")
-        _check_unique(self.member_ids, DuplicateMemberId, "member id")
-        _check_unique(self.feature_names, DuplicateFeatureName, "feature name")
+        _check_names(self.member_ids, DuplicateMemberId, "member id")
+        _check_names(self.feature_names, DuplicateFeatureName, "feature name")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -76,11 +76,14 @@ class Population:
             raise UnknownFeature(f"no feature named {name!r}") from None
 
 
-def _check_unique(items: Iterable[str], exc: type, what: str) -> None:
+def _check_names(items: Iterable[str], exc: type, what: str) -> None:
+    """Each name is unique and survives a CSV round trip, whose load strips every cell."""
     seen = set()
     for item in items:
         if item in seen:
             raise exc(f"duplicate {what} {item!r}")
+        if item != item.strip():
+            raise MalformedCsv(f"{what} {item!r} has surrounding whitespace, which a CSV load strips")
         seen.add(item)
 
 

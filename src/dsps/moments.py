@@ -134,28 +134,21 @@ class TargetSet:
         return json.dumps(rows, indent=2, sort_keys=True)
 
 
-def sample_moment(
-    values,
-    order: int,
-    center: float | None = None,
-    scale_var: float | None = None,
-) -> float:
-    """Moment of ``values`` under the package conventions.
+def sample_moment(values, order: int) -> float:
+    """Moment of ``values`` about their own mean, under the package conventions.
 
-    ``center`` overrides the mean used for centring (orders >= 2) and
-    ``scale_var`` overrides the variance used for standardisation (orders 3
-    and 4); both default to the sample's own statistics.
+    About given reference values it is :func:`expected_moment` with unit weights.
     """
     x = np.asarray(values, dtype=float).ravel()
     n = x.size
     if n < 1:
         raise InsufficientData("no values")
+    if order in (2, 3, 4) and n < 2:
+        raise InsufficientData(f"order-{order} moment needs at least 2 values")
     d = x
     if order >= 2:
-        d = x - (float(np.mean(x)) if center is None else center)
-    if order == 2 and n < 2:
-        raise InsufficientData("variance needs at least 2 values")
-    sv = _resolve_scale_var(x, scale_var) if order in (3, 4) else None
+        d = x - float(np.mean(x))
+    sv = _variance_scale(np.sum(d**2) / (n - 1)) if order in (3, 4) else None
     dof, scale, shift = moment_terms(order, sv)
     return float(np.sum(d**order) / (n - dof) / scale - shift)
 
@@ -178,13 +171,8 @@ def moment_terms(order: int, var: float | None = None) -> tuple[int, float, floa
     return 0, 1.0, 0.0
 
 
-def _resolve_scale_var(x: np.ndarray, scale_var: float | None) -> float:
-    if scale_var is None:
-        if x.size < 2:
-            raise InsufficientData("standardised moments need at least 2 values")
-        mu = float(np.mean(x))
-        scale_var = float(np.sum((x - mu) ** 2) / (x.size - 1))
-    sv = float(scale_var)
+def _variance_scale(var) -> float:
+    sv = float(var)
     if sv <= 0.0:
         raise ZeroVariance(f"variance scale {sv} is not positive")
     return sv
@@ -230,8 +218,6 @@ def expected_moment(
     if order in (3, 4):
         if target_var is None:
             raise InsufficientData(f"order-{order} weighted moment requires target_var")
-        sv = float(target_var)
-        if sv <= 0.0:
-            raise ZeroVariance(f"variance scale {sv} is not positive")
+        sv = _variance_scale(target_var)
     dof, scale, shift = moment_terms(order, sv)
     return float(np.dot(q, d**order) / (total - dof) / scale - shift)

@@ -205,7 +205,9 @@ class TestSelect:
         # mask.csv must quote an id holding a bare CR, or evaluate splits its row
         tmp, pop, _, _, _ = workspace
         ids = ("a\rb", "\r", *pop.member_ids[2:])
-        targets = plant_subset(Population(ids, ("x\ry",), pop.data), np.arange(20, 40))
+        # the loader strips every cell, so "\r" reloads as "": the Population takes that id
+        cr_pop = Population(tuple(mid.strip() for mid in ids), ("x\ry",), pop.data)
+        targets = plant_subset(cr_pop, np.arange(20, 40))
         rows = ['id,"x\ry"'] + [
             f'"{mid}",{v!r}' if "\r" in mid else f"{mid},{v!r}"
             for mid, v in zip(ids, pop.data[:, 0].tolist())
@@ -483,6 +485,26 @@ class TestExitCodes:
         assert "has target 0; relative error is undefined" in capsys.readouterr().err
         assert main([*common, "--rsse-epsilon", "1e-3", "--out", str(tmp_path / "y")]) == 0
 
+    def test_zero_target_is_rejected_before_the_solve(self, workspace, monkeypatch, capsys):
+        # no LP, no draws and, in min mode, no small-sample warning first
+        from dsps import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("solve_min_size was called")
+
+        monkeypatch.setattr(cli, "solve_min_size", never)
+        tmp, _, targets, pop_path, _ = workspace
+        zero = tmp / "zero_skewness.json"
+        zero.write_text(json.dumps([*json.loads(targets.to_json()),
+                                    {"feature": "f", "order": 3, "value": 0.0}]), encoding="utf-8")
+        assert main(["select", "--population", pop_path, "--targets", str(zero),
+                     "--mode", "min", "--trial-size", "20", "--out", str(tmp / "x")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: criterion 2 has target 0; relative error is undefined "
+            "(pass an epsilon or drop the criterion)"
+        ]
+        assert not (tmp / "x").exists()
+
     def test_solver_failure_is_four(self, workspace, monkeypatch, capsys):
         from dsps import selection
         from dsps.errors import NumericalBreakdown
@@ -655,7 +677,7 @@ class TestEvaluate:
         mask_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         assert main(["evaluate", "--population", pop_path, "--targets", targets_path,
                      "--mask", str(mask_path)]) == 1
-        assert "listed twice" in capsys.readouterr().err
+        assert f"{mask_path}: duplicate member id {pop.member_ids[0]!r}" in capsys.readouterr().err
 
     def test_bad_mask_value_is_one(self, workspace):
         tmp, pop, targets, pop_path, targets_path = workspace
@@ -664,6 +686,51 @@ class TestEvaluate:
         mask_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         assert main(["evaluate", "--population", pop_path, "--targets", targets_path,
                      "--mask", str(mask_path)]) == 1
+
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in ',"\r\n') else cell
+
+
+def _mask_rows(ids, bits, value=str) -> list[str]:
+    return ["member_id,selected"] + [f"{_quote(mid)},{value(b)}" for mid, b in zip(ids, bits)]
+
+
+# name: (exit code, the mask text for a population's ids and 0/1 values)
+MASK_CASES = {
+    "crlf-and-trailing-blank-line": (0, lambda ids, b: "\r\n".join(_mask_rows(ids, b)) + "\r\n\r\n"),
+    "quoted-ids": (0, lambda ids, b: "\n".join(_mask_rows(ids, b)) + "\n"),
+    "padded-cells": (0, lambda ids, b: " member_id , selected \n" + "".join(
+        f"  {mid} ,\t{v} \n" for mid, v in zip(ids, b))),
+    "float-values": (0, lambda ids, b: "\n".join(_mask_rows(ids, b, lambda v: repr(float(v)))) + "\n"),
+    "third-column": (1, lambda ids, b: ",0\n".join(_mask_rows(ids, b)) + ",0\n"),
+    "value-two": (1, lambda ids, b: "\n".join(_mask_rows(ids, [2, *b[1:]])) + "\n"),
+    "missing-id": (1, lambda ids, b: "\n".join(_mask_rows(ids, b)[:-1]) + "\n"),
+    "repeated-id": (1, lambda ids, b: "\n".join(_mask_rows(ids, b) + _mask_rows(ids, b)[1:2]) + "\n"),
+}
+
+
+@pytest.mark.parametrize("case", MASK_CASES)
+def test_evaluate_reads_a_mask_as_it_reads_a_population(workspace, capsys, case):
+    tmp, pop, targets, _, targets_path = workspace
+    ids = pop.member_ids
+    if case == "quoted-ids":
+        ids = ("a,b", 'say "hi"', "c\rd", "e\nf", *ids[4:])
+    pop_path = tmp / "case_population.csv"
+    save_population(Population(ids, pop.feature_names, pop.data), pop_path)
+    bits = [i % 2 for i in range(pop.n_members)]
+    code, text = MASK_CASES[case]
+    mask_path = tmp / "case_mask.csv"
+    mask_path.write_bytes(text(ids, bits).encode("utf-8"))
+    assert main(["evaluate", "--population", str(pop_path), "--targets", targets_path,
+                 "--mask", str(mask_path)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        report = evaluate_selection(pop, targets, np.array(bits, dtype=np.int8))
+        assert json.loads(out)["rsse"] == report.rsse
+        assert json.loads(out)["realized_size"] == sum(bits)
+    else:
+        assert err.startswith(f"error: {mask_path}: ")
 
 
 class TestPackaging:

@@ -69,15 +69,33 @@ def test_round_trip_full_precision(tmp_path):
 def test_round_trip_bare_carriage_returns(tmp_path):
     # a bare CR in an id or a feature name is quoted, so its row stays one row
     values = np.array([[0.5, -1.0], [2.0, 1e-9], [3.0, 7.0]])
-    pop = Population(("a\rb", "\r", "c"), ("x\ry", "z"), values)
+    pop = Population(("a\rb", "", "c"), ("x\ry", "z"), values)
     path = tmp_path / "pop.csv"
     save_population(pop, path)
     for source in (path, path.read_bytes()):
         again = load_population(source)
-        # the loader strips whitespace around every cell, so "\r" reloads as ""
-        assert again.member_ids == ("a\rb", "", "c")
+        assert again.member_ids == pop.member_ids
         assert again.feature_names == pop.feature_names
         assert again.data.tobytes() == pop.data.tobytes()
+    # an id that is only a CR is quoted too; the loader strips every cell, so it
+    # reloads as "", and a Population refuses it (test_names_must_survive_a_csv_load)
+    write_id_csv(path, ("id", "x\ry", "z"), ("a\rb", "\r", "c"), values)
+    for source in (path, path.read_bytes()):
+        assert load_population(source).member_ids == ("a\rb", "", "c")
+
+
+@pytest.mark.parametrize("ids, names, bad", [
+    (("a", " a"), ("x",), " a"),
+    (("a", "\r"), ("x",), "\r"),
+    (("a", "cr\rlf\n"), ("x",), "cr\rlf\n"),
+    (("a", " padded "), ("x",), " padded "),
+    (("a", "b"), ("x ",), "x "),
+], ids=["leading-space", "lone-cr", "trailing-lf", "padded", "feature-name"])
+def test_names_must_survive_a_csv_load(ids, names, bad):
+    # the loader strips every cell, so such a name would reload as another one
+    with pytest.raises(MalformedCsv) as exc:
+        Population(ids, names, np.zeros((len(ids), len(names))))
+    assert repr(bad) in str(exc.value)
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
@@ -287,9 +305,12 @@ def test_id_csv_file_bytes_match_the_csv_module(tmp_path):
         write_id_csv(tmp_path / name, ("member_id", "v"), ids, vals)
         want = _reference_id_csv(("member_id", "v"), ids, vals).encode("utf-8")
         assert (tmp_path / name).read_bytes() == want
-    pop = Population(tuple(ids), ("u",), values[:, None])
+    # the loader strips every cell, so the Population takes the ids a load gives back
+    pop = Population(tuple(mid.strip() for mid in ids), ("u",), values[:, None])
     save_population(pop, tmp_path / "pop.csv")
-    assert load_population(tmp_path / "pop.csv").data.tobytes() == pop.data.tobytes()
+    again = load_population(tmp_path / "pop.csv")
+    assert again.member_ids == pop.member_ids
+    assert again.data.tobytes() == pop.data.tobytes()
 
 
 def test_id_csv_across_row_chunks():

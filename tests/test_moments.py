@@ -29,7 +29,8 @@ class TestSampleMoment:
         assert sample_moment([1.0, 2.0, 3.0], 1) == 2.0
 
     def test_variance_about_given_center(self):
-        assert sample_moment([1.0, 2.0, 3.0], 2, center=2.0) == 1.0
+        # a moment about given reference values is the unit-weight expected moment
+        assert expected_moment([1.0, 2.0, 3.0], np.ones(3), 2, target_mean=2.0) == 1.0
 
     def test_variance_default_is_unbiased(self):
         assert sample_moment([0.0, 2.0], 2) == 2.0  # divisor n - 1
@@ -45,7 +46,7 @@ class TestSampleMoment:
         # equal-count +-a with its population scale has excess kurtosis -2
         a = 1.7
         vals = [-a] * 6 + [a] * 6
-        got = sample_moment(vals, 4, center=0.0, scale_var=a * a)
+        got = expected_moment(vals, np.ones(12), 4, target_mean=0.0, target_var=a * a)
         assert got == pytest.approx(-2.0, abs=1e-9)
 
     def test_higher_orders_are_raw_central(self):
@@ -79,7 +80,7 @@ class TestSampleMoment:
 
     def test_explicit_zero_scale(self):
         with pytest.raises(ZeroVariance):
-            sample_moment([1.0, 2.0], 4, scale_var=0.0)
+            expected_moment([1.0, 2.0], [1.0, 1.0], 4, target_mean=1.5, target_var=0.0)
 
     @given(
         st.lists(st.floats(-100, 100), min_size=3, max_size=30),
@@ -122,11 +123,12 @@ class TestExpectedMoment:
         rng = np.random.default_rng(41)
         x = rng.normal(3.0, 2.0, 25)
         ones = np.ones(25)
+        # the sample's own mean and variance, so sample_moment centres and scales by them too
         mu = sample_moment(x, 1)
         var = sample_moment(x, 2)
         for k in range(1, 7):
             assert expected_moment(x, ones, k, mu, var) == pytest.approx(
-                sample_moment(x, k, center=mu, scale_var=var), rel=1e-12
+                sample_moment(x, k), rel=1e-12
             )
 
     def test_weighted_variance_against_oracle(self):
