@@ -16,7 +16,8 @@ values is purely a property of the targets file handed in; the pipeline is
 identical.
 
 Exit codes: 0 success, 1 bad input, 2 infeasible targets, 3 every draw
-degenerate, 4 solver failure (a numerical breakdown in the LP solve).
+degenerate, 4 solver failure (a numerical breakdown in the LP solve, or no
+optimum within its iteration limit).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     AllDrawsDegenerate,
     DspsError,
     InfeasibleError,
+    IterationLimitExceeded,
     NumericalBreakdown,
     SmallSampleWarning,
 )
@@ -123,7 +125,7 @@ def main(argv=None) -> int:
     except AllDrawsDegenerate as exc:
         print(f"degenerate draws: {exc}", file=sys.stderr)
         return 3
-    except NumericalBreakdown as exc:
+    except (NumericalBreakdown, IterationLimitExceeded) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
     except (DspsError, OSError, ValueError) as exc:
@@ -136,14 +138,18 @@ def main(argv=None) -> int:
 
 def _resolve_seed(arg_seed) -> int:
     if arg_seed is not None:
-        return int(arg_seed)
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
+        seed, source = int(arg_seed), "--seed"
+    else:
+        env = os.environ.get(SEED_ENV)
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), f"${SEED_ENV}"
         except ValueError:
             raise DspsError(f"${SEED_ENV}={env!r} is not an integer") from None
-    return 0
+    if seed < 0:
+        raise DspsError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _json_text(payload: dict) -> str:

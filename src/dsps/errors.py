@@ -24,7 +24,6 @@ __all__ = [
     "DimensionMismatch",
     "NumericalBreakdown",
     "InfeasibleError",
-    "UnboundedError",
     "IterationLimitExceeded",
     "EmptyTargetSet",
     "InvalidSampleSize",
@@ -107,7 +106,7 @@ class InvalidCriterion(DspsError):
 # ---- lp_core ----
 
 class DimensionMismatch(DspsError):
-    """Linear program component shapes are inconsistent."""
+    """Linear program components are inconsistent or outside the solver's domain."""
 
 
 class NumericalBreakdown(DspsError):
@@ -126,10 +125,6 @@ class InfeasibleError(DspsError):
     def __init__(self, message: str, violation: float | None = None):
         super().__init__(message)
         self.violation = violation
-
-
-class UnboundedError(DspsError):
-    """The linear program has no finite optimum."""
 
 
 class IterationLimitExceeded(DspsError):

@@ -51,8 +51,8 @@ class EvaluationReport:
 
 
 def _denominators(targets: np.ndarray, epsilon: float) -> np.ndarray:
-    if epsilon < 0.0:
-        raise ZeroTarget(f"epsilon must be >= 0, got {epsilon}")
+    if not 0.0 <= epsilon < np.inf:
+        raise ZeroTarget(f"rsse epsilon must be finite and >= 0, got {epsilon}")
     if epsilon == 0.0 and np.any(targets == 0.0):
         idx = int(np.flatnonzero(targets == 0.0)[0])
         raise ZeroTarget(

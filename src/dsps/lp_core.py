@@ -1,37 +1,33 @@
-"""Bound-flipping dual simplex for box-constrained linear programs.
+"""Bound-flipping dual simplex for the box-constrained programs dsps builds.
 
 Solves  minimize c.z  subject to  a_r.z (<=|=|>=) b_r  and  l <= z <= u,
-with infinite bounds allowed.  Nonbasic variables sit at either their lower
-or their upper bound (free variables sit at zero), which keeps vertices of
-the box polytope representable without splitting variables.
+where every lower bound is finite and an upper bound may be infinite only
+under a cost >= 0; :class:`LpProblem` rejects any other program.  The
+selection LPs box every column, and the elastic program adds ``[0, inf)``
+columns of cost 1.  Nonbasic variables sit at either their lower or their
+upper bound, which keeps vertices of the box polytope representable without
+splitting variables.
 
 One column form: the ``n`` structurals, then one logical per row,
 ``r = a_r.z``, bounded by the row's relation as ``[row_lo, row_hi]``, so the
-constraint matrix is ``[A, -I]`` with right-hand side zero.  Each nonbasic
-column starts at the bound its cost sign picks (a one-sided column at its
-finite bound, a free column at zero), and the all-logical basis starts.
-A program with no rows takes the same path: its basis is empty, so one
-pricing pass puts every column at the bound its cost picks.
+constraint matrix is ``[A, -I]`` with right-hand side zero.  Each structural
+starts at the bound its cost sign picks, and the all-logical basis starts.
+Under the rule above that start is dual feasible and the objective is
+bounded below on the box, so no phase 1 is needed and no program is
+unbounded.  A program with no rows takes the same path: its basis is empty,
+so one pricing pass puts every column at the bound its cost picks.
 
-* **Phase 2.**  Each iteration prices the most infeasible basic variable
+* **Iteration.**  Each iteration prices the most infeasible basic variable
   and runs a bound-flipping ratio test (Fourer 1994; Koberstein 2005):
   breakpoints ``|d_j| / |alpha_j|`` are passed in order, flipping each boxed
   column to its opposite bound while the primal-infeasibility slope stays
   positive, and the column that would turn the slope enters.  One iteration
   can thus move thousands of members: the selection LP takes tens of
-  iterations.  A free column is a breakpoint at zero for either sign of
-  ``alpha_j``; a column with an infinite bound never flips.
-* **Phase 1**, only when a cost points at an infinite bound (never for the
-  boxed selection LPs).  Phase 2's iteration solves the auxiliary program
-  that keeps the costs and boxes each column by the directions it may move:
-  ``[0, 0]`` if boxed, ``[0, 1]`` or ``[-1, 0]`` if one-sided, ``[-1, 1]``
-  if free.  Its optimal basis is dual feasible for the real program exactly
-  when the real program has a dual feasible basis.
-* **Infeasibility.**  When phase 2 finds no entering column, or phase 1 no
-  dual feasible basis, :func:`solve_lp` solves the elastic program, with one
-  ``+e_r`` and one ``-e_r`` column of cost 1 per row.  Its optimum, the
-  least total violation, is the certificate reported via
-  ``objective_value``, and after phase 1 tells infeasible from unbounded.
+  iterations.  A column with an infinite bound never flips.
+* **Infeasibility.**  When no column can enter, :func:`solve_lp` solves the
+  elastic program, with one ``+e_r`` and one ``-e_r`` column of cost 1 per
+  row.  Its optimum, the least total violation, is the certificate reported
+  via ``objective_value``.
 
 Rules:
 
@@ -49,7 +45,7 @@ Rules:
   direction that keeps its reduced cost feasible, which breaks the ties of
   a fully dual-degenerate vertex (a fixed-size row makes every member's
   reduced cost zero); a later stall switches to the smallest-index leaving
-  row until a step is made.  Phase 2 starts from the unperturbed costs.
+  row until a step is made.
 
 Bound handling follows Maros 2003, *Computational Techniques of the Simplex
 Method*.  Everything is deterministic for a fixed problem: ties are broken
@@ -106,7 +102,11 @@ class LpRow:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """minimize ``objective . z`` over rows and the box ``lower <= z <= upper``."""
+    """minimize ``objective . z`` over rows and the box ``lower <= z <= upper``.
+
+    Every lower bound is finite, and an upper bound is infinite only under a
+    cost >= 0, so the objective is bounded below on the box.
+    """
 
     objective: np.ndarray
     rows: tuple[LpRow, ...]
@@ -131,8 +131,10 @@ class LpProblem:
                 raise DimensionMismatch(f"row {i} has non-finite entries")
         lower = np.broadcast_to(np.asarray(self.lower, dtype=float), c.shape).copy()
         upper = np.broadcast_to(np.asarray(self.upper, dtype=float), c.shape).copy()
-        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
-            raise DimensionMismatch("bounds may be infinite but not NaN")
+        if not np.all(np.isfinite(lower)) or np.any(np.isnan(upper)):
+            raise DimensionMismatch("lower bounds must be finite, upper bounds not NaN")
+        if np.any(np.isinf(upper) & (c < 0.0)):
+            raise DimensionMismatch("a column with an infinite upper bound needs a cost >= 0")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "lower", lower)
@@ -150,7 +152,6 @@ class LpProblem:
 class SolveStatus(enum.Enum):
     OPTIMAL = "Optimal"
     INFEASIBLE = "Infeasible"
-    UNBOUNDED = "Unbounded"
     ITERATION_LIMIT = "IterationLimit"
 
 
@@ -161,7 +162,7 @@ class LpSolution:
     ``z`` is populated only for Optimal.  For Infeasible, ``objective_value``
     holds the certificate: the smallest achievable total constraint
     violation.  ``max_residual`` is the worst row violation at the final
-    iterate; for Infeasible and Unbounded, at the least-violation point.
+    iterate; for Infeasible, at the least-violation point.
     """
 
     status: SolveStatus
@@ -180,17 +181,17 @@ _DEGEN_TOL = 1e-11
 def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Solve the program, classifying the outcome rather than raising for it.
 
-    ``max_iterations`` (default ``50 * (n_vars + n_rows)``) bounds phase 1
-    and phase 2 together.  The elastic run gets a budget of its own, by the
-    same rule, and the reported ``iterations`` count both runs.  Raises
+    ``max_iterations`` (default ``50 * (n_vars + n_rows)``) bounds the run.
+    The elastic run gets a budget of its own, by the same rule, and the
+    reported ``iterations`` count both runs.  Raises
     :class:`NumericalBreakdown` only when a run breaks down (a singular
-    basis, or a feasible auxiliary program called infeasible), which is
-    distinct from genuine infeasibility.
+    basis, or an elastic program without an optimum), which is distinct
+    from genuine infeasibility.
     """
     if np.any(problem.lower > problem.upper):
         return LpSolution(SolveStatus.INFEASIBLE, None, float("inf"), 0, float("inf"))
     solution = _DualSimplex(problem, max_iterations).run()
-    if solution.status not in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED):
+    if solution.status is not SolveStatus.INFEASIBLE:
         return solution
     elastic = _DualSimplex(_elastic_program(problem), max_iterations).run()
     iterations = solution.iterations + elastic.iterations
@@ -201,20 +202,14 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
     n, m = problem.n_vars, problem.n_rows
     # each row's violation is its elastic pair's sum
     residual = float(np.max(elastic.z[n:n + m] + elastic.z[n + m:], initial=0.0))
-    violation = elastic.objective_value
-    # a total violation the rows' own rounding could produce is zero
-    rhs_scale = max((abs(row.rhs) for row in problem.rows), default=0.0)
-    feasible = violation <= _FEAS_TOL * (1.0 + rhs_scale)
-    if solution.status is SolveStatus.UNBOUNDED and feasible:
-        return LpSolution(SolveStatus.UNBOUNDED, None, float("-inf"), iterations, residual)
-    return LpSolution(SolveStatus.INFEASIBLE, None, violation, iterations, residual)
+    return LpSolution(SolveStatus.INFEASIBLE, None, elastic.objective_value, iterations, residual)
 
 
 def _elastic_program(problem: LpProblem) -> LpProblem:
     """Least total violation: each row gets ``+e_r`` and ``-e_r`` of cost 1.
 
-    The structurals cost 0, so the all-logical start is dual feasible
-    whatever their bounds, and the program is feasible and bounded below.
+    The structurals cost 0 and the new ``[0, inf)`` columns cost 1, so the
+    program keeps to :class:`LpProblem`'s rule, and it is always feasible.
     """
     n, m = problem.n_vars, problem.n_rows
     eye = np.eye(m)
@@ -231,11 +226,7 @@ def _elastic_program(problem: LpProblem) -> LpProblem:
 
 
 class _DualSimplex:
-    """The column form ``[A, -I]`` and the dual simplex that solves it.
-
-    ``run`` returns UNBOUNDED when phase 1 finds no dual feasible basis,
-    which :func:`solve_lp` confirms or turns into INFEASIBLE.
-    """
+    """The column form ``[A, -I]`` and the dual simplex that solves it."""
 
     def __init__(self, problem: LpProblem, max_iterations: int | None = None):
         self.problem = problem
@@ -251,30 +242,24 @@ class _DualSimplex:
         self.basis = np.arange(n, n + m)
         self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
-        self._set_bounds(np.concatenate([problem.lower, np.where(le, -np.inf, b)]),
-                         np.concatenate([problem.upper, np.where(ge, np.inf, b)]))
-
-        self.max_iterations = max_iterations if max_iterations is not None else 50 * (n + m)
-        self.iterations = 0
-
-    def _set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
-        """Install bounds and put each nonbasic column at its start bound.
-
-        A boxed column starts at the bound its cost sign picks, a one-sided
-        column at its finite bound, a free column at zero.
-        """
+        lower = np.concatenate([problem.lower, np.where(le, -np.inf, b)])
+        upper = np.concatenate([problem.upper, np.where(ge, np.inf, b)])
         self.lower, self.upper = lower, upper
         self.gap = upper - lower
+        # each structural starts at the bound its cost sign picks (the
+        # logicals start basic)
         lo_finite, hi_finite = np.isfinite(lower), np.isfinite(upper)
-        self.free = ~lo_finite & ~hi_finite
         self.at_upper = hi_finite & ~(lo_finite & (self.cost >= 0.0))
-        self.x = np.where(self.at_upper, upper, np.where(lo_finite, lower, 0.0))
+        self.x = np.where(self.at_upper, upper, lower)
         bound_scale = np.maximum(np.abs(np.where(lo_finite, lower, 0.0)),
                                  np.abs(np.where(hi_finite, upper, 0.0)))
         # feasibility is judged against each variable's own bounds, not its
         # row's entries: a slack can only move a row by eta_max, however
         # large the row's entries are
         self.feas_tol = _FEAS_TOL * np.maximum(1.0, bound_scale)
+
+        self.max_iterations = max_iterations if max_iterations is not None else 50 * (n + m)
+        self.iterations = 0
 
     def _solve_basis(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         B = np.zeros((self.m, self.m))
@@ -313,38 +298,8 @@ class _DualSimplex:
         z = z if status is SolveStatus.OPTIMAL else None
         return LpSolution(status, z, objective, self.iterations, residual)
 
-    def _dual_infeasible(self, d: np.ndarray) -> bool:
-        """Whether some nonbasic reduced cost points at an infinite bound."""
-        wrong = (np.isneginf(self.lower) & (d > self.dual_tol)) | (
-            np.isposinf(self.upper) & (d < -self.dual_tol))
-        return bool(np.any(wrong & ~self.is_basic))
-
     def run(self) -> LpSolution:
-        # the all-logical start has y = 0, so its reduced costs are the costs
-        status = self._phase_one() if self._dual_infeasible(self.cost) else SolveStatus.OPTIMAL
-        if status is SolveStatus.OPTIMAL:
-            status = self._iterate()
-        return self._finish(status)
-
-    def _phase_one(self) -> SolveStatus:
-        """Look for a dual feasible basis on the auxiliary direction boxes.
-
-        Returns OPTIMAL with that basis installed and every nonbasic column
-        at its real start bound, UNBOUNDED if there is none, or
-        ITERATION_LIMIT.
-        """
-        lower, upper, cost = self.lower, self.upper, self.cost.copy()
-        self._set_bounds(np.where(np.isfinite(lower), 0.0, -1.0),
-                         np.where(np.isfinite(upper), 0.0, 1.0))
-        status = self._iterate()
-        # _perturb moves the costs in place; phase 2 starts from the real ones
-        self.cost, self.perturbed = cost, False
-        self._set_bounds(lower, upper)
-        if status is SolveStatus.INFEASIBLE:
-            raise NumericalBreakdown("the phase-1 program claims to be infeasible")
-        if status is SolveStatus.OPTIMAL and self._dual_infeasible(self._reduced_costs(self.cost)):
-            return SolveStatus.UNBOUNDED
-        return status
+        return self._finish(self._iterate())
 
     def _refresh(self) -> np.ndarray:
         """Reduced costs and basic values from scratch; returns ``d``."""
@@ -396,17 +351,11 @@ class _DualSimplex:
             movable = ~self.is_basic & (self.gap > 0.0)
             # relative to the row: roundoff in a row near 1e10 passes any absolute threshold
             pivot_tol = _PIVOT_TOL * max(1.0, float(np.max(np.abs(a[movable]), initial=0.0)))
-            # a free column may move either way, so either sign of a_j will do
-            cand = np.flatnonzero(movable & (
-                np.where(self.at_upper, a > pivot_tol, a < -pivot_tol)
-                | (self.free & (a > pivot_tol))
-            ))
+            cand = np.flatnonzero(movable & np.where(self.at_upper, a > pivot_tol, a < -pivot_tol))
             if cand.size == 0:
                 return SolveStatus.INFEASIBLE
             slack = np.where(self.at_upper[cand], -d[cand], d[cand])
             ratio = np.maximum(slack, 0.0) / np.abs(a[cand])
-            # a free column's d_j must stay zero: its breakpoint is the start
-            ratio[self.free[cand]] = 0.0
             order = np.lexsort((cand, ~self.at_upper[cand], ratio))
             # passing breakpoint j flips column j, which lowers the slope of
             # the dual objective by |a_j| * (u_j - l_j); an infinite gap

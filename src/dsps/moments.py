@@ -51,7 +51,8 @@ class TargetCriterion:
     value: float
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
+        # a JSON true is a Python bool, which is an int
+        if isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 1:
             raise InvalidCriterion(f"order must be a positive integer, got {self.order!r}")
         value = float(self.value)
         if not np.isfinite(value):

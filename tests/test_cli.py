@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -518,6 +519,55 @@ class TestExitCodes:
                      "--trial-size", "20", "--out", str(tmp / "x")])
         assert code == 4
         assert "solver failure: singular basis matrix" in capsys.readouterr().err
+
+    def test_iteration_limit_is_four(self, workspace, monkeypatch, capsys):
+        from dsps import selection
+
+        monkeypatch.setattr(selection, "solve_lp", partial(selection.solve_lp, max_iterations=1))
+        tmp, _, _, pop_path, targets_path = workspace
+        code = main(["select", "--population", pop_path, "--targets", targets_path,
+                     "--trial-size", "20", "--out", str(tmp / "x")])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "solver failure: no optimum within 1 simplex iterations"
+        ]
+        assert not (tmp / "x").exists()
+
+    # unchecked, these settings reach run.json as NaN or Infinity, which is
+    # not JSON, or fail in the solver or in numpy with a message that does
+    # not name the setting
+    @pytest.mark.parametrize("command, setting, env_seed, named", [
+        ("select", ("--rsse-epsilon", "nan"), None, "rsse epsilon"),
+        ("select", ("--rsse-epsilon", "inf"), None, "rsse epsilon"),
+        ("evaluate", ("--rsse-epsilon", "nan"), None, "rsse epsilon"),
+        ("select", ("--alpha", "inf"), None, "alpha"),
+        ("select", ("--trial-size", "inf"), None, "trial size"),
+        ("select", ("--epsilon", "nan"), None, "epsilon must be finite"),
+        ("select", ("--epsilon", "inf"), None, "epsilon must be finite"),
+        ("select", ("--seed", "-1"), None, "--seed"),
+        ("select", (), "-1", "$DSPS_SEED"),
+    ], ids=["select rsse nan", "select rsse inf", "evaluate rsse nan", "alpha inf",
+            "trial size inf", "epsilon nan", "epsilon inf", "seed -1", "env seed -1"])
+    def test_bad_numeric_setting_is_one(self, workspace, monkeypatch, capsys,
+                                        command, setting, env_seed, named):
+        tmp, pop, _, pop_path, targets_path = workspace
+        if env_seed is None:
+            monkeypatch.delenv("DSPS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DSPS_SEED", env_seed)
+        args = [command, "--population", pop_path, "--targets", targets_path,
+                "--out", str(tmp / "x"), *setting]
+        if command == "select":
+            args += ["--trial-size", "20"] if "--trial-size" not in setting else []
+        else:
+            mask = tmp / "mask.csv"
+            mask.write_text("member_id,selected\n"
+                            + "".join(f"{mid},1\n" for mid in pop.member_ids), encoding="utf-8")
+            args += ["--mask", str(mask)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, err
+        assert not (tmp / "x").exists()
 
 
 # column shapes for generated populations; the last one has ties

@@ -13,8 +13,9 @@ from dsps.lp_core import (
 
 from oracles import box_only_oracle, highs_objective, lp_vertex_oracle
 
-# free and one-sided columns put infinities into the ratio arithmetic, where
-# an inf - inf or 0 * inf must fail a test rather than pass as a NaN
+# one-sided columns and the logicals of inequality rows put infinities into
+# the ratio arithmetic, where an inf - inf or 0 * inf must fail a test rather
+# than pass as a NaN
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -63,27 +64,38 @@ class TestBasics:
         sol = solve_lp(lp([1.0], (), 2.0, 1.0))
         assert sol.status is SolveStatus.INFEASIBLE
 
+    # an unbounded program is not one the solver takes: it is rejected on
+    # construction, before any solve
+
     def test_unbounded_box_only(self):
-        sol = solve_lp(lp([-1.0], (), 0.0, np.inf))
-        assert sol.status is SolveStatus.UNBOUNDED
+        with pytest.raises(DimensionMismatch, match="infinite upper bound"):
+            lp([-1.0], (), 0.0, np.inf)
 
     def test_unbounded_with_row(self):
         # min -x  s.t.  y <= 1 says nothing about x, x unbounded above
         rows = [LpRow([0.0, 1.0], "<=", 1.0)]
-        sol = solve_lp(lp([-1.0, 0.0], rows, 0.0, [np.inf, 2.0]))
-        assert sol.status is SolveStatus.UNBOUNDED
+        with pytest.raises(DimensionMismatch, match="infinite upper bound"):
+            lp([-1.0, 0.0], rows, 0.0, [np.inf, 2.0])
 
     def test_unbounded_free_variable(self):
         rows = [LpRow([1.0, 1.0], "<=", 10.0)]
-        sol = solve_lp(lp([1.0, 0.0], rows, [-np.inf, 0.0], [np.inf, 1.0]))
-        assert sol.status is SolveStatus.UNBOUNDED
+        with pytest.raises(DimensionMismatch, match="lower bounds must be finite"):
+            lp([1.0, 0.0], rows, [-np.inf, 0.0], [np.inf, 1.0])
 
-    def test_free_variable_optimum(self):
-        # min x  s.t.  x >= -3 via row, x otherwise free
+    def test_one_sided_column_optimum(self):
+        # min x  s.t.  x >= -3 via row, x in [-10, inf)
         rows = [LpRow([1.0], ">=", -3.0)]
-        sol = solve_lp(lp([1.0], rows, -np.inf, np.inf))
+        sol = solve_lp(lp([1.0], rows, -10.0, np.inf))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
+
+    # a lower bound of -inf, and +inf above a negative cost, are among
+    # TestProgramsWithoutRows' bound kinds
+    @pytest.mark.parametrize("lower, upper", [(np.inf, np.inf), (np.nan, 1.0), (0.0, np.nan)],
+                             ids=["lower +inf", "lower NaN", "upper NaN"])
+    def test_bounds_outside_the_domain_rejected(self, lower, upper):
+        with pytest.raises(DimensionMismatch):
+            lp([0.0, 1.0], (), [0.0, lower], [1.0, upper])
 
     def test_iteration_limit(self):
         rows = [LpRow([1.0, 1.0, 1.0], "=", 1.5)]
@@ -114,37 +126,45 @@ BOUND_KINDS = {
     "upper only": (-np.inf, 3.0),
     "free": (-np.inf, np.inf),
 }
-BOX_STATUS = {"optimal": SolveStatus.OPTIMAL, "unbounded": SolveStatus.UNBOUNDED}
 
 
 class TestProgramsWithoutRows:
-    """A program with no rows goes through the dual like any other."""
+    """A program with no rows goes through the dual like any other.
+
+    A column with an infinite lower bound, or with an infinite upper bound
+    under a negative cost, is outside the programs the solver takes, and
+    ``LpProblem`` rejects it.
+    """
 
     def check(self, c, lower, upper):
-        status, z = box_only_oracle(c, lower, upper)
+        z = box_only_oracle(c, lower, upper)
         sol = solve_lp(lp(c, (), lower, upper))
-        assert sol.status is BOX_STATUS[status]
+        assert sol.status is SolveStatus.OPTIMAL
         assert sol.max_residual == 0.0
-        if status == "optimal":
-            np.testing.assert_array_equal(sol.z, z)
-            assert sol.objective_value == float(np.dot(c, z))
-            assert sol.iterations == 1  # the pricing pass that proves optimality
-        else:
-            assert sol.z is None and sol.objective_value == float("-inf")
+        np.testing.assert_array_equal(sol.z, z)
+        assert sol.objective_value == float(np.dot(c, z))
+        assert sol.iterations == 1  # the pricing pass that proves optimality
 
     @pytest.mark.parametrize("kind", list(BOUND_KINDS))
     @pytest.mark.parametrize("cost", [-1.5, 0.0, 1.5])
     def test_one_column_matches_the_box_rule(self, cost, kind):
         lo, hi = BOUND_KINDS[kind]
-        self.check([cost], [lo], [hi])
+        if np.isinf(lo) or (np.isinf(hi) and cost < 0.0):
+            with pytest.raises(DimensionMismatch):
+                lp([cost], (), [lo], [hi])
+        else:
+            self.check([cost], [lo], [hi])
 
     def test_seeded_mixed_columns_match_the_box_rule(self):
         rng = np.random.default_rng(1202)
-        kinds = list(BOUND_KINDS.values())
         for _ in range(200):
             n = int(rng.integers(1, 7))
             c = rng.choice([-1.5, 0.0, 1.5], size=n) * rng.uniform(0.5, 2.0, size=n)
-            lower, upper = np.array([kinds[k] for k in rng.integers(0, 4, size=n)]).T
+            lower = np.full(n, BOUND_KINDS["boxed"][0])
+            upper = np.full(n, BOUND_KINDS["boxed"][1])
+            # a column without an upper bound takes a cost >= 0
+            one_sided = (rng.random(n) < 0.5) & (c >= 0.0)
+            upper[one_sided] = BOUND_KINDS["lower only"][1]
             self.check(c, lower, upper)
 
 
@@ -305,19 +325,21 @@ class TestInfeasibilityCertificate:
 
 class TestInfiniteBoundsAgainstHighs:
     def test_seeded_programs_match_highs(self):
-        # every program has a one-sided or free column, so a cost may point
-        # at an infinite bound and send the dual through phase 1
+        # every program has a [0, inf) column, whose cost is >= 0; its
+        # infinite gap never flips in the ratio test
         linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(11)
         seen = {status: 0 for status in SolveStatus}
         for i in range(300):
             n, m = int(rng.integers(2, 7)), int(rng.integers(1, 5))
-            kind = rng.integers(0, 4, size=n)  # boxed, lower only, upper only, free
-            kind[int(rng.integers(n))] = int(rng.integers(1, 4))
-            lower = np.where(kind <= 1, 0.0, -np.inf)
-            upper = np.where(kind % 2 == 0, 1.0, np.inf)
+            one_sided = rng.random(n) < 0.5
+            one_sided[int(rng.integers(n))] = True
+            lower = np.zeros(n)
+            upper = np.where(one_sided, np.inf, 1.0)
+            c = rng.normal(size=n)
+            c[one_sided] = np.abs(c[one_sided])
             rows = random_rows(rng, n, m)
-            problem = lp(rng.normal(size=n), rows, lower, upper)
+            problem = lp(c, rows, lower, upper)
             sol = solve_lp(problem)
             seen[sol.status] += 1
             # a zero objective makes HiGHS answer feasibility alone
@@ -326,8 +348,7 @@ class TestInfiniteBoundsAgainstHighs:
             if sol.status is SolveStatus.OPTIMAL:
                 want = highs_objective(problem, linprog)
                 assert sol.objective_value == pytest.approx(want, rel=1e-7, abs=1e-7), f"program {i}"
-        assert min(seen[s] for s in (SolveStatus.OPTIMAL, SolveStatus.UNBOUNDED,
-                                     SolveStatus.INFEASIBLE)) >= 50
+        assert min(seen[s] for s in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)) >= 50
 
 
 class TestScaleAndSlack:

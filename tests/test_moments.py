@@ -212,6 +212,11 @@ class TestTargetSet:
         again = TargetSet.from_json(ts.to_json())
         assert again == ts
 
+    def test_from_json_rejects_a_boolean_order(self):
+        # JSON true is a Python bool, an int subclass that would pass as order 1
+        with pytest.raises(InvalidCriterion, match="order"):
+            TargetSet.from_json('[{"feature": "a", "order": true, "value": 1.0}]')
+
     def test_from_json_rejects_non_array(self):
         with pytest.raises(InvalidCriterion):
             TargetSet.from_json('{"feature": "a"}')
