@@ -13,7 +13,6 @@ from .evaluate import (
     EvaluationReport,
     evaluate_selection,
     gmi,
-    percentage_error,
     rsse,
 )
 from .lp_core import (
@@ -83,7 +82,6 @@ __all__ = [
     "EvaluationReport",
     "evaluate_selection",
     "rsse",
-    "percentage_error",
     "gmi",
     "DspsError",
     "SmallSampleWarning",

@@ -37,15 +37,16 @@ from .errors import (
     AllDrawsDegenerate,
     DspsError,
     InfeasibleError,
-    IterationLimitExceeded,
-    NumericalBreakdown,
+    InvalidDraws,
+    InvalidSetting,
     SmallSampleWarning,
+    SolverFailure,
 )
 from .evaluate import _denominators, evaluate_selection
 from .moments import TargetSet
 from .realize import draw_best
 from .selection import (
-    DEFAULT_EPSILON,
+    EPSILON,
     SMALL_SAMPLE_THRESHOLD,
     HyperParams,
     solve_fixed_size,
@@ -89,8 +90,6 @@ def _build_parser() -> _Parser:
                      help="slack budget; overrides --trial-size")
     sel.add_argument("--trial-size", type=float, default=None,
                      help="intended cohort size; alpha defaults to 5%% of it")
-    sel.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                     help="denominator guard in scales and weights")
     sel.add_argument("--seed", type=int, default=None,
                      help=f"draw seed; falls back to ${SEED_ENV}, then 0")
     sel.add_argument("--draws", type=int, default=10,
@@ -125,10 +124,10 @@ def main(argv=None) -> int:
     except AllDrawsDegenerate as exc:
         print(f"degenerate draws: {exc}", file=sys.stderr)
         return 3
-    except (NumericalBreakdown, IterationLimitExceeded) as exc:
+    except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
-    except (DspsError, OSError, ValueError) as exc:
+    except (DspsError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -146,9 +145,9 @@ def _resolve_seed(arg_seed) -> int:
         try:
             seed, source = int(env), f"${SEED_ENV}"
         except ValueError:
-            raise DspsError(f"${SEED_ENV}={env!r} is not an integer") from None
+            raise InvalidSetting(f"${SEED_ENV}={env!r} is not an integer") from None
     if seed < 0:
-        raise DspsError(f"{source} must be a non-negative integer, got {seed}")
+        raise InvalidSetting(f"{source} must be a non-negative integer, got {seed}")
     return seed
 
 
@@ -215,12 +214,8 @@ def cmd_select(args) -> int:
     _denominators(np.array([c.value for c in targets]), args.rsse_epsilon)
     seed = _resolve_seed(args.seed)
     if args.draws < 1:
-        raise DspsError(f"--draws must be >= 1, got {args.draws}")
-    hyper = HyperParams(
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        trial_size=args.trial_size,
-    )
+        raise InvalidDraws(f"--draws must be >= 1, got {args.draws}")
+    hyper = HyperParams(alpha=args.alpha, trial_size=args.trial_size)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallSampleWarning)
@@ -288,7 +283,7 @@ def cmd_select(args) -> int:
         "alpha": sel.alpha,
         "beta": sel.beta,
         "eta_max": sel.eta_max,
-        "epsilon": args.epsilon,
+        "epsilon": EPSILON,
         "seed": seed,
         "draws": args.draws,
         "rsse_epsilon": args.rsse_epsilon,
@@ -300,7 +295,7 @@ def cmd_select(args) -> int:
 
     print(
         f"mode={args.mode} expected_size={sel.expected_size:.3f} "
-        f"realized_size={best.size} rsse={best.rsse:.6g} "
+        f"realized_size={best.size} rsse={best.report.rsse:.6g} "
         f"best_draw={best.mask.draw_index}"
     )
     return 0

@@ -22,6 +22,7 @@ __all__ = [
     "MissingPrerequisiteTarget",
     "InvalidCriterion",
     "DimensionMismatch",
+    "SolverFailure",
     "NumericalBreakdown",
     "InfeasibleError",
     "IterationLimitExceeded",
@@ -35,12 +36,17 @@ __all__ = [
     "EmptyIndices",
     "InsufficientForOrder",
     "MissingHyperParam",
+    "InvalidSetting",
     "SmallSampleWarning",
 ]
 
 
 class DspsError(Exception):
     """Base class for all library errors."""
+
+
+class InvalidSetting(DspsError):
+    """A given setting (alpha, beta, eta_max, rsse epsilon, seed) is out of range."""
 
 
 # ---- dataset ----
@@ -109,7 +115,11 @@ class DimensionMismatch(DspsError):
     """Linear program components are inconsistent or outside the solver's domain."""
 
 
-class NumericalBreakdown(DspsError):
+class SolverFailure(DspsError):
+    """The LP solve ended without an optimum or an infeasibility certificate."""
+
+
+class NumericalBreakdown(SolverFailure):
     """The solver hit a singular basis it could not repair."""
 
 
@@ -127,7 +137,7 @@ class InfeasibleError(DspsError):
         self.violation = violation
 
 
-class IterationLimitExceeded(DspsError):
+class IterationLimitExceeded(SolverFailure):
     """The solver stopped at its iteration cap before reaching an optimum."""
 
 

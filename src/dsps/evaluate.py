@@ -2,8 +2,9 @@
 
 Relative measures treat the target as the truth: RSSE is the sum of squared
 relative errors over criteria, percentage error the per-criterion absolute
-relative error times 100.  A zero target makes both undefined and is a hard
-error; callers wanting a softened denominator must opt in to an epsilon.
+relative error times 100 (a field of each :class:`CriterionResult`).  A zero
+target makes both undefined and is a hard error; callers wanting a softened
+denominator must opt in to an epsilon.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Population, feature_column
-from .errors import EmptySelection, LengthMismatch, NonPositiveInput, ZeroTarget
+from .errors import EmptySelection, InvalidSetting, LengthMismatch, NonPositiveInput, ZeroTarget
 from .moments import TargetSet, expected_moment, expected_size, sample_moment
 
 __all__ = [
     "CriterionResult",
     "EvaluationReport",
     "rsse",
-    "percentage_error",
     "gmi",
     "evaluate_selection",
 ]
@@ -52,7 +52,7 @@ class EvaluationReport:
 
 def _denominators(targets: np.ndarray, epsilon: float) -> np.ndarray:
     if not 0.0 <= epsilon < np.inf:
-        raise ZeroTarget(f"rsse epsilon must be finite and >= 0, got {epsilon}")
+        raise InvalidSetting(f"rsse epsilon must be finite and >= 0, got {epsilon}")
     if epsilon == 0.0 and np.any(targets == 0.0):
         idx = int(np.flatnonzero(targets == 0.0)[0])
         raise ZeroTarget(
@@ -70,12 +70,6 @@ def rsse(achieved, targets, epsilon: float = 0.0) -> float:
         raise LengthMismatch(f"{a.size} achieved values for {t.size} targets")
     den = _denominators(t, epsilon)
     return float(np.sum(((a - t) / den) ** 2))
-
-
-def percentage_error(achieved: float, target: float, epsilon: float = 0.0) -> float:
-    """``|achieved - target| / |target| * 100``."""
-    den = _denominators(np.array([float(target)]), epsilon)[0]
-    return float(abs(float(achieved) - float(target)) / den * 100.0)
 
 
 def gmi(mean_glucose: float) -> float:

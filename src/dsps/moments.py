@@ -51,6 +51,8 @@ class TargetCriterion:
     value: float
 
     def __post_init__(self):
+        if not isinstance(self.feature, str):
+            raise InvalidCriterion(f"feature must be a string, got {self.feature!r}")
         # a JSON true is a Python bool, which is an int
         if isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 1:
             raise InvalidCriterion(f"order must be a positive integer, got {self.order!r}")
@@ -113,7 +115,7 @@ class TargetSet:
     def from_json(text: str | bytes) -> "TargetSet":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, huge integer, deep nesting
             raise InvalidCriterion(f"targets JSON does not parse: {exc}") from None
         if not isinstance(raw, list):
             raise InvalidCriterion("targets JSON must be an array of criterion objects")
@@ -121,10 +123,12 @@ class TargetSet:
         for item in raw:
             if not isinstance(item, dict) or not {"feature", "order", "value"} <= set(item):
                 raise InvalidCriterion(f"criterion {item!r} needs feature/order/value")
-            order = item["order"]
+            feature, order = item["feature"], item["order"]
             if isinstance(order, float) and order.is_integer():
                 order = int(order)
-            criteria.append(TargetCriterion(str(item["feature"]), order, float(item["value"])))
+            what = f"value of ({feature!r}, {order!r})"
+            value = json_number(item["value"], what, InvalidCriterion)
+            criteria.append(TargetCriterion(feature, order, value))
         return TargetSet(tuple(criteria))
 
     def to_json(self) -> str:
@@ -133,6 +137,16 @@ class TargetSet:
             for c in self.criteria
         ]
         return json.dumps(rows, indent=2, sort_keys=True)
+
+
+def json_number(value, what: str, error: type) -> float:
+    """``value`` as a float if JSON holds a number there (not ``true``), else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise error(f"{what} is out of range, got {value}") from None
 
 
 def sample_moment(values, order: int) -> float:

@@ -76,14 +76,6 @@ class RealizationResult:
     size: int
     report: EvaluationReport
 
-    @property
-    def realized_moments(self) -> tuple:
-        return self.report.per_criterion
-
-    @property
-    def rsse(self) -> float:
-        return self.report.rsse
-
 
 def uniform_stream(seed: int, draw_index: int, n: int) -> np.ndarray:
     """The pinned uniforms for one draw: PCG64 on ``SeedSequence(seed, (draw_index,))``."""

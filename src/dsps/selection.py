@@ -13,9 +13,10 @@ the row is ``d_i^k - level`` with rhs ``-dof * level``, so ``row . p = rhs``
 exactly when the probability-weighted moment equals the target ``t``.  For
 example order 2 reads ``(x_i - M1)^2 - M2`` with rhs ``-M2`` (the ``n - 1``
 convention) and order 4 ``(x_i - M1)^4 - M2^2 * (M4 + 3)`` with rhs ``0``.
-Each row is conditioned by the scale ``1/(|t| + eps)``
-of its target, so that with automatic hyperparameters every slack has unit
-objective weight and a uniform bound ``alpha`` in scaled space.
+Each row is conditioned by the scale ``1/(|t| + EPSILON)`` of its target
+(the constant ``EPSILON = 1e-6`` guards a zero target), so that with
+automatic hyperparameters every slack has unit objective weight and a
+uniform bound ``alpha`` in scaled space.
 
 In the relaxed form each row gains a pair of slacks ``s+_j, s-_j`` in
 ``[0, eta_max_j]`` with ``row_j . p - s+_j + s-_j = rhs_j``, and the
@@ -36,6 +37,7 @@ from .errors import (
     EmptyTargetSet,
     InfeasibleError,
     InvalidSampleSize,
+    InvalidSetting,
     IterationLimitExceeded,
     LengthMismatch,
     MissingHyperParam,
@@ -66,7 +68,7 @@ __all__ = [
 SIZE_ROW = "size"
 
 SMALL_SAMPLE_THRESHOLD = 30.0
-DEFAULT_EPSILON = 1e-6
+EPSILON = 1e-6
 ALPHA_FRACTION = 0.05  # alpha = 5% of the intended trial size
 
 # below this expected size a max-size optimum counts as the empty selection
@@ -79,24 +81,22 @@ class HyperParams:
 
     ``beta`` and ``eta_max`` are per-row vectors aligned with the constraint
     rows (criteria sorted by order, then input position).  When left unset
-    they follow the target-scaled pattern ``beta_j = 1/(|t_j| + epsilon)``
-    and ``eta_max_j = alpha * (|t_j| + epsilon)``, with
+    they follow the target-scaled pattern ``beta_j = 1/(|t_j| + EPSILON)``
+    and ``eta_max_j = alpha * (|t_j| + EPSILON)``, with
     ``alpha`` set to ``0.05 * trial_size`` on construction when only a trial
-    size is given; an explicit ``alpha`` wins.
+    size is given; an explicit ``alpha`` wins.  A given setting out of range
+    raises :class:`InvalidSetting`, a bad trial size :class:`InvalidSampleSize`.
     """
 
     alpha: float | None = None
     beta: np.ndarray | None = None
     eta_max: np.ndarray | None = None
-    epsilon: float = DEFAULT_EPSILON
     trial_size: float | None = None
 
     def __post_init__(self):
         # NaN fails both comparisons
         if self.alpha is not None and not 0.0 < self.alpha < np.inf:
-            raise MissingHyperParam(f"alpha must be finite and positive, got {self.alpha}")
-        if not 0.0 < self.epsilon < np.inf:
-            raise MissingHyperParam(f"epsilon must be finite and positive, got {self.epsilon}")
+            raise InvalidSetting(f"alpha must be finite and positive, got {self.alpha}")
         if self.trial_size is not None and not 0.0 < self.trial_size < np.inf:
             raise InvalidSampleSize(f"trial size must be finite and positive, got {self.trial_size}")
         for name in ("beta", "eta_max"):
@@ -104,7 +104,7 @@ class HyperParams:
             if vec is not None:
                 arr = np.asarray(vec, dtype=float).ravel()
                 if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-                    raise MissingHyperParam(f"{name} entries must be finite and >= 0")
+                    raise InvalidSetting(f"{name} entries must be finite and >= 0")
                 object.__setattr__(self, name, arr)
         alpha = self.alpha
         if alpha is None and self.trial_size is not None:
@@ -125,9 +125,9 @@ def ordered_criteria(targets: TargetSet):
     )
 
 
-def _tolerance_scales(targets: TargetSet, epsilon: float) -> np.ndarray:
-    """Each criterion row's scale ``|t| + epsilon``, in constraint-row order."""
-    return np.array([abs(c.value) + epsilon for c in ordered_criteria(targets)])
+def _tolerance_scales(targets: TargetSet) -> np.ndarray:
+    """Each criterion row's scale ``|t| + EPSILON``, in constraint-row order."""
+    return np.array([abs(c.value) + EPSILON for c in ordered_criteria(targets)])
 
 
 @dataclass(frozen=True)
@@ -135,27 +135,14 @@ class ConstraintSystem:
     """Rows over the member axis plus the conditioning applied to them.
 
     ``matrix`` and ``rhs`` are unscaled.  ``row_scales[j]`` is the multiplier
-    ``1/(|t_j| + eps)`` whose application yields the conditioned system the
-    solver sees; :meth:`scaled_matrix` / :meth:`scaled_rhs` apply it.
+    ``1/(|t_j| + EPSILON)`` whose application yields the conditioned system
+    the solver sees; :meth:`scaled_matrix` / :meth:`scaled_rhs` apply it.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
     row_labels: tuple
     row_scales: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        r = np.asarray(self.rhs, dtype=float).ravel()
-        s = np.asarray(self.row_scales, dtype=float).ravel()
-        if m.ndim != 2 or m.shape[0] != r.size or r.size != len(self.row_labels) or r.size != s.size:
-            raise LengthMismatch("matrix, rhs, labels, and scales disagree on row count")
-        if np.any(s <= 0.0):
-            raise LengthMismatch("row scales must be positive")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rhs", r)
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "row_scales", s)
 
     @property
     def n_rows(self) -> int:
@@ -178,9 +165,7 @@ def _row_entries(x: np.ndarray, order: int, targets: TargetSet, feature: str):
     return d**order - level, 0.0 - dof * level  # 0.0 - keeps a zero rhs +0.0
 
 
-def build_lp_system(
-    pop: Population, targets: TargetSet, epsilon: float = DEFAULT_EPSILON
-) -> ConstraintSystem:
+def build_lp_system(pop: Population, targets: TargetSet) -> ConstraintSystem:
     """One row per criterion, rhs such that ``row . p = rhs`` matches the target."""
     rows, rhs, labels = [], [], []
     for c in ordered_criteria(targets):
@@ -190,7 +175,7 @@ def build_lp_system(
         rhs.append(b)
         labels.append((c.feature, c.order))
     matrix = np.array(rows).reshape(len(rows), pop.n_members)
-    scales = 1.0 / _tolerance_scales(targets, epsilon)
+    scales = 1.0 / _tolerance_scales(targets)
     return ConstraintSystem(matrix, np.array(rhs), tuple(labels), scales)
 
 
@@ -219,10 +204,10 @@ class SelectionProbabilities:
 def resolve_slack(targets: TargetSet, hyper: HyperParams):
     """Per-row (beta, eta_max) for the criterion rows, in unscaled target units.
 
-    Unset vectors follow the target scale ``|t| + epsilon``: ``beta`` is its
+    Unset vectors follow the target scale ``|t| + EPSILON``: ``beta`` is its
     inverse and ``eta_max`` is ``alpha`` times it.
     """
-    scale = _tolerance_scales(targets, hyper.epsilon)
+    scale = _tolerance_scales(targets)
     if scale.size == 0:
         return np.empty(0), np.empty(0)
     beta = 1.0 / scale if hyper.beta is None else hyper.beta
@@ -249,28 +234,26 @@ def _select(
     ``[0, eta_max_j]`` and costing ``beta_j`` each, all in scaled units, and
     the objective adds ``size_sign * sum(p)``.  ``relaxed=False`` gives the
     strict program, which has no slack columns.  ``n_t`` appends the size
-    row ``sum(p) = n_t``, whose scale and weight are ``1/(n_t + eps)`` and
-    whose slack is capped by ``alpha``.  The result carries ``eta`` and the
-    slack settings when there are slack rows.
+    row ``sum(p) = n_t``, whose scale and weight are ``1/(n_t + EPSILON)``
+    and whose slack is capped by ``alpha``.  The result carries ``eta`` and
+    the slack settings when there are slack rows.
     """
-    system = build_lp_system(pop, targets, hyper.epsilon)
+    system = build_lp_system(pop, targets)
+    A, C = system.scaled_matrix(), system.scaled_rhs()
+    scales, labels = system.row_scales, system.row_labels
     if relaxed:
         beta, eta_max = resolve_slack(targets, hyper)
     if n_t is not None:
-        size_scale = 1.0 / (n_t + hyper.epsilon)
+        size_scale = 1.0 / (n_t + EPSILON)
+        A = np.vstack([A, np.full((1, pop.n_members), size_scale)])
+        C = np.append(C, n_t * size_scale)
+        scales = np.append(scales, size_scale)
+        labels += (SIZE_ROW,)
         beta = np.append(beta, size_scale)
         eta_max = np.append(eta_max, hyper.resolved_alpha())
-        system = ConstraintSystem(
-            np.vstack([system.matrix, np.ones((1, pop.n_members))]),
-            np.append(system.rhs, n_t),
-            system.row_labels + (SIZE_ROW,),
-            np.append(system.row_scales, size_scale),
-        )
-    m, n = system.matrix.shape
+    m, n = A.shape
     k = m if relaxed else 0  # slack pairs
-    scales = system.row_scales
-    A = np.hstack([system.scaled_matrix(), -np.eye(m, k), np.eye(m, k)])
-    C = system.scaled_rhs()
+    A = np.hstack([A, -np.eye(m, k), np.eye(m, k)])
     weight = beta / scales if k else np.empty(0)
     cap = eta_max * scales if k else np.empty(0)
     c = np.concatenate([np.full(n, size_sign), weight, weight])
@@ -296,7 +279,7 @@ def _select(
         p=p,
         eta=eta,
         expected_size=float(np.sum(p)),
-        row_labels=system.row_labels,
+        row_labels=labels,
         solver=solution,
         alpha=hyper.alpha if k else None,
         beta=beta if k else None,
@@ -360,7 +343,7 @@ def solve_fixed_size(
     """Expected size pinned to ``n_t`` within ``alpha``, targets relaxed as usual.
 
     The size row carries its own slack bounded by ``alpha`` with objective
-    weight ``1/(n_t + eps)``, mirroring the criterion rows' target scaling.
+    weight ``1/(n_t + EPSILON)``, mirroring the criterion rows' target scaling.
     """
     if len(targets) == 0:
         raise EmptyTargetSet("fixed-size mode needs at least one target criterion")

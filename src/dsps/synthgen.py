@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import Population
 from .errors import EmptyIndices, InsufficientForOrder, InvalidSpec
-from .moments import TargetCriterion, TargetSet, sample_moment
+from .moments import TargetCriterion, TargetSet, json_number, sample_moment
 
 __all__ = [
     "Normal",
@@ -70,8 +70,8 @@ class Mixture:
         comps = tuple((float(w), dist) for w, dist in self.components)
         if not comps:
             raise InvalidSpec("mixture needs at least one component")
-        if any(w < 0.0 for w, _ in comps):
-            raise InvalidSpec("mixture weights must be nonnegative")
+        if not all(0.0 <= w < np.inf for w, _ in comps):
+            raise InvalidSpec("mixture weights must be finite and nonnegative")
         if not sum(w for w, _ in comps) > 0.0:
             raise InvalidSpec("mixture weights must have positive total")
         object.__setattr__(self, "components", comps)
@@ -96,6 +96,10 @@ class FeatureSpec:
     name: str
     dist: Distribution
 
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidSpec(f"feature name must be a string, got {self.name!r}")
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -104,8 +108,10 @@ class SynthSpec:
     features: tuple[FeatureSpec, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n_p, (int, np.integer)) or self.n_p < 1:
-            raise InvalidSpec(f"n_p must be a positive integer, got {self.n_p!r}")
+        for name, low in (("n_p", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise InvalidSpec(f"{name} must be an integer >= {low}, got {value!r}")
         object.__setattr__(self, "features", tuple(self.features))
         if not self.features:
             raise InvalidSpec("spec needs at least one feature")
@@ -114,14 +120,17 @@ class SynthSpec:
     def from_json(text: str | bytes) -> "SynthSpec":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, huge integer, deep nesting
             raise InvalidSpec(f"spec JSON does not parse: {exc}") from None
         try:
             features = tuple(
-                FeatureSpec(str(f["name"]), _dist_from_json(f["dist"]))
+                FeatureSpec(f["name"], _dist_from_json(f["dist"]))
                 for f in raw["features"]
             )
-            return SynthSpec(int(raw["n_p"]), int(raw["seed"]), features)
+            # an integral float counts as an integer; SynthSpec checks the rest
+            n_p, seed = (int(v) if isinstance(v, float) and v.is_integer() else v
+                         for v in (raw["n_p"], raw["seed"]))
+            return SynthSpec(n_p, seed, features)
         except (KeyError, TypeError) as exc:
             raise InvalidSpec(f"spec JSON is missing fields: {exc}") from None
 
@@ -130,13 +139,13 @@ def _dist_from_json(node) -> Distribution:
     if not isinstance(node, dict) or "type" not in node:
         raise InvalidSpec(f"distribution node {node!r} needs a type")
     kind = node["type"]
-    if kind == "normal":
-        return Normal(float(node["mu"]), float(node["sigma"]))
-    if kind == "lognormal":
-        return LogNormal(float(node["mu"]), float(node["sigma"]))
+    if kind in ("normal", "lognormal"):
+        mu, sigma = (json_number(node[k], f"{kind} {k}", InvalidSpec) for k in ("mu", "sigma"))
+        return (Normal if kind == "normal" else LogNormal)(mu, sigma)
     if kind == "mixture":
         comps = tuple(
-            (float(c["weight"]), _dist_from_json(c["dist"])) for c in node["components"]
+            (json_number(c["weight"], "mixture weight", InvalidSpec), _dist_from_json(c["dist"]))
+            for c in node["components"]
         )
         return Mixture(comps)
     raise InvalidSpec(f"unknown distribution type {kind!r}")

@@ -1,5 +1,7 @@
+import argparse
 import io
 import json
+import re
 import shutil
 import subprocess
 import tempfile
@@ -12,9 +14,16 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from dsps.cli import MODES, main
+from dsps.cli import MODES, _build_parser, main
 from dsps.dataset import Population, load_population, save_population
-from dsps.errors import ZeroVariance
+from dsps.errors import (
+    InvalidDraws,
+    InvalidSetting,
+    IterationLimitExceeded,
+    NumericalBreakdown,
+    SolverFailure,
+    ZeroVariance,
+)
 from dsps.evaluate import evaluate_selection
 from dsps.moments import TargetCriterion, TargetSet
 from dsps.selection import HyperParams, solve_fixed_size, solve_max_size
@@ -293,7 +302,7 @@ class TestSlackSettings:
         tmp, pop, targets, pop_path, targets_path = workspace
         assert main(["select", "--population", pop_path, "--targets", targets_path,
                      "--mode", "fixed", "--n-target", "20", "--alpha", "0.5",
-                     "--epsilon", "1e-6", "--out", str(tmp / "f")]) == 0
+                     "--out", str(tmp / "f")]) == 0
         run = json.loads((tmp / "f" / "run.json").read_text())
         assert len(run["beta"]) == len(run["eta_max"]) == len(targets) + 1
         assert run["beta"][-1] == 1.0 / (20.0 + 1e-6)
@@ -395,6 +404,50 @@ class TestExitCodes:
         assert main(["select", "--population", pop_path, "--targets", targets_path,
                      "--trial-size", "20", "--draws", "0",
                      "--out", str(tmp / "x")]) == 1
+
+    def test_epsilon_is_not_a_flag(self, workspace, capsys):
+        # the target-scale guard is the constant selection.EPSILON
+        tmp, pop, targets, pop_path, targets_path = workspace
+        assert main(["select", "--population", pop_path, "--targets", targets_path,
+                     "--trial-size", "20", "--epsilon", "1e-6", "--out", str(tmp / "x")]) == 1
+        assert "unrecognized arguments: --epsilon 1e-6" in capsys.readouterr().err
+        assert not (tmp / "x").exists()
+
+    def test_targets_file_not_utf8_is_one(self, workspace, capsys):
+        tmp, pop, targets, pop_path, targets_path = workspace
+        latin1 = tmp / "latin1.json"
+        latin1.write_bytes(b'[{"feature": "caf\xe9", "order": 1, "value": 1.0}]')
+        assert main(["select", "--population", pop_path, "--targets", str(latin1),
+                     "--trial-size", "20", "--out", str(tmp / "x")]) == 1
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+        assert not (tmp / "x").exists()
+
+    # each given setting that is out of range raises the class of its check
+    @pytest.mark.parametrize("setting, env_seed, error", [
+        (("--alpha", "inf"), None, InvalidSetting),
+        (("--rsse-epsilon", "nan"), None, InvalidSetting),
+        (("--seed", "-1"), None, InvalidSetting),
+        ((), "-1", InvalidSetting),
+        ((), "not-a-number", InvalidSetting),
+        (("--draws", "0"), None, InvalidDraws),
+    ], ids=["alpha inf", "rsse nan", "seed -1", "env seed -1", "env seed text", "draws 0"])
+    def test_bad_setting_raises_its_own_class(self, workspace, monkeypatch,
+                                              setting, env_seed, error):
+        tmp, pop, targets, pop_path, targets_path = workspace
+        if env_seed is None:
+            monkeypatch.delenv("DSPS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DSPS_SEED", env_seed)
+        args = _build_parser().parse_args([
+            "select", "--population", pop_path, "--targets", targets_path,
+            "--trial-size", "20", "--out", str(tmp / "x"), *setting])
+        with pytest.raises(error):
+            args.func(args)
+        assert not (tmp / "x").exists()
+
+    def test_solver_failures_share_the_exit_four_class(self):
+        assert issubclass(NumericalBreakdown, SolverFailure)
+        assert issubclass(IterationLimitExceeded, SolverFailure)
 
     def test_missing_slack_budget_is_one(self, workspace, capsys):
         tmp, pop, targets, pop_path, targets_path = workspace
@@ -542,12 +595,10 @@ class TestExitCodes:
         ("evaluate", ("--rsse-epsilon", "nan"), None, "rsse epsilon"),
         ("select", ("--alpha", "inf"), None, "alpha"),
         ("select", ("--trial-size", "inf"), None, "trial size"),
-        ("select", ("--epsilon", "nan"), None, "epsilon must be finite"),
-        ("select", ("--epsilon", "inf"), None, "epsilon must be finite"),
         ("select", ("--seed", "-1"), None, "--seed"),
         ("select", (), "-1", "$DSPS_SEED"),
     ], ids=["select rsse nan", "select rsse inf", "evaluate rsse nan", "alpha inf",
-            "trial size inf", "epsilon nan", "epsilon inf", "seed -1", "env seed -1"])
+            "trial size inf", "seed -1", "env seed -1"])
     def test_bad_numeric_setting_is_one(self, workspace, monkeypatch, capsys,
                                         command, setting, env_seed, named):
         tmp, pop, _, pop_path, targets_path = workspace
@@ -781,6 +832,19 @@ def test_evaluate_reads_a_mask_as_it_reads_a_population(workspace, capsys, case)
         assert json.loads(out)["realized_size"] == sum(bits)
     else:
         assert err.startswith(f"error: {mask_path}: ")
+
+
+def test_readme_flag_table_matches_the_select_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### select\n", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `(--[a-z-]+)` \|", section, flags=re.M)
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in sub.choices["select"]._actions for o in a.option_strings}
+    options -= {"-h", "--help"}
+    assert rows and len(rows) == len(set(rows))
+    assert set(rows) <= options, "README rows that are not select options"
+    # the usage block above the table shows the two required files
+    assert options - set(rows) <= {"--population", "--targets"}, "select options without a row"
 
 
 class TestPackaging:

@@ -6,6 +6,7 @@ import pytest
 from dsps.dataset import Population
 from dsps.errors import (
     EmptySelection,
+    InvalidSetting,
     LengthMismatch,
     NonPositiveInput,
     ZeroTarget,
@@ -13,7 +14,6 @@ from dsps.errors import (
 from dsps.evaluate import (
     evaluate_selection,
     gmi,
-    percentage_error,
     rsse,
 )
 from dsps.moments import TargetCriterion, TargetSet, sample_moment
@@ -44,12 +44,25 @@ class TestRsse:
         assert rsse([0.1], [0.0], epsilon=0.5) == pytest.approx((0.1 / 0.5) ** 2)
 
     def test_negative_epsilon_rejected(self):
-        with pytest.raises(ZeroTarget):
+        with pytest.raises(InvalidSetting):
             rsse([1.0], [1.0], epsilon=-1e-9)
+
+    def test_nan_epsilon_is_an_invalid_setting_not_a_zero_target(self):
+        # no target is zero, so a caller softening zero targets must not catch it
+        with pytest.raises(InvalidSetting, match="rsse epsilon must be finite") as info:
+            rsse([1.0], [2.0], float("nan"))
+        assert not isinstance(info.value, ZeroTarget)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             rsse([1.0, 2.0], [1.0])
+
+
+def percentage_error(achieved: float, target: float, epsilon: float = 0.0) -> float:
+    """The report's percentage error of a one-member mask against one mean target."""
+    targets = TargetSet((TargetCriterion("f", 1, target),))
+    report = evaluate_selection(make_pop([achieved]), targets, np.ones(1, dtype=int), epsilon)
+    return report.per_criterion[0].percentage_error
 
 
 class TestPercentageError:

@@ -217,6 +217,28 @@ class TestTargetSet:
         with pytest.raises(InvalidCriterion, match="order"):
             TargetSet.from_json('[{"feature": "a", "order": true, "value": 1.0}]')
 
+    # each was coerced once: 7 into the name "7", true into 1.0, "3" into 3.0,
+    # and "abc" escaped as a bare ValueError
+    @pytest.mark.parametrize("item, field", [
+        ('"feature": 7, "order": 1, "value": 1.0', "feature"),
+        ('"feature": "a", "order": 1, "value": true', "value"),
+        ('"feature": "a", "order": 1, "value": "3"', "value"),
+        ('"feature": "a", "order": 1, "value": "abc"', "value"),
+        ('"feature": "a", "order": 1, "value": 1' + "0" * 400, "value"),
+    ], ids=["int feature", "bool value", "string value", "text value", "huge int value"])
+    def test_from_json_refuses_what_it_used_to_coerce(self, item, field):
+        with pytest.raises(InvalidCriterion, match=field):
+            TargetSet.from_json(f"[{{{item}}}]")
+
+    def test_from_json_refuses_nesting_too_deep_to_parse(self):
+        with pytest.raises(InvalidCriterion, match="does not parse"):
+            TargetSet.from_json("[" * 100_000)
+
+    def test_from_json_keeps_an_integer_value(self):
+        ts = TargetSet.from_json('[{"feature": "a", "order": 1.0, "value": 3}]')
+        assert ts.criteria == (TargetCriterion("a", 1, 3.0),)
+        assert type(ts.criteria[0].value) is float
+
     def test_from_json_rejects_non_array(self):
         with pytest.raises(InvalidCriterion):
             TargetSet.from_json('{"feature": "a"}')

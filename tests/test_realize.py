@@ -142,11 +142,11 @@ class TestDrawBest:
             assert (s.draw_index, s.size) == (k, mask.size)
             assert s.rsse == pytest.approx(report.rsse, rel=1e-12)
         want = min(keys)
-        assert best.rsse == pytest.approx(want[0], rel=1e-12)
+        assert best.report.rsse == pytest.approx(want[0], rel=1e-12)
         assert best.size == -want[1]
         assert best.mask.draw_index == want[2]
         np.testing.assert_array_equal(best.mask.b, draw(p, 77, want[2]).b)
-        assert len(best.realized_moments) == len(targets)
+        assert len(best.report.per_criterion) == len(targets)
 
     def test_empty_targets_tie_break_prefers_size_then_index(self):
         # rsse is identically zero without criteria, so the ordering is
@@ -157,7 +157,7 @@ class TestDrawBest:
         sizes = [s.size for s in stats]
         assert best.size == max(sizes)
         assert best.mask.draw_index == sizes.index(max(sizes))
-        assert best.rsse == 0.0
+        assert best.report.rsse == 0.0
 
     def test_single_draw_equals_draw_plus_evaluate(self):
         pop, targets, p = self.instance()
@@ -165,7 +165,7 @@ class TestDrawBest:
         mask = draw(p, 33, 0)
         report = evaluate_selection(pop, targets, mask)
         np.testing.assert_array_equal(best.mask.b, mask.b)
-        assert best.rsse == report.rsse
+        assert best.report.rsse == report.rsse
         assert len(stats) == 1 and stats[0].size == mask.size
 
     def test_indicator_probabilities_reproduce_the_planted_subset(self):
@@ -176,8 +176,8 @@ class TestDrawBest:
         best, stats = draw_best(p, pop, targets, n_draws=6, seed=2024)
         want = evaluate_selection(pop, targets, SelectionMask(p.astype(np.int8), 0, 0))
         np.testing.assert_array_equal(best.mask.b, p.astype(np.int8))
-        assert best.rsse == want.rsse
-        assert best.rsse <= 1e-10
+        assert best.report.rsse == want.rsse
+        assert best.report.rsse <= 1e-10
         assert all(s.size == idx.size and s.rsse == want.rsse for s in stats)
 
     def test_all_empty_draws_raise(self):
@@ -204,7 +204,7 @@ class TestDrawBest:
         p = np.full(40, 0.035)
         best, stats = draw_best(p, pop, targets, n_draws=40, seed=11)
         assert any(np.isinf(s.rsse) for s in stats)
-        assert np.isfinite(best.rsse)
+        assert np.isfinite(best.report.rsse)
 
     def test_zero_target_is_raised_not_counted_as_unusable(self):
         # every draw fails the same way because of the targets, so the fault
@@ -214,7 +214,7 @@ class TestDrawBest:
         with pytest.raises(ZeroTarget):
             draw_best(np.full(21, 0.5), pop, targets, n_draws=4, seed=9)
         best, _ = draw_best(np.full(21, 0.5), pop, targets, n_draws=4, seed=9, rsse_epsilon=1.0)
-        assert np.isfinite(best.rsse)
+        assert np.isfinite(best.report.rsse)
 
     def test_invalid_draw_counts(self):
         pop = make_pop(np.arange(3.0))

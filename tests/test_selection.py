@@ -11,6 +11,7 @@ from dsps.errors import (
     EmptyTargetSet,
     InfeasibleError,
     InvalidSampleSize,
+    InvalidSetting,
     LengthMismatch,
     MissingHyperParam,
     SmallSampleWarning,
@@ -104,7 +105,7 @@ class TestBuildLpSystem:
             ("a", 1, 3.1), ("a", 2, 0.9), ("a", 3, 0.2), ("a", 4, -0.3),
             ("b", 1, -2.2), ("b", 2, 4.4), ("b", 5, 1.7),
         )
-        system = build_lp_system(pop, targets, epsilon=1e-6)
+        system = build_lp_system(pop, targets)
         by_label = dict(zip(system.row_labels, range(system.n_rows)))
         for feature, col in (("a", 0), ("b", 1)):
             x = pop.data[:, col]
@@ -205,16 +206,21 @@ class TestHyperParams:
         assert eta_max[0] == pytest.approx(1e-6)
 
     def test_validation(self):
-        with pytest.raises(MissingHyperParam):
+        with pytest.raises(InvalidSetting):
             HyperParams(alpha=0.0)
-        with pytest.raises(MissingHyperParam):
-            HyperParams(epsilon=0.0)
         with pytest.raises(InvalidSampleSize):
             HyperParams(trial_size=-3.0)
-        with pytest.raises(MissingHyperParam):
+        with pytest.raises(InvalidSetting):
             HyperParams(beta=np.array([-1.0]))
-        with pytest.raises(MissingHyperParam):
+        with pytest.raises(InvalidSetting):
             HyperParams(eta_max=np.array([np.inf]))
+
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan, 0.0], ids=["inf", "nan", "zero"])
+    def test_given_alpha_out_of_range_is_an_invalid_setting(self, alpha):
+        # the setting was given, so it is not a missing hyperparameter
+        with pytest.raises(InvalidSetting, match="alpha must be finite and positive") as info:
+            HyperParams(alpha=alpha, trial_size=400.0)
+        assert not isinstance(info.value, MissingHyperParam)
 
     def test_resolved_alpha_prefers_explicit(self):
         assert HyperParams(alpha=7.0, trial_size=400.0).resolved_alpha() == 7.0

@@ -174,6 +174,48 @@ class TestSpecJson:
                 json.dumps({"n_p": 5, "seed": 0, "features": [{"name": "f"}]})
             )
 
+    # each was coerced once (12.7 truncated to 12 members, true to seed 1,
+    # 5 to the name "5", "3" to 3.0), or escaped as a bare ValueError
+    @pytest.mark.parametrize("path, bad, field", [
+        (("n_p",), 12.7, "n_p"),
+        (("seed",), True, "seed"),
+        (("seed",), -1, "seed"),
+        (("features", 0, "name"), 5, "name"),
+        (("features", 0, "dist", "mu"), "3", "mu"),
+        (("features", 0, "dist", "mu"), "abc", "mu"),
+        (("features", 1, "dist", "components", 0, "weight"), float("inf"), "weight"),
+    ], ids=["fractional n_p", "bool seed", "negative seed", "int name", "string mu",
+            "text mu", "infinite weight"])
+    def test_from_json_refuses_what_it_used_to_coerce(self, path, bad, field):
+        raw = {
+            "n_p": 12,
+            "seed": 3,
+            "features": [
+                {"name": "a", "dist": {"type": "normal", "mu": 1.0, "sigma": 2.0}},
+                {"name": "b", "dist": {"type": "mixture", "components": [
+                    {"weight": 1.0, "dist": {"type": "lognormal", "mu": 0.0, "sigma": 0.5}},
+                ]}},
+            ],
+        }
+        assert SynthSpec.from_json(json.dumps(raw)).n_p == 12
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        with pytest.raises(InvalidSpec, match=field):
+            SynthSpec.from_json(json.dumps(raw))
+
+    def test_from_json_refuses_nesting_too_deep_to_parse(self):
+        with pytest.raises(InvalidSpec, match="does not parse"):
+            SynthSpec.from_json("[" * 100_000)
+
+    def test_from_json_keeps_an_integral_float(self):
+        text = json.dumps({"n_p": 12.0, "seed": 3.0, "features": [
+            {"name": "a", "dist": {"type": "normal", "mu": 1, "sigma": 2}}]})
+        spec = SynthSpec.from_json(text)
+        assert (spec.n_p, spec.seed) == (12, 3) and type(spec.n_p) is int
+        assert spec.features[0].dist == Normal(1.0, 2.0)
+
     def test_unknown_distribution_type(self):
         with pytest.raises(InvalidSpec):
             SynthSpec.from_json(
