@@ -46,7 +46,7 @@ class DspsError(Exception):
 
 
 class InvalidSetting(DspsError):
-    """A given setting (alpha, beta, eta_max, rsse epsilon, seed) is out of range."""
+    """A given setting (alpha, rsse epsilon, seed) is out of range."""
 
 
 # ---- dataset ----

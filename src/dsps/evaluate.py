@@ -46,7 +46,6 @@ class EvaluationReport:
     rsse: float
     pe_mean: float
     pe_sd: float
-    expected_size: float | None
     realized_size: int | None
 
 
@@ -110,7 +109,6 @@ def evaluate_selection(
         realized_size = int(np.count_nonzero(keep))
         if realized_size == 0:
             raise EmptySelection("mask selects no members")
-        exp_size = None
         achieved = [
             sample_moment(feature_column(pop, c.feature)[keep], c.order)
             for c in targets
@@ -119,7 +117,7 @@ def evaluate_selection(
         if vec.size != pop.n_members:
             raise LengthMismatch(f"{vec.size} probabilities for {pop.n_members} members")
         realized_size = None
-        exp_size = expected_size(vec)
+        expected_size(vec)  # refuses a p outside [0, 1]
         achieved = []
         for c in targets:
             x = feature_column(pop, c.feature)
@@ -137,7 +135,7 @@ def evaluate_selection(
     pe_mean = float(np.mean(pes)) if pes.size else 0.0
     pe_sd = float(np.std(pes, ddof=1)) if pes.size > 1 else 0.0
     return EvaluationReport(
-        per_criterion, rsse(a, t, rsse_epsilon), pe_mean, pe_sd, exp_size, realized_size
+        per_criterion, rsse(a, t, rsse_epsilon), pe_mean, pe_sd, realized_size
     )
 
 

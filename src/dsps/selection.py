@@ -14,15 +14,14 @@ exactly when the probability-weighted moment equals the target ``t``.  For
 example order 2 reads ``(x_i - M1)^2 - M2`` with rhs ``-M2`` (the ``n - 1``
 convention) and order 4 ``(x_i - M1)^4 - M2^2 * (M4 + 3)`` with rhs ``0``.
 Each row is conditioned by the scale ``1/(|t| + EPSILON)`` of its target
-(the constant ``EPSILON = 1e-6`` guards a zero target), so that with
-automatic hyperparameters every slack has unit objective weight and a
-uniform bound ``alpha`` in scaled space.
-
-In the relaxed form each row gains a pair of slacks ``s+_j, s-_j`` in
-``[0, eta_max_j]`` with ``row_j . p - s+_j + s-_j = rhs_j``, and the
-objective trades expected size against weighted slack:
-``-sum(p) + sum(beta_j (s+_j + s-_j))``.  The reported slack
-``eta_j = |s+_j - s-_j|`` is the row's residual.
+(the constant ``EPSILON = 1e-6`` guards a zero target), and the relaxed
+program is stated in those scaled rows: each row gains a pair of slacks
+``s+_j, s-_j`` in ``[0, alpha]`` with ``row_j . p - s+_j + s-_j = rhs_j``,
+and the objective trades expected size against slack, each unit costing 1:
+``-sum(p) + sum(s+_j + s-_j)``.  In target units that is the weight
+``beta_j = 1/(|t_j| + EPSILON)`` and the cap
+``eta_max_j = alpha * (|t_j| + EPSILON)``, which ``run.json`` records.  The
+reported slack ``eta_j = |s+_j - s-_j|`` is the row's residual.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .errors import (
     InvalidSampleSize,
     InvalidSetting,
     IterationLimitExceeded,
-    LengthMismatch,
     MissingHyperParam,
     SmallSampleWarning,
 )
@@ -56,7 +54,6 @@ from .moments import TargetSet, moment_terms
 __all__ = [
     "SIZE_ROW",
     "HyperParams",
-    "resolve_slack",
     "ConstraintSystem",
     "build_lp_system",
     "SelectionProbabilities",
@@ -77,20 +74,16 @@ _EMPTY_SELECTION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Relaxation hyperparameters; ``None`` fields resolve automatically.
+    """The slack budget ``alpha``; ``None`` resolves from the trial size.
 
-    ``beta`` and ``eta_max`` are per-row vectors aligned with the constraint
-    rows (criteria sorted by order, then input position).  When left unset
-    they follow the target-scaled pattern ``beta_j = 1/(|t_j| + EPSILON)``
-    and ``eta_max_j = alpha * (|t_j| + EPSILON)``, with
-    ``alpha`` set to ``0.05 * trial_size`` on construction when only a trial
-    size is given; an explicit ``alpha`` wins.  A given setting out of range
-    raises :class:`InvalidSetting`, a bad trial size :class:`InvalidSampleSize`.
+    ``alpha`` caps every criterion slack in scaled row space, and the size
+    slack of a fixed-size solve at ``alpha`` members.  When only a trial size
+    is given, ``alpha`` is set to ``0.05 * trial_size`` on construction; an
+    explicit ``alpha`` wins.  A given ``alpha`` out of range raises
+    :class:`InvalidSetting`, a bad trial size :class:`InvalidSampleSize`.
     """
 
     alpha: float | None = None
-    beta: np.ndarray | None = None
-    eta_max: np.ndarray | None = None
     trial_size: float | None = None
 
     def __post_init__(self):
@@ -99,13 +92,6 @@ class HyperParams:
             raise InvalidSetting(f"alpha must be finite and positive, got {self.alpha}")
         if self.trial_size is not None and not 0.0 < self.trial_size < np.inf:
             raise InvalidSampleSize(f"trial size must be finite and positive, got {self.trial_size}")
-        for name in ("beta", "eta_max"):
-            vec = getattr(self, name)
-            if vec is not None:
-                arr = np.asarray(vec, dtype=float).ravel()
-                if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-                    raise InvalidSetting(f"{name} entries must be finite and >= 0")
-                object.__setattr__(self, name, arr)
         alpha = self.alpha
         if alpha is None and self.trial_size is not None:
             alpha = ALPHA_FRACTION * float(self.trial_size)
@@ -185,9 +171,10 @@ class SelectionProbabilities:
 
     ``eta`` is in unscaled (target) units, one entry per constraint row, or
     ``None`` for the strict-equality solve.  ``expected_size`` is ``sum(p)``.
-    ``alpha``, ``beta`` and ``eta_max`` are the slack settings the solve used,
-    aligned with ``row_labels`` (the fixed-size row included), or ``None``
-    when the program has no slack rows.
+    ``alpha``, ``beta`` and ``eta_max`` are the slack settings of the solve
+    in target units (see the module docstring; the fixed-size row has
+    ``beta = 1/(n_t + EPSILON)`` and ``eta_max = alpha``), aligned with
+    ``row_labels``, or ``None`` when the program has no slack rows.
     """
 
     p: np.ndarray
@@ -201,24 +188,6 @@ class SelectionProbabilities:
     eta_max: np.ndarray | None = None
 
 
-def resolve_slack(targets: TargetSet, hyper: HyperParams):
-    """Per-row (beta, eta_max) for the criterion rows, in unscaled target units.
-
-    Unset vectors follow the target scale ``|t| + EPSILON``: ``beta`` is its
-    inverse and ``eta_max`` is ``alpha`` times it.
-    """
-    scale = _tolerance_scales(targets)
-    if scale.size == 0:
-        return np.empty(0), np.empty(0)
-    beta = 1.0 / scale if hyper.beta is None else hyper.beta
-    eta_max = hyper.resolved_alpha() * scale if hyper.eta_max is None else hyper.eta_max
-    if beta.size != scale.size or eta_max.size != scale.size:
-        raise LengthMismatch(
-            f"beta/eta_max need {scale.size} entries, got {beta.size}/{eta_max.size}"
-        )
-    return beta, eta_max
-
-
 def _select(
     pop: Population,
     targets: TargetSet,
@@ -230,37 +199,40 @@ def _select(
     """Build and solve the selection program in scaled row space.
 
     Variables are ``[p, s_plus, s_minus]``; row ``j`` reads
-    ``A_j p - s_plus_j + s_minus_j = C_j`` with both slacks in
-    ``[0, eta_max_j]`` and costing ``beta_j`` each, all in scaled units, and
-    the objective adds ``size_sign * sum(p)``.  ``relaxed=False`` gives the
-    strict program, which has no slack columns.  ``n_t`` appends the size
-    row ``sum(p) = n_t``, whose scale and weight are ``1/(n_t + EPSILON)``
-    and whose slack is capped by ``alpha``.  The result carries ``eta`` and
-    the slack settings when there are slack rows.
+    ``A_j p - s_plus_j + s_minus_j = C_j``, every slack costs 1 and is
+    capped at ``alpha``, and the objective adds ``size_sign * sum(p)``.
+    ``relaxed=False`` gives the strict program, which has no slack columns
+    and needs no ``alpha``.  ``n_t`` appends the size row ``sum(p) = n_t``,
+    scaled by ``1/(n_t + EPSILON)``, whose slack is capped at
+    ``alpha/(n_t + EPSILON)``: ``alpha`` members.  The result carries ``eta``
+    and the slack settings in target units when there are slack rows.
     """
     system = build_lp_system(pop, targets)
     A, C = system.scaled_matrix(), system.scaled_rhs()
     scales, labels = system.row_scales, system.row_labels
-    if relaxed:
-        beta, eta_max = resolve_slack(targets, hyper)
     if n_t is not None:
         size_scale = 1.0 / (n_t + EPSILON)
         A = np.vstack([A, np.full((1, pop.n_members), size_scale)])
         C = np.append(C, n_t * size_scale)
         scales = np.append(scales, size_scale)
         labels += (SIZE_ROW,)
-        beta = np.append(beta, size_scale)
-        eta_max = np.append(eta_max, hyper.resolved_alpha())
     m, n = A.shape
     k = m if relaxed else 0  # slack pairs
+    upper = np.ones(n)
+    slack = {}
+    if k:
+        alpha = hyper.resolved_alpha()
+        cap = np.full(k, alpha)
+        eta_max = alpha * _tolerance_scales(targets)
+        if n_t is not None:
+            cap[-1] *= size_scale
+            eta_max = np.append(eta_max, alpha)
+        upper = np.concatenate([upper, cap, cap])
+        slack = {"alpha": alpha, "beta": scales, "eta_max": eta_max}
     A = np.hstack([A, -np.eye(m, k), np.eye(m, k)])
-    weight = beta / scales if k else np.empty(0)
-    cap = eta_max * scales if k else np.empty(0)
-    c = np.concatenate([np.full(n, size_sign), weight, weight])
+    c = np.concatenate([np.full(n, size_sign), np.ones(2 * k)])
     rows = tuple(LpRow(A[j], Relation.EQ, C[j]) for j in range(m))
-    lower = np.zeros(n + 2 * k)
-    upper = np.concatenate([np.ones(n), cap, cap])
-    solution = solve_lp(LpProblem(c, rows, lower, upper))
+    solution = solve_lp(LpProblem(c, rows, np.zeros(n + 2 * k), upper))
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
             "no probability vector satisfies the targets "
@@ -272,8 +244,7 @@ def _select(
             f"no optimum within {solution.iterations} simplex iterations"
         )
     p = np.clip(solution.z[:n], 0.0, 1.0)
-    # the row residual |s_plus - s_minus|, which stays within eta_max even
-    # when a zero weight leaves both slacks loose
+    # the row residual |s_plus - s_minus|, in target units
     eta = np.abs(solution.z[n:n + k] - solution.z[n + k:]) / scales if k else None
     return SelectionProbabilities(
         p=p,
@@ -281,9 +252,7 @@ def _select(
         expected_size=float(np.sum(p)),
         row_labels=labels,
         solver=solution,
-        alpha=hyper.alpha if k else None,
-        beta=beta if k else None,
-        eta_max=eta_max if k else None,
+        **slack,
     )
 
 

@@ -152,10 +152,17 @@ def _dist_from_json(node) -> Distribution:
 
 
 def generate_population(spec: SynthSpec) -> Population:
-    """Deterministic population; member ids are ``m0001``-style, 1-based."""
+    """Deterministic population; member ids are ``m0001``-style, 1-based.
+
+    The data is allocated before the ids, so an ``n_p`` too large to hold
+    raises :class:`InvalidSpec` at once instead of growing the id tuple.
+    """
+    try:
+        data = np.empty((spec.n_p, len(spec.features)))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidSpec(f"n_p = {spec.n_p} is too large to allocate ({exc})") from None
     width = max(4, len(str(spec.n_p)))
     ids = tuple(f"m{i:0{width}d}" for i in range(1, spec.n_p + 1))
-    data = np.empty((spec.n_p, len(spec.features)))
     for j, feat in enumerate(spec.features):
         ss = np.random.SeedSequence(entropy=int(spec.seed), spawn_key=(j,))
         rng = np.random.Generator(np.random.PCG64(ss))

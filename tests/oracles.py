@@ -167,20 +167,21 @@ def highs_objective(problem, linprog):
     return float(res.fun)
 
 
-def best_subset_size(A, C, eta_max, tol=1e-9):
-    """Largest 0/1 selection with every |row sum - C| within eta_max.
+def best_subset_objective(A, C, alpha, tol=1e-9):
+    """Best max-size objective ``-|S| + sum_j |r_j|`` over 0/1 selections ``S``.
 
+    ``A`` and ``C`` are the scaled rows, so ``r = A 1_S - C`` holds the scaled
+    residuals, and ``S`` qualifies when every ``|r_j|`` is within ``alpha``.
     Exhausts all 2^n subsets; practical to n around 18.  Returns None when no
     subset qualifies.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float).ravel()
-    eta_max = np.asarray(eta_max, dtype=float).ravel()
     n = A.shape[1]
     codes = np.arange(2**n, dtype=np.uint32)
     masks = ((codes[:, None] >> np.arange(n)) & 1).astype(float)
-    resid = masks @ A.T - C
-    ok = np.all(np.abs(resid) <= eta_max + tol, axis=1)
+    resid = np.abs(masks @ A.T - C)
+    ok = np.all(resid <= alpha + tol, axis=1)
     if not ok.any():
         return None
-    return int(masks[ok].sum(axis=1).max())
+    return float(np.min(resid[ok].sum(axis=1) - masks[ok].sum(axis=1)))

@@ -47,7 +47,7 @@ from dsps.synthgen import (
 )
 
 from oracles import (
-    best_subset_size,
+    best_subset_objective,
     lp_vertex_oracle,
     moment_oracle,
     weighted_moment_oracle,
@@ -154,7 +154,7 @@ def test_accept_02_full_population_targets_select_everyone():
 
 
 def test_accept_03_relaxed_solution_dominates_every_integer_subset():
-    """With zero slack weight the continuous optimum bounds all 0/1 selections."""
+    """The continuous optimum's objective bounds that of every 0/1 selection."""
     rng = np.random.default_rng(333)
     checked = 0
     worst_margin = np.inf
@@ -166,20 +166,17 @@ def test_accept_03_relaxed_solution_dominates_every_integer_subset():
         idx = rng.choice(n_p, size=k, replace=False)
         targets = plant_subset(pop, idx)
         system = build_lp_system(pop, targets)
-        eta_max = np.abs(rng.uniform(0.02, 0.3, system.n_rows)) * (
-            np.abs(system.rhs) + np.abs([c.value for c in targets]) + 0.1
-        )
-        hyper = HyperParams(beta=np.zeros(system.n_rows), eta_max=eta_max)
-        sel = solve_max_size(pop, targets, hyper)
-        best = best_subset_size(system.matrix, system.rhs, eta_max)
+        alpha = float(rng.uniform(0.02, 0.3))
+        sel = solve_max_size(pop, targets, HyperParams(alpha=alpha))
+        best = best_subset_objective(system.scaled_matrix(), system.scaled_rhs(), alpha)
         assert best is not None  # the planted subset is always admissible
-        worst_margin = min(worst_margin, sel.expected_size - best)
+        worst_margin = min(worst_margin, best - sel.solver.objective_value)
         checked += 1
     ok = checked == 50 and worst_margin >= -1e-6
     report(
         "ACCEPT-03",
         ok,
-        f"{checked} instances, worst (relaxed - integer) margin {worst_margin:.2e}",
+        f"{checked} instances, worst (integer - relaxed objective) margin {worst_margin:.2e}",
     )
 
 
@@ -388,7 +385,7 @@ def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
     from pathlib import Path
 
     from dsps.dataset import save_population
-    from dsps.selection import resolve_slack, solve_fixed_size
+    from dsps.selection import solve_fixed_size
 
     demo = Path(__file__).resolve().parent.parent / "demo"
     pop = generate_population(SynthSpec.from_json((demo / "spec.json").read_text()))
@@ -401,7 +398,6 @@ def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
         targets = plant_subset(pop, idx, orders=tuple(range(1, top + 1)))
         hyper = HyperParams(trial_size=float(idx.size))
         system = build_lp_system(pop, targets)
-        _, eta_max = resolve_slack(targets, hyper)
         slack_tol = 1e-7 / system.row_scales
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallSampleWarning)
@@ -410,7 +406,7 @@ def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
             fixed = solve_fixed_size(pop, targets, float(idx.size), hyper)
             smallest = solve_min_size(pop, targets, hyper)
         for mode, sel in (("max", relaxed), ("fixed", fixed), ("min", smallest)):
-            eta = sel.eta[:system.n_rows]
+            eta, eta_max = sel.eta[:system.n_rows], sel.eta_max[:system.n_rows]
             resid = np.abs(system.matrix @ sel.p - system.rhs)
             if np.any(resid > eta + slack_tol) or np.any(eta > eta_max + slack_tol):
                 problems.append(f"orders 1-{top} {mode}: residual outside eta_max")

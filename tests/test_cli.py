@@ -1,10 +1,14 @@
 import argparse
 import io
 import json
+import multiprocessing
+import os
 import re
 import shutil
 import subprocess
+import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from pathlib import Path
@@ -88,6 +92,35 @@ class TestGenerate:
         spec.write_text("{broken", encoding="utf-8")
         assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_huge_n_p_is_refused_at_once(self, tmp_path):
+        # 2**62 rows of float64 exceed numpy's size limit, so the allocation
+        # fails whatever the kernel's overcommit setting.  The run sits in a
+        # child whose address space is capped at 1 GiB, so code that grows per
+        # member before allocating fails there instead of exhausting the
+        # machine; one BLAS thread keeps numpy's own reservation under the cap.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "n_p": 2**62, "seed": 1,
+            "features": [{"name": "x", "dist": {"type": "normal", "mu": 0.0, "sigma": 1.0}}],
+        }), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from dsps.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "generate", "--spec", str(spec), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: n_p = {2**62} is too large to allocate")
+        assert not out.exists()
+
 
 class TestSelect:
     def test_max_mode_end_to_end(self, workspace, capsys):
@@ -127,6 +160,24 @@ class TestSelect:
         assert run["expected_size"] == pytest.approx(report["expected_size"])
         assert run["row_labels"] == [[c.feature, c.order] for c in
                                      sorted(targets, key=lambda c: c.order)]
+
+    def test_in_process_run_writes_only_through_sys_stdout(self, workspace, capfd):
+        # a caller that runs main() in its own process (as the traced
+        # benchmark does) reads the result from sys.stdout: nothing may reach
+        # file descriptor 1 directly, and no thread or child may outlive it
+        tmp, pop, targets, pop_path, targets_path = workspace
+        threads = threading.active_count()
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main([
+                "select", "--population", pop_path, "--targets", targets_path,
+                "--trial-size", "20", "--seed", "7", "--out", str(tmp / "run"),
+            ])
+        assert code == 0
+        assert buf.getvalue().startswith("mode=max ")
+        assert capfd.readouterr().out == ""
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == []
 
     def test_bundled_demo_meets_documented_threshold(self, tmp_path):
         # demo/ targets are planted from a 200-member band of the demo

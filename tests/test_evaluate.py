@@ -9,6 +9,7 @@ from dsps.errors import (
     InvalidSetting,
     LengthMismatch,
     NonPositiveInput,
+    OutOfRangeProbability,
     ZeroTarget,
 )
 from dsps.evaluate import (
@@ -16,7 +17,7 @@ from dsps.evaluate import (
     gmi,
     rsse,
 )
-from dsps.moments import TargetCriterion, TargetSet, sample_moment
+from dsps.moments import TargetCriterion, TargetSet, expected_moment, sample_moment
 from dsps.realize import SelectionMask
 
 from oracles import moment_oracle, weighted_moment_oracle
@@ -117,7 +118,7 @@ class TestEvaluateSelection:
         mask = SelectionMask(keep, seed=0, draw_index=0)
         report = evaluate_selection(pop, targets, mask)
         xs = pop.data[keep.astype(bool), 0].tolist()
-        assert report.realized_size == 12 and report.expected_size is None
+        assert report.realized_size == 12
         for res in report.per_criterion:
             want = moment_oracle(xs, res.order)
             assert res.achieved == pytest.approx(want, rel=1e-12)
@@ -131,7 +132,6 @@ class TestEvaluateSelection:
         p = rng.uniform(0.1, 1.0, 24)
         report = evaluate_selection(pop, targets, p)
         xs = pop.data[:, 0].tolist()
-        assert report.expected_size == pytest.approx(float(np.sum(p)), rel=1e-12)
         assert report.realized_size is None
         by_order = {r.order: r for r in report.per_criterion}
         assert by_order[1].achieved == pytest.approx(
@@ -164,13 +164,28 @@ class TestEvaluateSelection:
         keep = np.zeros(24)
         keep[:10] = 1.0
         report = evaluate_selection(pop, targets, keep)
-        assert report.expected_size == pytest.approx(10.0)
         assert report.realized_size is None
+        # the variance is centred on the target mean, as probabilities are
+        x = pop.data[:, 0]
+        assert [r.achieved for r in report.per_criterion] == [
+            expected_moment(x, keep, 1),
+            expected_moment(x, keep, 2, target_mean=5.2),
+        ]
 
     def test_p_attribute_object_counts_as_probabilities(self):
         pop, targets = self.instance()
         report = evaluate_selection(pop, targets, SimpleNamespace(p=np.full(24, 0.5)))
-        assert report.expected_size == pytest.approx(12.0)
+        assert report.realized_size is None
+        assert report == evaluate_selection(pop, targets, np.full(24, 0.5))
+
+    @pytest.mark.parametrize("n_criteria", [0, 2])
+    def test_probability_outside_unit_interval_is_refused(self, n_criteria):
+        pop, targets = self.instance()
+        targets = TargetSet(targets.criteria[:n_criteria])
+        p = np.full(24, 0.5)
+        p[3] = 1.5
+        with pytest.raises(OutOfRangeProbability, match="1.5"):
+            evaluate_selection(pop, targets, p)
 
     def test_all_zero_mask_is_empty_selection(self):
         pop, targets = self.instance()

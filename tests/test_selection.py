@@ -12,7 +12,6 @@ from dsps.errors import (
     InfeasibleError,
     InvalidSampleSize,
     InvalidSetting,
-    LengthMismatch,
     MissingHyperParam,
     SmallSampleWarning,
 )
@@ -22,7 +21,6 @@ from dsps.selection import (
     HyperParams,
     build_lp_system,
     ordered_criteria,
-    resolve_slack,
     solve_fixed_size,
     solve_max_size,
     solve_min_size,
@@ -38,7 +36,7 @@ from dsps.synthgen import (
     plant_subset,
 )
 
-from oracles import best_subset_size
+from oracles import best_subset_objective
 
 
 def make_pop(columns: dict) -> Population:
@@ -183,15 +181,18 @@ class TestBuildLpSystem:
 
 class TestHyperParams:
     def test_auto_from_trial_size(self):
+        # mean 8 and variance 2 are planted by the members 7 and 9
+        pop = make_pop({"f": [7.0, 9.0, 20.0]})
         targets = targets_of(("f", 1, 8.0), ("f", 2, 2.0))
         hyper = HyperParams(trial_size=413.0)
-        beta, eta_max = resolve_slack(targets, hyper)
+        sel = solve_max_size(pop, targets, hyper)
         assert hyper.alpha == pytest.approx(20.65)
+        assert sel.alpha == hyper.alpha
         np.testing.assert_allclose(
-            beta, [1.0 / (8.0 + 1e-6), 1.0 / (2.0 + 1e-6)]
+            sel.beta, [1.0 / (8.0 + 1e-6), 1.0 / (2.0 + 1e-6)]
         )
         np.testing.assert_allclose(
-            eta_max, [20.65 * (8.0 + 1e-6), 20.65 * (2.0 + 1e-6)]
+            sel.eta_max, [20.65 * (8.0 + 1e-6), 20.65 * (2.0 + 1e-6)]
         )
         assert hyper.trial_size == 413.0
 
@@ -201,19 +202,16 @@ class TestHyperParams:
 
     def test_auto_zero_target_falls_back_to_epsilon(self):
         # a zero target would blow up 1/|t|; epsilon keeps both vectors finite
-        beta, eta_max = resolve_slack(targets_of(("f", 1, 0.0)), HyperParams(trial_size=20.0))
-        assert beta[0] == pytest.approx(1e6)
-        assert eta_max[0] == pytest.approx(1e-6)
+        pop = make_pop({"f": [-1.0, 1.0, 3.0]})
+        sel = solve_max_size(pop, targets_of(("f", 1, 0.0)), HyperParams(trial_size=20.0))
+        assert sel.beta[0] == pytest.approx(1e6)
+        assert sel.eta_max[0] == pytest.approx(1e-6)
 
     def test_validation(self):
         with pytest.raises(InvalidSetting):
             HyperParams(alpha=0.0)
         with pytest.raises(InvalidSampleSize):
             HyperParams(trial_size=-3.0)
-        with pytest.raises(InvalidSetting):
-            HyperParams(beta=np.array([-1.0]))
-        with pytest.raises(InvalidSetting):
-            HyperParams(eta_max=np.array([np.inf]))
 
     @pytest.mark.parametrize("alpha", [np.inf, np.nan, 0.0], ids=["inf", "nan", "zero"])
     def test_given_alpha_out_of_range_is_an_invalid_setting(self, alpha):
@@ -227,23 +225,6 @@ class TestHyperParams:
         assert HyperParams(trial_size=400.0).resolved_alpha() == pytest.approx(20.0)
         with pytest.raises(MissingHyperParam):
             HyperParams().resolved_alpha()
-
-    def test_resolve_slack_empty_targets(self):
-        beta, eta_max = resolve_slack(TargetSet(()), HyperParams())
-        assert beta.size == 0 and eta_max.size == 0
-
-    def test_resolve_slack_length_mismatch(self):
-        targets = targets_of(("f", 1, 1.0), ("f", 2, 1.0))
-        bad = HyperParams(beta=np.ones(3), eta_max=np.ones(3))
-        with pytest.raises(LengthMismatch):
-            resolve_slack(targets, bad)
-
-    def test_resolve_slack_explicit_passthrough(self):
-        targets = targets_of(("f", 1, 1.0), ("f", 2, 1.0))
-        hyper = HyperParams(beta=np.array([0.0, 0.0]), eta_max=np.array([0.5, 0.25]))
-        beta, eta_max = resolve_slack(targets, hyper)
-        np.testing.assert_array_equal(beta, [0.0, 0.0])
-        np.testing.assert_array_equal(eta_max, [0.5, 0.25])
 
 
 class TestSolveMaxSize:
@@ -265,20 +246,19 @@ class TestSolveMaxSize:
         np.testing.assert_allclose(sel.p, np.ones(12), atol=1e-8)
 
     def test_expected_size_dominates_best_subset(self):
-        # with zero slack weight the relaxed optimum can never fall below the
-        # best 0/1 selection, which is feasible for the same program
+        # every 0/1 selection within the slack caps is a feasible point of the
+        # relaxed program, so the optimum's objective is never above its
+        # objective -|S| + sum |r_j|
         rng = np.random.default_rng(31337)
         pop = make_pop({"a": rng.normal(4, 1.5, 12)})
         idx = np.array([0, 2, 3, 7, 8, 11])
         targets = subset_targets(pop, idx)
         system = build_lp_system(pop, targets)
-        tvals = np.array([c.value for c in ordered_criteria(targets)])
-        eta_max = 0.05 * np.abs(tvals) + 0.01
-        hyper = HyperParams(beta=np.zeros(2), eta_max=eta_max)
-        sel = solve_max_size(pop, targets, hyper)
-        best = best_subset_size(system.matrix, system.rhs, eta_max)
-        assert best is not None and best >= idx.size
-        assert sel.expected_size >= best - 1e-7
+        sel = solve_max_size(pop, targets, HyperParams(alpha=0.05))
+        best = best_subset_objective(system.scaled_matrix(), system.scaled_rhs(), 0.05)
+        # the planted subset meets every row exactly
+        assert best is not None and best <= -idx.size + 1e-9
+        assert sel.solver.objective_value <= best + 1e-7
 
     def test_residuals_within_reported_eta(self):
         rng = np.random.default_rng(88)
@@ -291,27 +271,27 @@ class TestSolveMaxSize:
         resid = np.abs(system.matrix @ sel.p - system.rhs)
         slack_tol = 1e-7 / system.row_scales
         assert np.all(resid <= sel.eta + slack_tol)
-        assert np.all(sel.eta <= resolve_slack(targets, hyper)[1] + slack_tol)
+        assert np.all(sel.eta <= sel.eta_max + slack_tol)
 
     def test_widening_eta_max_cannot_shrink_the_optimum(self):
+        # a wider alpha widens every eta_max, so the optimum of the wider
+        # program is at most that of the tighter one
         rng = np.random.default_rng(89)
         pop = make_pop({"a": rng.normal(0, 1, 15)})
         idx = np.array([1, 4, 6, 9, 13])
         targets = subset_targets(pop, idx)
-        tight = np.array([0.05, 0.05])
-        wide = 2.0 * tight
-        sizes = []
-        for eta_max in (tight, wide):
-            hyper = HyperParams(beta=np.zeros(2), eta_max=eta_max)
-            sizes.append(solve_max_size(pop, targets, hyper).expected_size)
-        assert sizes[1] >= sizes[0] - 1e-9
+        objectives = []
+        for alpha in (0.05, 0.1):
+            sel = solve_max_size(pop, targets, HyperParams(alpha=alpha))
+            objectives.append(sel.solver.objective_value)
+        assert objectives[1] <= objectives[0] + 1e-9
 
     def test_unreachable_target_with_tight_slack_is_infeasible(self):
         # every variance-row entry is large and positive while the rhs is -1,
         # so no p >= 0 can come within the slack budget
         pop = make_pop({"f": [1.0, 2.0, 3.0]})
         targets = targets_of(("f", 1, 50.0), ("f", 2, 1.0))
-        hyper = HyperParams(beta=np.ones(2), eta_max=np.array([0.5, 0.5]))
+        hyper = HyperParams(alpha=0.5)
         with pytest.raises(InfeasibleError) as err:
             solve_max_size(pop, targets, hyper)
         assert err.value.violation > 0.0
@@ -326,23 +306,17 @@ class TestSolveMaxSize:
         # no convex combination of the values reaches 50; the only vector
         # satisfying the centred row is p = 0, which must not count
         pop = make_pop({"f": [1.0, 2.0, 3.0]})
-        with pytest.raises(InfeasibleError):
-            solve_max_size(pop, targets_of(("f", 1, 50.0)), relaxed=False)
-
-    def test_relaxed_zero_budget_empty_optimum_is_infeasible(self):
-        pop = make_pop({"f": [1.0, 2.0, 3.0]})
-        hyper = HyperParams(beta=np.zeros(1), eta_max=np.array([0.0]))
         with pytest.raises(InfeasibleError) as err:
-            solve_max_size(pop, targets_of(("f", 1, 50.0)), hyper)
+            solve_max_size(pop, targets_of(("f", 1, 50.0)), relaxed=False)
         assert err.value.violation == 0.0
 
     def test_relaxed_tiny_positive_mass_is_still_optimal(self):
         # a nonzero slack budget admits a sliver of probability mass, which
-        # is a legitimate (if useless) optimum rather than an infeasibility
+        # is a legitimate (if useless) optimum rather than an infeasibility:
+        # each unit of p on the member at 3 costs 47/(50 + 1e-6) < 1 of slack
         pop = make_pop({"f": [1.0, 2.0, 3.0]})
-        hyper = HyperParams(beta=np.zeros(1), eta_max=np.array([0.01]))
-        sel = solve_max_size(pop, targets_of(("f", 1, 50.0)), hyper)
-        assert sel.expected_size == pytest.approx(0.01 / 47.0)
+        sel = solve_max_size(pop, targets_of(("f", 1, 50.0)), HyperParams(alpha=0.01))
+        assert sel.expected_size == pytest.approx(0.01 * (50.0 + 1e-6) / 47.0)
 
     def test_empty_targets_select_everyone(self):
         pop = make_pop({"f": [1.0, 2.0, 3.0, 4.0]})
@@ -419,7 +393,7 @@ class TestSolveMaxSize:
         # rounding in a row sum grows with the magnitude of its terms
         slack_tol = 1e-7 / system.row_scales + 1e-12 * (np.abs(system.matrix) @ sel.p)
         assert np.all(np.abs(system.matrix @ sel.p - system.rhs) <= sel.eta + slack_tol)
-        assert np.all(sel.eta <= resolve_slack(targets, hyper)[1] + slack_tol)
+        assert np.all(sel.eta <= sel.eta_max + slack_tol)
 
     @pytest.fixture
     def dual_only(self, monkeypatch):
@@ -540,8 +514,7 @@ class TestSolveFixedSize:
         assert sel.row_labels[-1] == SIZE_ROW
         assert abs(sel.expected_size - 4.0) <= 0.2 + 1e-9
         # criterion rows still honour their own slack budget
-        beta, eta_max = resolve_slack(targets, hyper)
-        assert np.all(sel.eta[:-1] <= eta_max + 1e-7)
+        assert np.all(sel.eta[:-1] <= sel.eta_max[:-1] + 1e-7)
         assert sel.eta[-1] <= 0.2 + 1e-7
 
     def test_full_population_size_selects_everyone(self):
