@@ -196,8 +196,9 @@ def _variance_scale(var) -> float:
 def expected_size(p) -> float:
     """Expected selected count ``sum(p)`` of independent inclusion probabilities."""
     q = np.asarray(p, dtype=float).ravel()
-    if q.size and (q.min() < 0.0 or q.max() > 1.0):
-        bad = q[(q < 0.0) | (q > 1.0)][0]
+    ok = (q >= 0.0) & (q <= 1.0)  # NaN fails both comparisons
+    if not np.all(ok):
+        bad = q[~ok][0]
         raise OutOfRangeProbability(f"probability {bad} outside [0, 1]")
     return float(np.sum(q))
 

@@ -8,6 +8,11 @@ one substream per draw index, and member ``i`` is selected iff
 ``p_i = 0`` never does.  The uniforms depend only on ``(seed, draw_index,
 n)``; raising any single ``p_i`` can therefore only add member ``i`` to the
 draw, never remove another.
+
+A member with ``p_i`` of 0 or 1 thus has the same outcome in every draw, so
+two draws that agree on the fractional members are the same mask;
+:func:`draw_best` scores each such mask once and gives every draw of it the
+same RSSE.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ def uniform_stream(seed: int, draw_index: int, n: int) -> np.ndarray:
 
 def _pvec(p) -> np.ndarray:
     vec = np.asarray(getattr(p, "p", p), dtype=float).ravel()
-    if vec.size and (vec.min() < 0.0 or vec.max() > 1.0):
+    if not np.all((vec >= 0.0) & (vec <= 1.0)):  # also refuses NaN
         raise OutOfRangeProbability("probabilities must lie in [0, 1]")
     return vec
 
@@ -112,30 +117,40 @@ def draw_best(
     Ties prefer the larger draw, then the earlier draw index.  If every draw
     is unscorable the population/probability pairing is hopeless and
     :class:`AllDrawsDegenerate` is raised with the full diagnostic list.
+
+    Every draw is realized and listed in the returned stats, but draws that
+    share their outcome on the fractional members (``0 < p < 1``) are one
+    mask, scored once: a later draw of it reuses the first draw's RSSE (or
+    ``inf``), and cannot win the tie-break against that first draw.
     """
-    if not isinstance(n_draws, (int, np.integer)) or n_draws < 1:
+    if isinstance(n_draws, bool) or not isinstance(n_draws, (int, np.integer)) or n_draws < 1:
         raise InvalidDraws(f"n_draws must be a positive integer, got {n_draws!r}")
     vec = _pvec(p)
     if vec.size != pop.n_members:
         raise InvalidDraws(
             f"{vec.size} probabilities for population of {pop.n_members}"
         )
+    fractional = np.flatnonzero((vec > 0.0) & (vec < 1.0))
+    scored: dict[bytes, float] = {}
     best: RealizationResult | None = None
     best_key: tuple | None = None
     stats: list[DrawStats] = []
     for k in range(int(n_draws)):
         mask = draw(vec, seed, k)
         size = mask.size
-        try:
-            report = evaluate_selection(pop, targets, mask, rsse_epsilon=rsse_epsilon)
-        except (EmptySelection, InsufficientData, ZeroVariance):
-            stats.append(DrawStats(k, size, float("inf")))
-            continue
-        stats.append(DrawStats(k, size, report.rsse))
-        key = (report.rsse, -size, k)
-        if best_key is None or key < best_key:
-            best = RealizationResult(mask, size, report)
-            best_key = key
+        outcome = mask.b[fractional].tobytes()
+        if outcome not in scored:
+            try:
+                report = evaluate_selection(pop, targets, mask, rsse_epsilon=rsse_epsilon)
+            except (EmptySelection, InsufficientData, ZeroVariance):
+                scored[outcome] = float("inf")
+            else:
+                scored[outcome] = report.rsse
+                key = (report.rsse, -size, k)
+                if best_key is None or key < best_key:
+                    best = RealizationResult(mask, size, report)
+                    best_key = key
+        stats.append(DrawStats(k, size, scored[outcome]))
     if best is None:
         raise AllDrawsDegenerate(
             f"all {n_draws} draws were unusable for scoring; sizes "

@@ -182,10 +182,11 @@ class TestEvaluateSelection:
     def test_probability_outside_unit_interval_is_refused(self, n_criteria):
         pop, targets = self.instance()
         targets = TargetSet(targets.criteria[:n_criteria])
-        p = np.full(24, 0.5)
-        p[3] = 1.5
-        with pytest.raises(OutOfRangeProbability, match="1.5"):
-            evaluate_selection(pop, targets, p)
+        for bad in (1.5, np.nan):  # NaN fails both range comparisons
+            p = np.full(24, 0.5)
+            p[3] = bad
+            with pytest.raises(OutOfRangeProbability, match=str(bad)):
+                evaluate_selection(pop, targets, p)
 
     def test_all_zero_mask_is_empty_selection(self):
         pop, targets = self.instance()

@@ -117,6 +117,11 @@ class TestExpectedSize:
         with pytest.raises(OutOfRangeProbability):
             expected_size([-0.01])
 
+    def test_nan_rejected(self):
+        # NaN fails both range comparisons, so a min/max test lets it through
+        with pytest.raises(OutOfRangeProbability, match="nan"):
+            expected_size([np.nan, 0.5])
+
 
 class TestExpectedMoment:
     def test_ones_recovers_sample_moment(self):

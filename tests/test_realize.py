@@ -6,10 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsps.dataset import Population
-from dsps.errors import AllDrawsDegenerate, InvalidDraws, OutOfRangeProbability, ZeroTarget
+from dsps.errors import (
+    AllDrawsDegenerate,
+    InsufficientData,
+    InvalidDraws,
+    OutOfRangeProbability,
+    ZeroTarget,
+)
 from dsps.evaluate import evaluate_selection
 from dsps.moments import TargetCriterion, TargetSet
-from dsps.realize import SelectionMask, draw, draw_best, uniform_stream
+from dsps import realize
+from dsps.realize import DrawStats, SelectionMask, draw, draw_best, uniform_stream
 
 
 def make_pop(values) -> Population:
@@ -74,6 +81,13 @@ class TestDraw:
             draw(np.array([1.2]), seed=0)
         with pytest.raises(OutOfRangeProbability):
             draw(np.array([-0.1]), seed=0)
+
+    def test_nan_rejected(self):
+        # NaN fails both range comparisons, so a min/max test lets it through
+        with pytest.raises(OutOfRangeProbability):
+            draw(np.array([np.nan, 0.5]), seed=0)
+        with pytest.raises(OutOfRangeProbability):
+            draw_best(np.array([np.nan, 0.5]), make_pop([1.0, 2.0]), TargetSet(()), 2, seed=0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -219,7 +233,7 @@ class TestDrawBest:
     def test_invalid_draw_counts(self):
         pop = make_pop(np.arange(3.0))
         targets = TargetSet(())
-        for bad in (0, -2, 1.5):
+        for bad in (0, -2, 1.5, True):
             with pytest.raises(InvalidDraws):
                 draw_best(np.full(3, 0.5), pop, targets, bad, seed=0)
 
@@ -227,3 +241,69 @@ class TestDrawBest:
         pop = make_pop(np.arange(3.0))
         with pytest.raises(InvalidDraws):
             draw_best(np.full(4, 0.5), pop, TargetSet(()), 2, seed=0)
+
+
+class TestDrawBestScoresEachMaskOnce:
+    @staticmethod
+    def repeating():
+        # one certain member and three fractional ones: at most 8 masks in 60
+        # draws.  The draw without a fractional member has one member and no
+        # variance (unscorable), and the best masks, {10, 9} and {10, 11},
+        # tie on RSSE and size, so the draw index decides.
+        pop = make_pop([10.0, 9.0, 11.0, 15.0, 3.0, 40.0])
+        targets = TargetSet((TargetCriterion("f", 1, 10.0), TargetCriterion("f", 2, 0.5)))
+        p = np.array([1.0, 0.5, 0.5, 0.3, 0.0, 0.0])
+        return pop, targets, p, 60
+
+    @staticmethod
+    def distinct():
+        pop, targets, p = TestDrawBest.instance()
+        return pop, targets, p, 20
+
+    @staticmethod
+    def rescore(pop, targets, p, n_draws, seed):
+        stats, reports = [], {}
+        for k in range(n_draws):
+            mask = draw(p, seed, k)
+            try:
+                reports[k] = evaluate_selection(pop, targets, mask)
+            except InsufficientData:
+                stats.append(DrawStats(k, mask.size, float("inf")))
+            else:
+                stats.append(DrawStats(k, mask.size, reports[k].rsse))
+        return stats, reports
+
+    @pytest.mark.parametrize("case", ["repeating", "distinct"])
+    def test_equals_per_draw_scoring(self, case, monkeypatch):
+        pop, targets, p, n_draws = getattr(self, case)()
+        calls = {"draw": 0, "evaluate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(realize, "draw", counted("draw", realize.draw))
+        monkeypatch.setattr(
+            realize, "evaluate_selection", counted("evaluate", realize.evaluate_selection)
+        )
+        best, stats = draw_best(p, pop, targets, n_draws=n_draws, seed=7)
+        monkeypatch.undo()
+
+        want, reports = self.rescore(pop, targets, p, n_draws, seed=7)
+        assert stats == want
+        masks = {draw(p, 7, k).b.tobytes() for k in range(n_draws)}
+        assert calls == {"draw": n_draws, "evaluate": len(masks)}
+        if case == "repeating":
+            assert len(masks) <= 8
+            assert any(np.isinf(s.rsse) for s in stats)
+            by_mask = {draw(p, 7, s.draw_index).b.tobytes(): (s.rsse, s.size) for s in stats}
+            assert sorted(by_mask.values())[:2] == [(0.05**2, 2)] * 2
+        else:
+            assert len(masks) == n_draws
+        rsse, neg_size, k = min((s.rsse, -s.size, s.draw_index) for s in stats)
+        assert (best.report.rsse, -best.size, best.mask.draw_index) == (rsse, neg_size, k)
+        np.testing.assert_array_equal(best.mask.b, draw(p, 7, k).b)
+        assert best.report == reports[k] == evaluate_selection(pop, targets, best.mask)
