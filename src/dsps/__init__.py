@@ -33,7 +33,6 @@ from .moments import (
 from .realize import RealizationResult, SelectionMask, draw, draw_best
 from .selection import (
     ConstraintSystem,
-    HyperParams,
     SelectionProbabilities,
     build_lp_system,
     solve_fixed_size,
@@ -69,7 +68,6 @@ __all__ = [
     "LpSolution",
     "solve_lp",
     "ConstraintSystem",
-    "HyperParams",
     "build_lp_system",
     "SelectionProbabilities",
     "solve_max_size",

@@ -6,10 +6,13 @@ writes four artifacts into the output directory:
 * ``probabilities.csv`` -- member_id, p
 * ``mask.csv``          -- member_id, selected (best draw)
 * ``report.json``       -- per-criterion targets vs expected and realized
-* ``run.json``          -- every resolved setting; a run is replayable from it
+* ``run.json``          -- every setting of the run, the trial size among
+  them, and the slack settings derived from it; a run is replayable from it
 
-No timestamps or machine state go into the artifacts, so a repeated run with
-the same inputs is byte-identical.
+Each setting has one flag: the slack budget ``alpha`` is 5 % of
+``--trial-size``, the draw seed is ``--seed`` (default 0), and no environment
+variable is read.  No timestamps or machine state go into the artifacts, so a
+repeated run with the same inputs is byte-identical.
 
 Whether a run reproduces a known cohort or predicts one for different target
 values is purely a property of the targets file handed in; the pipeline is
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -48,7 +50,6 @@ from .realize import draw_best
 from .selection import (
     EPSILON,
     SMALL_SAMPLE_THRESHOLD,
-    HyperParams,
     solve_fixed_size,
     solve_max_size,
     solve_min_size,
@@ -57,7 +58,6 @@ from .synthgen import SynthSpec, generate_population
 
 SCHEMA = "dsps/1"
 MODES = ("max", "max-strict", "fixed", "min")
-SEED_ENV = "DSPS_SEED"
 
 
 class _UsageError(Exception):
@@ -85,13 +85,10 @@ def _build_parser() -> _Parser:
     sel.add_argument("--targets", required=True, help="targets JSON array")
     sel.add_argument("--mode", choices=MODES, default="max")
     sel.add_argument("--n-target", type=float, default=None,
-                     help="expected size for --mode fixed")
-    sel.add_argument("--alpha", type=float, default=None,
-                     help="slack budget; overrides --trial-size")
+                     help="expected size for --mode fixed; refused by the other modes")
     sel.add_argument("--trial-size", type=float, default=None,
-                     help="intended cohort size; alpha defaults to 5%% of it")
-    sel.add_argument("--seed", type=int, default=None,
-                     help=f"draw seed; falls back to ${SEED_ENV}, then 0")
+                     help="intended cohort size; the slack budget alpha is 5%% of it")
+    sel.add_argument("--seed", type=int, default=0, help="draw seed")
     sel.add_argument("--draws", type=int, default=10,
                      help="independent realizations; best by realized RSSE is kept")
     sel.add_argument("--out", required=True, help="output directory")
@@ -133,22 +130,6 @@ def main(argv=None) -> int:
 
 
 # ---- helpers -------------------------------------------------------------
-
-
-def _resolve_seed(arg_seed) -> int:
-    if arg_seed is not None:
-        seed, source = int(arg_seed), "--seed"
-    else:
-        env = os.environ.get(SEED_ENV)
-        if env is None:
-            return 0
-        try:
-            seed, source = int(env), f"${SEED_ENV}"
-        except ValueError:
-            raise InvalidSetting(f"${SEED_ENV}={env!r} is not an integer") from None
-    if seed < 0:
-        raise InvalidSetting(f"{source} must be a non-negative integer, got {seed}")
-    return seed
 
 
 def _json_text(payload: dict) -> str:
@@ -212,23 +193,25 @@ def cmd_select(args) -> int:
     targets = TargetSet.from_json(Path(args.targets).read_text(encoding="utf-8"))
     # scoring needs a relative error for every target: fail before the solve
     _denominators(np.array([c.value for c in targets]), args.rsse_epsilon)
-    seed = _resolve_seed(args.seed)
+    if args.seed < 0:
+        raise InvalidSetting(f"--seed must be a non-negative integer, got {args.seed}")
     if args.draws < 1:
         raise InvalidDraws(f"--draws must be >= 1, got {args.draws}")
-    hyper = HyperParams(alpha=args.alpha, trial_size=args.trial_size)
+    if args.n_target is not None and args.mode != "fixed":
+        raise InvalidSetting(f"--n-target applies only to --mode fixed, not --mode {args.mode}")
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallSampleWarning)
         if args.mode == "max":
-            sel = solve_max_size(pop, targets, hyper, relaxed=True)
+            sel = solve_max_size(pop, targets, args.trial_size, relaxed=True)
         elif args.mode == "max-strict":
-            sel = solve_max_size(pop, targets, hyper, relaxed=False)
+            sel = solve_max_size(pop, targets, args.trial_size, relaxed=False)
         elif args.mode == "min":
-            sel = solve_min_size(pop, targets, hyper)
+            sel = solve_min_size(pop, targets, args.trial_size)
         else:
             if args.n_target is None:
                 raise DspsError("--mode fixed requires --n-target")
-            sel = solve_fixed_size(pop, targets, args.n_target, hyper)
+            sel = solve_fixed_size(pop, targets, args.n_target, args.trial_size)
     if sel.small_sample_warning:
         print(
             f"warning: expected size {sel.expected_size:.2f} is below "
@@ -236,7 +219,7 @@ def cmd_select(args) -> int:
             file=sys.stderr,
         )
 
-    best, stats = draw_best(sel.p, pop, targets, args.draws, seed, args.rsse_epsilon)
+    best, stats = draw_best(sel.p, pop, targets, args.draws, args.seed, args.rsse_epsilon)
     try:
         expected_report = evaluate_selection(pop, targets, sel.p, args.rsse_epsilon)
     except DspsError:
@@ -257,7 +240,7 @@ def cmd_select(args) -> int:
             "max_residual": sel.solver.max_residual,
         },
         seeds={
-            "seed": seed,
+            "seed": args.seed,
             "n_draws": args.draws,
             "best_draw_index": best.mask.draw_index,
         },
@@ -279,12 +262,13 @@ def cmd_select(args) -> int:
         "population": str(args.population),
         "targets": str(args.targets),
         "mode": args.mode,
-        "n_target": args.n_target if args.mode == "fixed" else None,
+        "n_target": args.n_target,
+        "trial_size": args.trial_size,
         "alpha": sel.alpha,
         "beta": sel.beta,
         "eta_max": sel.eta_max,
         "epsilon": EPSILON,
-        "seed": seed,
+        "seed": args.seed,
         "draws": args.draws,
         "rsse_epsilon": args.rsse_epsilon,
         "out": str(args.out),

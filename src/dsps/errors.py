@@ -46,7 +46,7 @@ class DspsError(Exception):
 
 
 class InvalidSetting(DspsError):
-    """A given setting (alpha, rsse epsilon, seed) is out of range."""
+    """A given setting is out of range (rsse epsilon, seed) or not for this mode (n target)."""
 
 
 # ---- dataset ----
@@ -150,7 +150,7 @@ class InvalidSampleSize(DspsError):
 
 
 class MissingHyperParam(DspsError):
-    """A hyperparameter is neither given explicitly nor derivable."""
+    """A relaxed program with target rows has no trial size to size its slack budget."""
 
 
 # ---- realize ----

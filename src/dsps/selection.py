@@ -16,7 +16,8 @@ convention) and order 4 ``(x_i - M1)^4 - M2^2 * (M4 + 3)`` with rhs ``0``.
 Each row is conditioned by the scale ``1/(|t| + EPSILON)`` of its target
 (the constant ``EPSILON = 1e-6`` guards a zero target), and the relaxed
 program is stated in those scaled rows: each row gains a pair of slacks
-``s+_j, s-_j`` in ``[0, alpha]`` with ``row_j . p - s+_j + s-_j = rhs_j``,
+``s+_j, s-_j`` in ``[0, alpha]``, where ``alpha = ALPHA_FRACTION * trial_size``
+is 5 % of the intended trial size, with ``row_j . p - s+_j + s-_j = rhs_j``,
 and the objective trades expected size against slack, each unit costing 1:
 ``-sum(p) + sum(s+_j + s-_j)``.  In target units that is the weight
 ``beta_j = 1/(|t_j| + EPSILON)`` and the cap
@@ -35,8 +36,8 @@ from .dataset import Population, feature_column
 from .errors import (
     EmptyTargetSet,
     InfeasibleError,
+    InvalidCriterion,
     InvalidSampleSize,
-    InvalidSetting,
     IterationLimitExceeded,
     MissingHyperParam,
     SmallSampleWarning,
@@ -53,7 +54,6 @@ from .moments import TargetSet, moment_terms
 
 __all__ = [
     "SIZE_ROW",
-    "HyperParams",
     "ConstraintSystem",
     "build_lp_system",
     "SelectionProbabilities",
@@ -72,35 +72,18 @@ ALPHA_FRACTION = 0.05  # alpha = 5% of the intended trial size
 _EMPTY_SELECTION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HyperParams:
-    """The slack budget ``alpha``; ``None`` resolves from the trial size.
+def _slack_budget(trial_size: float | None) -> float | None:
+    """``alpha = ALPHA_FRACTION * trial_size``, or ``None`` without a trial size.
 
-    ``alpha`` caps every criterion slack in scaled row space, and the size
-    slack of a fixed-size solve at ``alpha`` members.  When only a trial size
-    is given, ``alpha`` is set to ``0.05 * trial_size`` on construction; an
-    explicit ``alpha`` wins.  A given ``alpha`` out of range raises
-    :class:`InvalidSetting`, a bad trial size :class:`InvalidSampleSize`.
+    A trial size that is not finite and positive raises
+    :class:`InvalidSampleSize`, whether or not the program has slack rows.
     """
-
-    alpha: float | None = None
-    trial_size: float | None = None
-
-    def __post_init__(self):
-        # NaN fails both comparisons
-        if self.alpha is not None and not 0.0 < self.alpha < np.inf:
-            raise InvalidSetting(f"alpha must be finite and positive, got {self.alpha}")
-        if self.trial_size is not None and not 0.0 < self.trial_size < np.inf:
-            raise InvalidSampleSize(f"trial size must be finite and positive, got {self.trial_size}")
-        alpha = self.alpha
-        if alpha is None and self.trial_size is not None:
-            alpha = ALPHA_FRACTION * float(self.trial_size)
-        object.__setattr__(self, "alpha", None if alpha is None else float(alpha))
-
-    def resolved_alpha(self) -> float:
-        if self.alpha is None:
-            raise MissingHyperParam("need alpha or trial_size to size the slack budget")
-        return self.alpha
+    if trial_size is None:
+        return None
+    # NaN fails both comparisons
+    if not 0.0 < trial_size < np.inf:
+        raise InvalidSampleSize(f"trial size must be finite and positive, got {trial_size}")
+    return ALPHA_FRACTION * float(trial_size)
 
 
 def ordered_criteria(targets: TargetSet):
@@ -145,23 +128,32 @@ def _row_entries(x: np.ndarray, order: int, targets: TargetSet, feature: str):
     """(entries, rhs) of one criterion row, unscaled."""
     t = targets.value_of(feature, order)
     d = x if order == 1 else x - targets.value_of(feature, 1)
-    var = targets.value_of(feature, 2) if order in (3, 4) else None
+    # a float64 variance overflows to inf where a Python float raises
+    var = np.float64(targets.value_of(feature, 2)) if order in (3, 4) else None
     dof, scale, shift = moment_terms(order, var)
     level = scale * (t + shift)
     return d**order - level, 0.0 - dof * level  # 0.0 - keeps a zero rhs +0.0
 
 
 def build_lp_system(pop: Population, targets: TargetSet) -> ConstraintSystem:
-    """One row per criterion, rhs such that ``row . p = rhs`` matches the target."""
+    """One row per criterion, rhs such that ``row . p = rhs`` matches the target.
+
+    A criterion whose scaled row is not finite in float64 (a high order of a
+    wide feature overflows) raises :class:`InvalidCriterion`.
+    """
     rows, rhs, labels = [], [], []
-    for c in ordered_criteria(targets):
+    scales = 1.0 / _tolerance_scales(targets)
+    for c, row_scale in zip(ordered_criteria(targets), scales):
         x = feature_column(pop, c.feature)
-        entries, b = _row_entries(x, c.order, targets, c.feature)
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries, b = _row_entries(x, c.order, targets, c.feature)
+            finite = np.isfinite(b * row_scale) and np.all(np.isfinite(entries * row_scale))
+        if not finite:
+            raise InvalidCriterion(f"the row of ({c.feature!r}, {c.order}) overflows float64")
         rows.append(entries)
         rhs.append(b)
         labels.append((c.feature, c.order))
     matrix = np.array(rows).reshape(len(rows), pop.n_members)
-    scales = 1.0 / _tolerance_scales(targets)
     return ConstraintSystem(matrix, np.array(rhs), tuple(labels), scales)
 
 
@@ -171,10 +163,11 @@ class SelectionProbabilities:
 
     ``eta`` is in unscaled (target) units, one entry per constraint row, or
     ``None`` for the strict-equality solve.  ``expected_size`` is ``sum(p)``.
-    ``alpha``, ``beta`` and ``eta_max`` are the slack settings of the solve
-    in target units (see the module docstring; the fixed-size row has
-    ``beta = 1/(n_t + EPSILON)`` and ``eta_max = alpha``), aligned with
-    ``row_labels``, or ``None`` when the program has no slack rows.
+    ``alpha`` (``ALPHA_FRACTION`` times the trial size), ``beta`` and
+    ``eta_max`` are the slack settings of the solve in target units (see the
+    module docstring; the fixed-size row has ``beta = 1/(n_t + EPSILON)`` and
+    ``eta_max = alpha``), aligned with ``row_labels``, or ``None`` when the
+    program has no slack rows.
     """
 
     p: np.ndarray
@@ -191,7 +184,7 @@ class SelectionProbabilities:
 def _select(
     pop: Population,
     targets: TargetSet,
-    hyper: HyperParams,
+    trial_size: float | None,
     size_sign: float,
     relaxed: bool = True,
     n_t: float | None = None,
@@ -200,13 +193,15 @@ def _select(
 
     Variables are ``[p, s_plus, s_minus]``; row ``j`` reads
     ``A_j p - s_plus_j + s_minus_j = C_j``, every slack costs 1 and is
-    capped at ``alpha``, and the objective adds ``size_sign * sum(p)``.
-    ``relaxed=False`` gives the strict program, which has no slack columns
-    and needs no ``alpha``.  ``n_t`` appends the size row ``sum(p) = n_t``,
-    scaled by ``1/(n_t + EPSILON)``, whose slack is capped at
-    ``alpha/(n_t + EPSILON)``: ``alpha`` members.  The result carries ``eta``
-    and the slack settings in target units when there are slack rows.
+    capped at ``alpha = ALPHA_FRACTION * trial_size``, and the objective adds
+    ``size_sign * sum(p)``.  ``relaxed=False`` gives the strict program, which
+    has no slack columns and needs no trial size.  ``n_t`` appends the size
+    row ``sum(p) = n_t``, scaled by ``1/(n_t + EPSILON)``, whose slack is
+    capped at ``alpha/(n_t + EPSILON)``: ``alpha`` members.  The result
+    carries ``eta`` and the slack settings in target units when there are
+    slack rows.
     """
+    alpha = _slack_budget(trial_size)
     system = build_lp_system(pop, targets)
     A, C = system.scaled_matrix(), system.scaled_rhs()
     scales, labels = system.row_scales, system.row_labels
@@ -221,7 +216,8 @@ def _select(
     upper = np.ones(n)
     slack = {}
     if k:
-        alpha = hyper.resolved_alpha()
+        if alpha is None:
+            raise MissingHyperParam("need a trial size to size the slack budget")
         cap = np.full(k, alpha)
         eta_max = alpha * _tolerance_scales(targets)
         if n_t is not None:
@@ -259,17 +255,18 @@ def _select(
 def solve_max_size(
     pop: Population,
     targets: TargetSet,
-    hyper: HyperParams | None = None,
+    trial_size: float | None = None,
     relaxed: bool = True,
 ) -> SelectionProbabilities:
     """Largest expected sub-population matching the targets.
 
-    ``relaxed=False`` demands exact (to solver tolerance) moment equality and
-    ignores the slack hyperparameters.  An optimum with zero expected size is
+    ``trial_size`` sizes the slack budget ``alpha``; a relaxed program with
+    target rows needs it.  ``relaxed=False`` demands exact (to solver
+    tolerance) moment equality and uses no slack.  An optimum with zero expected size is
     reported as infeasible: the empty selection satisfies any centred moment
     row vacuously, but it is never a usable cohort.
     """
-    result = _select(pop, targets, hyper or HyperParams(), -1.0, relaxed)
+    result = _select(pop, targets, trial_size, -1.0, relaxed)
     if len(targets) > 0 and result.expected_size <= _EMPTY_SELECTION_TOL:
         raise InfeasibleError(
             "targets admit only the empty selection (max expected size 0)",
@@ -281,9 +278,9 @@ def solve_max_size(
 def solve_min_size(
     pop: Population,
     targets: TargetSet,
-    hyper: HyperParams | None = None,
+    trial_size: float | None = None,
 ) -> SelectionProbabilities:
-    """Smallest expected sub-population matching the targets.
+    """Smallest expected sub-population matching the targets, slack sized by ``trial_size``.
 
     Flags (and warns) when the minimised expected size drops below 30, the
     usual large-sample rule of thumb: moment matching with so little mass
@@ -291,7 +288,7 @@ def solve_min_size(
     """
     if len(targets) == 0:
         raise EmptyTargetSet("min-size mode needs at least one target criterion")
-    result = _select(pop, targets, hyper or HyperParams(), 1.0)
+    result = _select(pop, targets, trial_size, 1.0)
     if result.expected_size < SMALL_SAMPLE_THRESHOLD:
         warnings.warn(
             f"minimised expected size {result.expected_size:.2f} is below "
@@ -307,10 +304,11 @@ def solve_fixed_size(
     pop: Population,
     targets: TargetSet,
     n_t: float,
-    hyper: HyperParams | None = None,
+    trial_size: float | None = None,
 ) -> SelectionProbabilities:
     """Expected size pinned to ``n_t`` within ``alpha``, targets relaxed as usual.
 
+    ``alpha = ALPHA_FRACTION * trial_size``, so this mode needs a trial size.
     The size row carries its own slack bounded by ``alpha`` with objective
     weight ``1/(n_t + EPSILON)``, mirroring the criterion rows' target scaling.
     """
@@ -320,4 +318,4 @@ def solve_fixed_size(
         raise InvalidSampleSize(
             f"n_t must lie in [1, {pop.n_members}], got {n_t}"
         )
-    return _select(pop, targets, hyper or HyperParams(), -1.0, n_t=float(n_t))
+    return _select(pop, targets, trial_size, -1.0, n_t=float(n_t))

@@ -31,7 +31,7 @@ from dsps.moments import (
 )
 from dsps.realize import draw
 from dsps.selection import (
-    HyperParams,
+    ALPHA_FRACTION,
     build_lp_system,
     solve_max_size,
     solve_min_size,
@@ -140,7 +140,7 @@ def test_accept_02_full_population_targets_select_everyone():
                 ))))
         pop = generate_population(SynthSpec(n_p, int(rng.integers(0, 2**31)), tuple(feats)))
         targets = plant_subset(pop, np.arange(n_p))
-        sel = solve_max_size(pop, targets, HyperParams(trial_size=float(n_p)))
+        sel = solve_max_size(pop, targets, float(n_p))
         system = build_lp_system(pop, targets)
         scaled_eta = np.abs(sel.eta) * system.row_scales
         worst_gap = max(worst_gap, n_p - sel.expected_size)
@@ -167,8 +167,8 @@ def test_accept_03_relaxed_solution_dominates_every_integer_subset():
         targets = plant_subset(pop, idx)
         system = build_lp_system(pop, targets)
         alpha = float(rng.uniform(0.02, 0.3))
-        sel = solve_max_size(pop, targets, HyperParams(alpha=alpha))
-        best = best_subset_objective(system.scaled_matrix(), system.scaled_rhs(), alpha)
+        sel = solve_max_size(pop, targets, alpha / ALPHA_FRACTION)
+        best = best_subset_objective(system.scaled_matrix(), system.scaled_rhs(), sel.alpha)
         assert best is not None  # the planted subset is always admissible
         worst_margin = min(worst_margin, best - sel.solver.objective_value)
         checked += 1
@@ -321,15 +321,15 @@ def test_accept_09_small_minimum_warns_and_large_minimum_does_not():
         ))
         return pop, targets
 
-    hyper = HyperParams(alpha=0.05)
+    trial_size = 0.05 / ALPHA_FRACTION
     pop_small, targets_small = two_point(m=10, n_per_side=20)
     with pytest.warns(SmallSampleWarning):
-        small = solve_min_size(pop_small, targets_small, hyper)
+        small = solve_min_size(pop_small, targets_small, trial_size)
 
     pop_big, targets_big = two_point(m=40, n_per_side=60)
     with warnings.catch_warnings():
         warnings.simplefilter("error", SmallSampleWarning)
-        big = solve_min_size(pop_big, targets_big, hyper)
+        big = solve_min_size(pop_big, targets_big, trial_size)
 
     ok = (
         small.small_sample_warning
@@ -355,7 +355,7 @@ def test_accept_10_feature_rescaling_leaves_the_solution_unchanged():
     pop = Population(tuple(f"m{i}" for i in range(500)), ("a", "b", "c"), data)
     idx = np.argsort(data[:, 0] + 0.02 * data[:, 1])[100:220]
     targets = plant_subset(pop, idx)
-    sel = solve_max_size(pop, targets, HyperParams(trial_size=120.0))
+    sel = solve_max_size(pop, targets, 120.0)
 
     lam = 1000.0
     scaled = data.copy()
@@ -368,7 +368,7 @@ def test_accept_10_feature_rescaling_leaves_the_solution_unchanged():
             v *= lam if c.order == 1 else lam**2
         crit.append(TargetCriterion(c.feature, c.order, v))
     targets2 = TargetSet(tuple(crit))
-    sel2 = solve_max_size(pop2, targets2, HyperParams(trial_size=120.0))
+    sel2 = solve_max_size(pop2, targets2, 120.0)
 
     gap = abs(sel.expected_size - sel2.expected_size)
     ok = gap <= 1e-6
@@ -396,15 +396,15 @@ def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
     problems = []
     for top in (3, 4):
         targets = plant_subset(pop, idx, orders=tuple(range(1, top + 1)))
-        hyper = HyperParams(trial_size=float(idx.size))
+        trial_size = float(idx.size)
         system = build_lp_system(pop, targets)
         slack_tol = 1e-7 / system.row_scales
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallSampleWarning)
-            relaxed = solve_max_size(pop, targets, hyper)
-            strict = solve_max_size(pop, targets, hyper, relaxed=False)
-            fixed = solve_fixed_size(pop, targets, float(idx.size), hyper)
-            smallest = solve_min_size(pop, targets, hyper)
+            relaxed = solve_max_size(pop, targets, trial_size)
+            strict = solve_max_size(pop, targets, trial_size, relaxed=False)
+            fixed = solve_fixed_size(pop, targets, float(idx.size), trial_size)
+            smallest = solve_min_size(pop, targets, trial_size)
         for mode, sel in (("max", relaxed), ("fixed", fixed), ("min", smallest)):
             eta, eta_max = sel.eta[:system.n_rows], sel.eta_max[:system.n_rows]
             resid = np.abs(system.matrix @ sel.p - system.rhs)
@@ -417,7 +417,7 @@ def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
             problems.append(f"orders 1-{top}: max size below the planted {idx.size}")
         if smallest.expected_size > relaxed.expected_size + 1e-9:
             problems.append(f"orders 1-{top}: min above max")
-        if abs(fixed.expected_size - idx.size) > hyper.alpha + 1e-9:
+        if abs(fixed.expected_size - idx.size) > fixed.alpha + 1e-9:
             problems.append(f"orders 1-{top}: fixed size off by more than alpha")
 
         targets_path = tmp_path / f"targets-{top}.json"

@@ -30,7 +30,7 @@ from dsps.errors import (
 )
 from dsps.evaluate import evaluate_selection
 from dsps.moments import TargetCriterion, TargetSet
-from dsps.selection import HyperParams, solve_fixed_size, solve_max_size
+from dsps.selection import solve_fixed_size, solve_max_size
 from dsps.synthgen import plant_subset
 
 SPEC_JSON = json.dumps(
@@ -203,13 +203,14 @@ class TestSelect:
         assert main(["select", *common, "--mode", "max-strict",
                      "--out", str(tmp / "m2")]) == 0
         assert main(["select", *common, "--mode", "fixed", "--n-target", "20",
-                     "--alpha", "1.0", "--out", str(tmp / "m3")]) == 0
+                     "--trial-size", "20", "--out", str(tmp / "m3")]) == 0
 
         fixed_run = json.loads((tmp / "m3" / "run.json").read_text())
         assert fixed_run["row_labels"][-1] == "size"
         assert abs(fixed_run["expected_size"] - 20.0) <= 1.0 + 1e-9
         strict_run = json.loads((tmp / "m2" / "run.json").read_text())
         assert strict_run["alpha"] is None and strict_run["beta"] is None
+        assert strict_run["trial_size"] is None
 
         # minimisation needs an instance that forces probability mass: on a
         # two-point feature every variance-row entry is equal, so no cheap
@@ -225,7 +226,7 @@ class TestSelect:
         save_population(pop2, pop2_path)
         targets2_path.write_text(targets2.to_json(), encoding="utf-8")
         assert main(["select", "--population", str(pop2_path), "--targets",
-                     str(targets2_path), "--mode", "min", "--alpha", "0.05",
+                     str(targets2_path), "--mode", "min", "--trial-size", "1",
                      "--seed", "3", "--out", str(tmp / "m4")]) == 0
         min_run = json.loads((tmp / "m4" / "run.json").read_text())
         assert min_run["expected_size"] == pytest.approx(38.0, abs=0.1)
@@ -286,31 +287,49 @@ class TestSelect:
         assert eval_report["realized_size"] == select_report["realized_size"]
         assert eval_report["rsse"] == pytest.approx(select_report["rsse"], rel=1e-12)
 
-    def test_seed_resolution_order(self, workspace, monkeypatch):
+    def test_seed_comes_from_the_flag_alone(self, workspace, monkeypatch):
+        # the seed defaults to 0, and no environment variable stands in for it
         tmp, pop, targets, pop_path, targets_path = workspace
         base = ["select", "--population", pop_path, "--targets", targets_path,
                 "--trial-size", "20"]
-
+        monkeypatch.delenv("DSPS_SEED", raising=False)
+        assert main([*base, "--out", str(tmp / "plain")]) == 0
         monkeypatch.setenv("DSPS_SEED", "5")
-        assert main([*base, "--seed", "7", "--out", str(tmp / "s1")]) == 0
-        assert json.loads((tmp / "s1" / "run.json").read_text())["seed"] == 7
+        assert main([*base, "--out", str(tmp / "env")]) == 0
+        assert json.loads((tmp / "env" / "run.json").read_text())["seed"] == 0
+        for name in _ARTIFACTS[:-1]:
+            assert (tmp / "env" / name).read_bytes() == (tmp / "plain" / name).read_bytes(), name
+        assert main([*base, "--seed", "5", "--out", str(tmp / "flag")]) == 0
+        assert json.loads((tmp / "flag" / "run.json").read_text())["seed"] == 5
 
-        assert main([*base, "--out", str(tmp / "s2")]) == 0
-        assert json.loads((tmp / "s2" / "run.json").read_text())["seed"] == 5
-
-        monkeypatch.delenv("DSPS_SEED")
-        assert main([*base, "--out", str(tmp / "s3")]) == 0
-        assert json.loads((tmp / "s3" / "run.json").read_text())["seed"] == 0
-
-        # an explicit seed equal to the env seed gives identical artifacts
-        assert main([*base, "--seed", "5", "--out", str(tmp / "s4")]) == 0
-        assert (tmp / "s2" / "mask.csv").read_bytes() == (tmp / "s4" / "mask.csv").read_bytes()
-
-    def test_unparseable_env_seed(self, workspace, monkeypatch):
-        tmp, pop, targets, pop_path, targets_path = workspace
-        monkeypatch.setenv("DSPS_SEED", "not-a-number")
-        assert main(["select", "--population", pop_path, "--targets", targets_path,
-                     "--trial-size", "20", "--out", str(tmp / "x")]) == 1
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_json_replays_the_run(self, tmp_path, mode):
+        # the select argv rebuilt from run.json alone writes the same bytes.
+        # On a two-point feature the variance row forces sum(p) near 40, so
+        # the min-size optimum is not a sliver whose draws are all empty.
+        tmp = tmp_path
+        pop_path, targets_path = tmp / "pop.csv", tmp / "targets.json"
+        save_population(make_pop(np.concatenate([np.full(60, 103.0), np.full(60, 97.0)])),
+                        pop_path)
+        targets_path.write_text(TargetSet((
+            TargetCriterion("f", 1, 100.0),
+            TargetCriterion("f", 2, 9.0 * 40 / 39.0),
+        )).to_json(), encoding="utf-8")
+        extra = ["--n-target", "40"] if mode == "fixed" else []
+        assert main(["select", "--population", str(pop_path), "--targets", str(targets_path),
+                     "--mode", mode, *extra, "--trial-size", "1", "--seed", "9",
+                     "--draws", "4", "--rsse-epsilon", "1e-9",
+                     "--out", str(tmp / "first")]) == 0
+        run = json.loads((tmp / "first" / "run.json").read_text())
+        argv = ["select", "--population", run["population"], "--targets", run["targets"],
+                "--mode", run["mode"], "--seed", str(run["seed"]), "--draws", str(run["draws"]),
+                "--rsse-epsilon", repr(run["rsse_epsilon"]), "--out", str(tmp / "replay")]
+        for key, flag in (("n_target", "--n-target"), ("trial_size", "--trial-size")):
+            if run[key] is not None:
+                argv += [flag, repr(run[key])]
+        assert main(argv) == 0
+        for name in _ARTIFACTS[:-1]:
+            assert (tmp / "replay" / name).read_bytes() == (tmp / "first" / name).read_bytes(), name
 
     def test_small_sample_run_warns_on_stderr(self, tmp_path, capsys):
         # symmetric two-point feature whose variance row forces sum(p) = 10
@@ -325,7 +344,7 @@ class TestSelect:
         save_population(pop, pop_path)
         targets_path.write_text(targets.to_json(), encoding="utf-8")
         code = main(["select", "--population", str(pop_path), "--targets",
-                     str(targets_path), "--mode", "min", "--alpha", "0.05",
+                     str(targets_path), "--mode", "min", "--trial-size", "1",
                      "--seed", "1", "--out", str(tmp_path / "out"),
                      "--rsse-epsilon", "1e-9"])
         assert code == 0
@@ -335,45 +354,40 @@ class TestSelect:
 
 
 class TestSlackSettings:
-    @pytest.mark.parametrize("mode", ["max", "fixed"])
-    def test_alpha_overrides_trial_size(self, workspace, mode):
-        tmp, pop, targets, pop_path, targets_path = workspace
-        common = ["select", "--population", pop_path, "--targets", targets_path,
-                  "--mode", mode, "--n-target", "20", "--alpha", "1"]
-        assert main([*common, "--out", str(tmp / "alpha")]) == 0
-        assert main([*common, "--trial-size", "400", "--out", str(tmp / "both")]) == 0
-        assert ((tmp / "both" / "probabilities.csv").read_bytes()
-                == (tmp / "alpha" / "probabilities.csv").read_bytes())
-        alone = json.loads((tmp / "alpha" / "run.json").read_text())
-        both = json.loads((tmp / "both" / "run.json").read_text())
-        assert both["alpha"] == alone["alpha"] == 1.0
-        assert both["eta_max"] == alone["eta_max"]
-
     def test_fixed_run_records_the_size_row(self, workspace):
         tmp, pop, targets, pop_path, targets_path = workspace
         assert main(["select", "--population", pop_path, "--targets", targets_path,
-                     "--mode", "fixed", "--n-target", "20", "--alpha", "0.5",
+                     "--mode", "fixed", "--n-target", "20", "--trial-size", "10",
                      "--out", str(tmp / "f")]) == 0
         run = json.loads((tmp / "f" / "run.json").read_text())
         assert len(run["beta"]) == len(run["eta_max"]) == len(targets) + 1
         assert run["beta"][-1] == 1.0 / (20.0 + 1e-6)
         assert run["eta_max"][-1] == run["alpha"] == 0.5
 
-    def test_n_target_is_recorded_only_in_fixed_mode(self, workspace):
+    def test_n_target_is_recorded_only_in_fixed_mode(self, workspace, capsys):
+        # the other modes refuse the flag rather than drop it unrecorded
         tmp, pop, targets, pop_path, targets_path = workspace
-        for mode, want in (("max", None), ("fixed", 20.0)):
-            assert main(["select", "--population", pop_path, "--targets", targets_path,
-                         "--mode", mode, "--n-target", "20", "--alpha", "1",
-                         "--out", str(tmp / mode)]) == 0
-            run = json.loads((tmp / mode / "run.json").read_text())
-            assert run["n_target"] == want
+        common = ["select", "--population", pop_path, "--targets", targets_path,
+                  "--trial-size", "20"]
+        assert main([*common, "--mode", "fixed", "--n-target", "20",
+                     "--out", str(tmp / "fixed")]) == 0
+        assert json.loads((tmp / "fixed" / "run.json").read_text())["n_target"] == 20.0
+        assert main([*common, "--mode", "max", "--out", str(tmp / "max")]) == 0
+        assert json.loads((tmp / "max" / "run.json").read_text())["n_target"] is None
+        capsys.readouterr()
+        for mode in ("max", "max-strict", "min"):
+            assert main([*common, "--mode", mode, "--n-target", "20",
+                         "--out", str(tmp / f"{mode}-n")]) == 1
+            assert capsys.readouterr().err == (
+                f"error: --n-target applies only to --mode fixed, not --mode {mode}\n")
+            assert not (tmp / f"{mode}-n").exists()
 
     def test_run_without_slack_rows_records_none(self, workspace):
         tmp, pop, targets, pop_path, targets_path = workspace
         empty = tmp / "empty.json"
         empty.write_text("[]", encoding="utf-8")
         assert main(["select", "--population", pop_path, "--targets", str(empty),
-                     "--mode", "max", "--alpha", "1", "--out", str(tmp / "e")]) == 0
+                     "--mode", "max", "--trial-size", "20", "--out", str(tmp / "e")]) == 0
         run = json.loads((tmp / "e" / "run.json").read_text())
         assert run["alpha"] is None and run["beta"] is None and run["eta_max"] is None
 
@@ -383,7 +397,7 @@ class TestSlackSettings:
         empty = tmp / "empty.json"
         empty.write_text("[]", encoding="utf-8")
         assert main(["select", "--population", pop_path, "--targets", str(empty),
-                     "--mode", "max", "--alpha", "1", "--out", str(tmp / "e")]) == 0
+                     "--mode", "max", "--trial-size", "20", "--out", str(tmp / "e")]) == 0
         report = json.loads((tmp / "e" / "report.json").read_text())
         assert report["solver"] == {"status": "Optimal", "iterations": 1, "max_residual": 0.0}
         assert set(read_probabilities(tmp / "e").values()) == {1.0}
@@ -393,20 +407,21 @@ class TestJsonEncoding:
     @pytest.mark.parametrize("mode", ["max", "fixed"])
     def test_run_json_settings_match_the_solve_bit_for_bit(self, workspace, mode):
         tmp, pop, targets, pop_path, targets_path = workspace
+        extra = ["--n-target", "20"] if mode == "fixed" else []
         assert main(["select", "--population", pop_path, "--targets", targets_path,
-                     "--mode", mode, "--n-target", "20", "--trial-size", "20",
+                     "--mode", mode, *extra, "--trial-size", "20",
                      "--out", str(tmp / mode)]) == 0
         run = json.loads((tmp / mode / "run.json").read_text())
         pop = load_population(pop_path)
-        hyper = HyperParams(trial_size=20.0)
         if mode == "max":
-            sel = solve_max_size(pop, targets, hyper)
+            sel = solve_max_size(pop, targets, 20.0)
         else:
-            sel = solve_fixed_size(pop, targets, 20.0, hyper)
+            sel = solve_fixed_size(pop, targets, 20.0, 20.0)
         for name in ("beta", "eta_max"):
             got = np.array(run[name], dtype=float)
             assert got.tobytes() == getattr(sel, name).tobytes()
         assert run["alpha"] == sel.alpha and run["expected_size"] == sel.expected_size
+        assert run["trial_size"] == 20.0
 
     def test_evaluate_stdout_is_the_report_file(self, workspace, capsys):
         tmp, pop, targets, pop_path, targets_path = workspace
@@ -447,7 +462,7 @@ class TestExitCodes:
     def test_fixed_mode_without_n_target_is_one(self, workspace):
         tmp, pop, targets, pop_path, targets_path = workspace
         assert main(["select", "--population", pop_path, "--targets", targets_path,
-                     "--mode", "fixed", "--alpha", "1.0",
+                     "--mode", "fixed", "--trial-size", "20",
                      "--out", str(tmp / "x")]) == 1
 
     def test_zero_draws_is_one(self, workspace):
@@ -474,21 +489,13 @@ class TestExitCodes:
         assert not (tmp / "x").exists()
 
     # each given setting that is out of range raises the class of its check
-    @pytest.mark.parametrize("setting, env_seed, error", [
-        (("--alpha", "inf"), None, InvalidSetting),
-        (("--rsse-epsilon", "nan"), None, InvalidSetting),
-        (("--seed", "-1"), None, InvalidSetting),
-        ((), "-1", InvalidSetting),
-        ((), "not-a-number", InvalidSetting),
-        (("--draws", "0"), None, InvalidDraws),
-    ], ids=["alpha inf", "rsse nan", "seed -1", "env seed -1", "env seed text", "draws 0"])
-    def test_bad_setting_raises_its_own_class(self, workspace, monkeypatch,
-                                              setting, env_seed, error):
+    @pytest.mark.parametrize("setting, error", [
+        (("--rsse-epsilon", "nan"), InvalidSetting),
+        (("--seed", "-1"), InvalidSetting),
+        (("--draws", "0"), InvalidDraws),
+    ], ids=["rsse nan", "seed -1", "draws 0"])
+    def test_bad_setting_raises_its_own_class(self, workspace, setting, error):
         tmp, pop, targets, pop_path, targets_path = workspace
-        if env_seed is None:
-            monkeypatch.delenv("DSPS_SEED", raising=False)
-        else:
-            monkeypatch.setenv("DSPS_SEED", env_seed)
         args = _build_parser().parse_args([
             "select", "--population", pop_path, "--targets", targets_path,
             "--trial-size", "20", "--out", str(tmp / "x"), *setting])
@@ -504,7 +511,7 @@ class TestExitCodes:
         tmp, pop, targets, pop_path, targets_path = workspace
         assert main(["select", "--population", pop_path, "--targets", targets_path,
                      "--out", str(tmp / "x")]) == 1
-        assert "alpha or trial_size" in capsys.readouterr().err
+        assert "need a trial size" in capsys.readouterr().err
 
     def test_min_mode_without_targets_is_one(self, workspace, capsys):
         # with no rows the min-size optimum is p = 0, and every draw is empty
@@ -512,7 +519,7 @@ class TestExitCodes:
         empty = tmp / "empty.json"
         empty.write_text("[]", encoding="utf-8")
         assert main(["select", "--population", pop_path, "--targets", str(empty),
-                     "--mode", "min", "--alpha", "1", "--out", str(tmp / "e")]) == 1
+                     "--mode", "min", "--trial-size", "20", "--out", str(tmp / "e")]) == 1
         assert "at least one target criterion" in capsys.readouterr().err
 
     def test_infeasible_targets_are_two(self, tmp_path):
@@ -526,7 +533,7 @@ class TestExitCodes:
         save_population(pop, pop_path)
         targets_path.write_text(targets.to_json(), encoding="utf-8")
         code = main(["select", "--population", str(pop_path), "--targets",
-                     str(targets_path), "--alpha", "0.05",
+                     str(targets_path), "--trial-size", "1",
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
@@ -552,9 +559,24 @@ class TestExitCodes:
             encoding="utf-8",
         )
         code = main(["select", "--population", pop_path, "--targets", str(bad),
-                     "--alpha", "0.05", "--out", str(tmp / "x")])
+                     "--trial-size", "1", "--out", str(tmp / "x")])
         assert code == 1
         assert "cholesterol" in capsys.readouterr().err
+
+    def test_overflowing_target_row_is_one(self, workspace, capfd):
+        # values near 100 to the 200th power leave float64: one line naming
+        # the criterion, and no RuntimeWarning before it
+        tmp, pop, _, pop_path, _ = workspace
+        high = tmp / "order_200.json"
+        high.write_text(json.dumps([{"feature": "f", "order": 1, "value": 100.0},
+                                    {"feature": "f", "order": 200, "value": 1.0}]),
+                        encoding="utf-8")
+        assert main(["select", "--population", pop_path, "--targets", str(high),
+                     "--trial-size", "20", "--out", str(tmp / "x")]) == 1
+        assert capfd.readouterr().err.splitlines() == [
+            "error: the row of ('f', 200) overflows float64"
+        ]
+        assert not (tmp / "x").exists()
 
     def test_degenerate_draws_are_three(self, tmp_path):
         # only the first member can carry probability, so every draw is a
@@ -569,7 +591,7 @@ class TestExitCodes:
         save_population(pop, pop_path)
         targets_path.write_text(targets.to_json(), encoding="utf-8")
         code = main(["select", "--population", str(pop_path), "--targets",
-                     str(targets_path), "--alpha", "0.01", "--seed", "0",
+                     str(targets_path), "--trial-size", "0.2", "--seed", "0",
                      "--out", str(tmp_path / "x")])
         assert code == 3
 
@@ -640,23 +662,18 @@ class TestExitCodes:
     # unchecked, these settings reach run.json as NaN or Infinity, which is
     # not JSON, or fail in the solver or in numpy with a message that does
     # not name the setting
-    @pytest.mark.parametrize("command, setting, env_seed, named", [
-        ("select", ("--rsse-epsilon", "nan"), None, "rsse epsilon"),
-        ("select", ("--rsse-epsilon", "inf"), None, "rsse epsilon"),
-        ("evaluate", ("--rsse-epsilon", "nan"), None, "rsse epsilon"),
-        ("select", ("--alpha", "inf"), None, "alpha"),
-        ("select", ("--trial-size", "inf"), None, "trial size"),
-        ("select", ("--seed", "-1"), None, "--seed"),
-        ("select", (), "-1", "$DSPS_SEED"),
-    ], ids=["select rsse nan", "select rsse inf", "evaluate rsse nan", "alpha inf",
-            "trial size inf", "seed -1", "env seed -1"])
-    def test_bad_numeric_setting_is_one(self, workspace, monkeypatch, capsys,
-                                        command, setting, env_seed, named):
+    @pytest.mark.parametrize("command, setting, named", [
+        ("select", ("--rsse-epsilon", "nan"), "rsse epsilon"),
+        ("select", ("--rsse-epsilon", "inf"), "rsse epsilon"),
+        ("evaluate", ("--rsse-epsilon", "nan"), "rsse epsilon"),
+        ("select", ("--trial-size", "inf"), "trial size"),
+        # the strict program sizes no slack, but a given trial size is checked
+        ("select", ("--mode", "max-strict", "--trial-size", "nan"), "trial size"),
+        ("select", ("--seed", "-1"), "--seed"),
+    ], ids=["select rsse nan", "select rsse inf", "evaluate rsse nan",
+            "trial size inf", "strict trial size nan", "seed -1"])
+    def test_bad_numeric_setting_is_one(self, workspace, capsys, command, setting, named):
         tmp, pop, _, pop_path, targets_path = workspace
-        if env_seed is None:
-            monkeypatch.delenv("DSPS_SEED", raising=False)
-        else:
-            monkeypatch.setenv("DSPS_SEED", env_seed)
         args = [command, "--population", pop_path, "--targets", targets_path,
                 "--out", str(tmp / "x"), *setting]
         if command == "select":
@@ -682,8 +699,8 @@ _SHAPES = (
 _ARTIFACTS = ("probabilities.csv", "mask.csv", "report.json", "run.json")
 
 
-def _generated_case(tmp, seed, n_members, n_features, order, kind):
-    """Population and targets files from ``seed``; returns select's file arguments."""
+def _generated_case(tmp, seed, n_members, n_features, order, kind, mode):
+    """Population and targets files from ``seed``; returns select's arguments for ``mode``."""
     rng = np.random.default_rng(seed)
     shapes = rng.integers(0, len(_SHAPES), n_features)
     pop = Population(
@@ -710,8 +727,9 @@ def _generated_case(tmp, seed, n_members, n_features, order, kind):
     pop_path, targets_path = tmp / "population.csv", tmp / "targets.json"
     save_population(pop, pop_path)
     targets_path.write_text(TargetSet(tuple(criteria)).to_json() + "\n", encoding="utf-8")
-    return ["--population", str(pop_path), "--targets", str(targets_path),
-            "--trial-size", str(planted.size), "--n-target", str(planted.size)]
+    args = ["--population", str(pop_path), "--targets", str(targets_path),
+            "--mode", mode, "--trial-size", str(planted.size)]
+    return args + ["--n-target", str(planted.size)] if mode == "fixed" else args
 
 
 def _select(args, out):
@@ -744,8 +762,8 @@ def test_generated_inputs_exit_in_class_and_replay(seed, n_members, n_features, 
     # and a rerun writes the same bytes
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        args = [*_generated_case(tmp, seed, n_members, n_features, order, kind),
-                "--mode", mode, "--seed", "7", "--draws", "3"]
+        args = [*_generated_case(tmp, seed, n_members, n_features, order, kind, mode),
+                "--seed", "7", "--draws", "3"]
         first = _select(args, tmp / "a")
         assert first[0] in (0, 1, 2, 3), first[2]
         assert _select(args, tmp / "b") == first

@@ -16,7 +16,7 @@ from dsps import selection
 from dsps.dataset import Population
 from dsps.errors import InfeasibleError, SmallSampleWarning
 from dsps.lp_core import LpProblem, LpRow, SolveStatus, _DualSimplex, solve_lp
-from dsps.selection import HyperParams, solve_fixed_size, solve_max_size, solve_min_size
+from dsps.selection import solve_fixed_size, solve_max_size, solve_min_size
 from dsps.synthgen import (
     FeatureSpec,
     LogNormal,
@@ -67,7 +67,7 @@ def recorded_problems(rng, mode, monkeypatch):
     else:
         idx = rng.choice(pop.n_members, size=max(5, pop.n_members // 5), replace=False)
     targets = plant_subset(pop, idx, orders=tuple(range(1, max_order + 1)))
-    hyper = HyperParams(trial_size=float(idx.size))
+    trial_size = float(idx.size)
 
     seen = []
 
@@ -81,13 +81,13 @@ def recorded_problems(rng, mode, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallSampleWarning)
             if mode == "max":
-                solve_max_size(pop, targets, hyper)
+                solve_max_size(pop, targets, trial_size)
             elif mode == "min":
-                solve_min_size(pop, targets, hyper)
+                solve_min_size(pop, targets, trial_size)
             elif mode == "fixed":
-                solve_fixed_size(pop, targets, float(idx.size), hyper)
+                solve_fixed_size(pop, targets, float(idx.size), trial_size)
             else:
-                solve_max_size(pop, targets, hyper, relaxed=False)
+                solve_max_size(pop, targets, trial_size, relaxed=False)
     except InfeasibleError:
         pass
     finally:
@@ -174,7 +174,7 @@ def test_max_mode_on_a_tied_column_perturbs_and_matches_highs(monkeypatch):
 
     monkeypatch.setattr(_DualSimplex, "_perturb", spy)
     monkeypatch.setattr(selection, "solve_lp", recording)
-    solve_max_size(pop, targets, HyperParams(trial_size=n / 2))
+    solve_max_size(pop, targets, n / 2)
     assert perturbed, "the solve never reached _perturb"
     (problem, solution), = seen
     assert solution.status is SolveStatus.OPTIMAL

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -11,14 +12,14 @@ from dsps.errors import (
     EmptyTargetSet,
     InfeasibleError,
     InvalidSampleSize,
-    InvalidSetting,
+    InvalidCriterion,
     MissingHyperParam,
     SmallSampleWarning,
 )
 from dsps.moments import TargetCriterion, TargetSet, expected_moment, moment_terms
 from dsps.selection import (
+    ALPHA_FRACTION,
     SIZE_ROW,
-    HyperParams,
     build_lp_system,
     ordered_criteria,
     solve_fixed_size,
@@ -178,53 +179,77 @@ class TestBuildLpSystem:
         assert system.n_rows == 0
         assert system.matrix.shape == (0, 2)
 
+    @pytest.mark.parametrize("criteria", [
+        (("f", 1, 150.0), ("f", 200, 1.0)),
+        (("f", 1, 150.0), ("f", 2, 1e200), ("f", 4, 1.0)),
+    ], ids=["order 200", "squared variance"])
+    def test_overflowing_row_is_an_invalid_criterion(self, criteria):
+        # a deviation of 40 to the 200th power, or the squared variance that
+        # standardises order 4, leaves float64: the criterion is named, and
+        # no RuntimeWarning or OverflowError escapes first
+        pop = make_pop({"f": [120.0, 150.0, 190.0]})
+        feature, order, _ = criteria[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidCriterion, match=re.escape(f"({feature!r}, {order}) overflows")):
+                build_lp_system(pop, targets_of(*criteria))
+
 
 class TestHyperParams:
+    """The slack budget ``alpha``, 5 % of the trial size."""
+
     def test_auto_from_trial_size(self):
         # mean 8 and variance 2 are planted by the members 7 and 9
         pop = make_pop({"f": [7.0, 9.0, 20.0]})
         targets = targets_of(("f", 1, 8.0), ("f", 2, 2.0))
-        hyper = HyperParams(trial_size=413.0)
-        sel = solve_max_size(pop, targets, hyper)
-        assert hyper.alpha == pytest.approx(20.65)
-        assert sel.alpha == hyper.alpha
+        sel = solve_max_size(pop, targets, 413.0)
+        assert sel.alpha == pytest.approx(20.65)
+        assert sel.alpha == ALPHA_FRACTION * 413.0
         np.testing.assert_allclose(
             sel.beta, [1.0 / (8.0 + 1e-6), 1.0 / (2.0 + 1e-6)]
         )
         np.testing.assert_allclose(
             sel.eta_max, [20.65 * (8.0 + 1e-6), 20.65 * (2.0 + 1e-6)]
         )
-        assert hyper.trial_size == 413.0
 
     def test_auto_rejects_nonpositive_trial_size(self):
+        pop = make_pop({"f": [7.0, 9.0, 20.0]})
         with pytest.raises(InvalidSampleSize):
-            HyperParams(trial_size=0.0)
+            solve_max_size(pop, targets_of(("f", 1, 8.0)), 0.0)
 
     def test_auto_zero_target_falls_back_to_epsilon(self):
         # a zero target would blow up 1/|t|; epsilon keeps both vectors finite
         pop = make_pop({"f": [-1.0, 1.0, 3.0]})
-        sel = solve_max_size(pop, targets_of(("f", 1, 0.0)), HyperParams(trial_size=20.0))
+        sel = solve_max_size(pop, targets_of(("f", 1, 0.0)), 20.0)
         assert sel.beta[0] == pytest.approx(1e6)
         assert sel.eta_max[0] == pytest.approx(1e-6)
 
     def test_validation(self):
-        with pytest.raises(InvalidSetting):
-            HyperParams(alpha=0.0)
+        pop = make_pop({"f": [7.0, 9.0, 20.0]})
+        targets = targets_of(("f", 1, 8.0))
         with pytest.raises(InvalidSampleSize):
-            HyperParams(trial_size=-3.0)
+            solve_max_size(pop, targets, -3.0)
+        # checked even where the program has no slack to size
+        with pytest.raises(InvalidSampleSize):
+            solve_max_size(pop, targets, -3.0, relaxed=False)
 
-    @pytest.mark.parametrize("alpha", [np.inf, np.nan, 0.0], ids=["inf", "nan", "zero"])
-    def test_given_alpha_out_of_range_is_an_invalid_setting(self, alpha):
+    @pytest.mark.parametrize("solve", [
+        solve_max_size,
+        solve_min_size,
+        lambda pop, targets: solve_fixed_size(pop, targets, 2.0),
+    ], ids=["max", "min", "fixed"])
+    def test_relaxed_rows_without_a_trial_size_are_missing_a_hyperparam(self, solve):
+        pop = make_pop({"f": [7.0, 9.0, 20.0]})
+        with pytest.raises(MissingHyperParam, match="need a trial size"):
+            solve(pop, targets_of(("f", 1, 8.0)))
+
+    @pytest.mark.parametrize("trial_size", [np.inf, np.nan, 0.0], ids=["inf", "nan", "zero"])
+    def test_given_trial_size_out_of_range_is_an_invalid_sample_size(self, trial_size):
         # the setting was given, so it is not a missing hyperparameter
-        with pytest.raises(InvalidSetting, match="alpha must be finite and positive") as info:
-            HyperParams(alpha=alpha, trial_size=400.0)
+        pop = make_pop({"f": [7.0, 9.0, 20.0]})
+        with pytest.raises(InvalidSampleSize, match="trial size must be finite and positive") as info:
+            solve_max_size(pop, targets_of(("f", 1, 8.0)), trial_size)
         assert not isinstance(info.value, MissingHyperParam)
-
-    def test_resolved_alpha_prefers_explicit(self):
-        assert HyperParams(alpha=7.0, trial_size=400.0).resolved_alpha() == 7.0
-        assert HyperParams(trial_size=400.0).resolved_alpha() == pytest.approx(20.0)
-        with pytest.raises(MissingHyperParam):
-            HyperParams().resolved_alpha()
 
 
 class TestSolveMaxSize:
@@ -232,7 +257,7 @@ class TestSolveMaxSize:
         rng = np.random.default_rng(77)
         pop = make_pop({"a": rng.normal(5, 1, 25), "b": rng.normal(0, 2, 25)})
         targets = own_moment_targets(pop)
-        sel = solve_max_size(pop, targets, HyperParams(trial_size=25.0))
+        sel = solve_max_size(pop, targets, 25.0)
         np.testing.assert_allclose(sel.p, np.ones(25), atol=1e-8)
         assert sel.expected_size == pytest.approx(25.0, abs=1e-7)
         assert np.all(sel.eta <= 1e-7 * (np.abs(sel.eta) + 1.0))
@@ -254,7 +279,7 @@ class TestSolveMaxSize:
         idx = np.array([0, 2, 3, 7, 8, 11])
         targets = subset_targets(pop, idx)
         system = build_lp_system(pop, targets)
-        sel = solve_max_size(pop, targets, HyperParams(alpha=0.05))
+        sel = solve_max_size(pop, targets, 0.05 / ALPHA_FRACTION)
         best = best_subset_objective(system.scaled_matrix(), system.scaled_rhs(), 0.05)
         # the planted subset meets every row exactly
         assert best is not None and best <= -idx.size + 1e-9
@@ -265,8 +290,7 @@ class TestSolveMaxSize:
         pop = make_pop({"a": rng.normal(1, 1, 30), "b": rng.normal(6, 3, 30)})
         idx = np.arange(0, 30, 3)
         targets = subset_targets(pop, idx)
-        hyper = HyperParams(trial_size=10.0)
-        sel = solve_max_size(pop, targets, hyper)
+        sel = solve_max_size(pop, targets, 10.0)
         system = build_lp_system(pop, targets)
         resid = np.abs(system.matrix @ sel.p - system.rhs)
         slack_tol = 1e-7 / system.row_scales
@@ -282,7 +306,7 @@ class TestSolveMaxSize:
         targets = subset_targets(pop, idx)
         objectives = []
         for alpha in (0.05, 0.1):
-            sel = solve_max_size(pop, targets, HyperParams(alpha=alpha))
+            sel = solve_max_size(pop, targets, alpha / ALPHA_FRACTION)
             objectives.append(sel.solver.objective_value)
         assert objectives[1] <= objectives[0] + 1e-9
 
@@ -291,9 +315,8 @@ class TestSolveMaxSize:
         # so no p >= 0 can come within the slack budget
         pop = make_pop({"f": [1.0, 2.0, 3.0]})
         targets = targets_of(("f", 1, 50.0), ("f", 2, 1.0))
-        hyper = HyperParams(alpha=0.5)
         with pytest.raises(InfeasibleError) as err:
-            solve_max_size(pop, targets, hyper)
+            solve_max_size(pop, targets, 0.5 / ALPHA_FRACTION)
         assert err.value.violation > 0.0
 
     def test_strict_unreachable_target_is_infeasible(self):
@@ -315,7 +338,7 @@ class TestSolveMaxSize:
         # is a legitimate (if useless) optimum rather than an infeasibility:
         # each unit of p on the member at 3 costs 47/(50 + 1e-6) < 1 of slack
         pop = make_pop({"f": [1.0, 2.0, 3.0]})
-        sel = solve_max_size(pop, targets_of(("f", 1, 50.0)), HyperParams(alpha=0.01))
+        sel = solve_max_size(pop, targets_of(("f", 1, 50.0)), 0.01 / ALPHA_FRACTION)
         assert sel.expected_size == pytest.approx(0.01 * (50.0 + 1e-6) / 47.0)
 
     def test_empty_targets_select_everyone(self):
@@ -332,7 +355,7 @@ class TestSolveMaxSize:
         pop = make_pop({"a": rng.normal(8, 1.2, 120), "b": rng.normal(120, 25, 120)})
         idx = np.argsort(pop.data[:, 0] + 0.02 * pop.data[:, 1])[20:60]
         targets = subset_targets(pop, idx)
-        sel = solve_max_size(pop, targets, HyperParams(trial_size=40.0))
+        sel = solve_max_size(pop, targets, 40.0)
 
         lam = 1000.0
         scaled = pop.data.copy()
@@ -345,7 +368,7 @@ class TestSolveMaxSize:
                 v *= lam if c.order == 1 else lam**2
             crit.append(TargetCriterion(c.feature, c.order, v))
         targets2 = TargetSet(tuple(crit))
-        sel2 = solve_max_size(pop2, targets2, HyperParams(trial_size=40.0))
+        sel2 = solve_max_size(pop2, targets2, 40.0)
         assert sel2.expected_size == pytest.approx(sel.expected_size, abs=1e-6)
 
     @settings(max_examples=40, deadline=None)
@@ -362,7 +385,7 @@ class TestSolveMaxSize:
             return
         pop = make_pop({"f": x})
         targets = own_moment_targets(pop)
-        sel = solve_max_size(pop, targets, HyperParams(trial_size=float(len(x))))
+        sel = solve_max_size(pop, targets, float(len(x)))
         assert sel.expected_size == pytest.approx(len(x), abs=1e-6)
 
 
@@ -386,8 +409,7 @@ class TestSolveMaxSize:
         pop = make_pop({"f": x})
         targets = plant_subset(pop, np.arange(x.size), orders=(1, 2, 3))
         assert abs(targets.value_of("f", 3)) < 1e-6
-        hyper = HyperParams(trial_size=float(x.size))
-        sel = solve_max_size(pop, targets, hyper)
+        sel = solve_max_size(pop, targets, float(x.size))
         assert sel.expected_size == pytest.approx(x.size, abs=1e-6)
         system = build_lp_system(pop, targets)
         # rounding in a row sum grows with the magnitude of its terms
@@ -410,7 +432,7 @@ class TestSolveMaxSize:
         x = np.concatenate([center + np.asarray(half), center - np.asarray(half)])
         pop = make_pop({"f": x})
         targets = plant_subset(pop, np.arange(x.size), orders=(1, 2, 3))
-        return solve_max_size(pop, targets, HyperParams(trial_size=float(x.size)))
+        return solve_max_size(pop, targets, float(x.size))
 
     @pytest.mark.usefixtures("dual_only")
     def test_recorded_population_needs_no_primal(self):
@@ -447,7 +469,7 @@ class TestSolveMaxSize:
         lo, hi = np.percentile(pop.data[:, 0], (60.0, 90.0))
         idx = np.flatnonzero((pop.data[:, 0] >= lo) & (pop.data[:, 0] <= hi))
         targets = plant_subset(pop, idx, orders=(1, 2))
-        sel = solve_max_size(pop, targets, HyperParams(trial_size=float(idx.size)))
+        sel = solve_max_size(pop, targets, float(idx.size))
         assert sel.expected_size >= idx.size - 1e-6
         assert sel.solver.iterations <= 100
 
@@ -475,18 +497,16 @@ class TestSolveMinSize:
 
     def test_forced_small_size_warns(self):
         pop, targets = self.two_point_pop(m=10, n_per_side=20)
-        hyper = HyperParams(alpha=0.05)
         with pytest.warns(SmallSampleWarning):
-            sel = solve_min_size(pop, targets, hyper)
+            sel = solve_min_size(pop, targets, 0.05 / ALPHA_FRACTION)
         assert sel.small_sample_warning
         assert sel.expected_size == pytest.approx(self.forced_minimum(10, 0.05), abs=1e-3)
 
     def test_comfortable_size_stays_silent(self):
         pop, targets = self.two_point_pop(m=40, n_per_side=60)
-        hyper = HyperParams(alpha=0.05)
         with warnings.catch_warnings():
             warnings.simplefilter("error", SmallSampleWarning)
-            sel = solve_min_size(pop, targets, hyper)
+            sel = solve_min_size(pop, targets, 0.05 / ALPHA_FRACTION)
         assert not sel.small_sample_warning
         assert sel.expected_size == pytest.approx(self.forced_minimum(40, 0.05), abs=1e-3)
 
@@ -495,11 +515,10 @@ class TestSolveMinSize:
         pop = make_pop({"a": rng.normal(2, 1, 40)})
         idx = np.arange(10, 30)
         targets = subset_targets(pop, idx)
-        hyper = HyperParams(trial_size=20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallSampleWarning)
-            lo = solve_min_size(pop, targets, hyper).expected_size
-        hi = solve_max_size(pop, targets, hyper).expected_size
+            lo = solve_min_size(pop, targets, 20.0).expected_size
+        hi = solve_max_size(pop, targets, 20.0).expected_size
         assert lo <= hi + 1e-9
 
 
@@ -509,8 +528,7 @@ class TestSolveFixedSize:
         pop = make_pop({"a": rng.normal(0, 1, 10)})
         idx = np.array([0, 3, 5, 8])
         targets = subset_targets(pop, idx)
-        hyper = HyperParams(alpha=0.2)
-        sel = solve_fixed_size(pop, targets, 4.0, hyper)
+        sel = solve_fixed_size(pop, targets, 4.0, 0.2 / ALPHA_FRACTION)
         assert sel.row_labels[-1] == SIZE_ROW
         assert abs(sel.expected_size - 4.0) <= 0.2 + 1e-9
         # criterion rows still honour their own slack budget
@@ -521,12 +539,12 @@ class TestSolveFixedSize:
         rng = np.random.default_rng(93)
         pop = make_pop({"a": rng.normal(10, 3, 8)})
         targets = own_moment_targets(pop)
-        sel = solve_fixed_size(pop, targets, 8.0, HyperParams(alpha=0.05))
+        sel = solve_fixed_size(pop, targets, 8.0, 0.05 / ALPHA_FRACTION)
         np.testing.assert_allclose(sel.p, np.ones(8), atol=1e-9)
 
     def test_unit_size_puts_mass_on_the_matching_member(self):
         pop = make_pop({"f": [1.0, 2.0, 3.0]})
-        sel = solve_fixed_size(pop, targets_of(("f", 1, 2.0)), 1.0, HyperParams(alpha=0.05))
+        sel = solve_fixed_size(pop, targets_of(("f", 1, 2.0)), 1.0, 0.05 / ALPHA_FRACTION)
         assert sel.p[1] == pytest.approx(1.0, abs=1e-9)
         assert abs(sel.expected_size - 1.0) <= 0.05 + 1e-9
 
