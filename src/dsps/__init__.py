@@ -8,7 +8,7 @@ them against the targets.
 """
 
 from .dataset import Population, feature_column, load_population, save_population
-from .errors import DspsError, SmallSampleWarning
+from .errors import DspsError
 from .evaluate import (
     EvaluationReport,
     evaluate_selection,
@@ -82,5 +82,4 @@ __all__ = [
     "rsse",
     "gmi",
     "DspsError",
-    "SmallSampleWarning",
 ]

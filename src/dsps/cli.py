@@ -9,8 +9,9 @@ writes four artifacts into the output directory:
 * ``run.json``          -- every setting of the run, the trial size among
   them, and the slack settings derived from it; a run is replayable from it
 
-Each setting has one flag: the slack budget ``alpha`` is 5 % of
-``--trial-size``, the draw seed is ``--seed`` (default 0), and no environment
+Each setting has one flag: ``--trial-size`` is the intended cohort size, the
+slack budget ``alpha`` is 5 % of it, and ``--mode fixed`` pins the expected
+size to it; the draw seed is ``--seed`` (default 0), and no environment
 variable is read.  No timestamps or machine state go into the artifacts, so a
 repeated run with the same inputs is byte-identical.
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ from .errors import (
     InfeasibleError,
     InvalidDraws,
     InvalidSetting,
-    SmallSampleWarning,
     SolverFailure,
 )
 from .evaluate import _denominators, evaluate_selection
@@ -84,10 +83,9 @@ def _build_parser() -> _Parser:
     sel.add_argument("--population", required=True, help="population CSV")
     sel.add_argument("--targets", required=True, help="targets JSON array")
     sel.add_argument("--mode", choices=MODES, default="max")
-    sel.add_argument("--n-target", type=float, default=None,
-                     help="expected size for --mode fixed; refused by the other modes")
     sel.add_argument("--trial-size", type=float, default=None,
-                     help="intended cohort size; the slack budget alpha is 5%% of it")
+                     help="intended cohort size; the slack budget alpha is 5%% of it, "
+                          "and --mode fixed pins the expected size to it")
     sel.add_argument("--seed", type=int, default=0, help="draw seed")
     sel.add_argument("--draws", type=int, default=10,
                      help="independent realizations; best by realized RSSE is kept")
@@ -197,21 +195,15 @@ def cmd_select(args) -> int:
         raise InvalidSetting(f"--seed must be a non-negative integer, got {args.seed}")
     if args.draws < 1:
         raise InvalidDraws(f"--draws must be >= 1, got {args.draws}")
-    if args.n_target is not None and args.mode != "fixed":
-        raise InvalidSetting(f"--n-target applies only to --mode fixed, not --mode {args.mode}")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallSampleWarning)
-        if args.mode == "max":
-            sel = solve_max_size(pop, targets, args.trial_size, relaxed=True)
-        elif args.mode == "max-strict":
-            sel = solve_max_size(pop, targets, args.trial_size, relaxed=False)
-        elif args.mode == "min":
-            sel = solve_min_size(pop, targets, args.trial_size)
-        else:
-            if args.n_target is None:
-                raise DspsError("--mode fixed requires --n-target")
-            sel = solve_fixed_size(pop, targets, args.n_target, args.trial_size)
+    if args.mode == "max":
+        sel = solve_max_size(pop, targets, args.trial_size, relaxed=True)
+    elif args.mode == "max-strict":
+        sel = solve_max_size(pop, targets, args.trial_size, relaxed=False)
+    elif args.mode == "min":
+        sel = solve_min_size(pop, targets, args.trial_size)
+    else:
+        sel = solve_fixed_size(pop, targets, args.trial_size)
     if sel.small_sample_warning:
         print(
             f"warning: expected size {sel.expected_size:.2f} is below "
@@ -262,7 +254,6 @@ def cmd_select(args) -> int:
         "population": str(args.population),
         "targets": str(args.targets),
         "mode": args.mode,
-        "n_target": args.n_target,
         "trial_size": args.trial_size,
         "alpha": sel.alpha,
         "beta": sel.beta,

@@ -2,7 +2,7 @@
 
 Every error raised by the library derives from :class:`DspsError` so callers
 can catch one base class at the boundary (the CLI maps subclasses to exit
-codes).  Warnings derive from :class:`UserWarning` as usual.
+codes).
 """
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "InsufficientForOrder",
     "MissingHyperParam",
     "InvalidSetting",
-    "SmallSampleWarning",
 ]
 
 
@@ -46,7 +45,7 @@ class DspsError(Exception):
 
 
 class InvalidSetting(DspsError):
-    """A given setting is out of range (rsse epsilon, seed) or not for this mode (n target)."""
+    """A given setting is out of range (rsse epsilon, seed)."""
 
 
 # ---- dataset ----
@@ -146,7 +145,7 @@ class EmptyTargetSet(DspsError):
 
 
 class InvalidSampleSize(DspsError):
-    """A requested size (trial size or fixed n) is not a positive number."""
+    """The trial size is not finite and positive, outside fixed mode's range, or overflows a cap."""
 
 
 class MissingHyperParam(DspsError):
@@ -185,9 +184,3 @@ class EmptyIndices(DspsError):
 
 class InsufficientForOrder(DspsError):
     """Too few planted members for the requested moment order."""
-
-
-# ---- warnings ----
-
-class SmallSampleWarning(UserWarning):
-    """Minimised expected size fell below the usual large-sample threshold."""

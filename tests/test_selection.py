@@ -14,7 +14,6 @@ from dsps.errors import (
     InvalidSampleSize,
     InvalidCriterion,
     MissingHyperParam,
-    SmallSampleWarning,
 )
 from dsps.moments import TargetCriterion, TargetSet, expected_moment, moment_terms
 from dsps.selection import (
@@ -236,7 +235,7 @@ class TestHyperParams:
     @pytest.mark.parametrize("solve", [
         solve_max_size,
         solve_min_size,
-        lambda pop, targets: solve_fixed_size(pop, targets, 2.0),
+        solve_fixed_size,
     ], ids=["max", "min", "fixed"])
     def test_relaxed_rows_without_a_trial_size_are_missing_a_hyperparam(self, solve):
         pop = make_pop({"f": [7.0, 9.0, 20.0]})
@@ -497,17 +496,14 @@ class TestSolveMinSize:
 
     def test_forced_small_size_warns(self):
         pop, targets = self.two_point_pop(m=10, n_per_side=20)
-        with pytest.warns(SmallSampleWarning):
-            sel = solve_min_size(pop, targets, 0.05 / ALPHA_FRACTION)
-        assert sel.small_sample_warning
+        sel = solve_min_size(pop, targets, 0.05 / ALPHA_FRACTION)
+        assert sel.small_sample_warning is True
         assert sel.expected_size == pytest.approx(self.forced_minimum(10, 0.05), abs=1e-3)
 
     def test_comfortable_size_stays_silent(self):
         pop, targets = self.two_point_pop(m=40, n_per_side=60)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", SmallSampleWarning)
-            sel = solve_min_size(pop, targets, 0.05 / ALPHA_FRACTION)
-        assert not sel.small_sample_warning
+        sel = solve_min_size(pop, targets, 0.05 / ALPHA_FRACTION)
+        assert sel.small_sample_warning is False
         assert sel.expected_size == pytest.approx(self.forced_minimum(40, 0.05), abs=1e-3)
 
     def test_min_never_exceeds_max(self):
@@ -515,9 +511,7 @@ class TestSolveMinSize:
         pop = make_pop({"a": rng.normal(2, 1, 40)})
         idx = np.arange(10, 30)
         targets = subset_targets(pop, idx)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SmallSampleWarning)
-            lo = solve_min_size(pop, targets, 20.0).expected_size
+        lo = solve_min_size(pop, targets, 20.0).expected_size
         hi = solve_max_size(pop, targets, 20.0).expected_size
         assert lo <= hi + 1e-9
 
@@ -528,7 +522,8 @@ class TestSolveFixedSize:
         pop = make_pop({"a": rng.normal(0, 1, 10)})
         idx = np.array([0, 3, 5, 8])
         targets = subset_targets(pop, idx)
-        sel = solve_fixed_size(pop, targets, 4.0, 0.2 / ALPHA_FRACTION)
+        sel = solve_fixed_size(pop, targets, 4.0)
+        assert sel.alpha == 0.2
         assert sel.row_labels[-1] == SIZE_ROW
         assert abs(sel.expected_size - 4.0) <= 0.2 + 1e-9
         # criterion rows still honour their own slack budget
@@ -539,12 +534,12 @@ class TestSolveFixedSize:
         rng = np.random.default_rng(93)
         pop = make_pop({"a": rng.normal(10, 3, 8)})
         targets = own_moment_targets(pop)
-        sel = solve_fixed_size(pop, targets, 8.0, 0.05 / ALPHA_FRACTION)
+        sel = solve_fixed_size(pop, targets, 8.0)
         np.testing.assert_allclose(sel.p, np.ones(8), atol=1e-9)
 
     def test_unit_size_puts_mass_on_the_matching_member(self):
         pop = make_pop({"f": [1.0, 2.0, 3.0]})
-        sel = solve_fixed_size(pop, targets_of(("f", 1, 2.0)), 1.0, 0.05 / ALPHA_FRACTION)
+        sel = solve_fixed_size(pop, targets_of(("f", 1, 2.0)), 1.0)
         assert sel.p[1] == pytest.approx(1.0, abs=1e-9)
         assert abs(sel.expected_size - 1.0) <= 0.05 + 1e-9
 
@@ -558,6 +553,6 @@ class TestSolveFixedSize:
 
     def test_size_out_of_range_rejected(self):
         pop = make_pop({"f": [1.0, 2.0]})
-        for n_t in (-1.0, 0.5, 7.0):
-            with pytest.raises(InvalidSampleSize):
-                solve_fixed_size(pop, targets_of(("f", 1, 1.5)), n_t)
+        for trial_size in (-1.0, 0.5, 7.0, np.nan, np.inf):
+            with pytest.raises(InvalidSampleSize, match=r"must lie in \[1, 2\] in fixed mode"):
+                solve_fixed_size(pop, targets_of(("f", 1, 1.5)), trial_size)
