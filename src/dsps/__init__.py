@@ -30,7 +30,7 @@ from .moments import (
     expected_size,
     sample_moment,
 )
-from .realize import RealizationResult, SelectionMask, draw, draw_best
+from .realize import RealizationResult, draw, draw_best
 from .selection import (
     ConstraintSystem,
     SelectionProbabilities,
@@ -73,7 +73,6 @@ __all__ = [
     "solve_max_size",
     "solve_min_size",
     "solve_fixed_size",
-    "SelectionMask",
     "RealizationResult",
     "draw",
     "draw_best",

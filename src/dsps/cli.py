@@ -220,7 +220,7 @@ def cmd_select(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_id_csv(out / "probabilities.csv", ("member_id", "p"), pop.member_ids, sel.p)
-    write_id_csv(out / "mask.csv", ("member_id", "selected"), pop.member_ids, best.mask.b)
+    write_id_csv(out / "mask.csv", ("member_id", "selected"), pop.member_ids, best.mask)
 
     report = _report(
         best.report,
@@ -234,7 +234,7 @@ def cmd_select(args) -> int:
         seeds={
             "seed": args.seed,
             "n_draws": args.draws,
-            "best_draw_index": best.mask.draw_index,
+            "best_draw_index": best.draw_index,
         },
         small_sample_warning=sel.small_sample_warning,
         draws=[
@@ -270,8 +270,8 @@ def cmd_select(args) -> int:
 
     print(
         f"mode={args.mode} expected_size={sel.expected_size:.3f} "
-        f"realized_size={best.size} rsse={best.report.rsse:.6g} "
-        f"best_draw={best.mask.draw_index}"
+        f"realized_size={best.report.realized_size} rsse={best.report.rsse:.6g} "
+        f"best_draw={best.draw_index}"
     )
     return 0
 

@@ -91,18 +91,18 @@ def evaluate_selection(
 ) -> EvaluationReport:
     """Score a mask (realized moments) or probabilities (expected moments).
 
-    A mask is anything carrying a binary ``b`` vector or an integer/bool
-    array; a float array or an object carrying ``p`` is treated as inclusion
-    probabilities.  Realized moments are the selected members' own sample
-    statistics: each is :func:`sample_moment` of the feature column indexed
-    by the mask (nonzero entries select), without building a sub-population.
-    A mask whose length is not the population's raises
+    The dtype of ``selection`` decides: an integer or bool array is a mask,
+    whose nonzero entries select (:func:`dsps.realize.draw` returns one), and
+    a float array is inclusion probabilities.  Realized moments are the
+    selected members' own sample statistics: each is :func:`sample_moment` of
+    the feature column indexed by the mask, without building a
+    sub-population.  A mask whose length is not the population's raises
     :class:`LengthMismatch` and one that selects nobody
     :class:`EmptySelection`.  Expected moments are probability-weighted and
     centred on the targets, so the two coincide only in expectation.
     """
-    kind, vec = _classify(selection)
-    if kind == "mask":
+    vec = np.asarray(selection)
+    if vec.dtype.kind in "biu":
         if vec.shape != (pop.n_members,):
             raise LengthMismatch(f"mask length {vec.shape} for {pop.n_members} members")
         keep = vec.astype(bool)
@@ -114,6 +114,7 @@ def evaluate_selection(
             for c in targets
         ]
     else:
+        vec = np.asarray(vec, dtype=float).ravel()
         if vec.size != pop.n_members:
             raise LengthMismatch(f"{vec.size} probabilities for {pop.n_members} members")
         realized_size = None
@@ -138,13 +139,3 @@ def evaluate_selection(
         per_criterion, rsse(a, t, rsse_epsilon), pe_mean, pe_sd, realized_size
     )
 
-
-def _classify(selection):
-    b = getattr(selection, "b", None)
-    if b is not None:
-        return "mask", np.asarray(b)
-    p = getattr(selection, "p", selection)
-    arr = np.asarray(p)
-    if arr.dtype.kind in "biu":
-        return "mask", arr
-    return "probabilities", np.asarray(arr, dtype=float).ravel()

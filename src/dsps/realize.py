@@ -13,6 +13,9 @@ A member with ``p_i`` of 0 or 1 thus has the same outcome in every draw, so
 two draws that agree on the fractional members are the same mask;
 :func:`draw_best` scores each such mask once and gives every draw of it the
 same RSSE.
+
+Each draw is a read-only ``int8`` 0/1 array over the members: the one mask
+type, which :func:`evaluate_selection` scores and the CLI writes.
 """
 
 from __future__ import annotations
@@ -23,45 +26,13 @@ import numpy as np
 
 from .dataset import Population
 from .errors import (
-    AllDrawsDegenerate,
-    EmptySelection,
-    InsufficientData,
-    InvalidDraws,
-    OutOfRangeProbability,
-    ZeroVariance,
+    AllDrawsDegenerate, EmptySelection, InsufficientData, InvalidDraws, InvalidSetting,
+    OutOfRangeProbability, ZeroVariance,
 )
 from .evaluate import EvaluationReport, evaluate_selection
 from .moments import TargetSet
 
-__all__ = [
-    "SelectionMask",
-    "RealizationResult",
-    "DrawStats",
-    "uniform_stream",
-    "draw",
-    "draw_best",
-]
-
-
-@dataclass(frozen=True)
-class SelectionMask:
-    """Binary member selection plus the randomness that produced it."""
-
-    b: np.ndarray
-    seed: int
-    draw_index: int
-
-    def __post_init__(self):
-        b = np.asarray(self.b)
-        if not np.all((b == 0) | (b == 1)):
-            raise OutOfRangeProbability(f"mask entries must be 0/1, got {np.unique(b)[:5]}")
-        b = np.ascontiguousarray(b, dtype=np.int8)
-        b.setflags(write=False)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def size(self) -> int:
-        return int(np.sum(self.b))
+__all__ = ["RealizationResult", "DrawStats", "uniform_stream", "draw", "draw_best"]
 
 
 @dataclass(frozen=True)
@@ -75,31 +46,42 @@ class DrawStats:
 
 @dataclass(frozen=True)
 class RealizationResult:
-    """The chosen draw with the report that scored it."""
+    """The best draw's read-only int8 mask, its index and its report (``realized_size``)."""
 
-    mask: SelectionMask
-    size: int
+    mask: np.ndarray
+    draw_index: int
     report: EvaluationReport
 
 
+def _is_count(value, low: int) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= low
+
+
 def uniform_stream(seed: int, draw_index: int, n: int) -> np.ndarray:
-    """The pinned uniforms for one draw: PCG64 on ``SeedSequence(seed, (draw_index,))``."""
+    """The pinned uniforms for one draw: PCG64 on ``SeedSequence(seed, (draw_index,))``.
+
+    Both must be non-negative integers, or :class:`InvalidSetting` is raised.
+    """
+    for name, value in (("seed", seed), ("draw index", draw_index)):
+        if not _is_count(value, 0):
+            raise InvalidSetting(f"{name} must be a non-negative integer, got {value!r}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(draw_index),))
     return np.random.Generator(np.random.PCG64(ss)).random(n)
 
 
 def _pvec(p) -> np.ndarray:
-    vec = np.asarray(getattr(p, "p", p), dtype=float).ravel()
+    vec = np.asarray(p, dtype=float).ravel()
     if not np.all((vec >= 0.0) & (vec <= 1.0)):  # also refuses NaN
         raise OutOfRangeProbability("probabilities must lie in [0, 1]")
     return vec
 
 
-def draw(p, seed: int, draw_index: int = 0) -> SelectionMask:
-    """One Bernoulli realization of ``p`` (accepts a vector or a solve result)."""
+def draw(p, seed: int, draw_index: int = 0) -> np.ndarray:
+    """One Bernoulli realization of the probability vector ``p``: a read-only int8 0/1 mask."""
     vec = _pvec(p)
-    r = uniform_stream(seed, draw_index, vec.size)
-    return SelectionMask((vec > r).astype(np.int8), int(seed), int(draw_index))
+    mask = (vec > uniform_stream(seed, draw_index, vec.size)).astype(np.int8)
+    mask.setflags(write=False)
+    return mask
 
 
 def draw_best(
@@ -112,6 +94,7 @@ def draw_best(
 ) -> tuple[RealizationResult, list[DrawStats]]:
     """Best of ``n_draws`` independent realizations, scored by realized RSSE.
 
+    ``p`` is the probability vector; draw ``k`` is ``draw(p, seed, k)``.
     A draw that cannot be scored (empty, or too few members for a targeted
     order, or zero spread under a standardised target) gets RSSE ``+inf``.
     Ties prefer the larger draw, then the earlier draw index.  If every draw
@@ -123,7 +106,7 @@ def draw_best(
     mask, scored once: a later draw of it reuses the first draw's RSSE (or
     ``inf``), and cannot win the tie-break against that first draw.
     """
-    if isinstance(n_draws, bool) or not isinstance(n_draws, (int, np.integer)) or n_draws < 1:
+    if not _is_count(n_draws, 1):
         raise InvalidDraws(f"n_draws must be a positive integer, got {n_draws!r}")
     vec = _pvec(p)
     if vec.size != pop.n_members:
@@ -137,8 +120,8 @@ def draw_best(
     stats: list[DrawStats] = []
     for k in range(int(n_draws)):
         mask = draw(vec, seed, k)
-        size = mask.size
-        outcome = mask.b[fractional].tobytes()
+        size = int(np.count_nonzero(mask))
+        outcome = mask[fractional].tobytes()
         if outcome not in scored:
             try:
                 report = evaluate_selection(pop, targets, mask, rsse_epsilon=rsse_epsilon)
@@ -148,7 +131,7 @@ def draw_best(
                 scored[outcome] = report.rsse
                 key = (report.rsse, -size, k)
                 if best_key is None or key < best_key:
-                    best = RealizationResult(mask, size, report)
+                    best = RealizationResult(mask, k, report)
                     best_key = key
         stats.append(DrawStats(k, size, scored[outcome]))
     if best is None:

@@ -184,7 +184,7 @@ def test_accept_04_draw_sizes_track_expected_size():
     total = float(p.sum())
     spread = float(np.sum(p * (1.0 - p)))
     n_draws = 2000
-    sizes = [draw(p, seed=4242, draw_index=k).size for k in range(n_draws)]
+    sizes = [int(np.count_nonzero(draw(p, seed=4242, draw_index=k))) for k in range(n_draws)]
     bound = 4.0 * np.sqrt(spread / n_draws)
     gap = abs(float(np.mean(sizes)) - total)
     ok = gap <= bound

@@ -943,6 +943,24 @@ def test_readme_flag_table_matches_the_select_parser():
     assert options - set(rows) <= {"--population", "--targets"}, "select options without a row"
 
 
+def test_readme_library_use_runs_on_the_demo_population(tmp_path, monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--spec", str(root / "demo" / "spec.json"),
+                 "--out", "population.csv"]) == 0
+    capsys.readouterr()
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    best = namespace["best"]
+    # the block scores the best draw's mask: realized moments, not expected ones
+    assert capsys.readouterr().out == f"{best.report.pe_mean}\n"
+    assert best.mask.dtype == np.int8 and not best.mask.flags.writeable
+    assert best.report.realized_size == int(np.count_nonzero(best.mask))
+
+
 class TestPackaging:
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:

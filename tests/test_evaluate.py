@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from dsps.evaluate import (
     rsse,
 )
 from dsps.moments import TargetCriterion, TargetSet, expected_moment, sample_moment
-from dsps.realize import SelectionMask
 
 from oracles import moment_oracle, weighted_moment_oracle
 
@@ -115,8 +112,7 @@ class TestEvaluateSelection:
         pop, targets = self.instance()
         keep = np.zeros(24, dtype=np.int8)
         keep[2:14] = 1
-        mask = SelectionMask(keep, seed=0, draw_index=0)
-        report = evaluate_selection(pop, targets, mask)
+        report = evaluate_selection(pop, targets, keep)
         xs = pop.data[keep.astype(bool), 0].tolist()
         assert report.realized_size == 12
         for res in report.per_criterion:
@@ -171,12 +167,6 @@ class TestEvaluateSelection:
             expected_moment(x, keep, 1),
             expected_moment(x, keep, 2, target_mean=5.2),
         ]
-
-    def test_p_attribute_object_counts_as_probabilities(self):
-        pop, targets = self.instance()
-        report = evaluate_selection(pop, targets, SimpleNamespace(p=np.full(24, 0.5)))
-        assert report.realized_size is None
-        assert report == evaluate_selection(pop, targets, np.full(24, 0.5))
 
     @pytest.mark.parametrize("n_criteria", [0, 2])
     def test_probability_outside_unit_interval_is_refused(self, n_criteria):

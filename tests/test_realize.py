@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +8,14 @@ from dsps.errors import (
     AllDrawsDegenerate,
     InsufficientData,
     InvalidDraws,
+    InvalidSetting,
     OutOfRangeProbability,
     ZeroTarget,
 )
 from dsps.evaluate import evaluate_selection
 from dsps.moments import TargetCriterion, TargetSet
 from dsps import realize
-from dsps.realize import DrawStats, SelectionMask, draw, draw_best, uniform_stream
+from dsps.realize import DrawStats, draw, draw_best, uniform_stream
 
 
 def make_pop(values) -> Population:
@@ -46,35 +45,49 @@ class TestUniformStream:
         short = uniform_stream(7, 2, 20)
         np.testing.assert_array_equal(short, long[:20])
 
+    @pytest.mark.parametrize(
+        "seed, draw_index",
+        [(-1, 0), (0, -2), (1.5, 0), (0, 1.0), (True, 0), (0, False), ("3", 0), (None, 0)],
+    )
+    def test_seed_and_draw_index_must_be_non_negative_integers(self, seed, draw_index):
+        # a library error, never numpy's bare ValueError or a silent truncation
+        with pytest.raises(InvalidSetting):
+            uniform_stream(seed, draw_index, 2)
+        with pytest.raises(InvalidSetting):
+            draw(np.array([0.5, 0.5]), seed=seed, draw_index=draw_index)
+
+    def test_numpy_integers_are_integers(self):
+        np.testing.assert_array_equal(
+            uniform_stream(np.int64(3), np.uint8(1), 5), uniform_stream(3, 1, 5)
+        )
+
+    def test_draw_best_refuses_a_negative_seed(self):
+        with pytest.raises(InvalidSetting):
+            draw_best(np.full(3, 0.5), make_pop(np.arange(3.0)), TargetSet(()), 2, seed=-1)
+
 
 class TestDraw:
     def test_deterministic_and_recorded(self):
         p = np.linspace(0.0, 1.0, 11)
         m1 = draw(p, seed=42, draw_index=3)
         m2 = draw(p, seed=42, draw_index=3)
-        np.testing.assert_array_equal(m1.b, m2.b)
-        assert m1.seed == 42 and m1.draw_index == 3
-        assert m1.b.dtype == np.int8
+        np.testing.assert_array_equal(m1, m2)
+        assert m1.dtype == np.int8
 
     def test_mask_is_read_only(self):
         m = draw(np.array([0.5, 0.5]), seed=1)
         with pytest.raises(ValueError):
-            m.b[0] = 1
+            m[0] = 1
 
     def test_certain_and_impossible_members(self):
         p = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
         for seed in (0, 1, 17, 991):
-            np.testing.assert_array_equal(draw(p, seed).b, [1, 0, 1, 0, 1])
+            np.testing.assert_array_equal(draw(p, seed), [1, 0, 1, 0, 1])
 
     def test_selection_is_strictly_greater_than(self):
         # p equal to its own uniform must not select: the rule is p > r
         r = uniform_stream(5, 0, 8)
-        assert draw(r, seed=5, draw_index=0).size == 0
-
-    def test_accepts_object_with_p_attribute(self):
-        vec = np.array([1.0, 0.0, 1.0])
-        wrapped = draw(SimpleNamespace(p=vec), seed=9)
-        np.testing.assert_array_equal(wrapped.b, draw(vec, seed=9).b)
+        assert int(np.count_nonzero(draw(r, seed=5, draw_index=0))) == 0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(OutOfRangeProbability):
@@ -100,8 +113,8 @@ class TestDraw:
         bump = data.draw(st.floats(min_value=0.0, max_value=1.0))
         q = p.copy()
         q[i] = min(1.0, q[i] + bump)
-        a = draw(p, seed=123, draw_index=2).b
-        b = draw(q, seed=123, draw_index=2).b
+        a = draw(p, seed=123, draw_index=2)
+        b = draw(q, seed=123, draw_index=2)
         mask = np.ones(p.size, dtype=bool)
         mask[i] = False
         np.testing.assert_array_equal(a[mask], b[mask])
@@ -109,26 +122,16 @@ class TestDraw:
 
     def test_mean_size_tracks_expected_size(self):
         p = np.full(100, 0.5)
-        sizes = [draw(p, seed=2024, draw_index=k).size for k in range(400)]
+        sizes = [int(np.count_nonzero(draw(p, seed=2024, draw_index=k))) for k in range(400)]
         # sd of the mean is sqrt(sum p(1-p))/sqrt(400) = 0.25; allow 4 sigma
         assert abs(float(np.mean(sizes)) - 50.0) <= 1.0
 
     def test_mixed_probability_mean_size_bound(self):
         # sum(p) = 50; only the 0.5 entries contribute binomial variance
         p = np.concatenate([np.ones(20), np.zeros(20), np.full(60, 0.5)])
-        sizes = [draw(p, seed=88, draw_index=k).size for k in range(2000)]
+        sizes = [int(np.count_nonzero(draw(p, seed=88, draw_index=k))) for k in range(2000)]
         spread = 3.0 * np.sqrt(float(np.sum(p * (1.0 - p))))
         assert abs(float(np.mean(sizes)) - 50.0) <= spread
-
-
-class TestSelectionMask:
-    def test_accepts_float_binary(self):
-        m = SelectionMask(np.array([0.0, 1.0, 1.0]), seed=0, draw_index=0)
-        assert m.b.dtype == np.int8 and m.size == 2
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(OutOfRangeProbability):
-            SelectionMask(np.array([0, 1, 2]), seed=0, draw_index=0)
 
 
 class TestDrawBest:
@@ -151,15 +154,16 @@ class TestDrawBest:
         for k in range(8):
             mask = draw(p, 77, k)
             report = evaluate_selection(pop, targets, mask)
-            keys.append((report.rsse, -mask.size, k))
+            size = int(np.count_nonzero(mask))
+            keys.append((report.rsse, -size, k))
             s = stats[k]
-            assert (s.draw_index, s.size) == (k, mask.size)
+            assert (s.draw_index, s.size) == (k, size)
             assert s.rsse == pytest.approx(report.rsse, rel=1e-12)
         want = min(keys)
         assert best.report.rsse == pytest.approx(want[0], rel=1e-12)
-        assert best.size == -want[1]
-        assert best.mask.draw_index == want[2]
-        np.testing.assert_array_equal(best.mask.b, draw(p, 77, want[2]).b)
+        assert best.report.realized_size == -want[1]
+        assert best.draw_index == want[2]
+        np.testing.assert_array_equal(best.mask, draw(p, 77, want[2]))
         assert len(best.report.per_criterion) == len(targets)
 
     def test_empty_targets_tie_break_prefers_size_then_index(self):
@@ -169,8 +173,8 @@ class TestDrawBest:
         p = np.full(30, 0.5)
         best, stats = draw_best(p, pop, TargetSet(()), n_draws=12, seed=5)
         sizes = [s.size for s in stats]
-        assert best.size == max(sizes)
-        assert best.mask.draw_index == sizes.index(max(sizes))
+        assert best.report.realized_size == max(sizes)
+        assert best.draw_index == sizes.index(max(sizes))
         assert best.report.rsse == 0.0
 
     def test_single_draw_equals_draw_plus_evaluate(self):
@@ -178,9 +182,9 @@ class TestDrawBest:
         best, stats = draw_best(p, pop, targets, n_draws=1, seed=33)
         mask = draw(p, 33, 0)
         report = evaluate_selection(pop, targets, mask)
-        np.testing.assert_array_equal(best.mask.b, mask.b)
+        np.testing.assert_array_equal(best.mask, mask)
         assert best.report.rsse == report.rsse
-        assert len(stats) == 1 and stats[0].size == mask.size
+        assert len(stats) == 1 and stats[0].size == int(np.count_nonzero(mask))
 
     def test_indicator_probabilities_reproduce_the_planted_subset(self):
         pop, targets, _ = self.instance()
@@ -188,8 +192,8 @@ class TestDrawBest:
         p = np.zeros(60)
         p[idx] = 1.0
         best, stats = draw_best(p, pop, targets, n_draws=6, seed=2024)
-        want = evaluate_selection(pop, targets, SelectionMask(p.astype(np.int8), 0, 0))
-        np.testing.assert_array_equal(best.mask.b, p.astype(np.int8))
+        want = evaluate_selection(pop, targets, p.astype(np.int8))
+        np.testing.assert_array_equal(best.mask, p.astype(np.int8))
         assert best.report.rsse == want.rsse
         assert best.report.rsse <= 1e-10
         assert all(s.size == idx.size and s.rsse == want.rsse for s in stats)
@@ -268,9 +272,9 @@ class TestDrawBestScoresEachMaskOnce:
             try:
                 reports[k] = evaluate_selection(pop, targets, mask)
             except InsufficientData:
-                stats.append(DrawStats(k, mask.size, float("inf")))
+                stats.append(DrawStats(k, int(np.count_nonzero(mask)), float("inf")))
             else:
-                stats.append(DrawStats(k, mask.size, reports[k].rsse))
+                stats.append(DrawStats(k, int(np.count_nonzero(mask)), reports[k].rsse))
         return stats, reports
 
     @pytest.mark.parametrize("case", ["repeating", "distinct"])
@@ -294,16 +298,16 @@ class TestDrawBestScoresEachMaskOnce:
 
         want, reports = self.rescore(pop, targets, p, n_draws, seed=7)
         assert stats == want
-        masks = {draw(p, 7, k).b.tobytes() for k in range(n_draws)}
+        masks = {draw(p, 7, k).tobytes() for k in range(n_draws)}
         assert calls == {"draw": n_draws, "evaluate": len(masks)}
         if case == "repeating":
             assert len(masks) <= 8
             assert any(np.isinf(s.rsse) for s in stats)
-            by_mask = {draw(p, 7, s.draw_index).b.tobytes(): (s.rsse, s.size) for s in stats}
+            by_mask = {draw(p, 7, s.draw_index).tobytes(): (s.rsse, s.size) for s in stats}
             assert sorted(by_mask.values())[:2] == [(0.05**2, 2)] * 2
         else:
             assert len(masks) == n_draws
         rsse, neg_size, k = min((s.rsse, -s.size, s.draw_index) for s in stats)
-        assert (best.report.rsse, -best.size, best.mask.draw_index) == (rsse, neg_size, k)
-        np.testing.assert_array_equal(best.mask.b, draw(p, 7, k).b)
+        assert (best.report.rsse, -best.report.realized_size, best.draw_index) == (rsse, neg_size, k)
+        np.testing.assert_array_equal(best.mask, draw(p, 7, k))
         assert best.report == reports[k] == evaluate_selection(pop, targets, best.mask)
