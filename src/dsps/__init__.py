@@ -17,9 +17,7 @@ from .evaluate import (
 )
 from .lp_core import (
     LpProblem,
-    LpRow,
     LpSolution,
-    Relation,
     SolveStatus,
     solve_lp,
 )
@@ -62,8 +60,6 @@ __all__ = [
     "expected_size",
     "expected_moment",
     "LpProblem",
-    "LpRow",
-    "Relation",
     "SolveStatus",
     "LpSolution",
     "solve_lp",

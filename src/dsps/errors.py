@@ -71,7 +71,7 @@ class UnknownFeature(DspsError):
 
 
 class LengthMismatch(DspsError):
-    """Paired vectors differ in length."""
+    """Paired vectors differ in length, or a vector is not 1-D."""
 
 
 class EmptySelection(DspsError):

@@ -96,15 +96,15 @@ def evaluate_selection(
     a float array is inclusion probabilities.  Realized moments are the
     selected members' own sample statistics: each is :func:`sample_moment` of
     the feature column indexed by the mask, without building a
-    sub-population.  A mask whose length is not the population's raises
-    :class:`LengthMismatch` and one that selects nobody
+    sub-population.  Either must be a vector of the population's length, or
+    :class:`LengthMismatch` is raised; a mask that selects nobody raises
     :class:`EmptySelection`.  Expected moments are probability-weighted and
     centred on the targets, so the two coincide only in expectation.
     """
     vec = np.asarray(selection)
+    if vec.shape != (pop.n_members,):
+        raise LengthMismatch(f"selection of shape {vec.shape} for {pop.n_members} members")
     if vec.dtype.kind in "biu":
-        if vec.shape != (pop.n_members,):
-            raise LengthMismatch(f"mask length {vec.shape} for {pop.n_members} members")
         keep = vec.astype(bool)
         realized_size = int(np.count_nonzero(keep))
         if realized_size == 0:
@@ -114,9 +114,7 @@ def evaluate_selection(
             for c in targets
         ]
     else:
-        vec = np.asarray(vec, dtype=float).ravel()
-        if vec.size != pop.n_members:
-            raise LengthMismatch(f"{vec.size} probabilities for {pop.n_members} members")
+        vec = np.asarray(vec, dtype=float)
         realized_size = None
         expected_size(vec)  # refuses a p outside [0, 1]
         achieved = []

@@ -1,15 +1,16 @@
 """Bound-flipping dual simplex for the box-constrained programs dsps builds.
 
-Solves  minimize c.z  subject to  a_r.z (<=|=|>=) b_r  and  l <= z <= u,
-where every lower bound is finite and an upper bound may be infinite only
-under a cost >= 0; :class:`LpProblem` rejects any other program.  The
-selection LPs box every column, and the elastic program adds ``[0, inf)``
-columns of cost 1.  Nonbasic variables sit at either their lower or their
-upper bound, which keeps vertices of the box polytope representable without
-splitting variables.
+Solves  minimize c.z  subject to  row_lo <= a_r.z <= row_hi  and  l <= z <= u,
+where a row has one finite bound or two equal ones, every lower bound is
+finite and an upper bound may be infinite only under a cost >= 0;
+:class:`LpProblem` rejects any other program.  The selection LPs box every
+column, and the elastic program adds ``[0, inf)`` columns of cost 1.
+Nonbasic variables sit at either their lower or their upper bound, which
+keeps vertices of the box polytope representable without splitting
+variables.
 
 One column form: the ``n`` structurals, then one logical per row,
-``r = a_r.z``, bounded by the row's relation as ``[row_lo, row_hi]``, so the
+``r = a_r.z``, bounded by the row's ``[row_lo, row_hi]``, so the
 constraint matrix is ``[A, -I]`` with right-hand side zero.  Each structural
 starts at the bound its cost sign picks, and the all-logical basis starts.
 Under the rule above that start is dual feasible and the objective is
@@ -58,58 +59,29 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
 
-__all__ = [
-    "Relation",
-    "LpRow",
-    "LpProblem",
-    "SolveStatus",
-    "LpSolution",
-    "solve_lp",
-]
-
-
-class Relation(enum.Enum):
-    LE = "<="
-    EQ = "="
-    GE = ">="
-
-
-def _as_relation(rel) -> Relation:
-    if isinstance(rel, Relation):
-        return rel
-    try:
-        return Relation(rel)
-    except ValueError:
-        raise DimensionMismatch(f"unknown row relation {rel!r}") from None
-
-
-@dataclass(frozen=True)
-class LpRow:
-    coeffs: np.ndarray
-    relation: Relation
-    rhs: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float).ravel())
-        object.__setattr__(self, "relation", _as_relation(self.relation))
-        object.__setattr__(self, "rhs", float(self.rhs))
+__all__ = ["LpProblem", "SolveStatus", "LpSolution", "solve_lp"]
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """minimize ``objective . z`` over rows and the box ``lower <= z <= upper``.
+    """minimize ``objective . z`` over ``row_lo <= matrix @ z <= row_hi`` and the box.
 
-    Every lower bound is finite, and an upper bound is infinite only under a
-    cost >= 0, so the objective is bounded below on the box.
+    A row has one finite bound (``<=`` or ``>=``) or two equal ones (``=``).
+    Every lower bound of the box ``lower <= z <= upper`` is finite, and an
+    upper bound is infinite only under a cost >= 0, so the objective is
+    bounded below on the box.
     """
 
     objective: np.ndarray
-    rows: tuple[LpRow, ...]
+    matrix: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
@@ -119,26 +91,28 @@ class LpProblem:
             raise DimensionMismatch("objective must have at least one entry")
         if not np.all(np.isfinite(c)):
             raise DimensionMismatch("objective entries must be finite")
-        rows = tuple(
-            r if isinstance(r, LpRow) else LpRow(*r) for r in self.rows
-        )
-        for i, r in enumerate(rows):
-            if r.coeffs.size != c.size:
-                raise DimensionMismatch(
-                    f"row {i} has {r.coeffs.size} coefficients for {c.size} variables"
-                )
-            if not np.all(np.isfinite(r.coeffs)) or not np.isfinite(r.rhs):
-                raise DimensionMismatch(f"row {i} has non-finite entries")
+        matrix = np.asarray(self.matrix, dtype=float)
+        row_lo = np.asarray(self.row_lo, dtype=float)
+        row_hi = np.asarray(self.row_hi, dtype=float)
+        m = row_lo.size
+        if matrix.shape != (m, c.size) or row_lo.shape != (m,) or row_hi.shape != (m,):
+            raise DimensionMismatch(f"a {matrix.shape} matrix with {row_lo.shape} and "
+                                    f"{row_hi.shape} row bounds for {c.size} variables")
+        if not np.all(np.isfinite(matrix)):
+            raise DimensionMismatch("matrix entries must be finite")
+        one_bound = np.where(np.isfinite(row_lo), np.isinf(row_hi) | (row_hi == row_lo),
+                             np.isfinite(row_hi))
+        if not np.all((row_lo <= row_hi) & one_bound):  # NaN fails the <=
+            raise DimensionMismatch("a row needs row_lo <= row_hi: one finite bound, or two equal")
         lower = np.broadcast_to(np.asarray(self.lower, dtype=float), c.shape).copy()
         upper = np.broadcast_to(np.asarray(self.upper, dtype=float), c.shape).copy()
         if not np.all(np.isfinite(lower)) or np.any(np.isnan(upper)):
             raise DimensionMismatch("lower bounds must be finite, upper bounds not NaN")
         if np.any(np.isinf(upper) & (c < 0.0)):
             raise DimensionMismatch("a column with an infinite upper bound needs a cost >= 0")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        for name, value in (("objective", c), ("matrix", matrix), ("row_lo", row_lo),
+                            ("row_hi", row_hi), ("lower", lower), ("upper", upper)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_vars(self) -> int:
@@ -146,7 +120,20 @@ class LpProblem:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.row_lo.size
+
+    @property
+    def rows(self) -> tuple:
+        """Each row as ``coeffs`` (a view of ``matrix``), ``relation.value`` and ``rhs``.
+
+        ``relation.value`` is ``"<="``, ``"="`` or ``">="``.  Its only reader
+        is ``perfbench/layers.highs_yardstick``, which predates the arrays.
+        """
+        le, ge = np.isinf(self.row_lo), np.isinf(self.row_hi)
+        relations = np.where(le, "<=", np.where(ge, ">=", "=")).tolist()
+        rhs = np.where(le, self.row_hi, self.row_lo).tolist()
+        return tuple(SimpleNamespace(coeffs=a, relation=SimpleNamespace(value=r), rhs=b)
+                     for a, r, b in zip(self.matrix, relations, rhs))
 
 
 class SolveStatus(enum.Enum):
@@ -213,13 +200,10 @@ def _elastic_program(problem: LpProblem) -> LpProblem:
     """
     n, m = problem.n_vars, problem.n_rows
     eye = np.eye(m)
-    rows = tuple(
-        LpRow(np.concatenate([row.coeffs, eye[r], -eye[r]]), row.relation, row.rhs)
-        for r, row in enumerate(problem.rows)
-    )
     return LpProblem(
         np.concatenate([np.zeros(n), np.ones(2 * m)]),
-        rows,
+        np.hstack([problem.matrix, eye, -eye]),
+        problem.row_lo, problem.row_hi,
         np.concatenate([problem.lower, np.zeros(2 * m)]),
         np.concatenate([problem.upper, np.full(2 * m, np.inf)]),
     )
@@ -232,18 +216,15 @@ class _DualSimplex:
         self.problem = problem
         n, m = problem.n_vars, problem.n_rows
         self.n, self.m = n, m
-        self.A = np.array([row.coeffs for row in problem.rows]).reshape(m, n)
-        b = np.array([row.rhs for row in problem.rows], dtype=float)
-        le = np.array([row.relation is Relation.LE for row in problem.rows], dtype=bool)
-        ge = np.array([row.relation is Relation.GE for row in problem.rows], dtype=bool)
+        self.A = problem.matrix
         self.cost = np.concatenate([problem.objective, np.zeros(m)])
         self.dual_tol = _OPT_TOL * np.maximum(1.0, np.abs(self.cost))
         self.perturbed = False
         self.basis = np.arange(n, n + m)
         self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
-        lower = np.concatenate([problem.lower, np.where(le, -np.inf, b)])
-        upper = np.concatenate([problem.upper, np.where(ge, np.inf, b)])
+        lower = np.concatenate([problem.lower, problem.row_lo])
+        upper = np.concatenate([problem.upper, problem.row_hi])
         self.lower, self.upper = lower, upper
         self.gap = upper - lower
         # each structural starts at the bound its cost sign picks (the

@@ -193,14 +193,24 @@ def _variance_scale(var) -> float:
     return sv
 
 
-def expected_size(p) -> float:
-    """Expected selected count ``sum(p)`` of independent inclusion probabilities."""
-    q = np.asarray(p, dtype=float).ravel()
+def probability_vector(p) -> np.ndarray:
+    """``p`` as a 1-D float array in ``[0, 1]``: the one rule for probabilities.
+
+    Any other shape raises :class:`LengthMismatch`, and an entry outside
+    ``[0, 1]`` (or NaN) :class:`OutOfRangeProbability`.
+    """
+    q = np.asarray(p, dtype=float)
+    if q.ndim != 1:
+        raise LengthMismatch(f"probabilities must be a 1-D vector, got shape {q.shape}")
     ok = (q >= 0.0) & (q <= 1.0)  # NaN fails both comparisons
     if not np.all(ok):
-        bad = q[~ok][0]
-        raise OutOfRangeProbability(f"probability {bad} outside [0, 1]")
-    return float(np.sum(q))
+        raise OutOfRangeProbability(f"probability {q[~ok][0]} outside [0, 1]")
+    return q
+
+
+def expected_size(p) -> float:
+    """Expected selected count ``sum(p)`` of independent inclusion probabilities."""
+    return float(np.sum(probability_vector(p)))
 
 
 def expected_moment(
@@ -217,7 +227,7 @@ def expected_moment(
     ``target_var`` (orders 3 and 4), which must be supplied.
     """
     x = np.asarray(values, dtype=float).ravel()
-    q = np.asarray(p, dtype=float).ravel()
+    q = np.asarray(p, dtype=float)
     if x.size != q.size:
         raise LengthMismatch(f"{x.size} values but {q.size} probabilities")
     total = expected_size(q)

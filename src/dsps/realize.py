@@ -27,10 +27,10 @@ import numpy as np
 from .dataset import Population
 from .errors import (
     AllDrawsDegenerate, EmptySelection, InsufficientData, InvalidDraws, InvalidSetting,
-    OutOfRangeProbability, ZeroVariance,
+    ZeroVariance,
 )
 from .evaluate import EvaluationReport, evaluate_selection
-from .moments import TargetSet
+from .moments import TargetSet, probability_vector
 
 __all__ = ["RealizationResult", "DrawStats", "uniform_stream", "draw", "draw_best"]
 
@@ -69,16 +69,9 @@ def uniform_stream(seed: int, draw_index: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(ss)).random(n)
 
 
-def _pvec(p) -> np.ndarray:
-    vec = np.asarray(p, dtype=float).ravel()
-    if not np.all((vec >= 0.0) & (vec <= 1.0)):  # also refuses NaN
-        raise OutOfRangeProbability("probabilities must lie in [0, 1]")
-    return vec
-
-
 def draw(p, seed: int, draw_index: int = 0) -> np.ndarray:
     """One Bernoulli realization of the probability vector ``p``: a read-only int8 0/1 mask."""
-    vec = _pvec(p)
+    vec = probability_vector(p)
     mask = (vec > uniform_stream(seed, draw_index, vec.size)).astype(np.int8)
     mask.setflags(write=False)
     return mask
@@ -108,7 +101,7 @@ def draw_best(
     """
     if not _is_count(n_draws, 1):
         raise InvalidDraws(f"n_draws must be a positive integer, got {n_draws!r}")
-    vec = _pvec(p)
+    vec = probability_vector(p)
     if vec.size != pop.n_members:
         raise InvalidDraws(
             f"{vec.size} probabilities for population of {pop.n_members}"

@@ -40,14 +40,7 @@ from .errors import (
     IterationLimitExceeded,
     MissingHyperParam,
 )
-from .lp_core import (
-    LpProblem,
-    LpRow,
-    LpSolution,
-    Relation,
-    SolveStatus,
-    solve_lp,
-)
+from .lp_core import LpProblem, LpSolution, SolveStatus, solve_lp
 from .moments import TargetSet, moment_terms
 
 __all__ = [
@@ -231,8 +224,7 @@ def _select(
         slack = {"alpha": alpha, "beta": scales, "eta_max": eta_max}
     A = np.hstack([A, -np.eye(m, k), np.eye(m, k)])
     c = np.concatenate([np.full(n, size_sign), np.ones(2 * k)])
-    rows = tuple(LpRow(A[j], Relation.EQ, C[j]) for j in range(m))
-    solution = solve_lp(LpProblem(c, rows, np.zeros(n + 2 * k), upper))
+    solution = solve_lp(LpProblem(c, A, C, C, np.zeros(n + 2 * k), upper))
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
             "no probability vector satisfies the targets "

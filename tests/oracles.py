@@ -9,6 +9,8 @@ from itertools import combinations, product
 
 import numpy as np
 
+from dsps.lp_core import LpProblem
+
 
 # ---- direct-summation moments -------------------------------------------
 
@@ -144,20 +146,29 @@ def box_only_oracle(c, lower, upper):
                      for cj, lo, hi in zip(map(float, c), map(float, lower), map(float, upper))])
 
 
+def from_rows(c, rows, lower, upper):
+    """The array ``LpProblem`` of ``(coeffs, "<="|"="|">=", rhs)`` row triples."""
+    for _, rel, _ in rows:
+        assert rel in ("<=", "=", ">="), rel
+    A = np.array([a for a, _, _ in rows], dtype=float) if rows else np.zeros((0, np.size(c)))
+    row_lo = [-np.inf if rel == "<=" else b for _, rel, b in rows]
+    row_hi = [np.inf if rel == ">=" else b for _, rel, b in rows]
+    return LpProblem(np.asarray(c, dtype=float), A, row_lo, row_hi, lower, upper)
+
+
 def highs_objective(problem, linprog):
     """Optimal objective of an ``LpProblem`` from HiGHS, or None if infeasible."""
-    A = np.array([r.coeffs for r in problem.rows])
-    b = np.array([r.rhs for r in problem.rows])
-    rel = np.array([r.relation.value for r in problem.rows])
-    le, ge, eq = rel == "<=", rel == ">=", rel == "="
+    A, lo, hi = problem.matrix, problem.row_lo, problem.row_hi
+    le, ge = np.isinf(lo), np.isinf(hi)
+    eq = ~le & ~ge
     A_ub = np.vstack([A[le], -A[ge]])
-    b_ub = np.concatenate([b[le], -b[ge]])
+    b_ub = np.concatenate([hi[le], -lo[ge]])
     res = linprog(
         problem.objective,
         A_ub=A_ub if A_ub.size else None,
         b_ub=b_ub if b_ub.size else None,
         A_eq=A[eq] if eq.any() else None,
-        b_eq=b[eq] if eq.any() else None,
+        b_eq=lo[eq] if eq.any() else None,
         bounds=np.column_stack([problem.lower, problem.upper]),
         method="highs",
     )

@@ -15,13 +15,7 @@ from dsps.cli import main
 from dsps.dataset import Population
 from dsps.errors import DimensionMismatch
 from dsps.evaluate import gmi
-from dsps.lp_core import (
-    LpProblem,
-    LpRow,
-    Relation,
-    SolveStatus,
-    solve_lp,
-)
+from dsps.lp_core import SolveStatus, solve_lp
 from dsps.moments import (
     TargetCriterion,
     TargetSet,
@@ -47,6 +41,7 @@ from dsps.synthgen import (
 
 from oracles import (
     best_subset_objective,
+    from_rows,
     lp_vertex_oracle,
     moment_oracle,
     weighted_moment_oracle,
@@ -229,19 +224,18 @@ def test_accept_06_lp_solver_agrees_with_vertex_enumeration():
         lower = np.zeros(n)
         upper = rng.uniform(0.5, 2.0, n)
         A = rng.normal(0, 1, (m, n))
-        rels = rng.choice([Relation.LE, Relation.GE, Relation.EQ], m)
+        rels = rng.choice(["<=", ">=", "="], m)
         if rng.random() < 0.5:
             anchor = rng.uniform(lower, upper)
             b = A @ anchor + np.where(
-                rels == Relation.LE, np.abs(rng.normal(0, 0.5, m)),
-                np.where(rels == Relation.GE, -np.abs(rng.normal(0, 0.5, m)), 0.0),
+                rels == "<=", np.abs(rng.normal(0, 0.5, m)),
+                np.where(rels == ">=", -np.abs(rng.normal(0, 0.5, m)), 0.0),
             )
         else:
             b = rng.normal(0, 2, m)
-        rows = tuple(LpRow(A[j], rels[j], b[j]) for j in range(m))
-        oracle_rows = [(A[j], rels[j].value, b[j]) for j in range(m)]
-        sol = solve_lp(LpProblem(c, rows, lower, upper))
-        status, value = lp_vertex_oracle(c, oracle_rows, lower, upper)
+        rows = [(A[j], rels[j], b[j]) for j in range(m)]
+        sol = solve_lp(from_rows(c, rows, lower, upper))
+        status, value = lp_vertex_oracle(c, rows, lower, upper)
         if status == "infeasible":
             n_infeasible += 1
             assert sol.status is SolveStatus.INFEASIBLE
@@ -255,16 +249,16 @@ def test_accept_06_lp_solver_agrees_with_vertex_enumeration():
     unbounded = (
         (np.array([-1.0]), (), np.array([0.0]), np.array([np.inf])),
         (np.array([1.0, -2.0]),
-         (LpRow(np.array([1.0, 0.0]), Relation.LE, 4.0),),
+         ((np.array([1.0, 0.0]), "<=", 4.0),),
          np.array([0.0, 0.0]), np.array([1.0, np.inf])),
         (np.array([0.0, -1.0]),
-         (LpRow(np.array([1.0, -1.0]), Relation.GE, -1.0),),
+         ((np.array([1.0, -1.0]), ">=", -1.0),),
          np.array([0.0, -np.inf]), np.array([np.inf, np.inf])),
     )
     n_rejected = 0
     for args in unbounded:
         try:
-            LpProblem(*args)
+            from_rows(*args)
         except DimensionMismatch:
             n_rejected += 1
     ok = worst <= 1e-7 and n_feasible >= 10 and n_infeasible >= 5 and n_rejected == 3

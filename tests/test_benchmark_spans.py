@@ -1,13 +1,15 @@
-"""The spans the benchmark's tracer needs from one traced ``dsps select``.
+"""What the benchmark reads from ``dsps``: the spans of one traced select, and its LPs.
 
 ``perfbench/tracing.py`` wraps the public functions of ``dsps`` from outside
 and derives its per-layer metrics from the spans they leave.  A rename, or a
 call that bypasses a module global (a draw inlined into ``draw_best``), drops
 a span and leaves a metric empty; output past the CLI's own line hides the
 result line the benchmark ends on.  The run is a child process, so output at
-exit counts too.
+exit counts too.  ``perfbench/layers.highs_yardstick`` re-solves each
+captured ``LpProblem`` through its ``rows`` view.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,7 +17,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from dsps import selection
 from dsps.cli import main
+from dsps.dataset import Population
+from dsps.lp_core import SolveStatus, solve_lp
+from dsps.synthgen import plant_subset
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,3 +75,29 @@ def test_traced_demo_select_leaves_every_span_the_benchmark_reads(tmp_path):
         if s["name"] == "realize.uniform_stream":
             assert by_id[s["parent"]]["name"] == "realize.draw"
     assert not any(s["error"] for s in spans)
+
+
+@pytest.mark.parametrize("solve", [selection.solve_max_size, selection.solve_fixed_size],
+                         ids=["max", "fixed"])
+def test_highs_yardstick_agrees_on_the_programs_selection_builds(solve, monkeypatch):
+    pytest.importorskip("scipy.optimize")
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    rng = np.random.default_rng(26)
+    data = rng.normal(50.0, 10.0, (200, 2))
+    pop = Population(tuple(f"m{i}" for i in range(200)), ("a", "b"), data)
+    targets = plant_subset(pop, np.argsort(data[:, 0])[120:180], orders=(1, 2))
+    seen = []
+
+    def recording(problem, max_iterations=None):
+        seen.append((problem, solve_lp(problem, max_iterations)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(selection, "solve_lp", recording)
+    solve(pop, targets, 60.0)
+    (problem, solution), = seen
+    assert solution.status is SolveStatus.OPTIMAL
+    _, want = layers.highs_yardstick(problem)
+    assert want is not None, "HiGHS found the captured program infeasible"
+    assert abs(solution.objective_value - want) / max(1.0, abs(want)) <= layers.OBJ_REL_TOL

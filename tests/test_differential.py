@@ -14,7 +14,7 @@ import pytest
 from dsps import selection
 from dsps.dataset import Population
 from dsps.errors import InfeasibleError
-from dsps.lp_core import LpProblem, LpRow, SolveStatus, _DualSimplex, solve_lp
+from dsps.lp_core import LpProblem, SolveStatus, _DualSimplex, solve_lp
 from dsps.selection import solve_fixed_size, solve_max_size, solve_min_size
 from dsps.synthgen import (
     FeatureSpec,
@@ -125,8 +125,14 @@ def caps_as_rows(problem, limit=8):
     upper = problem.upper.copy()
     upper[moved] = np.inf
     eye = np.eye(problem.n_vars)
-    rows = problem.rows + tuple(LpRow(eye[j], "<=", problem.upper[j]) for j in moved)
-    return LpProblem(problem.objective, rows, problem.lower, upper)
+    return LpProblem(
+        problem.objective,
+        np.vstack([problem.matrix, eye[moved]]),
+        np.concatenate([problem.row_lo, np.full(len(moved), -np.inf)]),
+        np.concatenate([problem.row_hi, problem.upper[moved]]),
+        problem.lower,
+        upper,
+    )
 
 
 # the strict program has no slack columns, and its members cost -1 each

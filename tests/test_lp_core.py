@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from dsps.errors import DimensionMismatch
-from dsps.lp_core import (
-    LpProblem,
-    LpRow,
-    Relation,
-    SolveStatus,
-    _DualSimplex,
-    solve_lp,
-)
+from dsps.lp_core import LpProblem, SolveStatus, _DualSimplex, solve_lp
 
-from oracles import box_only_oracle, highs_objective, lp_vertex_oracle
+from oracles import box_only_oracle, from_rows, highs_objective, lp_vertex_oracle
 
 # one-sided columns and the logicals of inequality rows put infinities into
 # the ratio arithmetic, where an inf - inf or 0 * inf must fail a test rather
@@ -19,8 +12,7 @@ from oracles import box_only_oracle, highs_objective, lp_vertex_oracle
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def lp(c, rows, lower, upper):
-    return LpProblem(np.asarray(c, dtype=float), tuple(rows), lower, upper)
+lp = from_rows  # the array program of (coeffs, relation, rhs) triples
 
 
 class TestBasics:
@@ -32,32 +24,32 @@ class TestBasics:
 
     def test_single_le_row(self):
         # min -x - y  s.t.  x + y <= 1.5, box [0,1]^2
-        sol = solve_lp(lp([-1.0, -1.0], [LpRow([1.0, 1.0], "<=", 1.5)], 0.0, 1.0))
+        sol = solve_lp(lp([-1.0, -1.0], [([1.0, 1.0], "<=", 1.5)], 0.0, 1.0))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(-1.5, abs=1e-9)
         assert sol.max_residual <= 1e-9
 
     def test_equality_row(self):
         # min x  s.t.  x + y = 1, box [0,1]^2  -> x=0, y=1
-        sol = solve_lp(lp([1.0, 0.0], [LpRow([1.0, 1.0], "=", 1.0)], 0.0, 1.0))
+        sol = solve_lp(lp([1.0, 0.0], [([1.0, 1.0], "=", 1.0)], 0.0, 1.0))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
 
     def test_ge_row(self):
         # min x + y  s.t.  x + 2y >= 1, box [0,1]^2 -> y=0.5
-        sol = solve_lp(lp([1.0, 1.0], [LpRow([1.0, 2.0], ">=", 1.0)], 0.0, 1.0))
+        sol = solve_lp(lp([1.0, 1.0], [([1.0, 2.0], ">=", 1.0)], 0.0, 1.0))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(0.5, abs=1e-9)
 
     def test_infeasible_pair(self):
-        rows = [LpRow([1.0], "<=", 0.25), LpRow([1.0], ">=", 0.75)]
+        rows = [([1.0], "<=", 0.25), ([1.0], ">=", 0.75)]
         sol = solve_lp(lp([1.0], rows, 0.0, 1.0))
         assert sol.status is SolveStatus.INFEASIBLE
         # certificate: can't shrink the gap below 0.5
         assert sol.objective_value == pytest.approx(0.5, abs=1e-6)
 
     def test_infeasible_equality_out_of_box(self):
-        sol = solve_lp(lp([0.0, 0.0], [LpRow([1.0, 1.0], "=", 5.0)], 0.0, 1.0))
+        sol = solve_lp(lp([0.0, 0.0], [([1.0, 1.0], "=", 5.0)], 0.0, 1.0))
         assert sol.status is SolveStatus.INFEASIBLE
 
     def test_crossed_bounds_infeasible(self):
@@ -73,18 +65,18 @@ class TestBasics:
 
     def test_unbounded_with_row(self):
         # min -x  s.t.  y <= 1 says nothing about x, x unbounded above
-        rows = [LpRow([0.0, 1.0], "<=", 1.0)]
+        rows = [([0.0, 1.0], "<=", 1.0)]
         with pytest.raises(DimensionMismatch, match="infinite upper bound"):
             lp([-1.0, 0.0], rows, 0.0, [np.inf, 2.0])
 
     def test_unbounded_free_variable(self):
-        rows = [LpRow([1.0, 1.0], "<=", 10.0)]
+        rows = [([1.0, 1.0], "<=", 10.0)]
         with pytest.raises(DimensionMismatch, match="lower bounds must be finite"):
             lp([1.0, 0.0], rows, [-np.inf, 0.0], [np.inf, 1.0])
 
     def test_one_sided_column_optimum(self):
         # min x  s.t.  x >= -3 via row, x in [-10, inf)
-        rows = [LpRow([1.0], ">=", -3.0)]
+        rows = [([1.0], ">=", -3.0)]
         sol = solve_lp(lp([1.0], rows, -10.0, np.inf))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
@@ -98,7 +90,7 @@ class TestBasics:
             lp([0.0, 1.0], (), [0.0, lower], [1.0, upper])
 
     def test_iteration_limit(self):
-        rows = [LpRow([1.0, 1.0, 1.0], "=", 1.5)]
+        rows = [([1.0, 1.0, 1.0], "=", 1.5)]
         sol = solve_lp(
             lp([-1.0, -2.0, -3.0], rows, 0.0, 1.0),
             max_iterations=1,
@@ -107,17 +99,51 @@ class TestBasics:
         assert sol.z is None
 
     def test_negative_rhs_equality(self):
-        sol = solve_lp(lp([0.0], [LpRow([2.0], "=", -1.0)], -2.0, 2.0))
+        sol = solve_lp(lp([0.0], [([2.0], "=", -1.0)], -2.0, 2.0))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.z[0] == pytest.approx(-0.5, abs=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            lp([1.0, 2.0], [LpRow([1.0], "<=", 1.0)], 0.0, 1.0)
+            lp([1.0, 2.0], [([1.0], "<=", 1.0)], 0.0, 1.0)
 
-    def test_unknown_relation(self):
-        with pytest.raises(DimensionMismatch):
-            LpRow([1.0], "!=", 1.0)
+
+# each case breaks one rule of the array form in an otherwise valid
+# two-variable, one-row program
+MALFORMED_ROWS = {
+    "matrix too wide": ([[1.0, 1.0, 1.0]], [1.0], [1.0], "matrix with"),
+    "matrix rows without bounds": ([[1.0, 1.0], [1.0, 0.0]], [1.0], [1.0], "matrix with"),
+    "row_lo and row_hi differ": ([[1.0, 1.0]], [1.0], [1.0, 1.0], "matrix with"),
+    "matrix not 2-D": ([1.0, 1.0], [1.0], [1.0], "matrix with"),
+    "infinite entry": ([[1.0, np.inf]], [1.0], [1.0], "matrix entries"),
+    "NaN entry": ([[np.nan, 1.0]], [1.0], [1.0], "matrix entries"),
+    "row_lo above row_hi": ([[1.0, 1.0]], [2.0], [1.0], "row_lo <= row_hi"),
+    "finite row_lo above row_hi -inf": ([[1.0, 1.0]], [1.0], [-np.inf], "row_lo <= row_hi"),
+    "NaN row_lo": ([[1.0, 1.0]], [np.nan], [1.0], "row_lo <= row_hi"),
+    "NaN row_hi": ([[1.0, 1.0]], [-np.inf], [np.nan], "row_lo <= row_hi"),
+    "no finite bound": ([[1.0, 1.0]], [-np.inf], [np.inf], "row_lo <= row_hi"),
+    "both bounds +inf": ([[1.0, 1.0]], [np.inf], [np.inf], "row_lo <= row_hi"),
+    "both bounds -inf": ([[1.0, 1.0]], [-np.inf], [-np.inf], "row_lo <= row_hi"),
+    "range row": ([[1.0, 1.0]], [0.5], [1.5], "row_lo <= row_hi"),
+}
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize("case", list(MALFORMED_ROWS))
+    def test_malformed_rows_rejected(self, case):
+        matrix, row_lo, row_hi, message = MALFORMED_ROWS[case]
+        with pytest.raises(DimensionMismatch, match=message):
+            LpProblem([1.0, 1.0], matrix, row_lo, row_hi, 0.0, 1.0)
+
+    def test_each_row_kind_accepted_and_viewed(self):
+        # <=, = and >= rows, and the rows view perfbench's HiGHS yardstick reads
+        triples = [([1.0, 2.0], "<=", 3.0), ([1.0, -1.0], "=", 0.0), ([0.0, 1.0], ">=", -1.0)]
+        problem = LpProblem([1.0, 1.0], [t[0] for t in triples], [-np.inf, 0.0, -1.0],
+                            [3.0, 0.0, np.inf], 0.0, 1.0)
+        assert (problem.n_rows, problem.n_vars) == (3, 2)
+        assert [(r.coeffs.tolist(), r.relation.value, r.rhs) for r in problem.rows] == triples
+        assert all(np.shares_memory(r.coeffs, problem.matrix) for r in problem.rows)
+        assert from_rows([0.0, 1.0], (), 0.0, 1.0).rows == ()
 
 
 BOUND_KINDS = {
@@ -173,7 +199,7 @@ class TestDeterminism:
         rng = np.random.default_rng(5150)
         c = rng.normal(size=40)
         rows = [
-            LpRow(rng.normal(size=40), rel, rng.normal())
+            (rng.normal(size=40), rel, rng.normal())
             for rel in ("<=", ">=", "<=", "=")
         ]
         problem = lp(c, rows, 0.0, 1.0)
@@ -201,7 +227,7 @@ def random_instance(rng):
             b = at + slack if rel == "<=" else at - slack if rel == ">=" else at
         else:
             b = float(rng.normal())
-        rows.append(LpRow(a, rel, b))
+        rows.append((a, rel, b))
     return lp(c, rows, 0.0, 1.0), rows
 
 
@@ -211,9 +237,8 @@ class TestAgainstVertexEnumeration:
         checked_feasible = checked_infeasible = 0
         for i in range(50):
             problem, rows = random_instance(rng)
-            oracle_rows = [(r.coeffs, r.relation.value, r.rhs) for r in rows]
             status, best = lp_vertex_oracle(
-                problem.objective, oracle_rows, problem.lower, problem.upper
+                problem.objective, rows, problem.lower, problem.upper
             )
             sol = solve_lp(problem)
             if status == "infeasible":
@@ -236,24 +261,24 @@ class TestAgainstVertexEnumeration:
         programs = [
             # many tight rows through one vertex force degenerate pivots
             ([-1.0, -1.0, -1.0], [
-                LpRow([1.0, 1.0, 1.0], "<=", 1.0),
-                LpRow([1.0, 1.0, 0.0], "<=", 1.0),
-                LpRow([1.0, 0.0, 1.0], "<=", 1.0),
-                LpRow([0.0, 1.0, 1.0], "<=", 1.0),
+                ([1.0, 1.0, 1.0], "<=", 1.0),
+                ([1.0, 1.0, 0.0], "<=", 1.0),
+                ([1.0, 0.0, 1.0], "<=", 1.0),
+                ([0.0, 1.0, 1.0], "<=", 1.0),
             ]),
             # flipping every ratio-test candidate leaves the slope exactly
             # zero: the last candidate must enter, the row is not infeasible
             ([1.0, 1.0, 2.0, -2.0], [
-                LpRow([2.0, -2.0, 2.0, 2.0], "<=", 0.0),
-                LpRow([-2.0, -1.0, -2.0, 0.0], "=", -3.0),
-                LpRow([0.0, -2.0, 2.0, 0.0], ">=", -2.0),
+                ([2.0, -2.0, 2.0, 2.0], "<=", 0.0),
+                ([-2.0, -1.0, -2.0, 0.0], "=", -3.0),
+                ([0.0, -2.0, 2.0, 0.0], ">=", -2.0),
             ]),
         ]
         for c, rows in programs:
             problem = lp(c, rows, 0.0, 1.0)
             status, best = lp_vertex_oracle(
                 problem.objective,
-                [(r.coeffs, r.relation.value, r.rhs) for r in rows],
+                rows,
                 problem.lower,
                 problem.upper,
             )
@@ -265,7 +290,7 @@ class TestAgainstVertexEnumeration:
 
 def random_rows(rng, n, m):
     return [
-        LpRow(rng.normal(size=n), ("<=", ">=", "=")[int(rng.integers(0, 3))], 2.0 * rng.normal())
+        (rng.normal(size=n), ("<=", ">=", "=")[int(rng.integers(0, 3))], 2.0 * rng.normal())
         for _ in range(m)
     ]
 
@@ -276,14 +301,13 @@ def elastic_program(rows, n):
     Each direction a row can be violated in gets an elastic column of cost 1,
     capped by the largest violation the box allows.
     """
-    cols = [(r, -1.0) for r, row in enumerate(rows) if row.relation is not Relation.GE]
-    cols += [(r, 1.0) for r, row in enumerate(rows) if row.relation is not Relation.LE]
+    cols = [(r, -1.0) for r, (_, rel, _) in enumerate(rows) if rel != ">="]
+    cols += [(r, 1.0) for r, (_, rel, _) in enumerate(rows) if rel != "<="]
     oracle_rows = [
-        (np.concatenate([row.coeffs, [s if q == r else 0.0 for q, s in cols]]),
-         row.relation.value, row.rhs)
-        for r, row in enumerate(rows)
+        (np.concatenate([a, [s if q == r else 0.0 for q, s in cols]]), rel, b)
+        for r, (a, rel, b) in enumerate(rows)
     ]
-    cap = [np.abs(rows[q].coeffs).sum() + abs(rows[q].rhs) for q, _ in cols]
+    cap = [np.abs(rows[q][0]).sum() + abs(rows[q][2]) for q, _ in cols]
     c = np.concatenate([np.zeros(n), np.ones(len(cols))])
     lower = np.zeros(n + len(cols))
     upper = np.concatenate([np.ones(n), cap])
@@ -317,7 +341,7 @@ class TestInfeasibilityCertificate:
             if sol.status is not SolveStatus.INFEASIBLE:
                 continue
             c, oracle_rows, lower, upper = elastic_program(rows, n)
-            want = highs_objective(lp(c, [LpRow(*r) for r in oracle_rows], lower, upper), linprog)
+            want = highs_objective(lp(c, oracle_rows, lower, upper), linprog)
             assert sol.objective_value == pytest.approx(want, rel=1e-7, abs=1e-9), f"program {i}"
             checked += 1
         assert checked >= 100
@@ -360,10 +384,10 @@ class TestScaleAndSlack:
         row = x - float(np.mean(x))
         for lo, hi in [(0.05, 0.1), (0.1, 0.4), (0.4, 2.0)]:
             small = solve_lp(
-                lp([-1.0] * n, [LpRow(row, "<=", lo), LpRow(row, ">=", -lo)], 0.0, 1.0)
+                lp([-1.0] * n, [(row, "<=", lo), (row, ">=", -lo)], 0.0, 1.0)
             )
             big = solve_lp(
-                lp([-1.0] * n, [LpRow(row, "<=", hi), LpRow(row, ">=", -hi)], 0.0, 1.0)
+                lp([-1.0] * n, [(row, "<=", hi), (row, ">=", -hi)], 0.0, 1.0)
             )
             assert small.status is SolveStatus.OPTIMAL
             assert big.status is SolveStatus.OPTIMAL

@@ -9,11 +9,12 @@ from dsps.errors import (
     InsufficientData,
     InvalidDraws,
     InvalidSetting,
+    LengthMismatch,
     OutOfRangeProbability,
     ZeroTarget,
 )
 from dsps.evaluate import evaluate_selection
-from dsps.moments import TargetCriterion, TargetSet
+from dsps.moments import TargetCriterion, TargetSet, expected_moment, expected_size
 from dsps import realize
 from dsps.realize import DrawStats, draw, draw_best, uniform_stream
 
@@ -311,3 +312,26 @@ class TestDrawBestScoresEachMaskOnce:
         assert (best.report.rsse, -best.report.realized_size, best.draw_index) == (rsse, neg_size, k)
         np.testing.assert_array_equal(best.mask, draw(p, 7, k))
         assert best.report == reports[k] == evaluate_selection(pop, targets, best.mask)
+
+
+# the one vector rule: probabilities and masks are 1-D, so a 24-member
+# population never reads a (4, 6) or (24, 1) array as its 24 members in C order
+NOT_A_VECTOR = {
+    "draw": lambda pop, targets, v: draw(v, 1),
+    "draw_best": lambda pop, targets, v: draw_best(v, pop, targets, 3, seed=1),
+    "evaluate probabilities": lambda pop, targets, v: evaluate_selection(pop, targets, v),
+    "evaluate mask":
+        lambda pop, targets, v: evaluate_selection(pop, targets, (v > 0).astype(np.int8)),
+    "expected_size": lambda pop, targets, v: expected_size(v),
+    "expected_moment": lambda pop, targets, v: expected_moment(pop.data[:, 0], v, 1),
+}
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (24, 1)])
+@pytest.mark.parametrize("call", list(NOT_A_VECTOR))
+def test_a_probability_vector_or_mask_that_is_not_1d_is_refused(call, shape):
+    pop = make_pop(np.arange(24.0))
+    targets = TargetSet((TargetCriterion("f", 1, 11.5),))
+    NOT_A_VECTOR[call](pop, targets, np.full(24, 0.5))  # the same entries as a vector
+    with pytest.raises(LengthMismatch):
+        NOT_A_VECTOR[call](pop, targets, np.full(shape, 0.5))
