@@ -35,7 +35,6 @@ from .selection import (
     build_lp_system,
     solve_fixed_size,
     solve_max_size,
-    solve_min_size,
 )
 from .synthgen import (
     LogNormal,
@@ -67,7 +66,6 @@ __all__ = [
     "build_lp_system",
     "SelectionProbabilities",
     "solve_max_size",
-    "solve_min_size",
     "solve_fixed_size",
     "RealizationResult",
     "draw",

@@ -46,17 +46,11 @@ from .errors import (
 from .evaluate import _denominators, evaluate_selection
 from .moments import TargetSet
 from .realize import draw_best
-from .selection import (
-    EPSILON,
-    SMALL_SAMPLE_THRESHOLD,
-    solve_fixed_size,
-    solve_max_size,
-    solve_min_size,
-)
+from .selection import EPSILON, solve_fixed_size, solve_max_size
 from .synthgen import SynthSpec, generate_population
 
 SCHEMA = "dsps/1"
-MODES = ("max", "max-strict", "fixed", "min")
+MODES = ("max", "max-strict", "fixed")
 
 
 class _UsageError(Exception):
@@ -200,16 +194,8 @@ def cmd_select(args) -> int:
         sel = solve_max_size(pop, targets, args.trial_size, relaxed=True)
     elif args.mode == "max-strict":
         sel = solve_max_size(pop, targets, args.trial_size, relaxed=False)
-    elif args.mode == "min":
-        sel = solve_min_size(pop, targets, args.trial_size)
     else:
         sel = solve_fixed_size(pop, targets, args.trial_size)
-    if sel.small_sample_warning:
-        print(
-            f"warning: expected size {sel.expected_size:.2f} is below "
-            f"{SMALL_SAMPLE_THRESHOLD:g}; realized moments will be noisy",
-            file=sys.stderr,
-        )
 
     best, stats = draw_best(sel.p, pop, targets, args.draws, args.seed, args.rsse_epsilon)
     try:
@@ -236,7 +222,6 @@ def cmd_select(args) -> int:
             "n_draws": args.draws,
             "best_draw_index": best.draw_index,
         },
-        small_sample_warning=sel.small_sample_warning,
         draws=[
             {
                 "draw_index": s.draw_index,

@@ -27,7 +27,7 @@ import numpy as np
 from .dataset import Population
 from .errors import (
     AllDrawsDegenerate, EmptySelection, InsufficientData, InvalidDraws, InvalidSetting,
-    ZeroVariance,
+    LengthMismatch, ZeroVariance,
 )
 from .evaluate import EvaluationReport, evaluate_selection
 from .moments import TargetSet, probability_vector
@@ -103,7 +103,7 @@ def draw_best(
         raise InvalidDraws(f"n_draws must be a positive integer, got {n_draws!r}")
     vec = probability_vector(p)
     if vec.size != pop.n_members:
-        raise InvalidDraws(
+        raise LengthMismatch(
             f"{vec.size} probabilities for population of {pop.n_members}"
         )
     fractional = np.flatnonzero((vec > 0.0) & (vec < 1.0))

@@ -2,7 +2,7 @@
 
 The selection problem: find per-member probabilities ``p`` in ``[0,1]`` whose
 probability-weighted moments hit a set of targets, while maximising (or
-minimising, or pinning) the expected sub-population size ``sum(p)``.
+pinning) the expected sub-population size ``sum(p)``.
 
 For each (feature, order) criterion one constraint row is built over the
 member axis, using deviations ``d_i`` from the *target* mean ``M1`` (from 0
@@ -27,7 +27,7 @@ reported slack ``eta_j = |s+_j - s-_j|`` is the row's residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,13 +49,11 @@ __all__ = [
     "build_lp_system",
     "SelectionProbabilities",
     "solve_max_size",
-    "solve_min_size",
     "solve_fixed_size",
 ]
 
 SIZE_ROW = "size"
 
-SMALL_SAMPLE_THRESHOLD = 30.0
 EPSILON = 1e-6
 ALPHA_FRACTION = 0.05  # alpha = 5% of the intended trial size
 
@@ -159,8 +157,6 @@ class SelectionProbabilities:
     module docstring; fixed mode's size row has
     ``beta = 1/(trial_size + EPSILON)`` and ``eta_max = alpha``), aligned with
     ``row_labels``, or ``None`` when the program has no slack rows.
-    ``small_sample_warning`` is set by min mode when ``expected_size`` falls
-    below ``SMALL_SAMPLE_THRESHOLD``.
     """
 
     p: np.ndarray
@@ -168,7 +164,6 @@ class SelectionProbabilities:
     expected_size: float
     row_labels: tuple
     solver: LpSolution
-    small_sample_warning: bool = False
     alpha: float | None = None
     beta: np.ndarray | None = None
     eta_max: np.ndarray | None = None
@@ -178,7 +173,6 @@ def _select(
     pop: Population,
     targets: TargetSet,
     trial_size: float | None,
-    size_sign: float,
     relaxed: bool = True,
     pin_size: bool = False,
 ) -> SelectionProbabilities:
@@ -187,7 +181,7 @@ def _select(
     Variables are ``[p, s_plus, s_minus]``; row ``j`` reads
     ``A_j p - s_plus_j + s_minus_j = C_j``, every slack costs 1 and is
     capped at ``alpha = ALPHA_FRACTION * trial_size``, and the objective adds
-    ``size_sign * sum(p)``.  ``relaxed=False`` gives the strict program, which
+    ``-sum(p)``.  ``relaxed=False`` gives the strict program, which
     has no slack columns and needs no trial size.  ``pin_size`` appends the
     size row ``sum(p) = trial_size``, scaled by ``1/(trial_size + EPSILON)``,
     whose slack is capped at ``alpha/(trial_size + EPSILON)``: ``alpha``
@@ -223,7 +217,7 @@ def _select(
         upper = np.concatenate([upper, cap, cap])
         slack = {"alpha": alpha, "beta": scales, "eta_max": eta_max}
     A = np.hstack([A, -np.eye(m, k), np.eye(m, k)])
-    c = np.concatenate([np.full(n, size_sign), np.ones(2 * k)])
+    c = np.concatenate([np.full(n, -1.0), np.ones(2 * k)])
     solution = solve_lp(LpProblem(c, A, C, C, np.zeros(n + 2 * k), upper))
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
@@ -262,30 +256,13 @@ def solve_max_size(
     reported as infeasible: the empty selection satisfies any centred moment
     row vacuously, but it is never a usable cohort.
     """
-    result = _select(pop, targets, trial_size, -1.0, relaxed)
+    result = _select(pop, targets, trial_size, relaxed)
     if len(targets) > 0 and result.expected_size <= _EMPTY_SELECTION_TOL:
         raise InfeasibleError(
             "targets admit only the empty selection (max expected size 0)",
             violation=0.0,
         )
     return result
-
-
-def solve_min_size(
-    pop: Population,
-    targets: TargetSet,
-    trial_size: float | None = None,
-) -> SelectionProbabilities:
-    """Smallest expected sub-population matching the targets, slack sized by ``trial_size``.
-
-    Sets ``small_sample_warning`` when the minimised expected size drops below
-    ``SMALL_SAMPLE_THRESHOLD`` (30), the usual large-sample rule of thumb:
-    moment matching with so little mass says little about realized draws.
-    """
-    if len(targets) == 0:
-        raise EmptyTargetSet("min-size mode needs at least one target criterion")
-    result = _select(pop, targets, trial_size, 1.0)
-    return replace(result, small_sample_warning=result.expected_size < SMALL_SAMPLE_THRESHOLD)
 
 
 def solve_fixed_size(
@@ -309,4 +286,4 @@ def solve_fixed_size(
         raise InvalidSampleSize(
             f"trial size must lie in [1, {pop.n_members}] in fixed mode, got {trial_size}"
         )
-    return _select(pop, targets, float(trial_size), -1.0, pin_size=True)
+    return _select(pop, targets, float(trial_size), pin_size=True)

@@ -23,10 +23,10 @@ The entries:
   each perfbench workload (seed 1);
 * ``select`` on the demo population for three bands (glucose 60-90th
   percentile, weight 10-40th, a seeded random 200) x orders 1, 1-2, 1-3,
-  1-4 x the four modes, and for the demo targets, infeasible targets and
-  empty targets in the four modes;
+  1-4 x the three modes, and for the demo targets, infeasible targets and
+  empty targets in the three modes;
 * ``select`` of each perfbench workload instance, with its own arguments;
-* a zero skewness target in ``max`` and ``min``;
+* a zero skewness target in ``max``;
 * ``evaluate`` of the mask of every demo-band select, of a mask that lists
   a member twice and of a mask whose values are written ``1.0``/``0.0``.
 """
@@ -57,7 +57,7 @@ MANIFEST = ROOT / "tests" / "corpus.json"
 P_TOL = 1e-12
 WORKLOAD_SEED = 1
 INSTANCES = 3
-MODES = ("max", "max-strict", "fixed", "min")
+MODES = ("max", "max-strict", "fixed")
 DEMO_BANDS = ("glucose-60-90", "weight-10-40", "random-200")
 DEMO_ORDERS = ((1,), (1, 2), (1, 2, 3), (1, 2, 3, 4))
 DEMO_SEED = 11
@@ -150,9 +150,8 @@ def prepare(work: Path) -> list[Entry]:
         band = plant_subset(pop, _demo_members(pop, "glucose-60-90"), ("glucose",), (1, 2))
         zero = _write_json(Path("demo/zero-skewness.json"), [
             *json.loads(band.to_json()), {"feature": "glucose", "order": 3, "value": 0.0}])
-        for mode in ("max", "min"):
-            entries.append(_select(f"demo/zero-target/{mode}", demo, zero,
-                                   *_mode_args(mode, DEMO_SIZE), "--seed", str(DEMO_SEED)))
+        entries.append(_select("demo/zero-target/max", demo, zero,
+                               *_mode_args("max", DEMO_SIZE), "--seed", str(DEMO_SEED)))
         entries.extend(evaluations)
         entries.extend(_odd_masks(demo, "out/demo/glucose-60-90/o12/max/mask.csv",
                                   "demo/glucose-60-90-o12.json"))

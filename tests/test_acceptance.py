@@ -27,7 +27,6 @@ from dsps.selection import (
     ALPHA_FRACTION,
     build_lp_system,
     solve_max_size,
-    solve_min_size,
 )
 from dsps.synthgen import (
     FeatureSpec,
@@ -301,39 +300,6 @@ def test_accept_08_identical_runs_write_identical_artifacts(tmp_path):
     report("ACCEPT-08", ok, "byte-identical " + ", ".join(names))
 
 
-def test_accept_09_small_minimum_warns_and_large_minimum_does_not():
-    def two_point(m, n_per_side, center=100.0, a=3.0):
-        values = np.concatenate([
-            np.full(n_per_side, center + a), np.full(n_per_side, center - a)
-        ])
-        pop = Population(tuple(f"m{i}" for i in range(values.size)), ("f",),
-                         values[:, None])
-        targets = TargetSet((
-            TargetCriterion("f", 1, center),
-            TargetCriterion("f", 2, a * a * m / (m - 1.0)),
-        ))
-        return pop, targets
-
-    trial_size = 0.05 / ALPHA_FRACTION
-    pop_small, targets_small = two_point(m=10, n_per_side=20)
-    small = solve_min_size(pop_small, targets_small, trial_size)
-    pop_big, targets_big = two_point(m=40, n_per_side=60)
-    big = solve_min_size(pop_big, targets_big, trial_size)
-
-    ok = (
-        small.small_sample_warning
-        and small.expected_size < 30.0
-        and not big.small_sample_warning
-        and big.expected_size >= 30.0
-    )
-    report(
-        "ACCEPT-09",
-        ok,
-        f"forced sizes {small.expected_size:.2f} (warned) and "
-        f"{big.expected_size:.2f} (silent)",
-    )
-
-
 def test_accept_10_feature_rescaling_leaves_the_solution_unchanged():
     rng = np.random.default_rng(1010)
     data = np.column_stack([
@@ -370,7 +336,7 @@ def test_accept_10_feature_rescaling_leaves_the_solution_unchanged():
 
 
 def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
-    """Orders up to 4 planted in the demo population solve in all four modes."""
+    """Orders up to 4 planted in the demo population solve in all three modes."""
     from pathlib import Path
 
     from dsps.dataset import save_population
@@ -391,8 +357,7 @@ def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
         relaxed = solve_max_size(pop, targets, trial_size)
         strict = solve_max_size(pop, targets, trial_size, relaxed=False)
         fixed = solve_fixed_size(pop, targets, trial_size)
-        smallest = solve_min_size(pop, targets, trial_size)
-        for mode, sel in (("max", relaxed), ("fixed", fixed), ("min", smallest)):
+        for mode, sel in (("max", relaxed), ("fixed", fixed)):
             eta, eta_max = sel.eta[:system.n_rows], sel.eta_max[:system.n_rows]
             resid = np.abs(system.matrix @ sel.p - system.rhs)
             if np.any(resid > eta + slack_tol) or np.any(eta > eta_max + slack_tol):
@@ -402,8 +367,6 @@ def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
         # the planted members satisfy every row exactly
         if min(relaxed.expected_size, strict.expected_size) < idx.size - 1e-6:
             problems.append(f"orders 1-{top}: max size below the planted {idx.size}")
-        if smallest.expected_size > relaxed.expected_size + 1e-9:
-            problems.append(f"orders 1-{top}: min above max")
         if abs(fixed.expected_size - idx.size) > fixed.alpha + 1e-9:
             problems.append(f"orders 1-{top}: fixed size off by more than alpha")
 
@@ -411,13 +374,13 @@ def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
         targets_path.write_text(targets.to_json() + "\n", encoding="utf-8")
         common = ["select", "--population", str(pop_path), "--targets", str(targets_path),
                   "--trial-size", str(idx.size), "--seed", "5"]
-        for mode in ("max", "max-strict", "fixed", "min"):
+        for mode in ("max", "max-strict", "fixed"):
             code = main([*common, "--mode", mode, "--out", str(tmp_path / f"run-{top}-{mode}")])
             if code != 0:
                 problems.append(f"orders 1-{top} CLI --mode {mode}: exit {code}")
     report(
         "ACCEPT-11",
         not problems,
-        "orders 1-3 and 1-4, library and CLI, modes max/max-strict/fixed/min"
+        "orders 1-3 and 1-4, library and CLI, modes max/max-strict/fixed"
         + (": " + "; ".join(problems) if problems else ""),
     )

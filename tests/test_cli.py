@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import dsps
 from dsps.cli import MODES, _build_parser, main
 from dsps.dataset import Population, load_population, save_population
 from dsps.errors import (
@@ -195,8 +196,9 @@ class TestSelect:
         report = json.loads((out / "report.json").read_text())
         assert report["rsse"] <= 0.01
         assert report["realized_size"] >= 150
+        assert "small_sample_warning" not in report
 
-    def test_all_modes_run(self, workspace, tmp_path):
+    def test_all_modes_run(self, workspace):
         tmp, pop, targets, pop_path, targets_path = workspace
         common = ["--population", pop_path, "--targets", targets_path, "--seed", "3"]
         assert main(["select", *common, "--mode", "max", "--trial-size", "20",
@@ -212,25 +214,6 @@ class TestSelect:
         strict_run = json.loads((tmp / "m2" / "run.json").read_text())
         assert strict_run["alpha"] is None and strict_run["beta"] is None
         assert strict_run["trial_size"] is None
-
-        # minimisation needs an instance that forces probability mass: on a
-        # two-point feature every variance-row entry is equal, so no cheap
-        # dust on extreme members can satisfy the row
-        values = np.concatenate([np.full(60, 103.0), np.full(60, 97.0)])
-        pop2 = make_pop(values)
-        targets2 = TargetSet((
-            TargetCriterion("f", 1, 100.0),
-            TargetCriterion("f", 2, 9.0 * 40 / 39.0),
-        ))
-        pop2_path = tmp_path / "pop2.csv"
-        targets2_path = tmp_path / "targets2.json"
-        save_population(pop2, pop2_path)
-        targets2_path.write_text(targets2.to_json(), encoding="utf-8")
-        assert main(["select", "--population", str(pop2_path), "--targets",
-                     str(targets2_path), "--mode", "min", "--trial-size", "1",
-                     "--seed", "3", "--out", str(tmp / "m4")]) == 0
-        min_run = json.loads((tmp / "m4" / "run.json").read_text())
-        assert min_run["expected_size"] == pytest.approx(38.0, abs=0.1)
 
     def test_reruns_are_byte_identical(self, workspace):
         tmp, pop, targets, pop_path, targets_path = workspace
@@ -306,8 +289,7 @@ class TestSelect:
     @pytest.mark.parametrize("mode", MODES)
     def test_run_json_replays_the_run(self, tmp_path, mode):
         # the select argv rebuilt from run.json alone writes the same bytes.
-        # On a two-point feature the variance row forces sum(p) near 40, so
-        # the min-size optimum is not a sliver whose draws are all empty;
+        # On a two-point feature the variance row forces sum(p) near 40, and
         # fixed mode pins the size to the trial size, so it asks for those 40.
         tmp = tmp_path
         pop_path, targets_path = tmp / "pop.csv", tmp / "targets.json"
@@ -331,27 +313,6 @@ class TestSelect:
         assert main(argv) == 0
         for name in _ARTIFACTS[:-1]:
             assert (tmp / "replay" / name).read_bytes() == (tmp / "first" / name).read_bytes(), name
-
-    def test_small_sample_run_warns_on_stderr(self, tmp_path, capsys):
-        # symmetric two-point feature whose variance row forces sum(p) = 10
-        values = np.concatenate([np.full(20, 3.0), np.full(20, -3.0)])
-        pop = make_pop(values)
-        targets = TargetSet((
-            TargetCriterion("f", 1, 0.0),
-            TargetCriterion("f", 2, 9.0 * 10 / 9.0),
-        ))
-        pop_path = tmp_path / "pop.csv"
-        targets_path = tmp_path / "targets.json"
-        save_population(pop, pop_path)
-        targets_path.write_text(targets.to_json(), encoding="utf-8")
-        code = main(["select", "--population", str(pop_path), "--targets",
-                     str(targets_path), "--mode", "min", "--trial-size", "1",
-                     "--seed", "1", "--out", str(tmp_path / "out"),
-                     "--rsse-epsilon", "1e-9"])
-        assert code == 0
-        assert "below 30" in capsys.readouterr().err
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["small_sample_warning"] is True
 
 
 class TestSlackSettings:
@@ -389,7 +350,7 @@ class TestSlackSettings:
         run = json.loads((tmp / "e" / "run.json").read_text())
         assert run["alpha"] is None and run["beta"] is None and run["eta_max"] is None
 
-    @pytest.mark.parametrize("mode", ["max", "min"])
+    @pytest.mark.parametrize("mode", ["max"])
     def test_trial_size_that_overflows_a_cap_is_one(self, tmp_path, capsys, mode):
         # alpha = 5e306 times the demo's glucose mean leaves float64: the run
         # is refused before the solve, without numpy's overflow warning and
@@ -531,14 +492,14 @@ class TestExitCodes:
                      "--out", str(tmp / "x")]) == 1
         assert "need a trial size" in capsys.readouterr().err
 
-    def test_min_mode_without_targets_is_one(self, workspace, capsys):
-        # with no rows the min-size optimum is p = 0, and every draw is empty
+    def test_min_mode_is_an_invalid_choice(self, workspace, capsys):
+        # min mode is gone, not mapped to another mode: nothing is solved or written
         tmp, pop, targets, pop_path, targets_path = workspace
-        empty = tmp / "empty.json"
-        empty.write_text("[]", encoding="utf-8")
-        assert main(["select", "--population", pop_path, "--targets", str(empty),
-                     "--mode", "min", "--trial-size", "20", "--out", str(tmp / "e")]) == 1
-        assert "at least one target criterion" in capsys.readouterr().err
+        assert main(["select", "--population", pop_path, "--targets", targets_path,
+                     "--mode", "min", "--trial-size", "200", "--out", str(tmp / "e")]) == 1
+        assert "argument --mode: invalid choice: 'min'" in capsys.readouterr().err
+        assert not (tmp / "e").exists()
+        assert not hasattr(dsps, "solve_min_size")
 
     def test_infeasible_targets_are_two(self, tmp_path):
         pop = make_pop([1.0, 2.0, 3.0])
@@ -631,19 +592,19 @@ class TestExitCodes:
         assert main([*common, "--rsse-epsilon", "1e-3", "--out", str(tmp_path / "y")]) == 0
 
     def test_zero_target_is_rejected_before_the_solve(self, workspace, monkeypatch, capsys):
-        # no LP, no draws and, in min mode, no small-sample warning first
+        # no LP and no draws first
         from dsps import cli
 
         def never(*args, **kwargs):
-            raise AssertionError("solve_min_size was called")
+            raise AssertionError("solve_max_size was called")
 
-        monkeypatch.setattr(cli, "solve_min_size", never)
+        monkeypatch.setattr(cli, "solve_max_size", never)
         tmp, _, targets, pop_path, _ = workspace
         zero = tmp / "zero_skewness.json"
         zero.write_text(json.dumps([*json.loads(targets.to_json()),
                                     {"feature": "f", "order": 3, "value": 0.0}]), encoding="utf-8")
         assert main(["select", "--population", pop_path, "--targets", str(zero),
-                     "--mode", "min", "--trial-size", "20", "--out", str(tmp / "x")]) == 1
+                     "--mode", "max", "--trial-size", "20", "--out", str(tmp / "x")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: criterion 2 has target 0; relative error is undefined "
             "(pass an epsilon or drop the criterion)"
@@ -941,6 +902,9 @@ def test_readme_flag_table_matches_the_select_parser():
     assert set(rows) <= options, "README rows that are not select options"
     # the usage block above the table shows the two required files
     assert options - set(rows) <= {"--population", "--targets"}, "select options without a row"
+    # the --mode row lists the parser's modes in order; a gloss's backticks are in parentheses
+    mode_row = re.search(r"^\| `--mode` \|(.*)\|$", section, flags=re.M).group(1)
+    assert re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", mode_row)) == list(MODES)
 
 
 def test_readme_library_use_runs_on_the_demo_population(tmp_path, monkeypatch, capsys):

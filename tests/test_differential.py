@@ -15,7 +15,7 @@ from dsps import selection
 from dsps.dataset import Population
 from dsps.errors import InfeasibleError
 from dsps.lp_core import LpProblem, SolveStatus, _DualSimplex, solve_lp
-from dsps.selection import solve_fixed_size, solve_max_size, solve_min_size
+from dsps.selection import solve_fixed_size, solve_max_size
 from dsps.synthgen import (
     FeatureSpec,
     LogNormal,
@@ -28,7 +28,7 @@ from dsps.synthgen import (
 
 from oracles import highs_objective
 
-MODES = ("max", "min", "fixed", "strict")
+MODES = ("max", "fixed", "strict")
 REL_TOL = 1e-7
 
 # one-sided columns and the logicals of inequality rows put infinities into
@@ -79,8 +79,6 @@ def recorded_problems(rng, mode, monkeypatch):
     try:
         if mode == "max":
             solve_max_size(pop, targets, trial_size)
-        elif mode == "min":
-            solve_min_size(pop, targets, trial_size)
         elif mode == "fixed":
             solve_fixed_size(pop, targets, trial_size)
         else:
@@ -95,7 +93,7 @@ def recorded_problems(rng, mode, monkeypatch):
 @pytest.mark.parametrize("mode", MODES)
 def test_selection_programs_match_highs(mode, monkeypatch):
     linprog = pytest.importorskip("scipy.optimize").linprog
-    rng = np.random.default_rng({"max": 71, "min": 72, "fixed": 73, "strict": 74}[mode])
+    rng = np.random.default_rng({"max": 71, "fixed": 73, "strict": 74}[mode])
     solved = 0
     for trial in range(12):
         for problem, solution in recorded_problems(rng, mode, monkeypatch):
@@ -136,9 +134,9 @@ def caps_as_rows(problem, limit=8):
 
 
 # the strict program has no slack columns, and its members cost -1 each
-@pytest.mark.parametrize("mode", ("max", "min", "fixed"))
+@pytest.mark.parametrize("mode", ("max", "fixed"))
 def test_box_caps_as_rows_keep_the_optimum(mode, monkeypatch):
-    rng = np.random.default_rng({"max": 81, "min": 82, "fixed": 83}[mode])
+    rng = np.random.default_rng({"max": 81, "fixed": 83}[mode])
     compared = 0
     for trial in range(6):
         for problem, _ in recorded_problems(rng, mode, monkeypatch):

@@ -244,7 +244,7 @@ class TestDrawBest:
 
     def test_length_mismatch(self):
         pop = make_pop(np.arange(3.0))
-        with pytest.raises(InvalidDraws):
+        with pytest.raises(LengthMismatch, match="4 probabilities for population of 3"):
             draw_best(np.full(4, 0.5), pop, TargetSet(()), 2, seed=0)
 
 

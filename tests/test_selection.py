@@ -23,7 +23,6 @@ from dsps.selection import (
     ordered_criteria,
     solve_fixed_size,
     solve_max_size,
-    solve_min_size,
 )
 
 from dsps.synthgen import (
@@ -234,9 +233,8 @@ class TestHyperParams:
 
     @pytest.mark.parametrize("solve", [
         solve_max_size,
-        solve_min_size,
         solve_fixed_size,
-    ], ids=["max", "min", "fixed"])
+    ], ids=["max", "fixed"])
     def test_relaxed_rows_without_a_trial_size_are_missing_a_hyperparam(self, solve):
         pop = make_pop({"f": [7.0, 9.0, 20.0]})
         with pytest.raises(MissingHyperParam, match="need a trial size"):
@@ -473,49 +471,6 @@ class TestSolveMaxSize:
         assert sel.solver.iterations <= 100
 
 
-class TestSolveMinSize:
-    @staticmethod
-    def two_point_pop(m: int, n_per_side: int, a: float = 3.0):
-        """Symmetric +-a feature whose variance row forces sum(p) = m.
-
-        With mean target 0 and variance target a^2 * m / (m - 1), every
-        variance-row entry equals a^2 - M2 = -(M2 - a^2), so the row reads
-        -(M2 - a^2) * sum(p) = -M2 and any feasible p has sum(p) = m.
-        """
-        values = np.concatenate([np.full(n_per_side, a), np.full(n_per_side, -a)])
-        pop = make_pop({"f": values})
-        m2 = a * a * m / (m - 1.0)
-        return pop, targets_of(("f", 1, 0.0), ("f", 2, m2))
-
-    @staticmethod
-    def forced_minimum(m: int, alpha: float, a: float = 3.0) -> float:
-        # minimising spends the full variance slack: sum(p) = (M2 - eta)/g
-        m2 = a * a * m / (m - 1.0)
-        g = m2 - a * a
-        return (m2 - alpha * (m2 + 1e-6)) / g
-
-    def test_forced_small_size_warns(self):
-        pop, targets = self.two_point_pop(m=10, n_per_side=20)
-        sel = solve_min_size(pop, targets, 0.05 / ALPHA_FRACTION)
-        assert sel.small_sample_warning is True
-        assert sel.expected_size == pytest.approx(self.forced_minimum(10, 0.05), abs=1e-3)
-
-    def test_comfortable_size_stays_silent(self):
-        pop, targets = self.two_point_pop(m=40, n_per_side=60)
-        sel = solve_min_size(pop, targets, 0.05 / ALPHA_FRACTION)
-        assert sel.small_sample_warning is False
-        assert sel.expected_size == pytest.approx(self.forced_minimum(40, 0.05), abs=1e-3)
-
-    def test_min_never_exceeds_max(self):
-        rng = np.random.default_rng(91)
-        pop = make_pop({"a": rng.normal(2, 1, 40)})
-        idx = np.arange(10, 30)
-        targets = subset_targets(pop, idx)
-        lo = solve_min_size(pop, targets, 20.0).expected_size
-        hi = solve_max_size(pop, targets, 20.0).expected_size
-        assert lo <= hi + 1e-9
-
-
 class TestSolveFixedSize:
     def test_size_pinned_within_alpha(self):
         rng = np.random.default_rng(92)
@@ -544,12 +499,9 @@ class TestSolveFixedSize:
         assert abs(sel.expected_size - 1.0) <= 0.05 + 1e-9
 
     def test_empty_targets_rejected(self):
-        # min mode too: with no rows its optimum is p = 0, and every draw is empty
         pop = make_pop({"f": [1.0, 2.0]})
         with pytest.raises(EmptyTargetSet):
             solve_fixed_size(pop, TargetSet(()), 1.0)
-        with pytest.raises(EmptyTargetSet):
-            solve_min_size(pop, TargetSet(()))
 
     def test_size_out_of_range_rejected(self):
         pop = make_pop({"f": [1.0, 2.0]})
