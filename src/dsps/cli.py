@@ -84,8 +84,6 @@ def _build_parser() -> _Parser:
     sel.add_argument("--draws", type=int, default=10,
                      help="independent realizations; best by realized RSSE is kept")
     sel.add_argument("--out", required=True, help="output directory")
-    sel.add_argument("--rsse-epsilon", type=float, default=0.0,
-                     help="opt-in denominator softening for zero-valued targets")
     sel.set_defaults(func=cmd_select)
 
     ev = sub.add_parser("evaluate", help="score an existing mask against targets")
@@ -93,7 +91,6 @@ def _build_parser() -> _Parser:
     ev.add_argument("--targets", required=True)
     ev.add_argument("--mask", required=True, help="mask CSV (member_id,selected)")
     ev.add_argument("--out", default=None, help="directory for report.json; default stdout")
-    ev.add_argument("--rsse-epsilon", type=float, default=0.0)
     ev.set_defaults(func=cmd_evaluate)
     return parser
 
@@ -184,7 +181,7 @@ def cmd_select(args) -> int:
     pop = load_population(args.population)
     targets = TargetSet.from_json(Path(args.targets).read_text(encoding="utf-8"))
     # scoring needs a relative error for every target: fail before the solve
-    _denominators(np.array([c.value for c in targets]), args.rsse_epsilon)
+    _denominators(np.array([c.value for c in targets]))
     if args.seed < 0:
         raise InvalidSetting(f"--seed must be a non-negative integer, got {args.seed}")
     if args.draws < 1:
@@ -197,9 +194,9 @@ def cmd_select(args) -> int:
     else:
         sel = solve_fixed_size(pop, targets, args.trial_size)
 
-    best, stats = draw_best(sel.p, pop, targets, args.draws, args.seed, args.rsse_epsilon)
+    best, stats = draw_best(sel.p, pop, targets, args.draws, args.seed)
     try:
-        expected_report = evaluate_selection(pop, targets, sel.p, args.rsse_epsilon)
+        expected_report = evaluate_selection(pop, targets, sel.p)
     except DspsError:
         expected_report = None  # too little probability mass for weighted moments
 
@@ -246,7 +243,6 @@ def cmd_select(args) -> int:
         "epsilon": EPSILON,
         "seed": args.seed,
         "draws": args.draws,
-        "rsse_epsilon": args.rsse_epsilon,
         "out": str(args.out),
         "row_labels": sel.row_labels,
         "expected_size": sel.expected_size,
@@ -265,7 +261,7 @@ def cmd_evaluate(args) -> int:
     pop = load_population(args.population)
     targets = TargetSet.from_json(Path(args.targets).read_text(encoding="utf-8"))
     mask = _load_mask_csv(args.mask, pop)
-    report = evaluate_selection(pop, targets, mask, args.rsse_epsilon)
+    report = evaluate_selection(pop, targets, mask)
     payload = _report(report, expected_size=None, solver=None, seeds=None)
     if args.out:
         out = Path(args.out)

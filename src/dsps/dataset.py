@@ -9,13 +9,12 @@ are hard errors, never imputed.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -29,8 +28,6 @@ from .errors import (
 )
 
 __all__ = ["Population", "load_population", "save_population", "write_id_csv", "feature_column"]
-
-Source = Union[str, Path, bytes, IO[str], IO[bytes]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,28 +84,14 @@ def _check_names(items: Iterable[str], exc: type, what: str) -> None:
         seen.add(item)
 
 
-def _open_text(source: Source):
-    """Return (text stream, needs_close) for a path, bytes, or file object."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8")), False
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-        return source, False
-    raise TypeError(f"cannot read population from {type(source).__name__}")
+def load_population(path: str | Path) -> Population:
+    """Parse a population CSV: header ``id,<feature>,...`` then one row per member.
 
-
-def load_population(source: Source) -> Population:
-    """Parse a population CSV: header ``id,<feature>,...`` then one row per member."""
-    stream, needs_close = _open_text(source)
-    try:
+    ``path`` is a ``str`` or path object; bytes, a stream or a file descriptor
+    raise ``TypeError``.  Lines may end in LF, CRLF or a bare CR.
+    """
+    with open(Path(path), encoding="utf-8", newline="") as stream:
         lines = list(stream)
-    finally:
-        if needs_close:
-            stream.close()
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -183,9 +166,9 @@ def _parse_rows(reader, header: list[str], feature_names: list[str]):
     return ids, np.array(rows, dtype=float)
 
 
-def save_population(pop: Population, destination: Union[str, Path, IO[str]]) -> None:
+def save_population(pop: Population, path: str | Path) -> None:
     """Write a population CSV that reloads to full float precision."""
-    write_id_csv(destination, ("id", *pop.feature_names), pop.member_ids, pop.data)
+    write_id_csv(path, ("id", *pop.feature_names), pop.member_ids, pop.data)
 
 
 # a cell holding one of these is written in quotes
@@ -198,7 +181,7 @@ def _quoted(cell: str) -> str:
     return '"' + cell.replace('"', '""') + '"' if _CSV_SPECIAL.search(cell) else cell
 
 
-def write_id_csv(destination: Union[str, Path, IO[str]], header, ids, values) -> None:
+def write_id_csv(path: str | Path, header, ids, values) -> None:
     """Write ``header``, then one ``id,v_1,...,v_k`` line per id, each ending in ``\\n``.
 
     ``values`` is a vector (one cell per id) or has one row per id, and each
@@ -208,9 +191,7 @@ def write_id_csv(destination: Union[str, Path, IO[str]], header, ids, values) ->
     ``_CHUNK_ROWS`` at a time, which bounds the memory they take.
     """
     values = np.asarray(values)
-    own = isinstance(destination, (str, Path))
-    stream = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
+    with open(Path(path), "w", encoding="utf-8", newline="") as stream:
         stream.write(",".join(map(_quoted, header)) + "\n")
         for start in range(0, len(ids), _CHUNK_ROWS):
             block = values[start:start + _CHUNK_ROWS].tolist()
@@ -220,9 +201,6 @@ def write_id_csv(destination: Union[str, Path, IO[str]], header, ids, values) ->
                 f"{_quoted(member_id) if _CSV_SPECIAL.search(member_id) else member_id},{text}\n"
                 for member_id, text in zip(ids[start:start + _CHUNK_ROWS], texts)
             ]))
-    finally:
-        if own:
-            stream.close()
 
 
 def feature_column(pop: Population, name: str) -> np.ndarray:

@@ -45,7 +45,7 @@ class DspsError(Exception):
 
 
 class InvalidSetting(DspsError):
-    """A given setting is out of range (rsse epsilon, seed, draw index)."""
+    """A given setting is out of range (seed, draw index)."""
 
 
 # ---- dataset ----

@@ -3,8 +3,7 @@
 Relative measures treat the target as the truth: RSSE is the sum of squared
 relative errors over criteria, percentage error the per-criterion absolute
 relative error times 100 (a field of each :class:`CriterionResult`).  A zero
-target makes both undefined and is a hard error; callers wanting a softened
-denominator must opt in to an epsilon.
+target makes both undefined and is a hard error.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Population, feature_column
-from .errors import EmptySelection, InvalidSetting, LengthMismatch, NonPositiveInput, ZeroTarget
+from .errors import EmptySelection, LengthMismatch, NonPositiveInput, ZeroTarget
 from .moments import TargetSet, expected_moment, expected_size, sample_moment
 
 __all__ = [
@@ -49,25 +48,22 @@ class EvaluationReport:
     realized_size: int | None
 
 
-def _denominators(targets: np.ndarray, epsilon: float) -> np.ndarray:
-    if not 0.0 <= epsilon < np.inf:
-        raise InvalidSetting(f"rsse epsilon must be finite and >= 0, got {epsilon}")
-    if epsilon == 0.0 and np.any(targets == 0.0):
+def _denominators(targets: np.ndarray) -> np.ndarray:
+    if np.any(targets == 0.0):
         idx = int(np.flatnonzero(targets == 0.0)[0])
         raise ZeroTarget(
-            f"criterion {idx} has target 0; relative error is undefined "
-            "(pass an epsilon or drop the criterion)"
+            f"criterion {idx} has target 0; relative error is undefined (drop the criterion)"
         )
-    return np.abs(targets) + epsilon
+    return np.abs(targets)
 
 
-def rsse(achieved, targets, epsilon: float = 0.0) -> float:
+def rsse(achieved, targets) -> float:
     """Sum of squared relative errors of ``achieved`` against ``targets``."""
     a = np.asarray(achieved, dtype=float).ravel()
     t = np.asarray(targets, dtype=float).ravel()
     if a.size != t.size:
         raise LengthMismatch(f"{a.size} achieved values for {t.size} targets")
-    den = _denominators(t, epsilon)
+    den = _denominators(t)
     return float(np.sum(((a - t) / den) ** 2))
 
 
@@ -87,7 +83,6 @@ def evaluate_selection(
     pop: Population,
     targets: TargetSet,
     selection,
-    rsse_epsilon: float = 0.0,
 ) -> EvaluationReport:
     """Score a mask (realized moments) or probabilities (expected moments).
 
@@ -126,14 +121,12 @@ def evaluate_selection(
 
     t = np.array([c.value for c in targets], dtype=float)
     a = np.array(achieved, dtype=float)
-    pes = np.abs(a - t) / _denominators(t, rsse_epsilon) * 100.0
+    pes = np.abs(a - t) / _denominators(t) * 100.0
     per_criterion = tuple(
         CriterionResult(c.feature, c.order, float(c.value), float(av), float(pe))
         for c, av, pe in zip(targets, a, pes)
     )
     pe_mean = float(np.mean(pes)) if pes.size else 0.0
     pe_sd = float(np.std(pes, ddof=1)) if pes.size > 1 else 0.0
-    return EvaluationReport(
-        per_criterion, rsse(a, t, rsse_epsilon), pe_mean, pe_sd, realized_size
-    )
+    return EvaluationReport(per_criterion, rsse(a, t), pe_mean, pe_sd, realized_size)
 

@@ -340,8 +340,9 @@ class _DualSimplex:
             order = np.lexsort((cand, ~self.at_upper[cand], ratio))
             # passing breakpoint j flips column j, which lowers the slope of
             # the dual objective by |a_j| * (u_j - l_j); an infinite gap
-            # turns the slope at once
-            slope = abs(delta) - np.cumsum(np.abs(a[cand[order]]) * self.gap[cand[order]])
+            # turns the slope at once, as does a flip whose product overflows
+            with np.errstate(over="ignore"):
+                slope = abs(delta) - np.cumsum(np.abs(a[cand[order]]) * self.gap[cand[order]])
             turn = np.flatnonzero(slope <= 0.0)
             if turn.size:
                 k = int(turn[0])

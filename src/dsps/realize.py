@@ -83,7 +83,6 @@ def draw_best(
     targets: TargetSet,
     n_draws: int,
     seed: int,
-    rsse_epsilon: float = 0.0,
 ) -> tuple[RealizationResult, list[DrawStats]]:
     """Best of ``n_draws`` independent realizations, scored by realized RSSE.
 
@@ -117,7 +116,7 @@ def draw_best(
         outcome = mask[fractional].tobytes()
         if outcome not in scored:
             try:
-                report = evaluate_selection(pop, targets, mask, rsse_epsilon=rsse_epsilon)
+                report = evaluate_selection(pop, targets, mask)
             except (EmptySelection, InsufficientData, ZeroVariance):
                 scored[outcome] = float("inf")
             else:

@@ -19,10 +19,12 @@ program is stated in those scaled rows: each row gains a pair of slacks
 ``s+_j, s-_j`` in ``[0, alpha]``, where ``alpha = ALPHA_FRACTION * trial_size``
 is 5 % of the intended trial size, with ``row_j . p - s+_j + s-_j = rhs_j``,
 and the objective trades expected size against slack, each unit costing 1:
-``-sum(p) + sum(s+_j + s-_j)``.  In target units that is the weight
+``-sum(p) + sum(s+_j + s-_j)``.  In unscaled row units that is the weight
 ``beta_j = 1/(|t_j| + EPSILON)`` and the cap
 ``eta_max_j = alpha * (|t_j| + EPSILON)``, which ``run.json`` records.  The
-reported slack ``eta_j = |s+_j - s-_j|`` is the row's residual.
+reported slack ``eta_j = |s+_j - s-_j| * (|t_j| + EPSILON)`` is the unscaled
+row's residual ``(sum(p) - dof) * scale * |m_j - t_j|`` for the weighted
+moment ``m_j``: not the miss in target units, but that times the factor.
 """
 
 from __future__ import annotations
@@ -83,28 +85,28 @@ def ordered_criteria(targets: TargetSet):
     )
 
 
-def _tolerance_scales(targets: TargetSet) -> np.ndarray:
-    """Each criterion row's scale ``|t| + EPSILON``, in constraint-row order."""
-    return np.array([abs(c.value) + EPSILON for c in ordered_criteria(targets)])
-
-
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Rows over the member axis plus the conditioning applied to them.
 
-    ``matrix`` and ``rhs`` are unscaled.  ``row_scales[j]`` is the multiplier
-    ``1/(|t_j| + EPSILON)`` whose application yields the conditioned system
-    the solver sees; :meth:`scaled_matrix` / :meth:`scaled_rhs` apply it.
+    ``matrix`` and ``rhs`` are unscaled.  ``tolerances[j]`` is the row's
+    ``|t_j| + EPSILON``, and ``row_scales`` its reciprocal, the multiplier
+    whose application yields the conditioned system the solver sees;
+    :meth:`scaled_matrix` / :meth:`scaled_rhs` apply it.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
     row_labels: tuple
-    row_scales: np.ndarray
+    tolerances: np.ndarray
 
     @property
     def n_rows(self) -> int:
         return self.rhs.size
+
+    @property
+    def row_scales(self) -> np.ndarray:
+        return 1.0 / self.tolerances
 
     def scaled_matrix(self) -> np.ndarray:
         return self.matrix * self.row_scales[:, None]
@@ -131,8 +133,9 @@ def build_lp_system(pop: Population, targets: TargetSet) -> ConstraintSystem:
     wide feature overflows) raises :class:`InvalidCriterion`.
     """
     rows, rhs, labels = [], [], []
-    scales = 1.0 / _tolerance_scales(targets)
-    for c, row_scale in zip(ordered_criteria(targets), scales):
+    criteria = ordered_criteria(targets)
+    tolerances = np.array([abs(c.value) + EPSILON for c in criteria])
+    for c, row_scale in zip(criteria, 1.0 / tolerances):
         x = feature_column(pop, c.feature)
         with np.errstate(over="ignore", invalid="ignore"):
             entries, b = _row_entries(x, c.order, targets, c.feature)
@@ -143,18 +146,18 @@ def build_lp_system(pop: Population, targets: TargetSet) -> ConstraintSystem:
         rhs.append(b)
         labels.append((c.feature, c.order))
     matrix = np.array(rows).reshape(len(rows), pop.n_members)
-    return ConstraintSystem(matrix, np.array(rhs), tuple(labels), scales)
+    return ConstraintSystem(matrix, np.array(rhs), tuple(labels), tolerances)
 
 
 @dataclass(frozen=True)
 class SelectionProbabilities:
     """Solved inclusion probabilities plus the slack actually used.
 
-    ``eta`` is in unscaled (target) units, one entry per constraint row, or
-    ``None`` for the strict-equality solve.  ``expected_size`` is ``sum(p)``.
-    ``alpha`` (``ALPHA_FRACTION`` times the trial size), ``beta`` and
-    ``eta_max`` are the slack settings of the solve in target units (see the
-    module docstring; fixed mode's size row has
+    ``eta`` holds each row's residual in unscaled row units (see the module
+    docstring), or ``None`` for the strict-equality solve.  ``expected_size``
+    is ``sum(p)``.  ``alpha`` (``ALPHA_FRACTION`` times the trial size),
+    ``beta`` and ``eta_max`` are the slack settings of the solve in the same
+    units (fixed mode's size row, in members, has
     ``beta = 1/(trial_size + EPSILON)`` and ``eta_max = alpha``), aligned with
     ``row_labels``, or ``None`` when the program has no slack rows.
     """
@@ -185,9 +188,9 @@ def _select(
     has no slack columns and needs no trial size.  ``pin_size`` appends the
     size row ``sum(p) = trial_size``, scaled by ``1/(trial_size + EPSILON)``,
     whose slack is capped at ``alpha/(trial_size + EPSILON)``: ``alpha``
-    members.  The result carries ``eta`` and the slack settings in target
-    units when there are slack rows; a trial size whose caps overflow in
-    target units raises :class:`InvalidSampleSize`.
+    members.  The result carries ``eta`` and the slack settings in unscaled
+    row units when there are slack rows; a trial size whose caps overflow in
+    those units raises :class:`InvalidSampleSize`.
     """
     alpha = _slack_budget(trial_size)
     system = build_lp_system(pop, targets)
@@ -208,7 +211,7 @@ def _select(
             raise MissingHyperParam("need a trial size to size the slack budget")
         cap = np.full(k, alpha)
         with np.errstate(over="ignore"):
-            eta_max = alpha * _tolerance_scales(targets)
+            eta_max = alpha * system.tolerances
         if not np.all(np.isfinite(eta_max)):
             raise InvalidSampleSize(f"trial size {trial_size} overflows a target's slack cap")
         if pin_size:
@@ -230,7 +233,7 @@ def _select(
             f"no optimum within {solution.iterations} simplex iterations"
         )
     p = np.clip(solution.z[:n], 0.0, 1.0)
-    # the row residual |s_plus - s_minus|, in target units
+    # the row residual |s_plus - s_minus|, in unscaled row units
     eta = np.abs(solution.z[n:n + k] - solution.z[n + k:]) / scales if k else None
     return SelectionProbabilities(
         p=p,

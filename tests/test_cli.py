@@ -302,12 +302,11 @@ class TestSelect:
         trial_size = "40" if mode == "fixed" else "1"
         assert main(["select", "--population", str(pop_path), "--targets", str(targets_path),
                      "--mode", mode, "--trial-size", trial_size, "--seed", "9",
-                     "--draws", "4", "--rsse-epsilon", "1e-9",
-                     "--out", str(tmp / "first")]) == 0
+                     "--draws", "4", "--out", str(tmp / "first")]) == 0
         run = json.loads((tmp / "first" / "run.json").read_text())
         argv = ["select", "--population", run["population"], "--targets", run["targets"],
                 "--mode", run["mode"], "--seed", str(run["seed"]), "--draws", str(run["draws"]),
-                "--rsse-epsilon", repr(run["rsse_epsilon"]), "--out", str(tmp / "replay")]
+                "--out", str(tmp / "replay")]
         if run["trial_size"] is not None:
             argv += ["--trial-size", repr(run["trial_size"])]
         assert main(argv) == 0
@@ -451,12 +450,14 @@ class TestExitCodes:
                      "--out", str(tmp / "x")]) == 1
 
     def test_epsilon_is_not_a_flag(self, workspace, capsys):
-        # the target-scale guard is the constant selection.EPSILON
+        # the target-scale guard is the constant selection.EPSILON, and a zero
+        # target is refused, not scored against a softened denominator
         tmp, pop, targets, pop_path, targets_path = workspace
-        assert main(["select", "--population", pop_path, "--targets", targets_path,
-                     "--trial-size", "20", "--epsilon", "1e-6", "--out", str(tmp / "x")]) == 1
-        assert "unrecognized arguments: --epsilon 1e-6" in capsys.readouterr().err
-        assert not (tmp / "x").exists()
+        for flag in ("--epsilon", "--rsse-epsilon"):
+            assert main(["select", "--population", pop_path, "--targets", targets_path,
+                         "--trial-size", "20", flag, "1e-6", "--out", str(tmp / "x")]) == 1
+            assert f"unrecognized arguments: {flag} 1e-6" in capsys.readouterr().err
+            assert not (tmp / "x").exists()
 
     def test_targets_file_not_utf8_is_one(self, workspace, capsys):
         tmp, pop, targets, pop_path, targets_path = workspace
@@ -469,10 +470,9 @@ class TestExitCodes:
 
     # each given setting that is out of range raises the class of its check
     @pytest.mark.parametrize("setting, error", [
-        (("--rsse-epsilon", "nan"), InvalidSetting),
         (("--seed", "-1"), InvalidSetting),
         (("--draws", "0"), InvalidDraws),
-    ], ids=["rsse nan", "seed -1", "draws 0"])
+    ], ids=["seed -1", "draws 0"])
     def test_bad_setting_raises_its_own_class(self, workspace, setting, error):
         tmp, pop, targets, pop_path, targets_path = workspace
         args = _build_parser().parse_args([
@@ -589,7 +589,6 @@ class TestExitCodes:
                   "--mode", "max", "--trial-size", "10", "--draws", "5"]
         assert main([*common, "--out", str(tmp_path / "x")]) == 1
         assert "has target 0; relative error is undefined" in capsys.readouterr().err
-        assert main([*common, "--rsse-epsilon", "1e-3", "--out", str(tmp_path / "y")]) == 0
 
     def test_zero_target_is_rejected_before_the_solve(self, workspace, monkeypatch, capsys):
         # no LP and no draws first
@@ -606,8 +605,7 @@ class TestExitCodes:
         assert main(["select", "--population", pop_path, "--targets", str(zero),
                      "--mode", "max", "--trial-size", "20", "--out", str(tmp / "x")]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: criterion 2 has target 0; relative error is undefined "
-            "(pass an epsilon or drop the criterion)"
+            "error: criterion 2 has target 0; relative error is undefined (drop the criterion)"
         ]
         assert not (tmp / "x").exists()
 
@@ -641,27 +639,17 @@ class TestExitCodes:
     # unchecked, these settings reach run.json as NaN or Infinity, which is
     # not JSON, or fail in the solver or in numpy with a message that does
     # not name the setting
-    @pytest.mark.parametrize("command, setting, named", [
-        ("select", ("--rsse-epsilon", "nan"), "rsse epsilon"),
-        ("select", ("--rsse-epsilon", "inf"), "rsse epsilon"),
-        ("evaluate", ("--rsse-epsilon", "nan"), "rsse epsilon"),
-        ("select", ("--trial-size", "inf"), "trial size"),
+    @pytest.mark.parametrize("setting, named", [
+        (("--trial-size", "inf"), "trial size"),
         # the strict program sizes no slack, but a given trial size is checked
-        ("select", ("--mode", "max-strict", "--trial-size", "nan"), "trial size"),
-        ("select", ("--seed", "-1"), "--seed"),
-    ], ids=["select rsse nan", "select rsse inf", "evaluate rsse nan",
-            "trial size inf", "strict trial size nan", "seed -1"])
-    def test_bad_numeric_setting_is_one(self, workspace, capsys, command, setting, named):
+        (("--mode", "max-strict", "--trial-size", "nan"), "trial size"),
+        (("--seed", "-1"), "--seed"),
+    ], ids=["trial size inf", "strict trial size nan", "seed -1"])
+    def test_bad_numeric_setting_is_one(self, workspace, capsys, setting, named):
         tmp, pop, _, pop_path, targets_path = workspace
-        args = [command, "--population", pop_path, "--targets", targets_path,
+        args = ["select", "--population", pop_path, "--targets", targets_path,
                 "--out", str(tmp / "x"), *setting]
-        if command == "select":
-            args += ["--trial-size", "20"] if "--trial-size" not in setting else []
-        else:
-            mask = tmp / "mask.csv"
-            mask.write_text("member_id,selected\n"
-                            + "".join(f"{mid},1\n" for mid in pop.member_ids), encoding="utf-8")
-            args += ["--mask", str(mask)]
+        args += ["--trial-size", "20"] if "--trial-size" not in setting else []
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err, err

@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +19,7 @@ from dsps.dataset import (
     write_id_csv,
 )
 from dsps.errors import (
+    DspsError,
     DuplicateFeatureName,
     DuplicateMemberId,
     MalformedCsv,
@@ -26,27 +30,69 @@ from dsps.errors import (
 CSV = "id,hba1c,fpg\ns1,7.5,160.0\ns2,8.25,172.5\ns3,6.9,-1.5e2\n"
 
 
+def load_file(text: bytes, load=load_population):
+    """``load`` of a file of its own holding ``text``: the loader reads only paths."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pop.csv"
+        path.write_bytes(text)
+        return load(path)
+
+
 def test_load_basic():
-    pop = load_population(CSV.encode())
+    pop = load_file(CSV.encode())
     assert pop.member_ids == ("s1", "s2", "s3")
     assert pop.feature_names == ("hba1c", "fpg")
     assert pop.data.shape == (3, 2)
     assert pop.data[2, 1] == -150.0
 
 
-def test_load_from_text_stream():
-    pop = load_population(io.StringIO(CSV))
-    assert pop.n_members == 3
-
-
 def test_load_from_path(tmp_path):
     path = tmp_path / "pop.csv"
     path.write_text(CSV)
     assert load_population(path).n_features == 2
+    assert load_population(str(path)).n_features == 2
+
+
+def test_bare_carriage_return_line_ends():
+    pop = load_file(b"id,x\rs1,1.0\rs2,2.0\r")
+    assert pop.member_ids == ("s1", "s2")
+    assert pop.data.tolist() == [[1.0], [2.0]]
+
+
+def test_only_a_path_is_read(tmp_path, monkeypatch):
+    # bytes, streams and file descriptors are refused before anything is
+    # opened: neither the file the bytes name nor the descriptor is read
+    monkeypatch.chdir(tmp_path)
+    Path("pop.csv").write_text(CSV)
+    fd = os.open("pop.csv", os.O_RDONLY)
+    try:
+        for source in (b"pop.csv", CSV.encode(), io.StringIO(CSV), io.BytesIO(CSV.encode()), fd):
+            with pytest.raises(TypeError):
+                load_population(source)
+        assert os.read(fd, 3) == b"id,"  # still open, still at the start
+    finally:
+        os.close(fd)
+
+
+def test_only_a_path_is_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    pop = load_file(CSV.encode())
+    fd = os.open("fd.csv", os.O_WRONLY | os.O_CREAT)
+    try:
+        for destination in (b"out.csv", io.StringIO(), io.BytesIO(), fd):
+            with pytest.raises(TypeError):
+                save_population(pop, destination)
+            with pytest.raises(TypeError):
+                write_id_csv(destination, ("member_id", "p"), pop.member_ids, pop.data[:, 0])
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    assert os.listdir() == ["fd.csv"]
+    assert Path("fd.csv").read_bytes() == b""
 
 
 def test_data_is_read_only():
-    pop = load_population(CSV.encode())
+    pop = load_file(CSV.encode())
     with pytest.raises(ValueError):
         pop.data[0, 0] = 1.0
 
@@ -72,16 +118,14 @@ def test_round_trip_bare_carriage_returns(tmp_path):
     pop = Population(("a\rb", "", "c"), ("x\ry", "z"), values)
     path = tmp_path / "pop.csv"
     save_population(pop, path)
-    for source in (path, path.read_bytes()):
-        again = load_population(source)
-        assert again.member_ids == pop.member_ids
-        assert again.feature_names == pop.feature_names
-        assert again.data.tobytes() == pop.data.tobytes()
+    again = load_population(path)
+    assert again.member_ids == pop.member_ids
+    assert again.feature_names == pop.feature_names
+    assert again.data.tobytes() == pop.data.tobytes()
     # an id that is only a CR is quoted too; the loader strips every cell, so it
     # reloads as "", and a Population refuses it (test_names_must_survive_a_csv_load)
     write_id_csv(path, ("id", "x\ry", "z"), ("a\rb", "\r", "c"), values)
-    for source in (path, path.read_bytes()):
-        assert load_population(source).member_ids == ("a\rb", "", "c")
+    assert load_population(path).member_ids == ("a\rb", "", "c")
 
 
 @pytest.mark.parametrize("ids, names, bad", [
@@ -106,74 +150,75 @@ def test_round_trip_arbitrary_floats(xs):
         ("x",),
         np.array(xs)[:, None],
     )
-    buf = io.StringIO()
-    save_population(pop, buf)
-    again = load_population(buf.getvalue().encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pop.csv"
+        save_population(pop, path)
+        again = load_population(path)
     assert np.array_equal(again.data, pop.data)
 
 
 def test_empty_file():
     with pytest.raises(MalformedCsv):
-        load_population(b"")
+        load_file(b"")
 
 
 def test_header_only():
     with pytest.raises(MalformedCsv):
-        load_population(b"id,x\n")
+        load_file(b"id,x\n")
 
 
 def test_header_without_features():
     with pytest.raises(MalformedCsv):
-        load_population(b"id\ns1\n")
+        load_file(b"id\ns1\n")
 
 
 def test_ragged_row():
     with pytest.raises(MalformedCsv):
-        load_population(b"id,x,y\ns1,1.0\n")
+        load_file(b"id,x,y\ns1,1.0\n")
 
 
 def test_extra_cell_names_its_line():
     with pytest.raises(MalformedCsv, match="line 2: expected 2 cells, got 3"):
-        load_population(b"id,x\ns1,1.0,2.0\n")
+        load_file(b"id,x\ns1,1.0,2.0\n")
 
 
 def test_non_numeric_cell():
     with pytest.raises(NonNumericCell) as err:
-        load_population(b"id,x\ns1,abc\n")
+        load_file(b"id,x\ns1,abc\n")
     assert "line 2" in str(err.value)
 
 
 def test_missing_cell_is_error():
     with pytest.raises(NonNumericCell):
-        load_population(b"id,x,y\ns1,1.0,\n")
+        load_file(b"id,x,y\ns1,1.0,\n")
 
 
 def test_nan_cell_rejected():
     with pytest.raises(NonNumericCell):
-        load_population(b"id,x\ns1,nan\n")
+        load_file(b"id,x\ns1,nan\n")
     with pytest.raises(NonNumericCell):
-        load_population(b"id,x\ns1,inf\n")
+        load_file(b"id,x\ns1,inf\n")
 
 
 def test_duplicate_member_id():
     with pytest.raises(DuplicateMemberId):
-        load_population(b"id,x\ns1,1.0\ns1,2.0\n")
+        load_file(b"id,x\ns1,1.0\ns1,2.0\n")
 
 
 def test_duplicate_feature_name():
     with pytest.raises(DuplicateFeatureName):
-        load_population(b"id,x,x\ns1,1.0,2.0\n")
+        load_file(b"id,x,x\ns1,1.0,2.0\n")
 
 
 def test_feature_column():
-    pop = load_population(CSV.encode())
+    pop = load_file(CSV.encode())
     np.testing.assert_array_equal(feature_column(pop, "hba1c"), [7.5, 8.25, 6.9])
     with pytest.raises(UnknownFeature):
         feature_column(pop, "weight")
 
 
 def test_feature_column_single_member():
-    pop = load_population(b"id,x\nonly,4.25\n")
+    pop = load_file(b"id,x\nonly,4.25\n")
     np.testing.assert_array_equal(feature_column(pop, "x"), [4.25])
 
 
@@ -182,18 +227,18 @@ def test_population_rejects_nonfinite():
         Population(("a",), ("x",), np.array([[np.inf]]))
 
 
-def _outcome(load, source):
-    """``(ids, feature names, data bytes)`` of a load, or ``(error class, message)``."""
+def _outcome(load, text: bytes):
+    """``(ids, feature names, data bytes)`` of a file's load, or ``(error class, message)``."""
     try:
-        pop = load(source)
-    except Exception as exc:  # any error, compared by class and message
+        pop = load_file(text, load)
+    except DspsError as exc:  # compared by class and message; any other error fails
         return type(exc), str(exc)
     return pop.member_ids, pop.feature_names, pop.data.tobytes()
 
 
-def _load_by_rows(source):
+def _load_by_rows(path):
     with mock.patch.object(dataset, "_parse_plain", lambda lines, n_cols: None):
-        return load_population(source)
+        return load_population(path)
 
 
 _PLAIN_IDS = st.sampled_from(["s", " s ", "#s", "s\t"])
@@ -234,9 +279,8 @@ def _csv_texts(draw):
 # an extra cell on one line balances the comma total of a line without one
 @example(b"id,x\ns0,1.5,2\n \n")
 def test_loader_matches_the_row_loop(text):
-    # bytes split lines at "\n" only; a binary stream, like a path, at any line end
-    for source in (lambda: text, lambda: io.BytesIO(text)):
-        assert _outcome(load_population, source()) == _outcome(_load_by_rows, source())
+    # a file splits lines at any line end, a stray CR included
+    assert _outcome(load_population, text) == _outcome(_load_by_rows, text)
 
 
 def test_plain_csv_skips_the_row_loop():
@@ -244,8 +288,8 @@ def test_plain_csv_skips_the_row_loop():
     # is parsed without the per-cell loop.
     for text in (CSV, CSV.replace("\n", "\r\n") + "\r\n"):
         with mock.patch.object(dataset, "_parse_rows", side_effect=AssertionError("row loop")):
-            pop = load_population(text.encode())
-        want = _load_by_rows(text.encode())
+            pop = load_file(text.encode())
+        want = load_file(text.encode(), _load_by_rows)
         assert pop.member_ids == want.member_ids
         assert pop.data.tobytes() == want.data.tobytes()
 
@@ -276,9 +320,11 @@ def _reference_id_csv(header, ids, values) -> str:
 
 
 def _id_csv_text(header, ids, values) -> str:
-    buf = io.StringIO()
-    write_id_csv(buf, header, ids, values)
-    return buf.getvalue()
+    """The text :func:`write_id_csv` writes, from a file of its own."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ids.csv"
+        write_id_csv(path, header, ids, values)
+        return path.read_bytes().decode("utf-8")
 
 
 @given(st.data())

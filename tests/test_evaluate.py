@@ -4,7 +4,6 @@ import pytest
 from dsps.dataset import Population
 from dsps.errors import (
     EmptySelection,
-    InvalidSetting,
     LengthMismatch,
     NonPositiveInput,
     OutOfRangeProbability,
@@ -16,6 +15,7 @@ from dsps.evaluate import (
     rsse,
 )
 from dsps.moments import TargetCriterion, TargetSet, expected_moment, sample_moment
+from dsps.selection import solve_max_size
 
 from oracles import moment_oracle, weighted_moment_oracle
 
@@ -37,29 +37,15 @@ class TestRsse:
         with pytest.raises(ZeroTarget):
             rsse([0.1], [0.0])
 
-    def test_epsilon_opt_in_softens_zero_targets(self):
-        # denominator becomes |0| + 0.5
-        assert rsse([0.1], [0.0], epsilon=0.5) == pytest.approx((0.1 / 0.5) ** 2)
-
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(InvalidSetting):
-            rsse([1.0], [1.0], epsilon=-1e-9)
-
-    def test_nan_epsilon_is_an_invalid_setting_not_a_zero_target(self):
-        # no target is zero, so a caller softening zero targets must not catch it
-        with pytest.raises(InvalidSetting, match="rsse epsilon must be finite") as info:
-            rsse([1.0], [2.0], float("nan"))
-        assert not isinstance(info.value, ZeroTarget)
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             rsse([1.0, 2.0], [1.0])
 
 
-def percentage_error(achieved: float, target: float, epsilon: float = 0.0) -> float:
+def percentage_error(achieved: float, target: float) -> float:
     """The report's percentage error of a one-member mask against one mean target."""
     targets = TargetSet((TargetCriterion("f", 1, target),))
-    report = evaluate_selection(make_pop([achieved]), targets, np.ones(1, dtype=int), epsilon)
+    report = evaluate_selection(make_pop([achieved]), targets, np.ones(1, dtype=int))
     return report.per_criterion[0].percentage_error
 
 
@@ -78,7 +64,8 @@ class TestPercentageError:
     def test_zero_target_hard_error_and_epsilon(self):
         with pytest.raises(ZeroTarget):
             percentage_error(0.5, 0.0)
-        assert percentage_error(0.5, 0.0, epsilon=1.0) == pytest.approx(50.0)
+        # the denominator is |t| alone: selection.EPSILON scales LP rows, not scores
+        assert percentage_error(2e-6, 1e-6) == pytest.approx(100.0, rel=1e-12)
 
 
 class TestGmi:
@@ -194,8 +181,12 @@ class TestEvaluateSelection:
         p = np.full(4, 1.0)
         with pytest.raises(ZeroTarget):
             evaluate_selection(pop, targets, p)
-        report = evaluate_selection(pop, targets, p, rsse_epsilon=1e-3)
-        assert np.isfinite(report.rsse)
+        # selection.EPSILON softens the zero target's LP row, so it solves,
+        # but nothing softens its score
+        sel = solve_max_size(pop, targets, 4.0)
+        np.testing.assert_allclose(sel.p, p, atol=1e-9)
+        with pytest.raises(ZeroTarget):
+            evaluate_selection(pop, targets, sel.p)
 
     def test_empty_target_set_scores_zero(self):
         pop, _ = self.instance()

@@ -232,8 +232,6 @@ class TestDrawBest:
         targets = TargetSet((TargetCriterion("f", 1, 0.0),))
         with pytest.raises(ZeroTarget):
             draw_best(np.full(21, 0.5), pop, targets, n_draws=4, seed=9)
-        best, _ = draw_best(np.full(21, 0.5), pop, targets, n_draws=4, seed=9, rsse_epsilon=1.0)
-        assert np.isfinite(best.report.rsse)
 
     def test_invalid_draw_counts(self):
         pop = make_pop(np.arange(3.0))

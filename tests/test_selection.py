@@ -78,6 +78,21 @@ def subset_targets(pop: Population, idx) -> TargetSet:
     return TargetSet(tuple(crit))
 
 
+def shifted_mean_targets(feature_scale: float, mean_factor: float):
+    """100 members, two features times ``feature_scale``; a random 20 planted at
+    orders 1-4, with each mean target times ``mean_factor``."""
+    rng = np.random.default_rng(14)
+    pop = make_pop({
+        "a": rng.normal(100, 20, 100) * feature_scale,
+        "b": rng.lognormal(3, 0.6, 100) * feature_scale,
+    })
+    planted = plant_subset(pop, rng.choice(100, 20, replace=False), orders=(1, 2, 3, 4))
+    return pop, TargetSet(tuple(
+        TargetCriterion(c.feature, 1, c.value * mean_factor) if c.order == 1 else c
+        for c in planted
+    ))
+
+
 class TestBuildLpSystem:
     def test_mean_row_three_members(self):
         pop = make_pop({"f": [1.0, 2.0, 3.0]})
@@ -293,6 +308,31 @@ class TestSolveMaxSize:
         slack_tol = 1e-7 / system.row_scales
         assert np.all(resid <= sel.eta + slack_tol)
         assert np.all(sel.eta <= sel.eta_max + slack_tol)
+
+    def test_eta_is_in_unscaled_row_units(self):
+        # a row's residual is (sum(p) - dof) * scale * (m - t) for the weighted
+        # moment m: a miss in target units times that factor, not the miss
+        pop, targets = shifted_mean_targets(1.0, 1.1)
+        sel = solve_max_size(pop, targets, 100.0)
+        assert np.count_nonzero(sel.eta) >= 3  # both means and a variance use slack
+        total = float(np.sum(sel.p))
+        for j, c in enumerate(ordered_criteria(targets)):
+            m1, m2 = targets.value_of(c.feature, 1), targets.value_of(c.feature, 2)
+            dof, scale, _ = moment_terms(c.order, m2)
+            m = expected_moment(feature_column(pop, c.feature), sel.p, c.order, m1, m2)
+            assert sel.eta[j] == pytest.approx(
+                (total - dof) * scale * abs(m - c.value), rel=1e-9, abs=1e-7 / sel.beta[j]
+            ), c
+
+    def test_huge_trial_size_solves_without_overflow(self):
+        # alpha = 5e306 caps each slack near the float64 limit, so a flip's
+        # |a_j| * gap_j in the ratio test overflows: that turns the slope at
+        # once, as an infinite gap does, and warns of nothing
+        pop, targets = shifted_mean_targets(0.01, 1.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = solve_max_size(pop, targets, 1e308)
+        assert huge.p.tobytes() == solve_max_size(pop, targets, 1e307).p.tobytes()
 
     def test_widening_eta_max_cannot_shrink_the_optimum(self):
         # a wider alpha widens every eta_max, so the optimum of the wider
