@@ -35,14 +35,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import load_population, save_population, write_id_csv
-from .errors import (
-    AllDrawsDegenerate,
-    DspsError,
-    InfeasibleError,
-    InvalidDraws,
-    InvalidSetting,
-    SolverFailure,
-)
+from .errors import AllDrawsDegenerate, DspsError, InfeasibleError, SolverFailure
 from .evaluate import _denominators, evaluate_selection
 from .moments import TargetSet
 from .realize import draw_best
@@ -183,9 +176,9 @@ def cmd_select(args) -> int:
     # scoring needs a relative error for every target: fail before the solve
     _denominators(np.array([c.value for c in targets]))
     if args.seed < 0:
-        raise InvalidSetting(f"--seed must be a non-negative integer, got {args.seed}")
+        raise DspsError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.draws < 1:
-        raise InvalidDraws(f"--draws must be >= 1, got {args.draws}")
+        raise DspsError(f"--draws must be >= 1, got {args.draws}")
 
     if args.mode == "max":
         sel = solve_max_size(pop, targets, args.trial_size, relaxed=True)

@@ -18,14 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    DuplicateFeatureName,
-    DuplicateMemberId,
-    LengthMismatch,
-    MalformedCsv,
-    NonNumericCell,
-    UnknownFeature,
-)
+from .errors import DspsError
 
 __all__ = ["Population", "load_population", "save_population", "write_id_csv", "feature_column"]
 
@@ -43,18 +36,18 @@ class Population:
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         data = np.ascontiguousarray(np.asarray(self.data, dtype=float))
         if data.ndim != 2:
-            raise MalformedCsv("population data must be a 2-d matrix")
+            raise DspsError("population data must be a 2-d matrix")
         n_p, n_x = data.shape
         if n_p < 1 or n_x < 1:
-            raise MalformedCsv("population needs at least one member and one feature")
+            raise DspsError("population needs at least one member and one feature")
         if len(self.member_ids) != n_p:
-            raise LengthMismatch(f"{len(self.member_ids)} ids for {n_p} rows")
+            raise DspsError(f"{len(self.member_ids)} ids for {n_p} rows")
         if len(self.feature_names) != n_x:
-            raise LengthMismatch(f"{len(self.feature_names)} names for {n_x} columns")
+            raise DspsError(f"{len(self.feature_names)} names for {n_x} columns")
         if not np.all(np.isfinite(data)):
-            raise NonNumericCell("population contains non-finite entries")
-        _check_names(self.member_ids, DuplicateMemberId, "member id")
-        _check_names(self.feature_names, DuplicateFeatureName, "feature name")
+            raise DspsError("population contains non-finite entries")
+        _check_names(self.member_ids, "member id")
+        _check_names(self.feature_names, "feature name")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -70,17 +63,17 @@ class Population:
         try:
             return self.feature_names.index(name)
         except ValueError:
-            raise UnknownFeature(f"no feature named {name!r}") from None
+            raise DspsError(f"no feature named {name!r}") from None
 
 
-def _check_names(items: Iterable[str], exc: type, what: str) -> None:
+def _check_names(items: Iterable[str], what: str) -> None:
     """Each name is unique and survives a CSV round trip, whose load strips every cell."""
     seen = set()
     for item in items:
         if item in seen:
-            raise exc(f"duplicate {what} {item!r}")
+            raise DspsError(f"duplicate {what} {item!r}")
         if item != item.strip():
-            raise MalformedCsv(f"{what} {item!r} has surrounding whitespace, which a CSV load strips")
+            raise DspsError(f"{what} {item!r} has surrounding whitespace, which a CSV load strips")
         seen.add(item)
 
 
@@ -96,9 +89,9 @@ def load_population(path: str | Path) -> Population:
     try:
         header = next(reader)
     except StopIteration:
-        raise MalformedCsv("empty population file") from None
+        raise DspsError("empty population file") from None
     if len(header) < 2:
-        raise MalformedCsv("header must name an id column and at least one feature")
+        raise DspsError("header must name an id column and at least one feature")
     feature_names = [h.strip() for h in header[1:]]
     ids, data = _parse_plain(lines, len(header)) or _parse_rows(reader, header, feature_names)
     return Population(tuple(ids), tuple(feature_names), data)
@@ -142,7 +135,7 @@ def _parse_rows(reader, header: list[str], feature_names: list[str]):
         if not row:
             continue  # trailing blank line
         if len(row) != len(header):
-            raise MalformedCsv(
+            raise DspsError(
                 f"line {lineno}: expected {len(header)} cells, got {len(row)}"
             )
         ids.append(row[0].strip())
@@ -152,17 +145,17 @@ def _parse_rows(reader, header: list[str], feature_names: list[str]):
             try:
                 value = float(text)
             except ValueError:
-                raise NonNumericCell(
+                raise DspsError(
                     f"line {lineno}, feature {name!r}: {text!r} is not numeric"
                 ) from None
             if not math.isfinite(value):
-                raise NonNumericCell(
+                raise DspsError(
                     f"line {lineno}, feature {name!r}: {text!r} is not finite"
                 )
             values.append(value)
         rows.append(values)
     if not rows:
-        raise MalformedCsv("population has a header but no members")
+        raise DspsError("population has a header but no members")
     return ids, np.array(rows, dtype=float)
 
 

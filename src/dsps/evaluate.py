@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Population, feature_column
-from .errors import EmptySelection, LengthMismatch, NonPositiveInput, ZeroTarget
+from .errors import DspsError, InsufficientData
 from .moments import TargetSet, expected_moment, expected_size, sample_moment
 
 __all__ = [
@@ -51,7 +51,7 @@ class EvaluationReport:
 def _denominators(targets: np.ndarray) -> np.ndarray:
     if np.any(targets == 0.0):
         idx = int(np.flatnonzero(targets == 0.0)[0])
-        raise ZeroTarget(
+        raise DspsError(
             f"criterion {idx} has target 0; relative error is undefined (drop the criterion)"
         )
     return np.abs(targets)
@@ -62,7 +62,7 @@ def rsse(achieved, targets) -> float:
     a = np.asarray(achieved, dtype=float).ravel()
     t = np.asarray(targets, dtype=float).ravel()
     if a.size != t.size:
-        raise LengthMismatch(f"{a.size} achieved values for {t.size} targets")
+        raise DspsError(f"{a.size} achieved values for {t.size} targets")
     den = _denominators(t)
     return float(np.sum(((a - t) / den) ** 2))
 
@@ -75,7 +75,7 @@ def gmi(mean_glucose: float) -> float:
     """
     g = float(mean_glucose)
     if not g > 0.0:
-        raise NonPositiveInput(f"mean glucose must be positive, got {g}")
+        raise DspsError(f"mean glucose must be positive, got {g}")
     return GMI_INTERCEPT + GMI_SLOPE * g
 
 
@@ -92,18 +92,18 @@ def evaluate_selection(
     selected members' own sample statistics: each is :func:`sample_moment` of
     the feature column indexed by the mask, without building a
     sub-population.  Either must be a vector of the population's length, or
-    :class:`LengthMismatch` is raised; a mask that selects nobody raises
-    :class:`EmptySelection`.  Expected moments are probability-weighted and
+    :class:`DspsError` is raised; a mask that selects nobody raises
+    :class:`InsufficientData`.  Expected moments are probability-weighted and
     centred on the targets, so the two coincide only in expectation.
     """
     vec = np.asarray(selection)
     if vec.shape != (pop.n_members,):
-        raise LengthMismatch(f"selection of shape {vec.shape} for {pop.n_members} members")
+        raise DspsError(f"selection of shape {vec.shape} for {pop.n_members} members")
     if vec.dtype.kind in "biu":
         keep = vec.astype(bool)
         realized_size = int(np.count_nonzero(keep))
         if realized_size == 0:
-            raise EmptySelection("mask selects no members")
+            raise InsufficientData("mask selects no members")
         achieved = [
             sample_moment(feature_column(pop, c.feature)[keep], c.order)
             for c in targets

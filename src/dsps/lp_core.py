@@ -63,7 +63,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalBreakdown
+from .errors import DspsError, SolverFailure
 
 __all__ = ["LpProblem", "SolveStatus", "LpSolution", "solve_lp"]
 
@@ -88,28 +88,28 @@ class LpProblem:
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float).ravel()
         if c.size < 1:
-            raise DimensionMismatch("objective must have at least one entry")
+            raise DspsError("objective must have at least one entry")
         if not np.all(np.isfinite(c)):
-            raise DimensionMismatch("objective entries must be finite")
+            raise DspsError("objective entries must be finite")
         matrix = np.asarray(self.matrix, dtype=float)
         row_lo = np.asarray(self.row_lo, dtype=float)
         row_hi = np.asarray(self.row_hi, dtype=float)
         m = row_lo.size
         if matrix.shape != (m, c.size) or row_lo.shape != (m,) or row_hi.shape != (m,):
-            raise DimensionMismatch(f"a {matrix.shape} matrix with {row_lo.shape} and "
-                                    f"{row_hi.shape} row bounds for {c.size} variables")
+            raise DspsError(f"a {matrix.shape} matrix with {row_lo.shape} and "
+                            f"{row_hi.shape} row bounds for {c.size} variables")
         if not np.all(np.isfinite(matrix)):
-            raise DimensionMismatch("matrix entries must be finite")
+            raise DspsError("matrix entries must be finite")
         one_bound = np.where(np.isfinite(row_lo), np.isinf(row_hi) | (row_hi == row_lo),
                              np.isfinite(row_hi))
         if not np.all((row_lo <= row_hi) & one_bound):  # NaN fails the <=
-            raise DimensionMismatch("a row needs row_lo <= row_hi: one finite bound, or two equal")
+            raise DspsError("a row needs row_lo <= row_hi: one finite bound, or two equal")
         lower = np.broadcast_to(np.asarray(self.lower, dtype=float), c.shape).copy()
         upper = np.broadcast_to(np.asarray(self.upper, dtype=float), c.shape).copy()
         if not np.all(np.isfinite(lower)) or np.any(np.isnan(upper)):
-            raise DimensionMismatch("lower bounds must be finite, upper bounds not NaN")
+            raise DspsError("lower bounds must be finite, upper bounds not NaN")
         if np.any(np.isinf(upper) & (c < 0.0)):
-            raise DimensionMismatch("a column with an infinite upper bound needs a cost >= 0")
+            raise DspsError("a column with an infinite upper bound needs a cost >= 0")
         for name, value in (("objective", c), ("matrix", matrix), ("row_lo", row_lo),
                             ("row_hi", row_hi), ("lower", lower), ("upper", upper)):
             object.__setattr__(self, name, value)
@@ -171,7 +171,7 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
     ``max_iterations`` (default ``50 * (n_vars + n_rows)``) bounds the run.
     The elastic run gets a budget of its own, by the same rule, and the
     reported ``iterations`` count both runs.  Raises
-    :class:`NumericalBreakdown` only when a run breaks down (a singular
+    :class:`SolverFailure` only when a run breaks down (a singular
     basis, or an elastic program without an optimum), which is distinct
     from genuine infeasibility.
     """
@@ -185,7 +185,7 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
     if elastic.status is SolveStatus.ITERATION_LIMIT:
         return replace(elastic, iterations=iterations)
     if elastic.status is not SolveStatus.OPTIMAL:
-        raise NumericalBreakdown("the elastic program has no optimum")
+        raise SolverFailure("the elastic program has no optimum")
     n, m = problem.n_vars, problem.n_rows
     # each row's violation is its elastic pair's sum
     residual = float(np.max(elastic.z[n:n + m] + elastic.z[n + m:], initial=0.0))
@@ -250,7 +250,7 @@ class _DualSimplex:
         try:
             return np.linalg.solve(B.T if transpose else B, rhs)
         except np.linalg.LinAlgError:
-            raise NumericalBreakdown("singular basis matrix") from None
+            raise SolverFailure("singular basis matrix") from None
 
     def _row(self, v: np.ndarray) -> np.ndarray:
         """``v^T [A, -I]``: duals to reduced costs, or a tableau row.

@@ -22,16 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    DegenerateWeight,
-    DuplicateCriterion,
-    InsufficientData,
-    InvalidCriterion,
-    LengthMismatch,
-    MissingPrerequisiteTarget,
-    OutOfRangeProbability,
-    ZeroVariance,
-)
+from .errors import DspsError, InsufficientData
 
 __all__ = [
     "TargetCriterion",
@@ -52,15 +43,15 @@ class TargetCriterion:
 
     def __post_init__(self):
         if not isinstance(self.feature, str):
-            raise InvalidCriterion(f"feature must be a string, got {self.feature!r}")
+            raise DspsError(f"feature must be a string, got {self.feature!r}")
         # a JSON true is a Python bool, which is an int
         if isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 1:
-            raise InvalidCriterion(f"order must be a positive integer, got {self.order!r}")
+            raise DspsError(f"order must be a positive integer, got {self.order!r}")
         value = float(self.value)
         if not np.isfinite(value):
-            raise InvalidCriterion(f"target for ({self.feature!r}, {self.order}) is not finite")
+            raise DspsError(f"target for ({self.feature!r}, {self.order}) is not finite")
         if self.order == 2 and value < 0.0:
-            raise InvalidCriterion(f"variance target for {self.feature!r} is negative")
+            raise DspsError(f"variance target for {self.feature!r} is negative")
         object.__setattr__(self, "value", value)
 
 
@@ -83,15 +74,15 @@ class TargetSet:
         for c in criteria:
             key = (c.feature, c.order)
             if key in index:
-                raise DuplicateCriterion(f"duplicate target for {key}")
+                raise DspsError(f"duplicate target for {key}")
             index[key] = c.value
         for c in criteria:
             if c.order >= 2 and (c.feature, 1) not in index:
-                raise MissingPrerequisiteTarget(
+                raise DspsError(
                     f"({c.feature!r}, {c.order}) needs an order-1 target"
                 )
             if c.order in (3, 4) and (c.feature, 2) not in index:
-                raise MissingPrerequisiteTarget(
+                raise DspsError(
                     f"({c.feature!r}, {c.order}) needs an order-2 target"
                 )
         object.__setattr__(self, "_index", index)
@@ -109,25 +100,25 @@ class TargetSet:
         try:
             return self._index[(feature, order)]
         except KeyError:
-            raise MissingPrerequisiteTarget(f"no target for ({feature!r}, {order})") from None
+            raise DspsError(f"no target for ({feature!r}, {order})") from None
 
     @staticmethod
     def from_json(text: str | bytes) -> "TargetSet":
         try:
             raw = json.loads(text)
         except (ValueError, RecursionError) as exc:  # bad syntax, huge integer, deep nesting
-            raise InvalidCriterion(f"targets JSON does not parse: {exc}") from None
+            raise DspsError(f"targets JSON does not parse: {exc}") from None
         if not isinstance(raw, list):
-            raise InvalidCriterion("targets JSON must be an array of criterion objects")
+            raise DspsError("targets JSON must be an array of criterion objects")
         criteria = []
         for item in raw:
             if not isinstance(item, dict) or not {"feature", "order", "value"} <= set(item):
-                raise InvalidCriterion(f"criterion {item!r} needs feature/order/value")
+                raise DspsError(f"criterion {item!r} needs feature/order/value")
             feature, order = item["feature"], item["order"]
             if isinstance(order, float) and order.is_integer():
                 order = int(order)
             what = f"value of ({feature!r}, {order!r})"
-            value = json_number(item["value"], what, InvalidCriterion)
+            value = json_number(item["value"], what)
             criteria.append(TargetCriterion(feature, order, value))
         return TargetSet(tuple(criteria))
 
@@ -139,14 +130,14 @@ class TargetSet:
         return json.dumps(rows, indent=2, sort_keys=True)
 
 
-def json_number(value, what: str, error: type) -> float:
-    """``value`` as a float if JSON holds a number there (not ``true``), else ``error``."""
+def json_number(value, what: str) -> float:
+    """``value`` as a float if JSON holds a number there (not ``true``), else :class:`DspsError`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise error(f"{what} must be a number, got {value!r}")
+        raise DspsError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond the float range
-        raise error(f"{what} is out of range, got {value}") from None
+        raise DspsError(f"{what} is out of range, got {value}") from None
 
 
 def sample_moment(values, order: int) -> float:
@@ -189,22 +180,22 @@ def moment_terms(order: int, var: float | None = None) -> tuple[int, float, floa
 def _variance_scale(var) -> float:
     sv = float(var)
     if sv <= 0.0:
-        raise ZeroVariance(f"variance scale {sv} is not positive")
+        raise InsufficientData(f"variance scale {sv} is not positive")
     return sv
 
 
 def probability_vector(p) -> np.ndarray:
     """``p`` as a 1-D float array in ``[0, 1]``: the one rule for probabilities.
 
-    Any other shape raises :class:`LengthMismatch`, and an entry outside
-    ``[0, 1]`` (or NaN) :class:`OutOfRangeProbability`.
+    Any other shape, or an entry outside ``[0, 1]`` (or NaN), raises
+    :class:`DspsError`.
     """
     q = np.asarray(p, dtype=float)
     if q.ndim != 1:
-        raise LengthMismatch(f"probabilities must be a 1-D vector, got shape {q.shape}")
+        raise DspsError(f"probabilities must be a 1-D vector, got shape {q.shape}")
     ok = (q >= 0.0) & (q <= 1.0)  # NaN fails both comparisons
     if not np.all(ok):
-        raise OutOfRangeProbability(f"probability {q[~ok][0]} outside [0, 1]")
+        raise DspsError(f"probability {q[~ok][0]} outside [0, 1]")
     return q
 
 
@@ -229,7 +220,7 @@ def expected_moment(
     x = np.asarray(values, dtype=float).ravel()
     q = np.asarray(p, dtype=float)
     if x.size != q.size:
-        raise LengthMismatch(f"{x.size} values but {q.size} probabilities")
+        raise DspsError(f"{x.size} values but {q.size} probabilities")
     total = expected_size(q)
     d = x
     if order >= 2:
@@ -237,9 +228,9 @@ def expected_moment(
             raise InsufficientData(f"order-{order} weighted moment requires target_mean")
         d = x - float(target_mean)
     if order == 2 and total <= 1.0:
-        raise DegenerateWeight("weighted variance needs expected size above 1")
+        raise InsufficientData("weighted variance needs expected size above 1")
     if total <= 0.0:
-        raise DegenerateWeight("expected size is zero")
+        raise InsufficientData("expected size is zero")
     sv = None
     if order in (3, 4):
         if target_var is None:

@@ -25,10 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Population
-from .errors import (
-    AllDrawsDegenerate, EmptySelection, InsufficientData, InvalidDraws, InvalidSetting,
-    LengthMismatch, ZeroVariance,
-)
+from .errors import AllDrawsDegenerate, DspsError, InsufficientData
 from .evaluate import EvaluationReport, evaluate_selection
 from .moments import TargetSet, probability_vector
 
@@ -60,11 +57,11 @@ def _is_count(value, low: int) -> bool:
 def uniform_stream(seed: int, draw_index: int, n: int) -> np.ndarray:
     """The pinned uniforms for one draw: PCG64 on ``SeedSequence(seed, (draw_index,))``.
 
-    Both must be non-negative integers, or :class:`InvalidSetting` is raised.
+    Both must be non-negative integers, or :class:`DspsError` is raised.
     """
     for name, value in (("seed", seed), ("draw index", draw_index)):
         if not _is_count(value, 0):
-            raise InvalidSetting(f"{name} must be a non-negative integer, got {value!r}")
+            raise DspsError(f"{name} must be a non-negative integer, got {value!r}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(draw_index),))
     return np.random.Generator(np.random.PCG64(ss)).random(n)
 
@@ -99,10 +96,10 @@ def draw_best(
     ``inf``), and cannot win the tie-break against that first draw.
     """
     if not _is_count(n_draws, 1):
-        raise InvalidDraws(f"n_draws must be a positive integer, got {n_draws!r}")
+        raise DspsError(f"n_draws must be a positive integer, got {n_draws!r}")
     vec = probability_vector(p)
     if vec.size != pop.n_members:
-        raise LengthMismatch(
+        raise DspsError(
             f"{vec.size} probabilities for population of {pop.n_members}"
         )
     fractional = np.flatnonzero((vec > 0.0) & (vec < 1.0))
@@ -117,7 +114,7 @@ def draw_best(
         if outcome not in scored:
             try:
                 report = evaluate_selection(pop, targets, mask)
-            except (EmptySelection, InsufficientData, ZeroVariance):
+            except InsufficientData:
                 scored[outcome] = float("inf")
             else:
                 scored[outcome] = report.rsse

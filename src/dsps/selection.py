@@ -34,14 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Population, feature_column
-from .errors import (
-    EmptyTargetSet,
-    InfeasibleError,
-    InvalidCriterion,
-    InvalidSampleSize,
-    IterationLimitExceeded,
-    MissingHyperParam,
-)
+from .errors import DspsError, InfeasibleError, SolverFailure
 from .lp_core import LpProblem, LpSolution, SolveStatus, solve_lp
 from .moments import TargetSet, moment_terms
 
@@ -67,13 +60,13 @@ def _slack_budget(trial_size: float | None) -> float | None:
     """``alpha = ALPHA_FRACTION * trial_size``, or ``None`` without a trial size.
 
     A trial size that is not finite and positive raises
-    :class:`InvalidSampleSize`, whether or not the program has slack rows.
+    :class:`DspsError`, whether or not the program has slack rows.
     """
     if trial_size is None:
         return None
     # NaN fails both comparisons
     if not 0.0 < trial_size < np.inf:
-        raise InvalidSampleSize(f"trial size must be finite and positive, got {trial_size}")
+        raise DspsError(f"trial size must be finite and positive, got {trial_size}")
     return ALPHA_FRACTION * float(trial_size)
 
 
@@ -130,7 +123,7 @@ def build_lp_system(pop: Population, targets: TargetSet) -> ConstraintSystem:
     """One row per criterion, rhs such that ``row . p = rhs`` matches the target.
 
     A criterion whose scaled row is not finite in float64 (a high order of a
-    wide feature overflows) raises :class:`InvalidCriterion`.
+    wide feature overflows) raises :class:`DspsError`.
     """
     rows, rhs, labels = [], [], []
     criteria = ordered_criteria(targets)
@@ -141,7 +134,7 @@ def build_lp_system(pop: Population, targets: TargetSet) -> ConstraintSystem:
             entries, b = _row_entries(x, c.order, targets, c.feature)
             finite = np.isfinite(b * row_scale) and np.all(np.isfinite(entries * row_scale))
         if not finite:
-            raise InvalidCriterion(f"the row of ({c.feature!r}, {c.order}) overflows float64")
+            raise DspsError(f"the row of ({c.feature!r}, {c.order}) overflows float64")
         rows.append(entries)
         rhs.append(b)
         labels.append((c.feature, c.order))
@@ -190,7 +183,7 @@ def _select(
     whose slack is capped at ``alpha/(trial_size + EPSILON)``: ``alpha``
     members.  The result carries ``eta`` and the slack settings in unscaled
     row units when there are slack rows; a trial size whose caps overflow in
-    those units raises :class:`InvalidSampleSize`.
+    those units raises :class:`DspsError`.
     """
     alpha = _slack_budget(trial_size)
     system = build_lp_system(pop, targets)
@@ -208,12 +201,12 @@ def _select(
     slack = {}
     if k:
         if alpha is None:
-            raise MissingHyperParam("need a trial size to size the slack budget")
+            raise DspsError("need a trial size to size the slack budget")
         cap = np.full(k, alpha)
         with np.errstate(over="ignore"):
             eta_max = alpha * system.tolerances
         if not np.all(np.isfinite(eta_max)):
-            raise InvalidSampleSize(f"trial size {trial_size} overflows a target's slack cap")
+            raise DspsError(f"trial size {trial_size} overflows a target's slack cap")
         if pin_size:
             cap[-1] *= size_scale
             eta_max = np.append(eta_max, alpha)
@@ -229,7 +222,7 @@ def _select(
             violation=solution.objective_value,
         )
     if solution.status is SolveStatus.ITERATION_LIMIT:
-        raise IterationLimitExceeded(
+        raise SolverFailure(
             f"no optimum within {solution.iterations} simplex iterations"
         )
     p = np.clip(solution.z[:n], 0.0, 1.0)
@@ -282,11 +275,11 @@ def solve_fixed_size(
     the criterion rows' target scaling.
     """
     if len(targets) == 0:
-        raise EmptyTargetSet("fixed-size mode needs at least one target criterion")
+        raise DspsError("fixed-size mode needs at least one target criterion")
     if trial_size is None:
-        raise MissingHyperParam("need a trial size to pin the expected size to")
+        raise DspsError("need a trial size to pin the expected size to")
     if not 1.0 <= trial_size <= pop.n_members:
-        raise InvalidSampleSize(
+        raise DspsError(
             f"trial size must lie in [1, {pop.n_members}] in fixed mode, got {trial_size}"
         )
     return _select(pop, targets, float(trial_size), pin_size=True)

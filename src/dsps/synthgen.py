@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .dataset import Population
-from .errors import EmptyIndices, InsufficientForOrder, InvalidSpec
+from .errors import DspsError
 from .moments import TargetCriterion, TargetSet, json_number, sample_moment
 
 __all__ = [
@@ -39,7 +39,7 @@ class Normal:
 
     def __post_init__(self):
         if not self.sigma >= 0.0:
-            raise InvalidSpec(f"normal sigma must be nonnegative, got {self.sigma}")
+            raise DspsError(f"normal sigma must be nonnegative, got {self.sigma}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(self.mu, self.sigma, n)
@@ -54,7 +54,7 @@ class LogNormal:
 
     def __post_init__(self):
         if not self.sigma >= 0.0:
-            raise InvalidSpec(f"lognormal sigma must be nonnegative, got {self.sigma}")
+            raise DspsError(f"lognormal sigma must be nonnegative, got {self.sigma}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.lognormal(self.mu, self.sigma, n)
@@ -69,11 +69,11 @@ class Mixture:
     def __post_init__(self):
         comps = tuple((float(w), dist) for w, dist in self.components)
         if not comps:
-            raise InvalidSpec("mixture needs at least one component")
+            raise DspsError("mixture needs at least one component")
         if not all(0.0 <= w < np.inf for w, _ in comps):
-            raise InvalidSpec("mixture weights must be finite and nonnegative")
+            raise DspsError("mixture weights must be finite and nonnegative")
         if not sum(w for w, _ in comps) > 0.0:
-            raise InvalidSpec("mixture weights must have positive total")
+            raise DspsError("mixture weights must have positive total")
         object.__setattr__(self, "components", comps)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -98,7 +98,7 @@ class FeatureSpec:
 
     def __post_init__(self):
         if not isinstance(self.name, str):
-            raise InvalidSpec(f"feature name must be a string, got {self.name!r}")
+            raise DspsError(f"feature name must be a string, got {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,17 @@ class SynthSpec:
         for name, low in (("n_p", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise InvalidSpec(f"{name} must be an integer >= {low}, got {value!r}")
+                raise DspsError(f"{name} must be an integer >= {low}, got {value!r}")
         object.__setattr__(self, "features", tuple(self.features))
         if not self.features:
-            raise InvalidSpec("spec needs at least one feature")
+            raise DspsError("spec needs at least one feature")
 
     @staticmethod
     def from_json(text: str | bytes) -> "SynthSpec":
         try:
             raw = json.loads(text)
         except (ValueError, RecursionError) as exc:  # bad syntax, huge integer, deep nesting
-            raise InvalidSpec(f"spec JSON does not parse: {exc}") from None
+            raise DspsError(f"spec JSON does not parse: {exc}") from None
         try:
             features = tuple(
                 FeatureSpec(f["name"], _dist_from_json(f["dist"]))
@@ -132,35 +132,35 @@ class SynthSpec:
                          for v in (raw["n_p"], raw["seed"]))
             return SynthSpec(n_p, seed, features)
         except (KeyError, TypeError) as exc:
-            raise InvalidSpec(f"spec JSON is missing fields: {exc}") from None
+            raise DspsError(f"spec JSON is missing fields: {exc}") from None
 
 
 def _dist_from_json(node) -> Distribution:
     if not isinstance(node, dict) or "type" not in node:
-        raise InvalidSpec(f"distribution node {node!r} needs a type")
+        raise DspsError(f"distribution node {node!r} needs a type")
     kind = node["type"]
     if kind in ("normal", "lognormal"):
-        mu, sigma = (json_number(node[k], f"{kind} {k}", InvalidSpec) for k in ("mu", "sigma"))
+        mu, sigma = (json_number(node[k], f"{kind} {k}") for k in ("mu", "sigma"))
         return (Normal if kind == "normal" else LogNormal)(mu, sigma)
     if kind == "mixture":
         comps = tuple(
-            (json_number(c["weight"], "mixture weight", InvalidSpec), _dist_from_json(c["dist"]))
+            (json_number(c["weight"], "mixture weight"), _dist_from_json(c["dist"]))
             for c in node["components"]
         )
         return Mixture(comps)
-    raise InvalidSpec(f"unknown distribution type {kind!r}")
+    raise DspsError(f"unknown distribution type {kind!r}")
 
 
 def generate_population(spec: SynthSpec) -> Population:
     """Deterministic population; member ids are ``m0001``-style, 1-based.
 
     The data is allocated before the ids, so an ``n_p`` too large to hold
-    raises :class:`InvalidSpec` at once instead of growing the id tuple.
+    raises :class:`DspsError` at once instead of growing the id tuple.
     """
     try:
         data = np.empty((spec.n_p, len(spec.features)))
     except (MemoryError, ValueError) as exc:
-        raise InvalidSpec(f"n_p = {spec.n_p} is too large to allocate ({exc})") from None
+        raise DspsError(f"n_p = {spec.n_p} is too large to allocate ({exc})") from None
     width = max(4, len(str(spec.n_p)))
     ids = tuple(f"m{i:0{width}d}" for i in range(1, spec.n_p + 1))
     for j, feat in enumerate(spec.features):
@@ -182,17 +182,22 @@ def plant_subset(
     achieves them exactly), which makes them the standard way to build
     feasible test instances.  ``orders`` must include the prerequisites of
     its higher orders (1 for anything above 1, and 2 for orders 3 and 4).
+    ``indices`` are distinct integer member indices; a 0/1 mask, floats or
+    bools raise :class:`DspsError` rather than being read as indices.
     """
-    idx = np.asarray(indices, dtype=int)
+    idx = np.asarray(indices)
     if idx.size == 0:
-        raise EmptyIndices("planted subset needs at least one member")
+        raise DspsError("planted subset needs at least one member")
+    # sorted neighbours, not np.unique: its first call raises peak RSS by over 1 MB
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or np.any(np.diff(np.sort(idx)) == 0):
+        raise DspsError(f"indices must be distinct integers, not a mask, got {idx.dtype} {idx[:5]}")
     if idx.min() < 0 or idx.max() >= pop.n_members:
-        raise EmptyIndices(f"indices out of range for population of {pop.n_members}")
+        raise DspsError(f"indices out of range for population of {pop.n_members}")
     orders = tuple(int(k) for k in orders)
     if any(k < 1 for k in orders):
-        raise InsufficientForOrder(f"orders must be >= 1, got {orders}")
+        raise DspsError(f"orders must be >= 1, got {orders}")
     if max(orders) >= 2 and idx.size < 2:
-        raise InsufficientForOrder("need at least 2 planted members above order 1")
+        raise DspsError("need at least 2 planted members above order 1")
     names = tuple(features) if features is not None else pop.feature_names
     criteria = []
     for name in names:

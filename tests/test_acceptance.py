@@ -13,7 +13,7 @@ import pytest
 
 from dsps.cli import main
 from dsps.dataset import Population
-from dsps.errors import DimensionMismatch
+from dsps.errors import DspsError
 from dsps.evaluate import gmi
 from dsps.lp_core import SolveStatus, solve_lp
 from dsps.moments import (
@@ -258,7 +258,7 @@ def test_accept_06_lp_solver_agrees_with_vertex_enumeration():
     for args in unbounded:
         try:
             from_rows(*args)
-        except DimensionMismatch:
+        except DspsError:
             n_rejected += 1
     ok = worst <= 1e-7 and n_feasible >= 10 and n_infeasible >= 5 and n_rejected == 3
     report(

@@ -23,12 +23,7 @@ import dsps
 from dsps.cli import MODES, _build_parser, main
 from dsps.dataset import Population, load_population, save_population
 from dsps.errors import (
-    InvalidDraws,
-    InvalidSetting,
-    IterationLimitExceeded,
-    NumericalBreakdown,
-    SolverFailure,
-    ZeroVariance,
+    AllDrawsDegenerate, DspsError, InfeasibleError, InsufficientData, SolverFailure,
 )
 from dsps.evaluate import evaluate_selection
 from dsps.moments import TargetCriterion, TargetSet
@@ -468,23 +463,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
         assert not (tmp / "x").exists()
 
-    # each given setting that is out of range raises the class of its check
-    @pytest.mark.parametrize("setting, error", [
-        (("--seed", "-1"), InvalidSetting),
-        (("--draws", "0"), InvalidDraws),
+    # each given setting that is out of range raises the message of its check
+    @pytest.mark.parametrize("setting, message", [
+        (("--seed", "-1"), "--seed must be a non-negative integer, got -1"),
+        (("--draws", "0"), "--draws must be >= 1, got 0"),
     ], ids=["seed -1", "draws 0"])
-    def test_bad_setting_raises_its_own_class(self, workspace, setting, error):
+    def test_bad_setting_raises_its_own_class(self, workspace, setting, message):
         tmp, pop, targets, pop_path, targets_path = workspace
         args = _build_parser().parse_args([
             "select", "--population", pop_path, "--targets", targets_path,
             "--trial-size", "20", "--out", str(tmp / "x"), *setting])
-        with pytest.raises(error):
+        with pytest.raises(DspsError, match=message):
             args.func(args)
         assert not (tmp / "x").exists()
-
-    def test_solver_failures_share_the_exit_four_class(self):
-        assert issubclass(NumericalBreakdown, SolverFailure)
-        assert issubclass(IterationLimitExceeded, SolverFailure)
 
     def test_missing_slack_budget_is_one(self, workspace, capsys):
         tmp, pop, targets, pop_path, targets_path = workspace
@@ -609,12 +600,34 @@ class TestExitCodes:
         ]
         assert not (tmp / "x").exists()
 
+    # one class per exit code; InsufficientData is bad input here, as DspsError is
+    @pytest.mark.parametrize("error, code, prefix", [
+        (DspsError, 1, "error"),
+        (InsufficientData, 1, "error"),
+        (InfeasibleError, 2, "infeasible"),
+        (AllDrawsDegenerate, 3, "degenerate draws"),
+        (SolverFailure, 4, "solver failure"),
+    ], ids=["DspsError", "InsufficientData", "InfeasibleError", "AllDrawsDegenerate",
+            "SolverFailure"])
+    def test_each_error_class_has_its_exit_code(self, workspace, monkeypatch, capsys,
+                                                error, code, prefix):
+        from dsps import cli
+
+        def fails(*args, **kwargs):
+            raise error("raised by the solve")
+
+        monkeypatch.setattr(cli, "solve_max_size", fails)
+        tmp, _, _, pop_path, targets_path = workspace
+        assert main(["select", "--population", pop_path, "--targets", targets_path,
+                     "--trial-size", "20", "--out", str(tmp / "x")]) == code
+        assert capsys.readouterr().err == f"{prefix}: raised by the solve\n"
+        assert not (tmp / "x").exists()
+
     def test_solver_failure_is_four(self, workspace, monkeypatch, capsys):
         from dsps import selection
-        from dsps.errors import NumericalBreakdown
 
         def breaks_down(problem, max_iterations=None):
-            raise NumericalBreakdown("singular basis matrix")
+            raise SolverFailure("singular basis matrix")
 
         monkeypatch.setattr(selection, "solve_lp", breaks_down)
         tmp, _, _, pop_path, targets_path = workspace
@@ -678,7 +691,7 @@ def _generated_case(tmp, seed, n_members, n_features, order, kind, mode):
     planted = rng.choice(n_members, size=int(rng.integers(2, n_members + 1)), replace=False)
     try:
         criteria = list(plant_subset(pop, planted, orders=range(1, order + 1)))
-    except ZeroVariance:
+    except InsufficientData:
         reject()  # tied members: no standardized moment to plant
     if kind == "perturbed":
         factors = 1.0 + rng.uniform(-0.1, 0.1, len(criteria))

@@ -4,15 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsps.dataset import Population
-from dsps.errors import (
-    AllDrawsDegenerate,
-    InsufficientData,
-    InvalidDraws,
-    InvalidSetting,
-    LengthMismatch,
-    OutOfRangeProbability,
-    ZeroTarget,
-)
+from dsps.errors import AllDrawsDegenerate, DspsError, InsufficientData
 from dsps.evaluate import evaluate_selection
 from dsps.moments import TargetCriterion, TargetSet, expected_moment, expected_size
 from dsps import realize
@@ -52,9 +44,9 @@ class TestUniformStream:
     )
     def test_seed_and_draw_index_must_be_non_negative_integers(self, seed, draw_index):
         # a library error, never numpy's bare ValueError or a silent truncation
-        with pytest.raises(InvalidSetting):
+        with pytest.raises(DspsError, match="must be a non-negative integer"):
             uniform_stream(seed, draw_index, 2)
-        with pytest.raises(InvalidSetting):
+        with pytest.raises(DspsError, match="must be a non-negative integer"):
             draw(np.array([0.5, 0.5]), seed=seed, draw_index=draw_index)
 
     def test_numpy_integers_are_integers(self):
@@ -63,7 +55,7 @@ class TestUniformStream:
         )
 
     def test_draw_best_refuses_a_negative_seed(self):
-        with pytest.raises(InvalidSetting):
+        with pytest.raises(DspsError, match="seed must be a non-negative integer, got -1"):
             draw_best(np.full(3, 0.5), make_pop(np.arange(3.0)), TargetSet(()), 2, seed=-1)
 
 
@@ -91,16 +83,16 @@ class TestDraw:
         assert int(np.count_nonzero(draw(r, seed=5, draw_index=0))) == 0
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(OutOfRangeProbability):
+        with pytest.raises(DspsError, match=r"probability 1\.2 outside \[0, 1\]"):
             draw(np.array([1.2]), seed=0)
-        with pytest.raises(OutOfRangeProbability):
+        with pytest.raises(DspsError, match=r"probability -0\.1 outside \[0, 1\]"):
             draw(np.array([-0.1]), seed=0)
 
     def test_nan_rejected(self):
         # NaN fails both range comparisons, so a min/max test lets it through
-        with pytest.raises(OutOfRangeProbability):
+        with pytest.raises(DspsError, match="probability nan outside"):
             draw(np.array([np.nan, 0.5]), seed=0)
-        with pytest.raises(OutOfRangeProbability):
+        with pytest.raises(DspsError, match="probability nan outside"):
             draw_best(np.array([np.nan, 0.5]), make_pop([1.0, 2.0]), TargetSet(()), 2, seed=0)
 
     @settings(max_examples=50, deadline=None)
@@ -230,20 +222,50 @@ class TestDrawBest:
         # is the target set's and must surface as such
         pop = make_pop(np.arange(-10.0, 11.0))
         targets = TargetSet((TargetCriterion("f", 1, 0.0),))
-        with pytest.raises(ZeroTarget):
+        with pytest.raises(DspsError, match="criterion 0 has target 0"):
             draw_best(np.full(21, 0.5), pop, targets, n_draws=4, seed=9)
 
     def test_invalid_draw_counts(self):
         pop = make_pop(np.arange(3.0))
         targets = TargetSet(())
         for bad in (0, -2, 1.5, True):
-            with pytest.raises(InvalidDraws):
+            with pytest.raises(DspsError, match="n_draws must be a positive integer"):
                 draw_best(np.full(3, 0.5), pop, targets, bad, seed=0)
 
     def test_length_mismatch(self):
         pop = make_pop(np.arange(3.0))
-        with pytest.raises(LengthMismatch, match="4 probabilities for population of 3"):
+        with pytest.raises(DspsError, match="4 probabilities for population of 3"):
             draw_best(np.full(4, 0.5), pop, TargetSet(()), 2, seed=0)
+
+    @staticmethod
+    def first_scoring_raises(monkeypatch, error):
+        # the first mask scored raises ``error``; the others score as usual
+        calls = []
+
+        def scored(pop, targets, mask):
+            calls.append(mask)
+            if len(calls) == 1:
+                raise error("planted by the test")
+            return evaluate_selection(pop, targets, mask)
+
+        monkeypatch.setattr(realize, "evaluate_selection", scored)
+
+    def test_insufficient_data_scores_as_inf(self, monkeypatch):
+        pop = make_pop(np.arange(20.0))
+        targets = TargetSet((TargetCriterion("f", 1, 9.5),))
+        self.first_scoring_raises(monkeypatch, InsufficientData)
+        best, stats = draw_best(np.full(20, 0.5), pop, targets, n_draws=3, seed=4)
+        assert stats[0].rsse == float("inf")
+        assert all(np.isfinite(s.rsse) for s in stats[1:])
+        assert best.draw_index != 0
+
+    def test_any_other_library_error_propagates(self, monkeypatch):
+        pop = make_pop(np.arange(20.0))
+        targets = TargetSet((TargetCriterion("f", 1, 9.5),))
+        self.first_scoring_raises(monkeypatch, DspsError)
+        with pytest.raises(DspsError, match="planted by the test") as info:
+            draw_best(np.full(20, 0.5), pop, targets, n_draws=3, seed=4)
+        assert type(info.value) is DspsError
 
 
 class TestDrawBestScoresEachMaskOnce:
@@ -331,5 +353,5 @@ def test_a_probability_vector_or_mask_that_is_not_1d_is_refused(call, shape):
     pop = make_pop(np.arange(24.0))
     targets = TargetSet((TargetCriterion("f", 1, 11.5),))
     NOT_A_VECTOR[call](pop, targets, np.full(24, 0.5))  # the same entries as a vector
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DspsError, match="must be a 1-D vector|selection of shape"):
         NOT_A_VECTOR[call](pop, targets, np.full(shape, 0.5))

@@ -3,12 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dsps.errors import (
-    EmptyIndices,
-    InsufficientForOrder,
-    InvalidSpec,
-    UnknownFeature,
-)
+from dsps.errors import DspsError
 from dsps.evaluate import evaluate_selection
 from dsps.synthgen import (
     FeatureSpec,
@@ -96,19 +91,19 @@ class TestGenerate:
 
 class TestSpecValidation:
     def test_bad_parameters(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DspsError, match="normal sigma must be nonnegative"):
             Normal(0.0, -0.5)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DspsError, match="lognormal sigma must be nonnegative"):
             LogNormal(0.0, -1.0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DspsError, match="mixture needs at least one component"):
             Mixture(())
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DspsError, match="mixture weights must be finite and nonnegative"):
             Mixture(((-1.0, Normal(0.0, 1.0)),))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DspsError, match="mixture weights must have positive total"):
             Mixture(((0.0, Normal(0.0, 1.0)), (0.0, Normal(1.0, 1.0))))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DspsError, match="n_p must be an integer >= 1, got 0"):
             SynthSpec(0, 1, (FeatureSpec("f", Normal(0, 1)),))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DspsError, match="spec needs at least one feature"):
             SynthSpec(10, 1, ())
 
     def test_zero_sigma_gives_constant_column(self):
@@ -163,13 +158,13 @@ class TestSpecJson:
         assert pop.data.shape == (25, 2)
 
     def test_unparseable_json(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DspsError, match="spec JSON does not parse"):
             SynthSpec.from_json("{not json")
 
     def test_missing_fields(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DspsError, match="spec JSON is missing fields: 'features'"):
             SynthSpec.from_json(json.dumps({"n_p": 5, "seed": 0}))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DspsError, match="spec JSON is missing fields: 'dist'"):
             SynthSpec.from_json(
                 json.dumps({"n_p": 5, "seed": 0, "features": [{"name": "f"}]})
             )
@@ -202,11 +197,11 @@ class TestSpecJson:
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = bad
-        with pytest.raises(InvalidSpec, match=field):
+        with pytest.raises(DspsError, match=field):
             SynthSpec.from_json(json.dumps(raw))
 
     def test_from_json_refuses_nesting_too_deep_to_parse(self):
-        with pytest.raises(InvalidSpec, match="does not parse"):
+        with pytest.raises(DspsError, match="does not parse"):
             SynthSpec.from_json("[" * 100_000)
 
     def test_from_json_keeps_an_integral_float(self):
@@ -217,7 +212,7 @@ class TestSpecJson:
         assert spec.features[0].dist == Normal(1.0, 2.0)
 
     def test_unknown_distribution_type(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DspsError, match="unknown distribution type 'cauchy'"):
             SynthSpec.from_json(
                 json.dumps(
                     {
@@ -259,25 +254,37 @@ class TestPlantSubset:
 
     def test_empty_indices_rejected(self):
         pop = generate_population(spec_two_features())
-        with pytest.raises(EmptyIndices):
+        with pytest.raises(DspsError, match="planted subset needs at least one member"):
             plant_subset(pop, [])
 
     def test_out_of_range_indices_rejected(self):
         pop = generate_population(spec_two_features())
-        with pytest.raises(EmptyIndices):
+        with pytest.raises(DspsError, match="indices out of range for population of 50"):
             plant_subset(pop, [0, 50])
+
+    @pytest.mark.parametrize("indices", [
+        (np.arange(50) // 10 == 1).astype(np.int8),  # a 0/1 mask of members 10-19
+        [0.7, 1.9, 2.2],
+        [True, False, True],
+        [0, 0, 1],
+    ], ids=["int8 mask", "floats", "bools", "repeated index"])
+    def test_only_distinct_integer_indices_are_planted(self, indices):
+        # each was once read as member indices, planting targets no subset achieves
+        pop = generate_population(spec_two_features())
+        with pytest.raises(DspsError, match="indices must be distinct integers, not a mask"):
+            plant_subset(pop, indices)
 
     def test_order_zero_rejected(self):
         pop = generate_population(spec_two_features())
-        with pytest.raises(InsufficientForOrder):
+        with pytest.raises(DspsError, match=r"orders must be >= 1, got \(0, 1\)"):
             plant_subset(pop, [0, 1], orders=(0, 1))
 
     def test_singleton_cannot_plant_variance(self):
         pop = generate_population(spec_two_features())
-        with pytest.raises(InsufficientForOrder):
+        with pytest.raises(DspsError, match="need at least 2 planted members above order 1"):
             plant_subset(pop, [3], orders=(1, 2))
 
     def test_unknown_feature_rejected(self):
         pop = generate_population(spec_two_features())
-        with pytest.raises(UnknownFeature):
+        with pytest.raises(DspsError, match="no feature named 'nope'"):
             plant_subset(pop, [0, 1], features=("nope",))
