@@ -92,32 +92,37 @@ def evaluate_selection(
     selected members' own sample statistics: each is :func:`sample_moment` of
     the feature column indexed by the mask, without building a
     sub-population.  Either must be a vector of the population's length, or
-    :class:`DspsError` is raised; a mask that selects nobody raises
-    :class:`InsufficientData`.  Expected moments are probability-weighted and
-    centred on the targets, so the two coincide only in expectation.
+    :class:`DspsError` is raised, as for a moment beyond float64; a mask that
+    selects nobody raises :class:`InsufficientData`.  Expected moments are
+    probability-weighted and centred on the targets, so the two coincide only
+    in expectation.
     """
     vec = np.asarray(selection)
     if vec.shape != (pop.n_members,):
         raise DspsError(f"selection of shape {vec.shape} for {pop.n_members} members")
-    if vec.dtype.kind in "biu":
-        keep = vec.astype(bool)
-        realized_size = int(np.count_nonzero(keep))
-        if realized_size == 0:
-            raise InsufficientData("mask selects no members")
-        achieved = [
-            sample_moment(feature_column(pop, c.feature)[keep], c.order)
-            for c in targets
-        ]
-    else:
-        vec = np.asarray(vec, dtype=float)
-        realized_size = None
-        expected_size(vec)  # refuses a p outside [0, 1]
-        achieved = []
-        for c in targets:
-            x = feature_column(pop, c.feature)
-            m1 = targets.value_of(c.feature, 1) if targets.has(c.feature, 1) else None
-            m2 = targets.value_of(c.feature, 2) if targets.has(c.feature, 2) else None
-            achieved.append(expected_moment(x, vec, c.order, m1, m2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if vec.dtype.kind in "biu":
+            keep = vec.astype(bool)
+            realized_size = int(np.count_nonzero(keep))
+            if realized_size == 0:
+                raise InsufficientData("mask selects no members")
+            achieved = [
+                sample_moment(feature_column(pop, c.feature)[keep], c.order)
+                for c in targets
+            ]
+        else:
+            vec = np.asarray(vec, dtype=float)
+            realized_size = None
+            expected_size(vec)  # refuses a p outside [0, 1]
+            achieved = []
+            for c in targets:
+                x = feature_column(pop, c.feature)
+                m1 = targets.value_of(c.feature, 1) if targets.has(c.feature, 1) else None
+                m2 = targets.value_of(c.feature, 2) if targets.has(c.feature, 2) else None
+                achieved.append(expected_moment(x, vec, c.order, m1, m2))
+    for c, value in zip(targets, achieved):
+        if not np.isfinite(value):
+            raise DspsError(f"the moment of ({c.feature!r}, {c.order}) overflows float64")
 
     t = np.array([c.value for c in targets], dtype=float)
     a = np.array(achieved, dtype=float)

@@ -1,18 +1,17 @@
 """Bound-flipping dual simplex for the box-constrained programs dsps builds.
 
-Solves  minimize c.z  subject to  row_lo <= a_r.z <= row_hi  and  l <= z <= u,
-where a row has one finite bound or two equal ones, every lower bound is
-finite and an upper bound may be infinite only under a cost >= 0;
-:class:`LpProblem` rejects any other program.  The selection LPs box every
+Solves  minimize c.z  subject to  A z = b  and  l <= z <= u  (standard
+form), where every lower bound is finite and an upper bound may be infinite
+only under a cost >= 0; :class:`LpProblem` rejects any other program.  The selection LPs box every
 column, and the elastic program adds ``[0, inf)`` columns of cost 1.
 Nonbasic variables sit at either their lower or their upper bound, which
 keeps vertices of the box polytope representable without splitting
 variables.
 
 One column form: the ``n`` structurals, then one logical per row,
-``r = a_r.z``, bounded by the row's ``[row_lo, row_hi]``, so the
-constraint matrix is ``[A, -I]`` with right-hand side zero.  Each structural
-starts at the bound its cost sign picks, and the all-logical basis starts.
+``r = a_r.z``, fixed at ``b_r``, so the constraint matrix is ``[A, -I]``
+with right-hand side zero.  Each structural starts at the bound its cost
+sign picks, and the all-logical basis starts.
 Under the rule above that start is dual feasible and the objective is
 bounded below on the box, so no phase 1 is needed and no program is
 unbounded.  A program with no rows takes the same path: its basis is empty,
@@ -36,11 +35,12 @@ Rules:
   columns) the passes over the matrix dominate, so reduced costs and basic
   values come from a fresh LAPACK solve every iteration.  One pricing pass
   is one iteration, including the one that proves optimality.
-* An entry ``a_j`` is a pivot only when ``|a_j|`` exceeds ``_PIVOT_TOL *
-  max(1, max |a_k|)`` over the row's movable columns: in a row scaled near
-  ``1e10`` an entry of ``1e-5`` is roundoff that would make the basis
-  singular.  When flipping every candidate leaves the slope within the
-  leaving variable's feasibility tolerance of zero, the last one enters.
+* An entry ``alpha_j`` of the tableau row is a pivot only when it exceeds
+  its own roundoff bound (``_pivot_tol``): cancellation would make the basis
+  singular, while an exact small entry beside large ones in the same row (a
+  member near the centre of an order-6 row) must still pivot.  When
+  flipping every candidate leaves the slope within the leaving variable's
+  feasibility tolerance of zero, the last one enters.
 * After ``2 * n_rows`` consecutive degenerate steps the structural costs
   are perturbed once, each by at most half the optimality tolerance in the
   direction that keeps its reduced cost feasible, which breaks the ties of
@@ -58,7 +58,7 @@ reproducible quantity.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,18 +70,17 @@ __all__ = ["LpProblem", "SolveStatus", "LpSolution", "solve_lp"]
 
 @dataclass(frozen=True)
 class LpProblem:
-    """minimize ``objective . z`` over ``row_lo <= matrix @ z <= row_hi`` and the box.
+    """minimize ``objective . z`` over ``matrix @ z = rhs`` and ``lower <= z <= upper``.
 
-    A row has one finite bound (``<=`` or ``>=``) or two equal ones (``=``).
-    Every lower bound of the box ``lower <= z <= upper`` is finite, and an
-    upper bound is infinite only under a cost >= 0, so the objective is
-    bounded below on the box.
+    Every row is an equality; an inequality takes a slack column of its own.
+    ``rhs`` and ``matrix`` are finite, every lower bound is finite and at
+    most its upper bound, and an upper bound is infinite only under a cost
+    >= 0, so the objective is bounded below on the box.
     """
 
     objective: np.ndarray
     matrix: np.ndarray
-    row_lo: np.ndarray
-    row_hi: np.ndarray
+    rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
@@ -92,26 +91,22 @@ class LpProblem:
         if not np.all(np.isfinite(c)):
             raise DspsError("objective entries must be finite")
         matrix = np.asarray(self.matrix, dtype=float)
-        row_lo = np.asarray(self.row_lo, dtype=float)
-        row_hi = np.asarray(self.row_hi, dtype=float)
-        m = row_lo.size
-        if matrix.shape != (m, c.size) or row_lo.shape != (m,) or row_hi.shape != (m,):
-            raise DspsError(f"a {matrix.shape} matrix with {row_lo.shape} and "
-                            f"{row_hi.shape} row bounds for {c.size} variables")
-        if not np.all(np.isfinite(matrix)):
-            raise DspsError("matrix entries must be finite")
-        one_bound = np.where(np.isfinite(row_lo), np.isinf(row_hi) | (row_hi == row_lo),
-                             np.isfinite(row_hi))
-        if not np.all((row_lo <= row_hi) & one_bound):  # NaN fails the <=
-            raise DspsError("a row needs row_lo <= row_hi: one finite bound, or two equal")
+        rhs = np.asarray(self.rhs, dtype=float)
+        if matrix.shape != (rhs.size, c.size) or rhs.shape != (rhs.size,):
+            raise DspsError(f"a {matrix.shape} matrix with a {rhs.shape} rhs "
+                            f"for {c.size} variables")
+        if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
+            raise DspsError("matrix and rhs entries must be finite")
         lower = np.broadcast_to(np.asarray(self.lower, dtype=float), c.shape).copy()
         upper = np.broadcast_to(np.asarray(self.upper, dtype=float), c.shape).copy()
         if not np.all(np.isfinite(lower)) or np.any(np.isnan(upper)):
             raise DspsError("lower bounds must be finite, upper bounds not NaN")
+        if np.any(lower > upper):
+            raise DspsError("a lower bound lies above its upper bound")
         if np.any(np.isinf(upper) & (c < 0.0)):
             raise DspsError("a column with an infinite upper bound needs a cost >= 0")
-        for name, value in (("objective", c), ("matrix", matrix), ("row_lo", row_lo),
-                            ("row_hi", row_hi), ("lower", lower), ("upper", upper)):
+        for name, value in (("objective", c), ("matrix", matrix), ("rhs", rhs),
+                            ("lower", lower), ("upper", upper)):
             object.__setattr__(self, name, value)
 
     @property
@@ -120,26 +115,22 @@ class LpProblem:
 
     @property
     def n_rows(self) -> int:
-        return self.row_lo.size
+        return self.rhs.size
 
     @property
     def rows(self) -> tuple:
-        """Each row as ``coeffs`` (a view of ``matrix``), ``relation.value`` and ``rhs``.
+        """Each row as ``coeffs`` (a view of ``matrix``), ``relation.value`` ``"="`` and ``rhs``.
 
-        ``relation.value`` is ``"<="``, ``"="`` or ``">="``.  Its only reader
-        is ``perfbench/layers.highs_yardstick``, which predates the arrays.
+        Its only reader is ``perfbench/layers.highs_yardstick``, which predates the arrays.
         """
-        le, ge = np.isinf(self.row_lo), np.isinf(self.row_hi)
-        relations = np.where(le, "<=", np.where(ge, ">=", "=")).tolist()
-        rhs = np.where(le, self.row_hi, self.row_lo).tolist()
-        return tuple(SimpleNamespace(coeffs=a, relation=SimpleNamespace(value=r), rhs=b)
-                     for a, r, b in zip(self.matrix, relations, rhs))
+        eq = SimpleNamespace(value="=")
+        return tuple(SimpleNamespace(coeffs=a, relation=eq, rhs=b)
+                     for a, b in zip(self.matrix, self.rhs.tolist()))
 
 
 class SolveStatus(enum.Enum):
     OPTIMAL = "Optimal"
     INFEASIBLE = "Infeasible"
-    ITERATION_LIMIT = "IterationLimit"
 
 
 @dataclass(frozen=True)
@@ -162,34 +153,31 @@ class LpSolution:
 _FEAS_TOL = 1e-9
 _OPT_TOL = 1e-9
 _PIVOT_TOL = 1e-10
+_RHO_TOL = 1e-13
 _DEGEN_TOL = 1e-11
+_ITERATION_BUDGET = 50  # iterations per column and per run
 
 
-def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
-    """Solve the program, classifying the outcome rather than raising for it.
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve the program: Optimal, or Infeasible with the elastic certificate.
 
-    ``max_iterations`` (default ``50 * (n_vars + n_rows)``) bounds the run.
-    The elastic run gets a budget of its own, by the same rule, and the
-    reported ``iterations`` count both runs.  Raises
-    :class:`SolverFailure` only when a run breaks down (a singular
-    basis, or an elastic program without an optimum), which is distinct
-    from genuine infeasibility.
+    ``iterations`` counts both runs.  A breakdown, distinct from genuine
+    infeasibility, raises :class:`SolverFailure`: a singular basis, a run past
+    its budget of ``_ITERATION_BUDGET * (n + m)`` iterations ("no optimum
+    within N simplex iterations", ``N`` counting both runs), or an elastic
+    program without an optimum.
     """
-    if np.any(problem.lower > problem.upper):
-        return LpSolution(SolveStatus.INFEASIBLE, None, float("inf"), 0, float("inf"))
-    solution = _DualSimplex(problem, max_iterations).run()
-    if solution.status is not SolveStatus.INFEASIBLE:
+    solution = _DualSimplex(problem).run()
+    if solution.status is SolveStatus.OPTIMAL:
         return solution
-    elastic = _DualSimplex(_elastic_program(problem), max_iterations).run()
-    iterations = solution.iterations + elastic.iterations
-    if elastic.status is SolveStatus.ITERATION_LIMIT:
-        return replace(elastic, iterations=iterations)
+    elastic = _DualSimplex(_elastic_program(problem), spent=solution.iterations).run()
     if elastic.status is not SolveStatus.OPTIMAL:
         raise SolverFailure("the elastic program has no optimum")
     n, m = problem.n_vars, problem.n_rows
     # each row's violation is its elastic pair's sum
     residual = float(np.max(elastic.z[n:n + m] + elastic.z[n + m:], initial=0.0))
-    return LpSolution(SolveStatus.INFEASIBLE, None, elastic.objective_value, iterations, residual)
+    return LpSolution(SolveStatus.INFEASIBLE, None, elastic.objective_value,
+                      elastic.iterations, residual)
 
 
 def _elastic_program(problem: LpProblem) -> LpProblem:
@@ -203,7 +191,7 @@ def _elastic_program(problem: LpProblem) -> LpProblem:
     return LpProblem(
         np.concatenate([np.zeros(n), np.ones(2 * m)]),
         np.hstack([problem.matrix, eye, -eye]),
-        problem.row_lo, problem.row_hi,
+        problem.rhs,
         np.concatenate([problem.lower, np.zeros(2 * m)]),
         np.concatenate([problem.upper, np.full(2 * m, np.inf)]),
     )
@@ -212,35 +200,34 @@ def _elastic_program(problem: LpProblem) -> LpProblem:
 class _DualSimplex:
     """The column form ``[A, -I]`` and the dual simplex that solves it."""
 
-    def __init__(self, problem: LpProblem, max_iterations: int | None = None):
+    def __init__(self, problem: LpProblem, spent: int = 0):
         self.problem = problem
         n, m = problem.n_vars, problem.n_rows
         self.n, self.m = n, m
         self.A = problem.matrix
+        self.abs_A = np.abs(problem.matrix)
         self.cost = np.concatenate([problem.objective, np.zeros(m)])
         self.dual_tol = _OPT_TOL * np.maximum(1.0, np.abs(self.cost))
         self.perturbed = False
         self.basis = np.arange(n, n + m)
         self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
-        lower = np.concatenate([problem.lower, problem.row_lo])
-        upper = np.concatenate([problem.upper, problem.row_hi])
-        self.lower, self.upper = lower, upper
+        self.lower = lower = np.concatenate([problem.lower, problem.rhs])
+        self.upper = upper = np.concatenate([problem.upper, problem.rhs])
         self.gap = upper - lower
         # each structural starts at the bound its cost sign picks (the
         # logicals start basic)
-        lo_finite, hi_finite = np.isfinite(lower), np.isfinite(upper)
-        self.at_upper = hi_finite & ~(lo_finite & (self.cost >= 0.0))
+        hi_finite = np.isfinite(upper)
+        self.at_upper = hi_finite & (self.cost < 0.0)
         self.x = np.where(self.at_upper, upper, lower)
-        bound_scale = np.maximum(np.abs(np.where(lo_finite, lower, 0.0)),
-                                 np.abs(np.where(hi_finite, upper, 0.0)))
+        bound_scale = np.maximum(np.abs(lower), np.abs(np.where(hi_finite, upper, 0.0)))
         # feasibility is judged against each variable's own bounds, not its
         # row's entries: a slack can only move a row by eta_max, however
         # large the row's entries are
         self.feas_tol = _FEAS_TOL * np.maximum(1.0, bound_scale)
 
-        self.max_iterations = max_iterations if max_iterations is not None else 50 * (n + m)
-        self.iterations = 0
+        self.iterations = spent
+        self.budget = spent + _ITERATION_BUDGET * (n + m)
 
     def _solve_basis(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         B = np.zeros((self.m, self.m))
@@ -260,9 +247,6 @@ class _DualSimplex:
         """
         return np.concatenate([self.A.T @ v, -v])
 
-    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        return c - self._row(self._solve_basis(c[self.basis], transpose=True))
-
     def _refresh_basics(self) -> None:
         """Recompute basic values from the nonbasic point to shed drift."""
         x_nb = self.x.copy()
@@ -270,21 +254,17 @@ class _DualSimplex:
         rhs = x_nb[self.n:] - self.A @ x_nb[:self.n]
         self.x[self.basis] = self._solve_basis(rhs)
 
-    def _finish(self, status: SolveStatus) -> LpSolution:
+    def run(self) -> LpSolution:
+        status = self._iterate()
         z = self.x[:self.n].copy()
-        lhs = self.A @ z
-        residual = float(np.max(np.maximum(self.lower[self.n:] - lhs, lhs - self.upper[self.n:]),
-                                initial=0.0))
+        residual = float(np.max(np.abs(self.A @ z - self.problem.rhs), initial=0.0))
         objective = float(np.dot(self.problem.objective, z))
         z = z if status is SolveStatus.OPTIMAL else None
         return LpSolution(status, z, objective, self.iterations, residual)
 
-    def run(self) -> LpSolution:
-        return self._finish(self._iterate())
-
     def _refresh(self) -> np.ndarray:
         """Reduced costs and basic values from scratch; returns ``d``."""
-        d = self._reduced_costs(self.cost)
+        d = self.cost - self._row(self._solve_basis(self.cost[self.basis], transpose=True))
         d[self.is_basic] = 0.0
         # a boxed column whose reduced cost drifted to the wrong sign moves to
         # the bound that sign picks, which keeps the basis dual feasible
@@ -315,8 +295,6 @@ class _DualSimplex:
         stall = 0
         bland = False
         while True:
-            if self.iterations >= self.max_iterations:
-                return SolveStatus.ITERATION_LIMIT
             self.iterations += 1
             d = self._refresh()
             r, delta = self._leaving_row(bland)
@@ -325,13 +303,13 @@ class _DualSimplex:
 
             unit = np.zeros(self.m)
             unit[r] = 1.0
-            alpha = self._row(self._solve_basis(unit, transpose=True))
+            rho = self._solve_basis(unit, transpose=True)
+            alpha = self._row(rho)
             # moving the leaving variable to its violated bound changes each
             # nonbasic d_j by t * a_j, t >= 0 the dual step
             a = alpha if delta < 0.0 else -alpha
             movable = ~self.is_basic & (self.gap > 0.0)
-            # relative to the row: roundoff in a row near 1e10 passes any absolute threshold
-            pivot_tol = _PIVOT_TOL * max(1.0, float(np.max(np.abs(a[movable]), initial=0.0)))
+            pivot_tol = self._pivot_tol(rho)
             cand = np.flatnonzero(movable & np.where(self.at_upper, a > pivot_tol, a < -pivot_tol))
             if cand.size == 0:
                 return SolveStatus.INFEASIBLE
@@ -364,6 +342,8 @@ class _DualSimplex:
             self.is_basic[leave] = False
             self.is_basic[enter] = True
             self.basis[r] = enter
+            if self.iterations >= self.budget:
+                raise SolverFailure(f"no optimum within {self.iterations} simplex iterations")
 
             if step > _DEGEN_TOL:
                 stall = 0
@@ -376,6 +356,23 @@ class _DualSimplex:
                     else:
                         self._perturb()
                         stall = 0
+
+    def _pivot_tol(self, rho: np.ndarray) -> np.ndarray:
+        """Each column's bound on the roundoff in ``alpha_j = rho . [A, -I]_j``, ``rho = B^-T e_r``.
+
+        ``_PIVOT_TOL * |rho|`` covers the product's own terms.  The solve's
+        error in ``rho_i`` scales like ``1 / s_i``, ``s_i`` the largest entry
+        of row ``i`` of ``B``, so each ``rho_i`` is also taken as uncertain by
+        ``_RHO_TOL * max_k |rho_k| s_k / s_i``: a roundoff ``rho_i`` of a true
+        zero cannot pivot, while a tiny ``rho_i`` of a row near ``1e20`` can.
+        """
+        struct = self.basis < self.n
+        scale = np.max(self.abs_A[:, self.basis[struct]], axis=1, initial=0.0)
+        # a basic logical's -1; B is nonsingular, so every scale is > 0
+        scale[self.basis[~struct] - self.n] = np.maximum(scale[self.basis[~struct] - self.n], 1.0)
+        w = np.abs(rho)
+        w = _PIVOT_TOL * w + _RHO_TOL * float(np.max(w * scale)) / scale
+        return np.concatenate([w @ self.abs_A, w])
 
     def _perturb(self) -> None:
         """Spread the structural costs so that no two reduced costs tie."""

@@ -167,13 +167,14 @@ def moment_terms(order: int, var: float | None = None) -> tuple[int, float, floa
     with ``d`` the deviation from the centre (0 for order 1) and ``var`` the
     variance that standardises orders 3 and 4.  The LP rows are built from
     the same terms, so a row and the moment it matches cannot drift apart.
+    A scale beyond float64 is NaN, so nothing built on it reads as finite.
     """
     if order == 2:
         return 1, 1.0, 0.0
-    if order == 3:
-        return 0, var**1.5, 0.0
-    if order == 4:
-        return 0, var**2, 3.0
+    if order in (3, 4):
+        with np.errstate(over="ignore"):  # a Python float would raise OverflowError
+            scale = np.float64(var) ** (1.5 if order == 3 else 2)
+        return 0, scale if np.isfinite(scale) else np.nan, 0.0 if order == 3 else 3.0
     return 0, 1.0, 0.0
 
 

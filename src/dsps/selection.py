@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Population, feature_column
-from .errors import DspsError, InfeasibleError, SolverFailure
+from .errors import DspsError, InfeasibleError
 from .lp_core import LpProblem, LpSolution, SolveStatus, solve_lp
 from .moments import TargetSet, moment_terms
 
@@ -112,8 +112,7 @@ def _row_entries(x: np.ndarray, order: int, targets: TargetSet, feature: str):
     """(entries, rhs) of one criterion row, unscaled."""
     t = targets.value_of(feature, order)
     d = x if order == 1 else x - targets.value_of(feature, 1)
-    # a float64 variance overflows to inf where a Python float raises
-    var = np.float64(targets.value_of(feature, 2)) if order in (3, 4) else None
+    var = targets.value_of(feature, 2) if order in (3, 4) else None
     dof, scale, shift = moment_terms(order, var)
     level = scale * (t + shift)
     return d**order - level, 0.0 - dof * level  # 0.0 - keeps a zero rhs +0.0
@@ -183,7 +182,8 @@ def _select(
     whose slack is capped at ``alpha/(trial_size + EPSILON)``: ``alpha``
     members.  The result carries ``eta`` and the slack settings in unscaled
     row units when there are slack rows; a trial size whose caps overflow in
-    those units raises :class:`DspsError`.
+    those units raises :class:`DspsError`.  An infeasible program raises
+    :class:`InfeasibleError`; a :class:`SolverFailure` of the solve propagates.
     """
     alpha = _slack_budget(trial_size)
     system = build_lp_system(pop, targets)
@@ -214,16 +214,12 @@ def _select(
         slack = {"alpha": alpha, "beta": scales, "eta_max": eta_max}
     A = np.hstack([A, -np.eye(m, k), np.eye(m, k)])
     c = np.concatenate([np.full(n, -1.0), np.ones(2 * k)])
-    solution = solve_lp(LpProblem(c, A, C, C, np.zeros(n + 2 * k), upper))
+    solution = solve_lp(LpProblem(c, A, C, np.zeros(n + 2 * k), upper))
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
             "no probability vector satisfies the targets "
             f"(best total violation {solution.objective_value:.3e})",
             violation=solution.objective_value,
-        )
-    if solution.status is SolveStatus.ITERATION_LIMIT:
-        raise SolverFailure(
-            f"no optimum within {solution.iterations} simplex iterations"
         )
     p = np.clip(solution.z[:n], 0.0, 1.0)
     # the row residual |s_plus - s_minus|, in unscaled row units

@@ -17,7 +17,7 @@ workload specs, and targets planted with ``plant_subset``).
 every hash as well, which only holds on one machine.  A change that moves an
 entry lists it, with the reason, in CHANGES.md and then runs ``update``.
 
-The entries:
+The 112 entries:
 
 * ``generate`` of ``demo/spec.json`` and of the spec of instances 0-2 of
   each perfbench workload (seed 1);
@@ -27,6 +27,8 @@ The entries:
   empty targets in the three modes;
 * ``select`` of each perfbench workload instance, with its own arguments;
 * a zero skewness target in ``max``;
+* an order-6 target (``glucose`` order 1 = 150.1, order 6 = 3.0, trial size
+  50) in the three modes, whose rows span about 1e11 in scaled units;
 * ``evaluate`` of the mask of every demo-band select, of a mask that lists
   a member twice and of a mask whose values are written ``1.0``/``0.0``.
 """
@@ -152,6 +154,12 @@ def prepare(work: Path) -> list[Entry]:
             *json.loads(band.to_json()), {"feature": "glucose", "order": 3, "value": 0.0}])
         entries.append(_select("demo/zero-target/max", demo, zero,
                                *_mode_args("max", DEMO_SIZE), "--seed", str(DEMO_SEED)))
+        order6 = _write_json(Path("demo/order-6.json"), [
+            {"feature": "glucose", "order": 1, "value": 150.1},
+            {"feature": "glucose", "order": 6, "value": 3.0}])
+        for mode in MODES:
+            entries.append(_select(f"demo/order-6/{mode}", demo, order6,
+                                   *_mode_args(mode, 50), "--seed", str(DEMO_SEED)))
         entries.extend(evaluations)
         entries.extend(_odd_masks(demo, "out/demo/glucose-60-90/o12/max/mask.csv",
                                   "demo/glucose-60-90-o12.json"))

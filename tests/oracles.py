@@ -147,28 +147,31 @@ def box_only_oracle(c, lower, upper):
 
 
 def from_rows(c, rows, lower, upper):
-    """The array ``LpProblem`` of ``(coeffs, "<="|"="|">=", rhs)`` row triples."""
-    for _, rel, _ in rows:
-        assert rel in ("<=", "=", ">="), rel
-    A = np.array([a for a, _, _ in rows], dtype=float) if rows else np.zeros((0, np.size(c)))
-    row_lo = [-np.inf if rel == "<=" else b for _, rel, b in rows]
-    row_hi = [np.inf if rel == ">=" else b for _, rel, b in rows]
-    return LpProblem(np.asarray(c, dtype=float), A, row_lo, row_hi, lower, upper)
+    """The equality-form ``LpProblem`` of ``(coeffs, "<="|"="|">=", rhs)`` row triples.
+
+    Each ``<=`` or ``>=`` row gets a slack column of its own, in ``[0, inf)``
+    at cost 0, after the given columns: ``a.z + s = b`` or ``a.z - s = b``.
+    """
+    sign = np.array([{"<=": 1.0, "=": 0.0, ">=": -1.0}[rel] for _, rel, _ in rows])
+    slack = np.diag(sign)[:, sign != 0.0]
+    n, k = np.size(c), slack.shape[1]
+    A = np.array([a for a, _, _ in rows], dtype=float) if rows else np.zeros((0, n))
+
+    def extend(given, value):  # the given columns' entries, then the slacks'
+        given = np.broadcast_to(np.asarray(given, dtype=float), (n,))
+        return np.concatenate([given, np.full(k, value)])
+
+    return LpProblem(extend(c, 0.0), np.hstack([A, slack]), [b for _, _, b in rows],
+                     extend(lower, 0.0), extend(upper, np.inf))
 
 
 def highs_objective(problem, linprog):
     """Optimal objective of an ``LpProblem`` from HiGHS, or None if infeasible."""
-    A, lo, hi = problem.matrix, problem.row_lo, problem.row_hi
-    le, ge = np.isinf(lo), np.isinf(hi)
-    eq = ~le & ~ge
-    A_ub = np.vstack([A[le], -A[ge]])
-    b_ub = np.concatenate([hi[le], -lo[ge]])
+    has_rows = problem.n_rows > 0
     res = linprog(
         problem.objective,
-        A_ub=A_ub if A_ub.size else None,
-        b_ub=b_ub if b_ub.size else None,
-        A_eq=A[eq] if eq.any() else None,
-        b_eq=lo[eq] if eq.any() else None,
+        A_eq=problem.matrix if has_rows else None,
+        b_eq=problem.rhs if has_rows else None,
         bounds=np.column_stack([problem.lower, problem.upper]),
         method="highs",
     )

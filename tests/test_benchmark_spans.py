@@ -90,8 +90,8 @@ def test_highs_yardstick_agrees_on_the_programs_selection_builds(solve, monkeypa
     targets = plant_subset(pop, np.argsort(data[:, 0])[120:180], orders=(1, 2))
     seen = []
 
-    def recording(problem, max_iterations=None):
-        seen.append((problem, solve_lp(problem, max_iterations)))
+    def recording(problem):
+        seen.append((problem, solve_lp(problem)))
         return seen[-1][1]
 
     monkeypatch.setattr(selection, "solve_lp", recording)

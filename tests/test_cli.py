@@ -11,7 +11,6 @@ import tempfile
 import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -623,10 +622,42 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"{prefix}: raised by the solve\n"
         assert not (tmp / "x").exists()
 
+    def test_order_six_target_exits_in_its_class(self, tmp_path, capsys):
+        # the scaled order-6 row reaches 3.8e11 at the demo's outer members,
+        # while the members near the centre, the only ones that can meet it,
+        # have entries below 1e-10 of that: judged against the row's largest
+        # entry instead of their own column's, they could not pivot, and the
+        # runs ended infeasible with a certificate of 0, or in fixed mode
+        # without an elastic optimum
+        demo = Path(__file__).resolve().parent.parent / "demo"
+        pop_path = tmp_path / "population.csv"
+        assert main(["generate", "--spec", str(demo / "spec.json"), "--out", str(pop_path)]) == 0
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps([{"feature": "glucose", "order": 1, "value": 150.1},
+                                       {"feature": "glucose", "order": 6, "value": 3.0}]),
+                           encoding="utf-8")
+
+        def select(mode):
+            capsys.readouterr()
+            return main(["select", "--population", str(pop_path), "--targets", str(targets),
+                         "--mode", mode, "--trial-size", "50", "--out", str(tmp_path / mode)])
+
+        for mode, size in (("max", 40.06), ("max-strict", 39.79)):
+            assert select(mode) == 0, capsys.readouterr().err
+            run = json.loads((tmp_path / mode / "run.json").read_text(encoding="utf-8"))
+            assert run["expected_size"] == pytest.approx(size, abs=5e-3)
+            report = json.loads((tmp_path / mode / "report.json").read_text(encoding="utf-8"))
+            assert report["rsse"] < 1e-3
+        assert select("fixed") == 2
+        assert capsys.readouterr().err == (
+            "infeasible: no probability vector satisfies the targets "
+            "(best total violation 1.446e-01)\n"
+        )
+
     def test_solver_failure_is_four(self, workspace, monkeypatch, capsys):
         from dsps import selection
 
-        def breaks_down(problem, max_iterations=None):
+        def breaks_down(problem):
             raise SolverFailure("singular basis matrix")
 
         monkeypatch.setattr(selection, "solve_lp", breaks_down)
@@ -637,9 +668,10 @@ class TestExitCodes:
         assert "solver failure: singular basis matrix" in capsys.readouterr().err
 
     def test_iteration_limit_is_four(self, workspace, monkeypatch, capsys):
-        from dsps import selection
+        from dsps import lp_core
 
-        monkeypatch.setattr(selection, "solve_lp", partial(selection.solve_lp, max_iterations=1))
+        # a budget of 0 per column leaves the run its first iteration
+        monkeypatch.setattr(lp_core, "_ITERATION_BUDGET", 0)
         tmp, _, _, pop_path, targets_path = workspace
         code = main(["select", "--population", pop_path, "--targets", targets_path,
                      "--trial-size", "20", "--out", str(tmp / "x")])
@@ -759,6 +791,31 @@ def test_generated_inputs_exit_in_class_and_replay():
 
 
 class TestEvaluate:
+    # a moment beyond float64 exits 1 and names its criterion, as an
+    # overflowing LP row does; the kurtosis scale var**2 (about 2e400) raised
+    # OverflowError, and the order-300 moment reached report.json as
+    # Infinity, which is not JSON
+    @pytest.mark.parametrize("x, targets, criterion", [
+        ([0.0, 1e100, 3e100, 7e100], [(1, 2.5e100), (2, 1e200), (4, 1.0)], "('x', 4)"),
+        ([1.0, 2.0, 30.0, 40.0], [(1, 18.25), (300, 1.0)], "('x', 300)"),
+    ], ids=["kurtosis scale", "order 300"])
+    def test_overflowing_moment_is_one(self, tmp_path, capsys, x, targets, criterion):
+        pop = Population(("a", "b", "c", "d"), ("x",), np.array(x)[:, None])
+        save_population(pop, tmp_path / "population.csv")
+        (tmp_path / "targets.json").write_text(json.dumps(
+            [{"feature": "x", "order": k, "value": v} for k, v in targets]), encoding="utf-8")
+        (tmp_path / "mask.csv").write_text("member_id,selected\na,1\nb,1\nc,1\nd,1\n",
+                                           encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["evaluate", "--population", str(tmp_path / "population.csv"),
+                         "--targets", str(tmp_path / "targets.json"),
+                         "--mask", str(tmp_path / "mask.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: the moment of {criterion} overflows float64\n"
+        assert captured.out == ""
+
     def test_stdout_report(self, workspace, capsys):
         tmp, pop, targets, pop_path, targets_path = workspace
         mask_path = tmp / "hand_mask.csv"

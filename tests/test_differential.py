@@ -11,7 +11,7 @@ variable adds.
 import numpy as np
 import pytest
 
-from dsps import selection
+from dsps import lp_core, selection
 from dsps.dataset import Population
 from dsps.errors import InfeasibleError
 from dsps.lp_core import LpProblem, SolveStatus, _DualSimplex, solve_lp
@@ -31,9 +31,9 @@ from oracles import highs_objective
 MODES = ("max", "fixed", "strict")
 REL_TOL = 1e-7
 
-# one-sided columns and the logicals of inequality rows put infinities into
-# the ratio arithmetic, where an inf - inf or 0 * inf must fail a test rather
-# than pass as a NaN
+# one-sided columns, the slack columns of caps_as_rows among them, put
+# infinities into the ratio arithmetic, where an inf - inf or 0 * inf must
+# fail a test rather than pass as a NaN
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -70,8 +70,8 @@ def recorded_problems(rng, mode, monkeypatch):
 
     seen = []
 
-    def recording(problem, max_iterations=None):
-        solution = solve_lp(problem, max_iterations)
+    def recording(problem):
+        solution = solve_lp(problem)
         seen.append((problem, solution))
         return solution
 
@@ -112,24 +112,25 @@ def caps_as_rows(problem, limit=8):
     """The program with the box caps of its last ``limit`` columns of cost >= 0 as rows.
 
     Each such column keeps its lower bound, loses its finite upper bound
-    ``u_j``, and gets the row ``z_j <= u_j``: the same feasible set and the
-    same optimum, but the column's gap is infinite, so it never flips in
-    the ratio test, and the new row's logical is one-sided.  The slack
-    columns of a relaxed selection program are such columns.
+    ``u_j``, and gets the row ``z_j + s_j = u_j`` with a new slack column
+    ``s_j`` in ``[0, inf)`` at cost 0: the same feasible set and the same
+    optimum, but neither column's gap is finite, so neither flips in the
+    ratio test.  The slack columns of a relaxed selection program are such
+    columns.
     """
-    moved = [j for j in range(problem.n_vars)
+    n, m = problem.n_vars, problem.n_rows
+    moved = [j for j in range(n)
              if problem.objective[j] >= 0.0 and np.isfinite(problem.upper[j])][-limit:]
     assert moved, "no column to uncap"
+    k = len(moved)
     upper = problem.upper.copy()
     upper[moved] = np.inf
-    eye = np.eye(problem.n_vars)
     return LpProblem(
-        problem.objective,
-        np.vstack([problem.matrix, eye[moved]]),
-        np.concatenate([problem.row_lo, np.full(len(moved), -np.inf)]),
-        np.concatenate([problem.row_hi, problem.upper[moved]]),
-        problem.lower,
-        upper,
+        np.concatenate([problem.objective, np.zeros(k)]),
+        np.block([[problem.matrix, np.zeros((m, k))], [np.eye(n)[moved], np.eye(k)]]),
+        np.concatenate([problem.rhs, problem.upper[moved]]),
+        np.concatenate([problem.lower, np.zeros(k)]),
+        np.concatenate([upper, np.full(k, np.inf)]),
     )
 
 
@@ -169,14 +170,52 @@ def test_max_mode_on_a_tied_column_perturbs_and_matches_highs(monkeypatch):
         perturbed.append(self.iterations)
         spread(self)
 
-    def recording(problem, max_iterations=None):
-        seen.append((problem, solve_lp(problem, max_iterations)))
+    def recording(problem):
+        seen.append((problem, solve_lp(problem)))
         return seen[-1][1]
 
     monkeypatch.setattr(_DualSimplex, "_perturb", spy)
     monkeypatch.setattr(selection, "solve_lp", recording)
     solve_max_size(pop, targets, n / 2)
     assert perturbed, "the solve never reached _perturb"
+    (problem, solution), = seen
+    assert solution.status is SolveStatus.OPTIMAL
+    want = highs_objective(problem, linprog)
+    assert abs(solution.objective_value - want) <= REL_TOL * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_bland_rule_reaches_the_highs_optimum(seed, monkeypatch):
+    # with every step counted as degenerate, the dual perturbs its costs and
+    # then stays on the smallest-index leaving row, so the Bland branch of
+    # _leaving_row runs to the optimum; the population mixes the benchmark's
+    # three marginal shapes, and 30 planted members set targets at orders 1-4
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    features = (
+        FeatureSpec("normal", Normal(150.0, 25.0)),
+        FeatureSpec("lognormal", LogNormal(4.2, 0.2)),
+        FeatureSpec("mixture", Mixture(((0.7, LogNormal(2.5, 0.4)), (0.3, Normal(30.0, 5.0))))),
+    )
+    pop = generate_population(SynthSpec(300, seed, features))
+    rng = np.random.default_rng(seed)
+    targets = plant_subset(pop, rng.choice(300, size=30, replace=False), orders=(1, 2, 3, 4))
+    bland_rows, seen = [], []
+    leaving_row = _DualSimplex._leaving_row
+
+    def spy(self, bland):
+        if bland:
+            bland_rows.append(self.iterations)
+        return leaving_row(self, bland)
+
+    def recording(problem):
+        seen.append((problem, solve_lp(problem)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(lp_core, "_DEGEN_TOL", np.inf)
+    monkeypatch.setattr(_DualSimplex, "_leaving_row", spy)
+    monkeypatch.setattr(selection, "solve_lp", recording)
+    solve_max_size(pop, targets, 30.0)
+    assert bland_rows, "the solve never took the Bland rule"
     (problem, solution), = seen
     assert solution.status is SolveStatus.OPTIMAL
     want = highs_objective(problem, linprog)

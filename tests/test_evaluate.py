@@ -188,6 +188,16 @@ class TestEvaluateSelection:
         assert report.per_criterion == ()
         assert report.rsse == 0.0 and report.pe_mean == 0.0 and report.pe_sd == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_expected_moment_names_its_criterion(self):
+        # the kurtosis scale, the target variance squared, is 1e400: a
+        # Python float raised OverflowError for it
+        pop = make_pop([0.0, 1e100, 3e100, 7e100])
+        targets = TargetSet((TargetCriterion("f", 1, 2.5e100), TargetCriterion("f", 2, 1e200),
+                             TargetCriterion("f", 4, 1.0)))
+        with pytest.raises(DspsError, match=r"^the moment of \('f', 4\) overflows float64$"):
+            evaluate_selection(pop, targets, np.full(4, 0.5))
+
 
 class TestMaskScoring:
     """A mask is scored from the masked feature columns of the population."""

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from dsps.errors import DspsError
+from dsps import lp_core
+from dsps.errors import DspsError, SolverFailure
 from dsps.lp_core import LpProblem, SolveStatus, _DualSimplex, solve_lp
 
 from oracles import box_only_oracle, from_rows, highs_objective, lp_vertex_oracle
 
-# one-sided columns and the logicals of inequality rows put infinities into
-# the ratio arithmetic, where an inf - inf or 0 * inf must fail a test rather
-# than pass as a NaN
+# one-sided columns, the slack columns of inequality rows among them, put
+# infinities into the ratio arithmetic, where an inf - inf or 0 * inf must
+# fail a test rather than pass as a NaN
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-lp = from_rows  # the array program of (coeffs, relation, rhs) triples
+lp = from_rows  # the equality-form program of (coeffs, relation, rhs) triples
 
 
 class TestBasics:
@@ -52,12 +53,12 @@ class TestBasics:
         sol = solve_lp(lp([0.0, 0.0], [([1.0, 1.0], "=", 5.0)], 0.0, 1.0))
         assert sol.status is SolveStatus.INFEASIBLE
 
-    def test_crossed_bounds_infeasible(self):
-        sol = solve_lp(lp([1.0], (), 2.0, 1.0))
-        assert sol.status is SolveStatus.INFEASIBLE
+    # crossed bounds and an unbounded program are not programs the solver
+    # takes: each is rejected on construction, before any solve
 
-    # an unbounded program is not one the solver takes: it is rejected on
-    # construction, before any solve
+    def test_crossed_bounds_infeasible(self):
+        with pytest.raises(DspsError, match="lower bound lies above its upper bound"):
+            lp([1.0], (), 2.0, 1.0)
 
     def test_unbounded_box_only(self):
         with pytest.raises(DspsError, match="infinite upper bound"):
@@ -89,14 +90,22 @@ class TestBasics:
         with pytest.raises(DspsError, match="lower bounds must be finite, upper bounds not NaN"):
             lp([0.0, 1.0], (), [0.0, lower], [1.0, upper])
 
-    def test_iteration_limit(self):
-        rows = [([1.0, 1.0, 1.0], "=", 1.5)]
-        sol = solve_lp(
-            lp([-1.0, -2.0, -3.0], rows, 0.0, 1.0),
-            max_iterations=1,
-        )
-        assert sol.status is SolveStatus.ITERATION_LIMIT
-        assert sol.z is None
+    def test_iteration_limit(self, monkeypatch):
+        # a budget of 0 per column leaves each run its first iteration
+        problem = lp([-1.0, -2.0, -3.0], [([1.0, 1.0, 1.0], "=", 1.5)], 0.0, 1.0)
+        assert solve_lp(problem).iterations == 2
+        monkeypatch.setattr(lp_core, "_ITERATION_BUDGET", 0)
+        with pytest.raises(SolverFailure, match="^no optimum within 1 simplex iterations$"):
+            solve_lp(problem)
+
+    def test_iteration_limit_counts_both_runs(self, monkeypatch):
+        # the first run proves infeasibility in its one iteration, and the
+        # elastic run takes its own one before the budget stops it
+        problem = lp([0.0, 0.0], [([1.0, 1.0], "=", 5.0)], 0.0, 1.0)
+        assert solve_lp(problem).iterations == 3
+        monkeypatch.setattr(lp_core, "_ITERATION_BUDGET", 0)
+        with pytest.raises(SolverFailure, match="^no optimum within 2 simplex iterations$"):
+            solve_lp(problem)
 
     def test_negative_rhs_equality(self):
         sol = solve_lp(lp([0.0], [([2.0], "=", -1.0)], -2.0, 2.0))
@@ -104,44 +113,49 @@ class TestBasics:
         assert sol.z[0] == pytest.approx(-0.5, abs=1e-9)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DspsError, match="row bounds for 2 variables"):
+        # the row's slack column makes three variables, against a 1 x 2 matrix
+        with pytest.raises(DspsError, match=r"a \(1, 2\) matrix with a \(1,\) rhs for 3 variables"):
             lp([1.0, 2.0], [([1.0], "<=", 1.0)], 0.0, 1.0)
 
 
 # each case breaks one rule of the array form in an otherwise valid
 # two-variable, one-row program
 MALFORMED_ROWS = {
-    "matrix too wide": ([[1.0, 1.0, 1.0]], [1.0], [1.0], "matrix with"),
-    "matrix rows without bounds": ([[1.0, 1.0], [1.0, 0.0]], [1.0], [1.0], "matrix with"),
-    "row_lo and row_hi differ": ([[1.0, 1.0]], [1.0], [1.0, 1.0], "matrix with"),
-    "matrix not 2-D": ([1.0, 1.0], [1.0], [1.0], "matrix with"),
-    "infinite entry": ([[1.0, np.inf]], [1.0], [1.0], "matrix entries"),
-    "NaN entry": ([[np.nan, 1.0]], [1.0], [1.0], "matrix entries"),
-    "row_lo above row_hi": ([[1.0, 1.0]], [2.0], [1.0], "row_lo <= row_hi"),
-    "finite row_lo above row_hi -inf": ([[1.0, 1.0]], [1.0], [-np.inf], "row_lo <= row_hi"),
-    "NaN row_lo": ([[1.0, 1.0]], [np.nan], [1.0], "row_lo <= row_hi"),
-    "NaN row_hi": ([[1.0, 1.0]], [-np.inf], [np.nan], "row_lo <= row_hi"),
-    "no finite bound": ([[1.0, 1.0]], [-np.inf], [np.inf], "row_lo <= row_hi"),
-    "both bounds +inf": ([[1.0, 1.0]], [np.inf], [np.inf], "row_lo <= row_hi"),
-    "both bounds -inf": ([[1.0, 1.0]], [-np.inf], [-np.inf], "row_lo <= row_hi"),
-    "range row": ([[1.0, 1.0]], [0.5], [1.5], "row_lo <= row_hi"),
+    "matrix too wide": ([[1.0, 1.0, 1.0]], [1.0], "matrix with"),
+    "matrix rows without bounds": ([[1.0, 1.0], [1.0, 0.0]], [1.0], "matrix with"),
+    "matrix not 2-D": ([1.0, 1.0], [1.0], "matrix with"),
+    "infinite entry": ([[1.0, np.inf]], [1.0], "matrix and rhs entries"),
+    "NaN entry": ([[np.nan, 1.0]], [1.0], "matrix and rhs entries"),
+    # a row's one rhs is both of its bounds; a range row has no form
+    "range row": ([[1.0, 1.0]], [0.5, 1.5], "matrix with"),
+    "rhs not 1-D": ([[1.0, 1.0]], [[1.0]], "matrix with"),
+    "NaN rhs": ([[1.0, 1.0]], [np.nan], "matrix and rhs entries"),
+    "both bounds +inf": ([[1.0, 1.0]], [np.inf], "matrix and rhs entries"),
+    "both bounds -inf": ([[1.0, 1.0]], [-np.inf], "matrix and rhs entries"),
 }
 
 
 class TestArrayForm:
     @pytest.mark.parametrize("case", list(MALFORMED_ROWS))
     def test_malformed_rows_rejected(self, case):
-        matrix, row_lo, row_hi, message = MALFORMED_ROWS[case]
+        matrix, rhs, message = MALFORMED_ROWS[case]
         with pytest.raises(DspsError, match=message):
-            LpProblem([1.0, 1.0], matrix, row_lo, row_hi, 0.0, 1.0)
+            LpProblem([1.0, 1.0], matrix, rhs, 0.0, 1.0)
 
     def test_each_row_kind_accepted_and_viewed(self):
-        # <=, = and >= rows, and the rows view perfbench's HiGHS yardstick reads
+        # every row is an equality, and the rows view perfbench's HiGHS
+        # yardstick reads says so; from_rows gives <= and >= rows slacks
         triples = [([1.0, 2.0], "<=", 3.0), ([1.0, -1.0], "=", 0.0), ([0.0, 1.0], ">=", -1.0)]
-        problem = LpProblem([1.0, 1.0], [t[0] for t in triples], [-np.inf, 0.0, -1.0],
-                            [3.0, 0.0, np.inf], 0.0, 1.0)
-        assert (problem.n_rows, problem.n_vars) == (3, 2)
-        assert [(r.coeffs.tolist(), r.relation.value, r.rhs) for r in problem.rows] == triples
+        problem = from_rows([1.0, 1.0], triples, 0.0, 1.0)
+        assert (problem.n_rows, problem.n_vars) == (3, 4)
+        assert [(r.coeffs.tolist(), r.relation.value, r.rhs) for r in problem.rows] == [
+            ([1.0, 2.0, 1.0, 0.0], "=", 3.0),
+            ([1.0, -1.0, 0.0, 0.0], "=", 0.0),
+            ([0.0, 1.0, 0.0, -1.0], "=", -1.0),
+        ]
+        np.testing.assert_array_equal(problem.objective, [1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(problem.lower, [0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(problem.upper, [1.0, 1.0, np.inf, np.inf])
         assert all(np.shares_memory(r.coeffs, problem.matrix) for r in problem.rows)
         assert from_rows([0.0, 1.0], (), 0.0, 1.0).rows == ()
 
@@ -228,7 +242,7 @@ def random_instance(rng):
         else:
             b = float(rng.normal())
         rows.append((a, rel, b))
-    return lp(c, rows, 0.0, 1.0), rows
+    return c, rows
 
 
 class TestAgainstVertexEnumeration:
@@ -236,10 +250,9 @@ class TestAgainstVertexEnumeration:
         rng = np.random.default_rng(214365)
         checked_feasible = checked_infeasible = 0
         for i in range(50):
-            problem, rows = random_instance(rng)
-            status, best = lp_vertex_oracle(
-                problem.objective, rows, problem.lower, problem.upper
-            )
+            c, rows = random_instance(rng)
+            problem = lp(c, rows, 0.0, 1.0)
+            status, best = lp_vertex_oracle(c, rows, np.zeros(c.size), np.ones(c.size))
             sol = solve_lp(problem)
             if status == "infeasible":
                 assert sol.status is SolveStatus.INFEASIBLE, f"instance {i}"
@@ -276,12 +289,7 @@ class TestAgainstVertexEnumeration:
         ]
         for c, rows in programs:
             problem = lp(c, rows, 0.0, 1.0)
-            status, best = lp_vertex_oracle(
-                problem.objective,
-                rows,
-                problem.lower,
-                problem.upper,
-            )
+            status, best = lp_vertex_oracle(c, rows, np.zeros(len(c)), np.ones(len(c)))
             assert status == "optimal"
             for sol in (solve_lp(problem), _DualSimplex(problem).run()):
                 assert sol.status is SolveStatus.OPTIMAL
