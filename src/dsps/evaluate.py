@@ -3,7 +3,8 @@
 Relative measures treat the target as the truth: RSSE is the sum of squared
 relative errors over criteria, percentage error the per-criterion absolute
 relative error times 100 (a field of each :class:`CriterionResult`).  A zero
-target makes both undefined and is a hard error.
+target makes both undefined and is a hard error, as is a relative error whose
+square leaves float64.
 """
 
 from __future__ import annotations
@@ -92,10 +93,10 @@ def evaluate_selection(
     selected members' own sample statistics: each is :func:`sample_moment` of
     the feature column indexed by the mask, without building a
     sub-population.  Either must be a vector of the population's length, or
-    :class:`DspsError` is raised, as for a moment beyond float64; a mask that
-    selects nobody raises :class:`InsufficientData`.  Expected moments are
-    probability-weighted and centred on the targets, so the two coincide only
-    in expectation.
+    :class:`DspsError` is raised, as for a moment or an error measure beyond
+    float64; a mask that selects nobody raises :class:`InsufficientData`.
+    Expected moments are probability-weighted and centred on the targets, so
+    the two coincide only in expectation.
     """
     vec = np.asarray(selection)
     if vec.shape != (pop.n_members,):
@@ -126,12 +127,18 @@ def evaluate_selection(
 
     t = np.array([c.value for c in targets], dtype=float)
     a = np.array(achieved, dtype=float)
-    pes = np.abs(a - t) / _denominators(t) * 100.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        pes = np.abs(a - t) / _denominators(t) * 100.0
+        pe_mean = float(np.mean(pes)) if pes.size else 0.0
+        pe_sd = float(np.std(pes, ddof=1)) if pes.size > 1 else 0.0
+        total = rsse(a, t)
+    if not np.all(np.isfinite([total, pe_mean, pe_sd])):
+        # the largest relative error, or the first infinite one, overflows its square
+        c = targets.criteria[int(np.argmax(pes))]
+        raise DspsError(f"the relative error of ({c.feature!r}, {c.order}) overflows float64")
     per_criterion = tuple(
         CriterionResult(c.feature, c.order, float(c.value), float(av), float(pe))
         for c, av, pe in zip(targets, a, pes)
     )
-    pe_mean = float(np.mean(pes)) if pes.size else 0.0
-    pe_sd = float(np.std(pes, ddof=1)) if pes.size > 1 else 0.0
-    return EvaluationReport(per_criterion, rsse(a, t), pe_mean, pe_sd, realized_size)
+    return EvaluationReport(per_criterion, total, pe_mean, pe_sd, realized_size)
 

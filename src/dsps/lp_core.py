@@ -44,9 +44,9 @@ Rules:
 * After ``2 * n_rows`` consecutive degenerate steps the structural costs
   are perturbed once, each by at most half the optimality tolerance in the
   direction that keeps its reduced cost feasible, which breaks the ties of
-  a fully dual-degenerate vertex (a fixed-size row makes every member's
-  reduced cost zero); a later stall switches to the smallest-index leaving
-  row until a step is made.
+  a dual-degenerate vertex (members with tied feature values tie their
+  reduced costs); a later stall switches to the smallest-index leaving row
+  until a step is made.
 
 Bound handling follows Maros 2003, *Computational Techniques of the Simplex
 Method*.  Everything is deterministic for a fixed problem: ties are broken

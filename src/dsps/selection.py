@@ -25,6 +25,8 @@ and the objective trades expected size against slack, each unit costing 1:
 reported slack ``eta_j = |s+_j - s-_j| * (|t_j| + EPSILON)`` is the unscaled
 row's residual ``(sum(p) - dof) * scale * |m_j - t_j|`` for the weighted
 moment ``m_j``: not the miss in target units, but that times the factor.
+Fixed mode adds the size row ``sum(p) = trial_size`` as an equality with no
+slack, and its members cost their leverage instead of -1 (see :func:`_select`).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .lp_core import LpProblem, LpSolution, SolveStatus, solve_lp
 from .moments import TargetSet, moment_terms
 
 __all__ = [
-    "SIZE_ROW",
     "ConstraintSystem",
     "build_lp_system",
     "SelectionProbabilities",
@@ -47,27 +48,14 @@ __all__ = [
     "solve_fixed_size",
 ]
 
-SIZE_ROW = "size"
-
 EPSILON = 1e-6
 ALPHA_FRACTION = 0.05  # alpha = 5% of the intended trial size
 
 # below this expected size a max-size optimum counts as the empty selection
 _EMPTY_SELECTION_TOL = 1e-9
-
-
-def _slack_budget(trial_size: float | None) -> float | None:
-    """``alpha = ALPHA_FRACTION * trial_size``, or ``None`` without a trial size.
-
-    A trial size that is not finite and positive raises
-    :class:`DspsError`, whether or not the program has slack rows.
-    """
-    if trial_size is None:
-        return None
-    # NaN fails both comparisons
-    if not 0.0 < trial_size < np.inf:
-        raise DspsError(f"trial size must be finite and positive, got {trial_size}")
-    return ALPHA_FRACTION * float(trial_size)
+# fixed mode's largest member cost: far above HiGHS's dual tolerance of 1e-7,
+# far below a unit of slack
+_LEVERAGE_COST = 1e-3
 
 
 def ordered_criteria(targets: TargetSet):
@@ -145,13 +133,12 @@ def build_lp_system(pop: Population, targets: TargetSet) -> ConstraintSystem:
 class SelectionProbabilities:
     """Solved inclusion probabilities plus the slack actually used.
 
-    ``eta`` holds each row's residual in unscaled row units (see the module
-    docstring), or ``None`` for the strict-equality solve.  ``expected_size``
-    is ``sum(p)``.  ``alpha`` (``ALPHA_FRACTION`` times the trial size),
-    ``beta`` and ``eta_max`` are the slack settings of the solve in the same
-    units (fixed mode's size row, in members, has
-    ``beta = 1/(trial_size + EPSILON)`` and ``eta_max = alpha``), aligned with
-    ``row_labels``, or ``None`` when the program has no slack rows.
+    ``eta`` holds each criterion row's residual in unscaled row units (see
+    the module docstring), or ``None`` for the strict-equality solve.
+    ``expected_size`` is ``sum(p)``.  ``alpha`` (``ALPHA_FRACTION`` times the
+    trial size), ``beta`` and ``eta_max`` are the slack settings of the solve
+    in the same units, one per criterion and aligned with ``row_labels`` in
+    every mode, or ``None`` when the program has no slack rows.
     """
 
     p: np.ndarray
@@ -173,47 +160,48 @@ def _select(
 ) -> SelectionProbabilities:
     """Build and solve the selection program in scaled row space.
 
-    Variables are ``[p, s_plus, s_minus]``; row ``j`` reads
+    Variables are ``[p, s_plus, s_minus]``; criterion row ``j`` reads
     ``A_j p - s_plus_j + s_minus_j = C_j``, every slack costs 1 and is
-    capped at ``alpha = ALPHA_FRACTION * trial_size``, and the objective adds
-    ``-sum(p)``.  ``relaxed=False`` gives the strict program, which
-    has no slack columns and needs no trial size.  ``pin_size`` appends the
-    size row ``sum(p) = trial_size``, scaled by ``1/(trial_size + EPSILON)``,
-    whose slack is capped at ``alpha/(trial_size + EPSILON)``: ``alpha``
-    members.  The result carries ``eta`` and the slack settings in unscaled
-    row units when there are slack rows; a trial size whose caps overflow in
-    those units raises :class:`DspsError`.  An infeasible program raises
-    :class:`InfeasibleError`; a :class:`SolverFailure` of the solve propagates.
+    capped at ``alpha = ALPHA_FRACTION * trial_size``, and each member costs
+    -1.  ``relaxed=False`` drops the slack columns and needs no trial size.
+    ``pin_size`` appends the slack-free size row ``sum(p) = trial_size``,
+    scaled by ``1/(trial_size + EPSILON)``.  That makes the members' -1 a
+    constant, so member ``i`` costs ``_LEVERAGE_COST * lev_i / max lev``
+    instead, ``lev_i`` the sum of squares of its scaled criterion entries,
+    which steers the vertex towards members that move the rows least.
+    ``eta`` and the slack settings are in unscaled row units; a trial size
+    whose caps overflow there raises :class:`DspsError`, as does a given
+    trial size that is not finite and positive, with or without slack rows;
+    an infeasible program raises :class:`InfeasibleError`.
     """
-    alpha = _slack_budget(trial_size)
+    # NaN fails both comparisons
+    if trial_size is not None and not 0.0 < trial_size < np.inf:
+        raise DspsError(f"trial size must be finite and positive, got {trial_size}")
     system = build_lp_system(pop, targets)
     A, C = system.scaled_matrix(), system.scaled_rhs()
-    scales, labels = system.row_scales, system.row_labels
+    k, n = system.n_rows if relaxed else 0, pop.n_members  # k slack pairs
+    cost = np.full(n, -1.0)
     if pin_size:
+        # over max|A| the squares stay finite at any order; all-zero rows cost nothing
+        lev = np.sum((A / (np.max(np.abs(A)) or 1.0)) ** 2, axis=0)
+        cost = _LEVERAGE_COST * lev / np.max(lev, initial=1.0)
         size_scale = 1.0 / (trial_size + EPSILON)
-        A = np.vstack([A, np.full((1, pop.n_members), size_scale)])
+        A = np.vstack([A, np.full((1, n), size_scale)])
         C = np.append(C, trial_size * size_scale)
-        scales = np.append(scales, size_scale)
-        labels += (SIZE_ROW,)
-    m, n = A.shape
-    k = m if relaxed else 0  # slack pairs
     upper = np.ones(n)
     slack = {}
     if k:
-        if alpha is None:
+        if trial_size is None:
             raise DspsError("need a trial size to size the slack budget")
-        cap = np.full(k, alpha)
+        alpha = ALPHA_FRACTION * float(trial_size)
         with np.errstate(over="ignore"):
             eta_max = alpha * system.tolerances
         if not np.all(np.isfinite(eta_max)):
             raise DspsError(f"trial size {trial_size} overflows a target's slack cap")
-        if pin_size:
-            cap[-1] *= size_scale
-            eta_max = np.append(eta_max, alpha)
-        upper = np.concatenate([upper, cap, cap])
-        slack = {"alpha": alpha, "beta": scales, "eta_max": eta_max}
-    A = np.hstack([A, -np.eye(m, k), np.eye(m, k)])
-    c = np.concatenate([np.full(n, -1.0), np.ones(2 * k)])
+        upper = np.concatenate([upper, np.full(2 * k, alpha)])
+        slack = {"alpha": alpha, "beta": system.row_scales, "eta_max": eta_max}
+    A = np.hstack([A, -np.eye(len(A), k), np.eye(len(A), k)])
+    c = np.concatenate([cost, np.ones(2 * k)])
     solution = solve_lp(LpProblem(c, A, C, np.zeros(n + 2 * k), upper))
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
@@ -223,12 +211,12 @@ def _select(
         )
     p = np.clip(solution.z[:n], 0.0, 1.0)
     # the row residual |s_plus - s_minus|, in unscaled row units
-    eta = np.abs(solution.z[n:n + k] - solution.z[n + k:]) / scales if k else None
+    eta = np.abs(solution.z[n:n + k] - solution.z[n + k:]) / system.row_scales if k else None
     return SelectionProbabilities(
         p=p,
         eta=eta,
         expected_size=float(np.sum(p)),
-        row_labels=labels,
+        row_labels=system.row_labels,
         solver=solution,
         **slack,
     )
@@ -262,13 +250,13 @@ def solve_fixed_size(
     targets: TargetSet,
     trial_size: float | None = None,
 ) -> SelectionProbabilities:
-    """Expected size pinned to ``trial_size`` within ``alpha``, targets relaxed as usual.
+    """Expected size pinned to ``trial_size`` exactly, targets relaxed as usual.
 
     The trial size is both the size to pin and the base of
     ``alpha = ALPHA_FRACTION * trial_size``, so this mode needs one, in
-    ``[1, n_members]``.  The size row carries its own slack bounded by
-    ``alpha`` with objective weight ``1/(trial_size + EPSILON)``, mirroring
-    the criterion rows' target scaling.
+    ``[1, n_members]``.  The size row ``sum(p) = trial_size`` has no slack,
+    so targets that no such ``p`` meets within their slack caps raise
+    :class:`InfeasibleError`.
     """
     if len(targets) == 0:
         raise DspsError("fixed-size mode needs at least one target criterion")

@@ -17,15 +17,18 @@ workload specs, and targets planted with ``plant_subset``).
 every hash as well, which only holds on one machine.  A change that moves an
 entry lists it, with the reason, in CHANGES.md and then runs ``update``.
 
-The 112 entries:
+The 114 entries:
 
-* ``generate`` of ``demo/spec.json`` and of the spec of instances 0-2 of
-  each perfbench workload (seed 1);
+* ``generate`` of ``demo/spec.json``, of the spec of instances 0-2 of
+  each perfbench workload (seed 1) and of the paper-scale spec;
 * ``select`` on the demo population for three bands (glucose 60-90th
   percentile, weight 10-40th, a seeded random 200) x orders 1, 1-2, 1-3,
   1-4 x the three modes, and for the demo targets, infeasible targets and
   empty targets in the three modes;
 * ``select`` of each perfbench workload instance, with its own arguments;
+* ``select`` at the paper's scale in ``fixed`` mode: a random 300 of a
+  6 062-member pool on the workloads' three shapes (seed 1), planted at
+  orders 1-4, trial size 300;
 * a zero skewness target in ``max``;
 * an order-6 target (``glucose`` order 1 = 150.1, order 6 = 3.0, trial size
   50) in the three modes, whose rows span about 1e11 in scaled units;
@@ -64,6 +67,7 @@ DEMO_BANDS = ("glucose-60-90", "weight-10-40", "random-200")
 DEMO_ORDERS = ((1,), (1, 2), (1, 2, 3), (1, 2, 3, 4))
 DEMO_SEED = 11
 DEMO_SIZE = 200  # trial size of the demo runs that plant no band
+PAPER_POOL, PAPER_SIZE, PAPER_SEED = 6062, 300, 1
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ def prepare(work: Path) -> list[Entry]:
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
     from dsps.synthgen import SynthSpec, generate_population, plant_subset
-    from workloads import WORKLOADS, plant, write_spec
+    from workloads import _SHAPES, WORKLOADS, plant, write_spec
 
     old = os.getcwd()
     os.chdir(work)
@@ -173,6 +177,19 @@ def prepare(work: Path) -> list[Entry]:
                 inst = plant(w, spec, rng, Path(population))
                 entries.append(_select(f"{w.name}-{k}", population, str(inst.targets),
                                        *inst.select_args))
+
+        spec = _write_json(Path("paper/spec.json"), {
+            "n_p": PAPER_POOL, "seed": PAPER_SEED,
+            "features": [{"name": f"x{j:02d}", "dist": d} for j, d in enumerate(_SHAPES)]})
+        entries.append(Entry("generate/paper", (
+            "generate", "--spec", spec, "--out", "paper/population.csv")))
+        pop = generate_population(SynthSpec.from_json(Path(spec).read_text("utf-8")))
+        members = np.random.default_rng(PAPER_SEED).choice(PAPER_POOL, PAPER_SIZE, replace=False)
+        targets = Path("paper/targets.json")
+        targets.write_text(plant_subset(pop, members, orders=(1, 2, 3, 4)).to_json() + "\n",
+                           encoding="utf-8")
+        entries.append(_select("paper/fixed", "paper/population.csv", str(targets),
+                               *_mode_args("fixed", PAPER_SIZE), "--seed", str(PAPER_SEED)))
         return entries
     finally:
         os.chdir(old)

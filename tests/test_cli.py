@@ -203,8 +203,8 @@ class TestSelect:
                      "--trial-size", "20", "--out", str(tmp / "m3")]) == 0
 
         fixed_run = json.loads((tmp / "m3" / "run.json").read_text())
-        assert fixed_run["row_labels"][-1] == "size"
-        assert abs(fixed_run["expected_size"] - 20.0) <= 1.0 + 1e-9
+        assert len(fixed_run["row_labels"]) == len(targets)
+        assert abs(fixed_run["expected_size"] - 20.0) <= 1e-9 * 20.0
         strict_run = json.loads((tmp / "m2" / "run.json").read_text())
         assert strict_run["alpha"] is None and strict_run["beta"] is None
         assert strict_run["trial_size"] is None
@@ -309,15 +309,18 @@ class TestSelect:
 
 
 class TestSlackSettings:
-    def test_fixed_run_records_the_size_row(self, workspace):
+    def test_fixed_run_records_one_setting_per_criterion(self, workspace):
+        # the pinned size row has no slack, so it has no label or setting
         tmp, pop, targets, pop_path, targets_path = workspace
         assert main(["select", "--population", pop_path, "--targets", targets_path,
                      "--mode", "fixed", "--trial-size", "20",
                      "--out", str(tmp / "f")]) == 0
         run = json.loads((tmp / "f" / "run.json").read_text())
-        assert len(run["beta"]) == len(run["eta_max"]) == len(targets) + 1
-        assert run["beta"][-1] == 1.0 / (20.0 + 1e-6)
-        assert run["eta_max"][-1] == run["alpha"] == 1.0
+        assert run["alpha"] == 1.0
+        assert len(run["beta"]) == len(run["eta_max"]) == len(run["row_labels"]) == len(targets)
+        for (feature, order), beta, eta_max in zip(run["row_labels"], run["beta"], run["eta_max"]):
+            tolerance = abs(targets.value_of(feature, order)) + 1e-6
+            assert beta == 1.0 / tolerance and eta_max == run["alpha"] * tolerance
 
     def test_trial_size_is_the_only_size_setting(self, workspace, capsys):
         # fixed mode pins the size to the trial size; no mode takes a second size
@@ -651,8 +654,54 @@ class TestExitCodes:
         assert select("fixed") == 2
         assert capsys.readouterr().err == (
             "infeasible: no probability vector satisfies the targets "
-            "(best total violation 1.446e-01)\n"
+            "(best total violation 1.946e-01)\n"
         )
+
+    def test_order_eighty_fixed_target_exits_two_without_a_warning(self, tmp_path, capsys):
+        # fixed mode's member costs square the scaled rows, whose order-80
+        # entries reach 2e160 here: squared as they are, they overflow float64
+        demo = Path(__file__).resolve().parent.parent / "demo"
+        pop_path = tmp_path / "population.csv"
+        assert main(["generate", "--spec", str(demo / "spec.json"), "--out", str(pop_path)]) == 0
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps([{"feature": "glucose", "order": 1, "value": 150.1},
+                                       {"feature": "glucose", "order": 80, "value": 3.0}]),
+                           encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["select", "--population", str(pop_path), "--targets", str(targets),
+                         "--mode", "fixed", "--trial-size", "50", "--out", str(tmp_path / "run")])
+        assert code == 2, capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("infeasible: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_fixed_select_on_all_zero_rows_is_zero(self, tmp_path):
+        # a constant feature at its own mean makes every criterion row zero,
+        # so no member has leverage and every member costs nothing
+        save_population(make_pop([2.5] * 6), tmp_path / "population.csv")
+        (tmp_path / "targets.json").write_text(
+            json.dumps([{"feature": "f", "order": 1, "value": 2.5}]), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["select", "--population", str(tmp_path / "population.csv"),
+                         "--targets", str(tmp_path / "targets.json"), "--mode", "fixed",
+                         "--trial-size", "3", "--out", str(tmp_path / "run")]) == 0
+
+    def test_overflowing_relative_error_in_select_is_one(self, tmp_path, capsys):
+        # every draw's order-200 moment is finite, but its relative error
+        # squared is not: the run ended 0 with rsse=inf
+        _write_order_200_case(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["select", "--population", str(tmp_path / "population.csv"),
+                         "--targets", str(tmp_path / "targets.json"), "--mode", "max",
+                         "--trial-size", "4", "--out", str(tmp_path / "run")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: the relative error of ('x', 200) overflows float64\n"
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
 
     def test_solver_failure_is_four(self, workspace, monkeypatch, capsys):
         from dsps import selection
@@ -699,6 +748,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err, err
         assert not (tmp / "x").exists()
+
+
+def _write_order_200_case(tmp_path):
+    """Four members, a mean target they meet and an order-200 target of 1, and a mask of all four."""
+    save_population(Population(("a", "b", "c", "d"), ("x",), np.array([[1.0], [2.0], [30.0], [40.0]])),
+                    tmp_path / "population.csv")
+    (tmp_path / "targets.json").write_text(json.dumps(
+        [{"feature": "x", "order": 1, "value": 18.25}, {"feature": "x", "order": 200, "value": 1.0}]),
+        encoding="utf-8")
+    (tmp_path / "mask.csv").write_text("member_id,selected\na,1\nb,1\nc,1\nd,1\n", encoding="utf-8")
 
 
 # column shapes for generated populations; the last one has ties
@@ -778,13 +837,17 @@ def _check_generated_input(exits, seed, n_members, n_features, order, mode, kind
         assert first[0] in (0, 1, 2, 3), first[2]
         assert _select(args, tmp / "b") == first
         exits[mode].add(first[0])
+        if mode == "fixed" and first[0] == 0:
+            run = first[3]["run.json"]
+            assert abs(run["expected_size"] - run["trial_size"]) <= 1e-9 * run["trial_size"], run
 
 
 def test_generated_inputs_exit_in_class_and_replay():
     # every input either solves or fails with an input (1), infeasible (2) or
     # degenerate-draw (3) exit, never a solver failure (4) or a traceback,
-    # and a rerun writes the same bytes.  Every mode also solves at least
-    # once, so arguments that a mode refuses cannot hide behind exit 1.
+    # and a rerun writes the same bytes; a fixed-mode solve has the trial
+    # size as its expected size.  Every mode also solves at least once, so
+    # arguments that a mode refuses cannot hide behind exit 1.
     exits = {mode: set() for mode in MODES}
     _check_generated_input(exits)
     assert all(0 in codes for codes in exits.values()), exits
@@ -815,6 +878,22 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.err == f"error: the moment of {criterion} overflows float64\n"
         assert captured.out == ""
+
+    def test_overflowing_relative_error_is_one(self, tmp_path, capsys):
+        # the order-200 moment of the whole population is finite, but its
+        # relative error squared is not: rsse and pe_sd were written as
+        # Infinity, which is not JSON
+        _write_order_200_case(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["evaluate", "--population", str(tmp_path / "population.csv"),
+                         "--targets", str(tmp_path / "targets.json"),
+                         "--mask", str(tmp_path / "mask.csv"), "--out", str(tmp_path / "ev")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: the relative error of ('x', 200) overflows float64\n"
+        assert captured.out == ""
+        assert not (tmp_path / "ev").exists()
 
     def test_stdout_report(self, workspace, capsys):
         tmp, pop, targets, pop_path, targets_path = workspace

@@ -10,9 +10,9 @@ from dsps import lp_core
 from dsps.dataset import Population, feature_column
 from dsps.errors import DspsError, InfeasibleError
 from dsps.moments import TargetCriterion, TargetSet, expected_moment, moment_terms
+from dsps.realize import draw_best
 from dsps.selection import (
     ALPHA_FRACTION,
-    SIZE_ROW,
     build_lp_system,
     ordered_criteria,
     solve_fixed_size,
@@ -506,18 +506,47 @@ class TestSolveMaxSize:
 
 
 class TestSolveFixedSize:
-    def test_size_pinned_within_alpha(self):
+    def test_size_pinned_exactly(self):
         rng = np.random.default_rng(92)
         pop = make_pop({"a": rng.normal(0, 1, 10)})
         idx = np.array([0, 3, 5, 8])
         targets = subset_targets(pop, idx)
         sel = solve_fixed_size(pop, targets, 4.0)
         assert sel.alpha == 0.2
-        assert sel.row_labels[-1] == SIZE_ROW
-        assert abs(sel.expected_size - 4.0) <= 0.2 + 1e-9
+        # one label and one slack setting per criterion: the size row has no slack
+        assert len(sel.row_labels) == len(sel.eta) == len(sel.eta_max) == len(targets)
+        assert abs(sel.expected_size - 4.0) <= 1e-9 * 4.0
         # criterion rows still honour their own slack budget
-        assert np.all(sel.eta[:-1] <= sel.eta_max[:-1] + 1e-7)
-        assert sel.eta[-1] <= 0.2 + 1e-7
+        assert np.all(sel.eta <= sel.eta_max + 1e-7)
+
+    def test_size_pinned_where_the_max_size_is_larger(self):
+        # a random 40 of 300 shares the population's moments, so the max-size
+        # optimum takes far more than 40 + alpha members; the pinned size
+        # must not drift towards it
+        rng = np.random.default_rng(95)
+        pop = make_pop({"a": rng.normal(150, 25, 300), "b": rng.lognormal(4.2, 0.2, 300)})
+        targets = plant_subset(pop, rng.choice(300, 40, replace=False), orders=(1, 2))
+        assert solve_max_size(pop, targets, 40.0).expected_size > 40.0 + 2.0
+        sel = solve_fixed_size(pop, targets, 40.0)
+        assert abs(sel.expected_size - 40.0) <= 1e-9 * 40.0
+
+    def test_paper_scale_cohort_draws_close_to_its_targets(self):
+        # the paper's pool size: a random 300 of 6 062 planted at orders 1-4
+        # on three shapes, seeds 1-8 as they come; best of 10 draws, as
+        # `dsps select --draws 10 --seed s` scores them
+        rsse = {}
+        for seed in range(1, 9):
+            pop = generate_population(SynthSpec(6062, seed, (
+                FeatureSpec("x00", Normal(150.0, 25.0)),
+                FeatureSpec("x01", LogNormal(4.2, 0.2)),
+                FeatureSpec("x02", Mixture(((0.7, LogNormal(2.5, 0.4)), (0.3, Normal(30.0, 5.0))))),
+            )))
+            members = np.random.default_rng(seed).choice(6062, 300, replace=False)
+            targets = plant_subset(pop, members, orders=(1, 2, 3, 4))
+            sel = solve_fixed_size(pop, targets, 300.0)
+            assert abs(sel.expected_size - 300.0) <= 1e-9 * 300.0
+            rsse[seed] = draw_best(sel.p, pop, targets, 10, seed)[0].report.rsse
+        assert max(rsse.values()) <= 0.02, rsse
 
     def test_full_population_size_selects_everyone(self):
         rng = np.random.default_rng(93)
