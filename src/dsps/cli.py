@@ -223,23 +223,10 @@ def cmd_select(args) -> int:
     )
     (out / "report.json").write_text(_json_text(report), encoding="utf-8")
 
-    run = {
-        "schema": SCHEMA,
-        "command": "select",
-        "population": str(args.population),
-        "targets": str(args.targets),
-        "mode": args.mode,
-        "trial_size": args.trial_size,
-        "alpha": sel.alpha,
-        "beta": sel.beta,
-        "eta_max": sel.eta_max,
-        "epsilon": EPSILON,
-        "seed": args.seed,
-        "draws": args.draws,
-        "out": str(args.out),
-        "row_labels": sel.row_labels,
-        "expected_size": sel.expected_size,
-    }
+    # the parsed flags, then what the solve derived from them
+    run = {k: v for k, v in vars(args).items() if k != "func"}
+    run.update(schema=SCHEMA, alpha=sel.alpha, beta=sel.beta, eta_max=sel.eta_max,
+               epsilon=EPSILON, row_labels=sel.row_labels, expected_size=sel.expected_size)
     (out / "run.json").write_text(_json_text(run), encoding="utf-8")
 
     print(

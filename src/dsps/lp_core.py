@@ -2,20 +2,19 @@
 
 Solves  minimize c.z  subject to  A z = b  and  l <= z <= u  (standard
 form), where every lower bound is finite and an upper bound may be infinite
-only under a cost >= 0; :class:`LpProblem` rejects any other program.  The selection LPs box every
-column, and the elastic program adds ``[0, inf)`` columns of cost 1.
-Nonbasic variables sit at either their lower or their upper bound, which
-keeps vertices of the box polytope representable without splitting
-variables.
+only under a cost >= 0; :class:`LpProblem` rejects any other program.  The
+selection LPs box every column, and the elastic program adds ``[0, inf)``
+columns of cost 1.  Nonbasic variables sit at their lower or their upper
+bound, so no variable is split.
 
 One column form: the ``n`` structurals, then one logical per row,
 ``r = a_r.z``, fixed at ``b_r``, so the constraint matrix is ``[A, -I]``
 with right-hand side zero.  Each structural starts at the bound its cost
-sign picks, and the all-logical basis starts.
-Under the rule above that start is dual feasible and the objective is
-bounded below on the box, so no phase 1 is needed and no program is
-unbounded.  A program with no rows takes the same path: its basis is empty,
-so one pricing pass puts every column at the bound its cost picks.
+sign picks, and the all-logical basis starts.  Under the rule above that
+start is dual feasible and the objective is bounded below on the box, so no
+phase 1 is needed and no program is unbounded.  A program with no rows takes
+the same path: its basis is empty, so one pricing pass puts every column at
+the bound its cost picks.
 
 * **Iteration.**  Each iteration prices the most infeasible basic variable
   and runs a bound-flipping ratio test (Fourer 1994; Koberstein 2005):
@@ -31,10 +30,13 @@ so one pricing pass puts every column at the bound its cost picks.
 
 Rules:
 
-* No basis inverse is kept: at these shapes (tens of rows, thousands of
-  columns) the passes over the matrix dominate, so reduced costs and basic
-  values come from a fresh LAPACK solve every iteration.  One pricing pass
-  is one iteration, including the one that proves optimality.
+* The solver stores the basis, ``at_upper`` (the bound of each nonbasic
+  structural) and the basic values, and no basis inverse: at these shapes
+  (tens of rows, thousands of columns) the passes over the matrix
+  dominate, so reduced costs and basic values come from a fresh LAPACK
+  solve every iteration.  One pricing pass is one iteration, including the
+  one that proves optimality.  A logical is fixed at its row's ``b``, so it
+  leaves the basis once, is never priced and never enters again.
 * An entry ``alpha_j`` of the tableau row is a pivot only when it exceeds
   its own roundoff bound (``_pivot_tol``): cancellation would make the basis
   singular, while an exact small entry beside large ones in the same row (a
@@ -198,34 +200,33 @@ def _elastic_program(problem: LpProblem) -> LpProblem:
 
 
 class _DualSimplex:
-    """The column form ``[A, -I]`` and the dual simplex that solves it."""
+    """The column form ``[A, -I]`` and the dual simplex that solves it.
+
+    Its whole state is ``basis``, ``at_upper`` over the ``n`` structurals and
+    the basic values ``xB``, which ``_refresh`` recomputes from the other
+    two.  A logical leaves the basis once and is never priced.
+    """
 
     def __init__(self, problem: LpProblem, spent: int = 0):
         self.problem = problem
-        n, m = problem.n_vars, problem.n_rows
-        self.n, self.m = n, m
+        self.n, self.m = n, m = problem.n_vars, problem.n_rows
         self.A = problem.matrix
         self.abs_A = np.abs(problem.matrix)
         self.cost = np.concatenate([problem.objective, np.zeros(m)])
-        self.dual_tol = _OPT_TOL * np.maximum(1.0, np.abs(self.cost))
+        self.dual_tol = _OPT_TOL * np.maximum(1.0, np.abs(problem.objective))
         self.perturbed = False
-        self.basis = np.arange(n, n + m)
-        self.is_basic = np.zeros(n + m, dtype=bool)
-        self.is_basic[self.basis] = True
+        self.gap = problem.upper - problem.lower
         self.lower = lower = np.concatenate([problem.lower, problem.rhs])
         self.upper = upper = np.concatenate([problem.upper, problem.rhs])
-        self.gap = upper - lower
-        # each structural starts at the bound its cost sign picks (the
-        # logicals start basic)
-        hi_finite = np.isfinite(upper)
-        self.at_upper = hi_finite & (self.cost < 0.0)
-        self.x = np.where(self.at_upper, upper, lower)
-        bound_scale = np.maximum(np.abs(lower), np.abs(np.where(hi_finite, upper, 0.0)))
+        bound_scale = np.maximum(np.abs(lower), np.abs(np.where(np.isfinite(upper), upper, 0.0)))
         # feasibility is judged against each variable's own bounds, not its
         # row's entries: a slack can only move a row by eta_max, however
         # large the row's entries are
         self.feas_tol = _FEAS_TOL * np.maximum(1.0, bound_scale)
-
+        # the all-logical basis, each structural at the bound its cost picks;
+        # every iteration starts by computing xB from these two
+        self.basis = np.arange(n, n + m)
+        self.at_upper = np.isfinite(problem.upper) & (problem.objective < 0.0)
         self.iterations = spent
         self.budget = spent + _ITERATION_BUDGET * (n + m)
 
@@ -239,47 +240,39 @@ class _DualSimplex:
         except np.linalg.LinAlgError:
             raise SolverFailure("singular basis matrix") from None
 
-    def _row(self, v: np.ndarray) -> np.ndarray:
-        """``v^T [A, -I]``: duals to reduced costs, or a tableau row.
-
-        The logicals' entries are ``-v`` itself; a product with a dense
-        ``[A, -I]`` would round ``A^T v`` differently.
-        """
-        return np.concatenate([self.A.T @ v, -v])
-
-    def _refresh_basics(self) -> None:
-        """Recompute basic values from the nonbasic point to shed drift."""
-        x_nb = self.x.copy()
-        x_nb[self.basis] = 0.0
-        rhs = x_nb[self.n:] - self.A @ x_nb[:self.n]
-        self.x[self.basis] = self._solve_basis(rhs)
+    def _point(self, basic) -> np.ndarray:
+        """Every column's value: nonbasic ones at their bounds, basic ones at ``basic``."""
+        x = np.concatenate([np.where(self.at_upper, self.problem.upper, self.problem.lower),
+                            self.problem.rhs])
+        x[self.basis] = basic
+        return x
 
     def run(self) -> LpSolution:
         status = self._iterate()
-        z = self.x[:self.n].copy()
+        z = self._point(self.xB)[:self.n]
         residual = float(np.max(np.abs(self.A @ z - self.problem.rhs), initial=0.0))
         objective = float(np.dot(self.problem.objective, z))
         z = z if status is SolveStatus.OPTIMAL else None
         return LpSolution(status, z, objective, self.iterations, residual)
 
-    def _refresh(self) -> np.ndarray:
-        """Reduced costs and basic values from scratch; returns ``d``."""
-        d = self.cost - self._row(self._solve_basis(self.cost[self.basis], transpose=True))
-        d[self.is_basic] = 0.0
+    def _refresh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Recompute ``xB``; return the structurals' reduced costs and which of them can move."""
+        movable = self.gap > 0.0
+        movable[self.basis[self.basis < self.n]] = False
+        d = self.cost[:self.n] - self.A.T @ self._solve_basis(self.cost[self.basis], transpose=True)
         # a boxed column whose reduced cost drifted to the wrong sign moves to
         # the bound that sign picks, which keeps the basis dual feasible
-        wrong = ~self.is_basic & (self.gap > 0.0) & np.isfinite(self.gap) & np.where(
+        wrong = movable & np.isfinite(self.gap) & np.where(
             self.at_upper, d > self.dual_tol, d < -self.dual_tol
         )
         self.at_upper[wrong] = ~self.at_upper[wrong]
-        self.x[wrong] = np.where(self.at_upper[wrong], self.upper[wrong], self.lower[wrong])
-        self._refresh_basics()
-        return d
+        x_nb = self._point(0.0)
+        self.xB = self._solve_basis(x_nb[self.n:] - self.A @ x_nb[:self.n])
+        return d, movable
 
     def _leaving_row(self, bland: bool):
         """Row of the most infeasible basic variable and its signed violation."""
-        xB = self.x[self.basis]
-        lB, uB = self.lower[self.basis], self.upper[self.basis]
+        xB, lB, uB = self.xB, self.lower[self.basis], self.upper[self.basis]
         tol = self.feas_tol[self.basis]
         delta = np.where(xB < lB - tol, xB - lB, np.where(xB > uB + tol, xB - uB, 0.0))
         infeasible = np.flatnonzero(delta)
@@ -296,7 +289,7 @@ class _DualSimplex:
         bland = False
         while True:
             self.iterations += 1
-            d = self._refresh()
+            d, movable = self._refresh()
             r, delta = self._leaving_row(bland)
             if r is None:
                 return SolveStatus.OPTIMAL
@@ -304,11 +297,10 @@ class _DualSimplex:
             unit = np.zeros(self.m)
             unit[r] = 1.0
             rho = self._solve_basis(unit, transpose=True)
-            alpha = self._row(rho)
+            alpha = self.A.T @ rho
             # moving the leaving variable to its violated bound changes each
             # nonbasic d_j by t * a_j, t >= 0 the dual step
             a = alpha if delta < 0.0 else -alpha
-            movable = ~self.is_basic & (self.gap > 0.0)
             pivot_tol = self._pivot_tol(rho)
             cand = np.flatnonzero(movable & np.where(self.at_upper, a > pivot_tol, a < -pivot_tol))
             if cand.size == 0:
@@ -335,12 +327,9 @@ class _DualSimplex:
             step = float(ratio[order[k]])
 
             self.at_upper[flips] = ~self.at_upper[flips]
-            self.x[flips] = np.where(self.at_upper[flips], self.upper[flips], self.lower[flips])
             leave = int(self.basis[r])
-            self.at_upper[leave] = delta > 0.0
-            self.x[leave] = self.upper[leave] if delta > 0.0 else self.lower[leave]
-            self.is_basic[leave] = False
-            self.is_basic[enter] = True
+            if leave < self.n:
+                self.at_upper[leave] = delta > 0.0
             self.basis[r] = enter
             if self.iterations >= self.budget:
                 raise SolverFailure(f"no optimum within {self.iterations} simplex iterations")
@@ -358,7 +347,7 @@ class _DualSimplex:
                         stall = 0
 
     def _pivot_tol(self, rho: np.ndarray) -> np.ndarray:
-        """Each column's bound on the roundoff in ``alpha_j = rho . [A, -I]_j``, ``rho = B^-T e_r``.
+        """Each structural's bound on the roundoff in ``alpha_j = rho . a_j``, ``rho = B^-T e_r``.
 
         ``_PIVOT_TOL * |rho|`` covers the product's own terms.  The solve's
         error in ``rho_i`` scales like ``1 / s_i``, ``s_i`` the largest entry
@@ -372,12 +361,11 @@ class _DualSimplex:
         scale[self.basis[~struct] - self.n] = np.maximum(scale[self.basis[~struct] - self.n], 1.0)
         w = np.abs(rho)
         w = _PIVOT_TOL * w + _RHO_TOL * float(np.max(w * scale)) / scale
-        return np.concatenate([w @ self.abs_A, w])
+        return w @ self.abs_A
 
     def _perturb(self) -> None:
         """Spread the structural costs so that no two reduced costs tie."""
-        n = self.n
-        spread = ((np.arange(n) + 1) * 0.6180339887498949) % 1.0
-        xi = 0.5 * self.dual_tol[:n] * (0.5 + 0.5 * spread)
-        self.cost[:n] += np.where(self.at_upper[:n], -xi, xi)
+        spread = ((np.arange(self.n) + 1) * 0.6180339887498949) % 1.0
+        xi = 0.5 * self.dual_tol * (0.5 + 0.5 * spread)
+        self.cost[:self.n] += np.where(self.at_upper, -xi, xi)
         self.perturbed = True

@@ -254,8 +254,9 @@ def solve_fixed_size(
 
     The trial size is both the size to pin and the base of
     ``alpha = ALPHA_FRACTION * trial_size``, so this mode needs one, in
-    ``[1, n_members]``.  The size row ``sum(p) = trial_size`` has no slack,
-    so targets that no such ``p`` meets within their slack caps raise
+    ``[1, n_members]``, and above 1 for a variance target, whose row and score
+    divide by ``sum(p) - 1``.  The size row ``sum(p) = trial_size`` has no
+    slack, so targets that no such ``p`` meets within their slack caps raise
     :class:`InfeasibleError`.
     """
     if len(targets) == 0:
@@ -266,4 +267,7 @@ def solve_fixed_size(
         raise DspsError(
             f"trial size must lie in [1, {pop.n_members}] in fixed mode, got {trial_size}"
         )
+    if trial_size <= 1.0 and any(c.order == 2 for c in targets):
+        raise DspsError("a variance target needs a trial size above 1 in fixed mode, "
+                        f"got {trial_size}")
     return _select(pop, targets, float(trial_size), pin_size=True)

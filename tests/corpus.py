@@ -7,14 +7,17 @@
 Each entry is one ``dsps`` command, run in process in a scratch directory
 with relative paths.  The manifest ``tests/corpus.json`` keeps, per entry,
 the command, the exit code, the sha256 of stdout, of stderr and of every
-artifact the command wrote (``run.json`` without its ``out`` field), and the
-``p`` column of ``probabilities.csv``.  The inputs are not committed: they
-are regenerated from seeds each run (``demo/spec.json``, the perfbench
-workload specs, and targets planted with ``plant_subset``).
+artifact the command wrote (``run.json`` without its ``out`` field), the
+``p`` column of ``probabilities.csv`` and the ``score`` of ``report.json``:
+its ``rsse``, ``pe_mean``, ``pe_sd``, ``realized_size`` and each criterion's
+``realized`` value.  The inputs are not committed: they are regenerated from
+seeds each run (``demo/spec.json``, the perfbench workload specs, and targets
+planted with ``plant_subset``).
 
-``check`` compares the exit code, stderr, ``mask.csv`` and ``p`` (within
-``P_TOL``), which another BLAS should not move; ``check --exact`` compares
-every hash as well, which only holds on one machine.  A change that moves an
+``check`` compares the exit code, stderr, ``mask.csv``, ``p`` (within
+``P_TOL``) and the score (within a relative ``SCORE_TOL``), which another
+BLAS should not move; ``check --exact`` compares every hash as well, which
+only holds on one machine.  A change that moves an
 entry lists it, with the reason, in CHANGES.md and then runs ``update``.
 
 The 114 entries:
@@ -60,6 +63,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "corpus.json"
 P_TOL = 1e-12
+SCORE_TOL = 1e-9
+SCORE_FIELDS = ("rsse", "pe_mean", "pe_sd", "realized_size")
 WORKLOAD_SEED = 1
 INSTANCES = 3
 MODES = ("max", "max-strict", "fixed")
@@ -284,6 +289,10 @@ def run_entry(entry: Entry) -> dict:
         record["files"] = _artifacts(out)
     if (out / "probabilities.csv").exists():
         record["p"] = _pack_p(_read_p(out / "probabilities.csv"))
+    if (out / "report.json").exists():
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        record["score"] = {**{k: report[k] for k in SCORE_FIELDS},
+                           "realized": [c["realized"] for c in report["criteria"]]}
     record["stderr_text"] = stderr.getvalue() + shown
     return record
 
@@ -311,12 +320,24 @@ def differences(got: dict, want: dict, exact: bool) -> list[str]:
         now, then = _unpack_p(got["p"]), _unpack_p(want["p"])
         if now.shape != then.shape or np.max(np.abs(now - then), initial=0.0) > P_TOL:
             diffs.append("p")
+    if not _scores_match(got.get("score"), want.get("score")):
+        diffs.append("score")
     if exact:
         if got["stdout"] != want["stdout"]:
             diffs.append("stdout")
         names = sorted(set(got["files"]) | set(want["files"]))
         diffs += [n for n in names if n != mask and got["files"].get(n) != want["files"].get(n)]
     return diffs
+
+
+def _scores_match(got: dict | None, want: dict | None) -> bool:
+    """Both absent, or the same fields within a relative ``SCORE_TOL``."""
+    if got is None or want is None:
+        return got is want
+    now, then = ([*(s[k] for k in SCORE_FIELDS), *s["realized"]] for s in (got, want))
+    return len(now) == len(then) and bool(np.all(np.isclose(
+        np.array(now, dtype=float), np.array(then, dtype=float), rtol=SCORE_TOL, atol=0.0,
+        equal_nan=True)))
 
 
 def load_manifest() -> dict:

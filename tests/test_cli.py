@@ -440,6 +440,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: need a trial size to pin the expected size to\n"
         assert not (tmp / "x").exists()
 
+    def test_fixed_trial_size_one_with_a_variance_target_is_one(self, workspace, capsys):
+        # the order-2 row is sum(p d^2) = M2 (sum(p) - 1): a pinned size of 1
+        # leaves no expected variance and draws of one member, which cannot
+        # be scored, so the size is refused before the solve
+        tmp, pop, targets, pop_path, targets_path = workspace
+        assert any(c.order == 2 for c in targets)
+        assert main(["select", "--population", pop_path, "--targets", targets_path,
+                     "--mode", "fixed", "--trial-size", "1", "--out", str(tmp / "x")]) == 1
+        assert capsys.readouterr().err == (
+            "error: a variance target needs a trial size above 1 in fixed mode, got 1.0\n")
+        assert not (tmp / "x").exists()
+
     def test_zero_draws_is_one(self, workspace):
         tmp, pop, targets, pop_path, targets_path = workspace
         assert main(["select", "--population", pop_path, "--targets", targets_path,

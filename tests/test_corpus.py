@@ -1,10 +1,12 @@
 """The artifact corpus of ``tests/corpus.py`` against its committed manifest.
 
 This compares what another BLAS or platform should not move: each entry's
-command, exit code, stderr, ``mask.csv`` bytes and ``p`` within
-``corpus.P_TOL``.  ``python3 tests/corpus.py check --exact`` compares the
+command, exit code, stderr, ``mask.csv`` bytes, ``p`` within ``corpus.P_TOL``
+and the ``report.json`` score within a relative ``corpus.SCORE_TOL``.  ``python3 tests/corpus.py check --exact`` compares the
 full bytes.
 """
+
+import copy
 
 import corpus
 
@@ -15,3 +17,21 @@ def test_corpus_matches_the_manifest(tmp_path):
     assert [r["name"] for r in records] == list(manifest)
     moved = {r["name"]: corpus.differences(r, manifest[r["name"]], exact=False) for r in records}
     assert {name: fields for name, fields in moved.items() if fields} == {}
+
+
+def test_a_moved_score_is_a_difference():
+    # scoring a mask is pinned by the score alone: an evaluate entry writes
+    # no p, and its mask is an input
+    want = corpus.load_manifest()["evaluate/demo/random-200/o1234/max"]
+    assert want["score"]["rsse"] > 0.0
+    for field, index in (("rsse", None), ("pe_sd", None), ("realized", -1)):
+        for factor, moved in ((1.0 + 1e-10, []), (1.0 + 1e-8, ["score"])):
+            got = copy.deepcopy(want)
+            if index is None:
+                got["score"][field] *= factor
+            else:
+                got["score"][field][index] *= factor
+            assert corpus.differences(got, want, exact=False) == moved, (field, factor)
+    got = copy.deepcopy(want)
+    del got["score"]
+    assert corpus.differences(got, want, exact=False) == ["score"]

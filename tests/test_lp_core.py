@@ -296,6 +296,42 @@ class TestAgainstVertexEnumeration:
                 assert sol.objective_value == pytest.approx(best, abs=1e-9)
 
 
+class TestFixedColumns:
+    def test_seeded_programs_match_the_vertex_oracle(self):
+        # a column with lower == upper has no gap, so it is never a ratio-test
+        # candidate and never enters: it must end exactly at its bound
+        rng = np.random.default_rng(4321)
+        seen = {status: 0 for status in SolveStatus}
+        relations = set()
+        for i in range(80):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            lower, upper = np.zeros(n), np.ones(n)
+            fixed = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+            lower[fixed] = upper[fixed] = rng.choice([0.0, 1.0, float(rng.uniform(0.1, 0.9))],
+                                                     size=fixed.size)
+            c = rng.normal(size=n)
+            anchor = np.where(lower == upper, lower, rng.uniform(0.0, 1.0, size=n))
+            feasible = rng.random() < 0.6
+            rows = []
+            for _ in range(m):
+                a = rng.normal(size=n)
+                rel = ("<=", "=", ">=")[int(rng.integers(0, 3))]
+                gap = float(rng.uniform(0.0, 0.5)) if rel != "=" else 0.0
+                at = float(np.dot(a, anchor))
+                b = (at + gap if rel == "<=" else at - gap) if feasible else float(rng.normal())
+                rows.append((a, rel, b))
+                relations.add(rel)
+            status, best = lp_vertex_oracle(c, rows, lower, upper)
+            sol = solve_lp(lp(c, rows, lower, upper))
+            seen[sol.status] += 1
+            assert sol.status.value.lower() == status, f"program {i}"
+            if sol.status is SolveStatus.OPTIMAL:
+                assert sol.objective_value == pytest.approx(best, abs=1e-7), f"program {i}"
+                np.testing.assert_array_equal(sol.z[fixed], lower[fixed], err_msg=f"program {i}")
+        assert relations == {"<=", "=", ">="}
+        assert min(seen.values()) >= 15
+
+
 def random_rows(rng, n, m):
     return [
         (rng.normal(size=n), ("<=", ">=", "=")[int(rng.integers(0, 3))], 2.0 * rng.normal())
