@@ -81,7 +81,8 @@ def load_population(path: str | Path) -> Population:
     """Parse a population CSV: header ``id,<feature>,...`` then one row per member.
 
     ``path`` is a ``str`` or path object; bytes, a stream or a file descriptor
-    raise ``TypeError``.  Lines may end in LF, CRLF or a bare CR.
+    raise ``TypeError``.  Lines may end in LF, CRLF or a bare CR.  The body
+    starts after the header's last physical line (a quoted cell may span lines).
     """
     with open(Path(path), encoding="utf-8", newline="") as stream:
         lines = list(stream)
@@ -93,38 +94,32 @@ def load_population(path: str | Path) -> Population:
     if len(header) < 2:
         raise DspsError("header must name an id column and at least one feature")
     feature_names = [h.strip() for h in header[1:]]
-    ids, data = _parse_plain(lines, len(header)) or _parse_rows(reader, header, feature_names)
+    # reader.line_num: the physical lines the header took
+    ids, data = _parse_plain(lines[reader.line_num:], len(header)) or _parse_rows(reader, header, feature_names)
     return Population(tuple(ids), tuple(feature_names), data)
 
 
-def _parse_plain(lines: list[str], n_cols: int):
-    """``(ids, data)`` parsed by ``np.loadtxt``, or None to use the row loop.
+def _parse_plain(body: list[str], n_cols: int):
+    """``(ids, data)`` from one ``np.loadtxt`` call, or None to use the row loop.
 
-    Only for text the row loop would read the same way: no quotes,
-    ``n_cols - 1`` commas per non-blank line in total (a line with an extra
-    cell, which ``usecols`` would drop unseen, leaves another line short of
-    the last column, and ``np.loadtxt`` rejects that one), every cell parsed
-    without error or warning, and every value finite.  Anything else, errors
-    included, goes to :func:`_parse_rows` for its messages.
+    ``body`` is the lines after the header's last physical line.  Only for a
+    body the row loop reads the same way: no quotes, ``n_cols`` cells on each
+    non-blank line (``np.loadtxt`` rejects a ragged one), every cell parsed
+    without error or warning (an empty body warns), and every value finite.
+    Anything else, errors included, goes to :func:`_parse_rows` for its messages.
     """
-    # csv yields no cells for a blank line
-    rows = [line for line in lines[1:] if line != "\n" and line != "\r\n"]
-    text = "".join(rows)
-    if not rows or '"' in text or text.count(",") != len(rows) * (n_cols - 1):
+    if any('"' in line for line in body):
         return None
-    ids = [line.partition(",")[0].strip() for line in rows]
+    dtype = [("id", object), ("data", float, (n_cols - 1,))]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            data = np.loadtxt(
-                lines, delimiter=",", comments=None, skiprows=1,
-                usecols=range(1, n_cols), dtype=float, ndmin=2,
-            )
+            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=1, dtype=dtype)
     except (ValueError, Warning):
         return None
-    if data.shape != (len(ids), n_cols - 1) or not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(table["data"])):
         return None
-    return ids, data
+    return [member_id.strip() for member_id in table["id"]], table["data"]
 
 
 def _parse_rows(reader, header: list[str], feature_names: list[str]):

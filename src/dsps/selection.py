@@ -58,14 +58,6 @@ _EMPTY_SELECTION_TOL = 1e-9
 _LEVERAGE_COST = 1e-3
 
 
-def ordered_criteria(targets: TargetSet):
-    """Constraint-row order: by moment order, then by position in the target set."""
-    return tuple(
-        targets.criteria[i]
-        for i in sorted(range(len(targets.criteria)), key=lambda i: (targets.criteria[i].order, i))
-    )
-
-
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Rows over the member axis plus the conditioning applied to them.
@@ -113,7 +105,7 @@ def build_lp_system(pop: Population, targets: TargetSet) -> ConstraintSystem:
     wide feature overflows) raises :class:`DspsError`.
     """
     rows, rhs, labels = [], [], []
-    criteria = ordered_criteria(targets)
+    criteria = sorted(targets, key=lambda c: c.order)  # stable: ties keep target-set order
     tolerances = np.array([abs(c.value) + EPSILON for c in criteria])
     for c, row_scale in zip(criteria, 1.0 / tolerances):
         x = feature_column(pop, c.feature)

@@ -240,6 +240,9 @@ _GOOD_CELLS = st.sampled_from(["1.5", "-2.25e3", " 7 ", "\t0.1\t", "+.5", "5e-32
 _BAD_CELLS = st.sampled_from([
     "", " ", "nan", "inf", "-inf", "1e400", "1_0", "0x1p3", "#", "3#", '"4.5"', '"1,5"',
 ])
+# Header feature cells: plain, quoted over a comma, quoted over a line end,
+# and a quote that never closes, which swallows the rest of the file.
+_HEADER_CELLS = st.sampled_from(["f"] * 6 + ['"f,c"', '"f{end}n"', '"f'])
 # Mostly well-formed lines, so that both parsers get exercised.
 _LINE_KINDS = st.sampled_from(
     ["row"] * 12 + ["quoted id", "bad cell", "few cells", "many cells", "stray cr", "blank", "spaces"]
@@ -250,7 +253,9 @@ _LINE_KINDS = st.sampled_from(
 def _csv_texts(draw):
     """A population CSV text mixing well-formed rows with the loop's edge cases."""
     n_features = draw(st.integers(1, 3))
-    lines = [",".join(["id", *(f"f{j}" for j in range(n_features))])]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    cells = [draw(_HEADER_CELLS).replace("f", f"f{j}").format(end=end) for j in range(n_features)]
+    lines = [",".join(["id", *cells])]
     for k in range(draw(st.integers(1, 6))):
         kind = draw(_LINE_KINDS)
         if kind in ("blank", "spaces"):
@@ -263,14 +268,17 @@ def _csv_texts(draw):
             cells[draw(st.integers(0, n_cells - 1))] = draw(_BAD_CELLS)
         line = ",".join([member, *cells])
         lines.append("\r" + line if kind == "stray cr" else line)
-    end = draw(st.sampled_from(["\n", "\r\n"]))
     return (end.join(lines) + (end if draw(st.booleans()) else "")).encode()
 
 
 @given(_csv_texts())
 @settings(max_examples=300, deadline=None)
-# an extra cell on one line balances the comma total of a line without one
+# one line with a cell too many, one with a cell too few
 @example(b"id,x\ns0,1.5,2\n \n")
+# a header whose quote never closes swallows the file: no member follows it
+@example(b'id,"x\ns0,1.5\n')
+# a quoted id, whose quotes np.loadtxt would keep
+@example(b'id,x\n"s ""q""",1.5\n')
 def test_loader_matches_the_row_loop(text):
     # a file splits lines at any line end, a stray CR included
     assert _outcome(load_population, text) == _outcome(_load_by_rows, text)
@@ -278,8 +286,16 @@ def test_loader_matches_the_row_loop(text):
 
 def test_plain_csv_skips_the_row_loop():
     # The repr-written CSV that save_population emits, with either line end,
-    # is parsed without the per-cell loop.
-    for text in (CSV, CSV.replace("\n", "\r\n") + "\r\n"):
+    # is parsed without the per-cell loop; so are blank lines between rows, a
+    # single feature, and quoted header cells over an unquoted body.
+    for text in (
+        CSV,
+        CSV.replace("\n", "\r\n") + "\r\n",
+        CSV.replace("\n", "\n\n"),
+        CSV.replace("\n", "\r\n\r\n"),
+        "id,x\ns1,1.5\ns2,-2e-3\n",
+        'id,"a,b","c\nd"\ns1,1,2\ns2,3,4\n',
+    ):
         with mock.patch.object(dataset, "_parse_rows", side_effect=AssertionError("row loop")):
             pop = load_file(text.encode())
         want = load_file(text.encode(), _load_by_rows)
