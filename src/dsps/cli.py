@@ -7,7 +7,7 @@ writes four artifacts into the output directory:
 * ``mask.csv``          -- member_id, selected (best draw)
 * ``report.json``       -- per-criterion targets vs expected and realized
 * ``run.json``          -- every setting of the run, the trial size among
-  them, and the slack settings derived from it; a run is replayable from it
+  them, and the slack cap ``alpha`` derived from it; a run is replayable from it
 
 Each setting has one flag: ``--trial-size`` is the intended cohort size, the
 slack budget ``alpha`` is 5 % of it, and ``--mode fixed`` pins the expected
@@ -225,8 +225,8 @@ def cmd_select(args) -> int:
 
     # the parsed flags, then what the solve derived from them
     run = {k: v for k, v in vars(args).items() if k != "func"}
-    run.update(schema=SCHEMA, alpha=sel.alpha, beta=sel.beta, eta_max=sel.eta_max,
-               epsilon=EPSILON, row_labels=sel.row_labels, expected_size=sel.expected_size)
+    run.update(schema=SCHEMA, alpha=sel.alpha, epsilon=EPSILON, row_labels=sel.row_labels,
+               expected_size=sel.expected_size)
     (out / "run.json").write_text(_json_text(run), encoding="utf-8")
 
     print(

@@ -126,12 +126,12 @@ def _parse_rows(reader, header: list[str], feature_names: list[str]):
     """The row loop: every cell through ``float``, each error naming its line."""
     ids: list[str] = []
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:  # reader.line_num: the physical line the row ends on
         if not row:
             continue  # trailing blank line
         if len(row) != len(header):
             raise DspsError(
-                f"line {lineno}: expected {len(header)} cells, got {len(row)}"
+                f"line {reader.line_num}: expected {len(header)} cells, got {len(row)}"
             )
         ids.append(row[0].strip())
         values = []
@@ -141,11 +141,11 @@ def _parse_rows(reader, header: list[str], feature_names: list[str]):
                 value = float(text)
             except ValueError:
                 raise DspsError(
-                    f"line {lineno}, feature {name!r}: {text!r} is not numeric"
+                    f"line {reader.line_num}, feature {name!r}: {text!r} is not numeric"
                 ) from None
             if not math.isfinite(value):
                 raise DspsError(
-                    f"line {lineno}, feature {name!r}: {text!r} is not finite"
+                    f"line {reader.line_num}, feature {name!r}: {text!r} is not finite"
                 )
             values.append(value)
         rows.append(values)

@@ -204,7 +204,8 @@ class _DualSimplex:
 
     Its whole state is ``basis``, ``at_upper`` over the ``n`` structurals and
     the basic values ``xB``, which ``_refresh`` recomputes from the other
-    two.  A logical leaves the basis once and is never priced.
+    two, building the basis matrix ``B`` that the iteration's solves share.
+    A logical leaves the basis once and is never priced.
     """
 
     def __init__(self, problem: LpProblem, spent: int = 0):
@@ -220,7 +221,7 @@ class _DualSimplex:
         self.upper = upper = np.concatenate([problem.upper, problem.rhs])
         bound_scale = np.maximum(np.abs(lower), np.abs(np.where(np.isfinite(upper), upper, 0.0)))
         # feasibility is judged against each variable's own bounds, not its
-        # row's entries: a slack can only move a row by eta_max, however
+        # row's entries: a slack can only move a row by alpha, however
         # large the row's entries are
         self.feas_tol = _FEAS_TOL * np.maximum(1.0, bound_scale)
         # the all-logical basis, each structural at the bound its cost picks;
@@ -231,12 +232,8 @@ class _DualSimplex:
         self.budget = spent + _ITERATION_BUDGET * (n + m)
 
     def _solve_basis(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        B = np.zeros((self.m, self.m))
-        struct = self.basis < self.n
-        B[:, struct] = self.A[:, self.basis[struct]]
-        B[self.basis[~struct] - self.n, np.flatnonzero(~struct)] = -1.0
         try:
-            return np.linalg.solve(B.T if transpose else B, rhs)
+            return np.linalg.solve(self.B.T if transpose else self.B, rhs)
         except np.linalg.LinAlgError:
             raise SolverFailure("singular basis matrix") from None
 
@@ -256,9 +253,13 @@ class _DualSimplex:
         return LpSolution(status, z, objective, self.iterations, residual)
 
     def _refresh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Recompute ``xB``; return the structurals' reduced costs and which of them can move."""
+        """Rebuild ``B`` and ``xB``; return the structurals' reduced costs and which can move."""
+        struct = self.basis < self.n
+        self.B = np.zeros((self.m, self.m))
+        self.B[:, struct] = self.A[:, self.basis[struct]]
+        self.B[self.basis[~struct] - self.n, np.flatnonzero(~struct)] = -1.0
         movable = self.gap > 0.0
-        movable[self.basis[self.basis < self.n]] = False
+        movable[self.basis[struct]] = False
         d = self.cost[:self.n] - self.A.T @ self._solve_basis(self.cost[self.basis], transpose=True)
         # a boxed column whose reduced cost drifted to the wrong sign moves to
         # the bound that sign picks, which keeps the basis dual feasible
@@ -355,10 +356,7 @@ class _DualSimplex:
         ``_RHO_TOL * max_k |rho_k| s_k / s_i``: a roundoff ``rho_i`` of a true
         zero cannot pivot, while a tiny ``rho_i`` of a row near ``1e20`` can.
         """
-        struct = self.basis < self.n
-        scale = np.max(self.abs_A[:, self.basis[struct]], axis=1, initial=0.0)
-        # a basic logical's -1; B is nonsingular, so every scale is > 0
-        scale[self.basis[~struct] - self.n] = np.maximum(scale[self.basis[~struct] - self.n], 1.0)
+        scale = np.max(np.abs(self.B), axis=1)  # B is nonsingular, so every scale is > 0
         w = np.abs(rho)
         w = _PIVOT_TOL * w + _RHO_TOL * float(np.max(w * scale)) / scale
         return w @ self.abs_A

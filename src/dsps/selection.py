@@ -14,17 +14,15 @@ exactly when the probability-weighted moment equals the target ``t``.  For
 example order 2 reads ``(x_i - M1)^2 - M2`` with rhs ``-M2`` (the ``n - 1``
 convention) and order 4 ``(x_i - M1)^4 - M2^2 * (M4 + 3)`` with rhs ``0``.
 Each row is conditioned by the scale ``1/(|t| + EPSILON)`` of its target
-(the constant ``EPSILON = 1e-6`` guards a zero target), and the relaxed
-program is stated in those scaled rows: each row gains a pair of slacks
+(the constant ``EPSILON = 1e-6`` guards a zero target), and the program is
+stated in those scaled rows alone: each row gains a pair of slacks
 ``s+_j, s-_j`` in ``[0, alpha]``, where ``alpha = ALPHA_FRACTION * trial_size``
 is 5 % of the intended trial size, with ``row_j . p - s+_j + s-_j = rhs_j``,
 and the objective trades expected size against slack, each unit costing 1:
-``-sum(p) + sum(s+_j + s-_j)``.  In unscaled row units that is the weight
-``beta_j = 1/(|t_j| + EPSILON)`` and the cap
-``eta_max_j = alpha * (|t_j| + EPSILON)``, which ``run.json`` records.  The
-reported slack ``eta_j = |s+_j - s-_j| * (|t_j| + EPSILON)`` is the unscaled
-row's residual ``(sum(p) - dof) * scale * |m_j - t_j|`` for the weighted
-moment ``m_j``: not the miss in target units, but that times the factor.
+``-sum(p) + sum(s+_j + s-_j)``.  The reported slack
+``eta_j = |s+_j - s-_j| <= alpha`` is the scaled row's residual
+``(sum(p) - dof) * scale * |m_j - t_j| / (|t_j| + EPSILON)`` for the weighted
+moment ``m_j``: not the relative miss, but that times the factor.
 Fixed mode adds the size row ``sum(p) = trial_size`` as an equality with no
 slack, and its members cost their leverage instead of -1 (see :func:`_select`).
 """
@@ -60,32 +58,15 @@ _LEVERAGE_COST = 1e-3
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Rows over the member axis plus the conditioning applied to them.
-
-    ``matrix`` and ``rhs`` are unscaled.  ``tolerances[j]`` is the row's
-    ``|t_j| + EPSILON``, and ``row_scales`` its reciprocal, the multiplier
-    whose application yields the conditioned system the solver sees;
-    :meth:`scaled_matrix` / :meth:`scaled_rhs` apply it.
-    """
+    """Rows over the member axis, each scaled by ``1/(|t_j| + EPSILON)``."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     row_labels: tuple
-    tolerances: np.ndarray
 
     @property
     def n_rows(self) -> int:
         return self.rhs.size
-
-    @property
-    def row_scales(self) -> np.ndarray:
-        return 1.0 / self.tolerances
-
-    def scaled_matrix(self) -> np.ndarray:
-        return self.matrix * self.row_scales[:, None]
-
-    def scaled_rhs(self) -> np.ndarray:
-        return self.rhs * self.row_scales
 
 
 def _row_entries(x: np.ndarray, order: int, targets: TargetSet, feature: str):
@@ -99,38 +80,36 @@ def _row_entries(x: np.ndarray, order: int, targets: TargetSet, feature: str):
 
 
 def build_lp_system(pop: Population, targets: TargetSet) -> ConstraintSystem:
-    """One row per criterion, rhs such that ``row . p = rhs`` matches the target.
+    """One scaled row per criterion, rhs such that ``row . p = rhs`` matches the target.
 
     A criterion whose scaled row is not finite in float64 (a high order of a
     wide feature overflows) raises :class:`DspsError`.
     """
     rows, rhs, labels = [], [], []
-    criteria = sorted(targets, key=lambda c: c.order)  # stable: ties keep target-set order
-    tolerances = np.array([abs(c.value) + EPSILON for c in criteria])
-    for c, row_scale in zip(criteria, 1.0 / tolerances):
+    for c in sorted(targets, key=lambda c: c.order):  # stable: ties keep target-set order
+        row_scale = 1.0 / (abs(c.value) + EPSILON)
         x = feature_column(pop, c.feature)
         with np.errstate(over="ignore", invalid="ignore"):
             entries, b = _row_entries(x, c.order, targets, c.feature)
-            finite = np.isfinite(b * row_scale) and np.all(np.isfinite(entries * row_scale))
-        if not finite:
+            row, b = entries * row_scale, b * row_scale
+        if not (np.isfinite(b) and np.all(np.isfinite(row))):
             raise DspsError(f"the row of ({c.feature!r}, {c.order}) overflows float64")
-        rows.append(entries)
+        rows.append(row)
         rhs.append(b)
         labels.append((c.feature, c.order))
     matrix = np.array(rows).reshape(len(rows), pop.n_members)
-    return ConstraintSystem(matrix, np.array(rhs), tuple(labels), tolerances)
+    return ConstraintSystem(matrix, np.array(rhs), tuple(labels))
 
 
 @dataclass(frozen=True)
 class SelectionProbabilities:
     """Solved inclusion probabilities plus the slack actually used.
 
-    ``eta`` holds each criterion row's residual in unscaled row units (see
-    the module docstring), or ``None`` for the strict-equality solve.
-    ``expected_size`` is ``sum(p)``.  ``alpha`` (``ALPHA_FRACTION`` times the
-    trial size), ``beta`` and ``eta_max`` are the slack settings of the solve
-    in the same units, one per criterion and aligned with ``row_labels`` in
-    every mode, or ``None`` when the program has no slack rows.
+    ``eta`` holds each criterion row's residual in scaled row units (see
+    the module docstring), aligned with ``row_labels`` and at most ``alpha``
+    (``ALPHA_FRACTION`` times the trial size), the cap of every slack; both
+    are ``None`` when the program has no slack rows.  ``expected_size`` is
+    ``sum(p)``.
     """
 
     p: np.ndarray
@@ -139,8 +118,6 @@ class SelectionProbabilities:
     row_labels: tuple
     solver: LpSolution
     alpha: float | None = None
-    beta: np.ndarray | None = None
-    eta_max: np.ndarray | None = None
 
 
 def _select(
@@ -161,16 +138,15 @@ def _select(
     constant, so member ``i`` costs ``_LEVERAGE_COST * lev_i / max lev``
     instead, ``lev_i`` the sum of squares of its scaled criterion entries,
     which steers the vertex towards members that move the rows least.
-    ``eta`` and the slack settings are in unscaled row units; a trial size
-    whose caps overflow there raises :class:`DspsError`, as does a given
-    trial size that is not finite and positive, with or without slack rows;
-    an infeasible program raises :class:`InfeasibleError`.
+    A given trial size that is not finite and positive raises
+    :class:`DspsError`, with or without slack rows; an infeasible program
+    raises :class:`InfeasibleError`.
     """
     # NaN fails both comparisons
     if trial_size is not None and not 0.0 < trial_size < np.inf:
         raise DspsError(f"trial size must be finite and positive, got {trial_size}")
     system = build_lp_system(pop, targets)
-    A, C = system.scaled_matrix(), system.scaled_rhs()
+    A, C = system.matrix, system.rhs
     k, n = system.n_rows if relaxed else 0, pop.n_members  # k slack pairs
     cost = np.full(n, -1.0)
     if pin_size:
@@ -180,18 +156,12 @@ def _select(
         size_scale = 1.0 / (trial_size + EPSILON)
         A = np.vstack([A, np.full((1, n), size_scale)])
         C = np.append(C, trial_size * size_scale)
-    upper = np.ones(n)
-    slack = {}
+    upper, alpha = np.ones(n), None
     if k:
         if trial_size is None:
             raise DspsError("need a trial size to size the slack budget")
         alpha = ALPHA_FRACTION * float(trial_size)
-        with np.errstate(over="ignore"):
-            eta_max = alpha * system.tolerances
-        if not np.all(np.isfinite(eta_max)):
-            raise DspsError(f"trial size {trial_size} overflows a target's slack cap")
         upper = np.concatenate([upper, np.full(2 * k, alpha)])
-        slack = {"alpha": alpha, "beta": system.row_scales, "eta_max": eta_max}
     A = np.hstack([A, -np.eye(len(A), k), np.eye(len(A), k)])
     c = np.concatenate([cost, np.ones(2 * k)])
     solution = solve_lp(LpProblem(c, A, C, np.zeros(n + 2 * k), upper))
@@ -202,15 +172,15 @@ def _select(
             violation=solution.objective_value,
         )
     p = np.clip(solution.z[:n], 0.0, 1.0)
-    # the row residual |s_plus - s_minus|, in unscaled row units
-    eta = np.abs(solution.z[n:n + k] - solution.z[n + k:]) / system.row_scales if k else None
+    # the scaled row residual |s_plus - s_minus|
+    eta = np.abs(solution.z[n:n + k] - solution.z[n + k:]) if k else None
     return SelectionProbabilities(
         p=p,
         eta=eta,
         expected_size=float(np.sum(p)),
         row_labels=system.row_labels,
         solver=solution,
-        **slack,
+        alpha=alpha,
     )
 
 

@@ -8,15 +8,15 @@ Each entry is one ``dsps`` command, run in process in a scratch directory
 with relative paths.  The manifest ``tests/corpus.json`` keeps, per entry,
 the command, the exit code, the sha256 of stdout, of stderr and of every
 artifact the command wrote (``run.json`` without its ``out`` field), the
-``p`` column of ``probabilities.csv`` and the ``score`` of ``report.json``:
-its ``rsse``, ``pe_mean``, ``pe_sd``, ``realized_size`` and each criterion's
-``realized`` value.  The inputs are not committed: they are regenerated from
+sorted key list of ``run.json``, the ``p`` column of ``probabilities.csv``
+and the ``score`` of ``report.json``: its ``rsse``, ``pe_mean``, ``pe_sd``,
+``realized_size`` and each criterion's ``realized`` value.  The inputs are not committed: they are regenerated from
 seeds each run (``demo/spec.json``, the perfbench workload specs, and targets
 planted with ``plant_subset``).
 
-``check`` compares the exit code, stderr, ``mask.csv``, ``p`` (within
-``P_TOL``) and the score (within a relative ``SCORE_TOL``), which another
-BLAS should not move; ``check --exact`` compares every hash as well, which
+``check`` compares the exit code, stderr, ``mask.csv``, ``run.json``'s keys,
+``p`` (within ``P_TOL``) and the score (within a relative ``SCORE_TOL``),
+which another BLAS should not move; ``check --exact`` compares every hash as well, which
 only holds on one machine.  A change that moves an
 entry lists it, with the reason, in CHANGES.md and then runs ``update``.
 
@@ -287,6 +287,8 @@ def run_entry(entry: Entry) -> dict:
         record["files"] = {out.name: _sha(out.read_bytes())} if out.exists() else {}
     else:
         record["files"] = _artifacts(out)
+    if (out / "run.json").exists():
+        record["run_keys"] = sorted(json.loads((out / "run.json").read_text(encoding="utf-8")))
     if (out / "probabilities.csv").exists():
         record["p"] = _pack_p(_read_p(out / "probabilities.csv"))
     if (out / "report.json").exists():
@@ -314,6 +316,8 @@ def differences(got: dict, want: dict, exact: bool) -> list[str]:
     mask = "mask.csv"
     if got["files"].get(mask) != want["files"].get(mask):
         diffs.append(mask)
+    if got.get("run_keys") != want.get("run_keys"):
+        diffs.append("run_keys")
     if ("p" in got) != ("p" in want):
         diffs.append("p")
     elif "p" in got:

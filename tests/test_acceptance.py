@@ -134,10 +134,8 @@ def test_accept_02_full_population_targets_select_everyone():
         pop = generate_population(SynthSpec(n_p, int(rng.integers(0, 2**31)), tuple(feats)))
         targets = plant_subset(pop, np.arange(n_p))
         sel = solve_max_size(pop, targets, float(n_p))
-        system = build_lp_system(pop, targets)
-        scaled_eta = np.abs(sel.eta) * system.row_scales
         worst_gap = max(worst_gap, n_p - sel.expected_size)
-        worst_eta = max(worst_eta, float(scaled_eta.max()))
+        worst_eta = max(worst_eta, float(sel.eta.max()))
     ok = worst_gap <= 1e-6 and worst_eta <= 1e-6
     report(
         "ACCEPT-02",
@@ -161,7 +159,7 @@ def test_accept_03_relaxed_solution_dominates_every_integer_subset():
         system = build_lp_system(pop, targets)
         alpha = float(rng.uniform(0.02, 0.3))
         sel = solve_max_size(pop, targets, alpha / ALPHA_FRACTION)
-        best = best_subset_objective(system.scaled_matrix(), system.scaled_rhs(), sel.alpha)
+        best = best_subset_objective(system.matrix, system.rhs, sel.alpha)
         assert best is not None  # the planted subset is always admissible
         worst_margin = min(worst_margin, best - sel.solver.objective_value)
         checked += 1
@@ -353,15 +351,15 @@ def test_accept_11_order_one_to_four_targets_solve_in_every_mode(tmp_path):
         targets = plant_subset(pop, idx, orders=tuple(range(1, top + 1)))
         trial_size = float(idx.size)
         system = build_lp_system(pop, targets)
-        slack_tol = 1e-7 / system.row_scales
+        slack_tol = 1e-7
         relaxed = solve_max_size(pop, targets, trial_size)
         strict = solve_max_size(pop, targets, trial_size, relaxed=False)
         fixed = solve_fixed_size(pop, targets, trial_size)
         for mode, sel in (("max", relaxed), ("fixed", fixed)):
             resid = np.abs(system.matrix @ sel.p - system.rhs)
-            if np.any(resid > sel.eta + slack_tol) or np.any(sel.eta > sel.eta_max + slack_tol):
-                problems.append(f"orders 1-{top} {mode}: residual outside eta_max")
-        if np.max(np.abs(system.scaled_matrix() @ strict.p - system.scaled_rhs())) > 1e-6:
+            if np.any(resid > sel.eta + slack_tol) or np.any(sel.eta > sel.alpha + slack_tol):
+                problems.append(f"orders 1-{top} {mode}: residual outside alpha")
+        if np.max(np.abs(system.matrix @ strict.p - system.rhs)) > 1e-6:
             problems.append(f"orders 1-{top} max-strict: rows not met")
         # the planted members satisfy every row exactly
         if min(relaxed.expected_size, strict.expected_size) < idx.size - 1e-6:

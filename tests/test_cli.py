@@ -152,7 +152,8 @@ class TestSelect:
         run = json.loads((out / "run.json").read_text())
         assert run["mode"] == "max" and run["seed"] == 7
         assert run["alpha"] == pytest.approx(1.0)  # 5% of trial size 20
-        assert len(run["beta"]) == len(targets) == len(run["eta_max"])
+        # alpha is the one slack setting: each row carries its target's scale
+        assert "beta" not in run and "eta_max" not in run
         assert run["expected_size"] == pytest.approx(report["expected_size"])
         assert run["row_labels"] == [[c.feature, c.order] for c in
                                      sorted(targets, key=lambda c: c.order)]
@@ -206,7 +207,7 @@ class TestSelect:
         assert len(fixed_run["row_labels"]) == len(targets)
         assert abs(fixed_run["expected_size"] - 20.0) <= 1e-9 * 20.0
         strict_run = json.loads((tmp / "m2" / "run.json").read_text())
-        assert strict_run["alpha"] is None and strict_run["beta"] is None
+        assert strict_run["alpha"] is None and "beta" not in strict_run
         assert strict_run["trial_size"] is None
 
     def test_reruns_are_byte_identical(self, workspace):
@@ -310,17 +311,19 @@ class TestSelect:
 
 class TestSlackSettings:
     def test_fixed_run_records_one_setting_per_criterion(self, workspace):
-        # the pinned size row has no slack, so it has no label or setting
+        # the pinned size row has no slack, so it has no label; every
+        # criterion's slack is capped by the one setting alpha
         tmp, pop, targets, pop_path, targets_path = workspace
         assert main(["select", "--population", pop_path, "--targets", targets_path,
                      "--mode", "fixed", "--trial-size", "20",
                      "--out", str(tmp / "f")]) == 0
         run = json.loads((tmp / "f" / "run.json").read_text())
         assert run["alpha"] == 1.0
-        assert len(run["beta"]) == len(run["eta_max"]) == len(run["row_labels"]) == len(targets)
-        for (feature, order), beta, eta_max in zip(run["row_labels"], run["beta"], run["eta_max"]):
-            tolerance = abs(targets.value_of(feature, order)) + 1e-6
-            assert beta == 1.0 / tolerance and eta_max == run["alpha"] * tolerance
+        assert "beta" not in run and "eta_max" not in run
+        assert run["row_labels"] == [[c.feature, c.order] for c in
+                                     sorted(targets, key=lambda c: c.order)]
+        sel = solve_fixed_size(load_population(pop_path), targets, 20.0)
+        assert len(sel.eta) == len(targets) and np.all(sel.eta <= run["alpha"] + 1e-7)
 
     def test_trial_size_is_the_only_size_setting(self, workspace, capsys):
         # fixed mode pins the size to the trial size; no mode takes a second size
@@ -344,27 +347,31 @@ class TestSlackSettings:
         assert main(["select", "--population", pop_path, "--targets", str(empty),
                      "--mode", "max", "--trial-size", "20", "--out", str(tmp / "e")]) == 0
         run = json.loads((tmp / "e" / "run.json").read_text())
-        assert run["alpha"] is None and run["beta"] is None and run["eta_max"] is None
+        assert run["alpha"] is None and "beta" not in run and "eta_max" not in run
 
     @pytest.mark.parametrize("mode", ["max"])
-    def test_trial_size_that_overflows_a_cap_is_one(self, tmp_path, capsys, mode):
-        # alpha = 5e306 times the demo's glucose mean leaves float64: the run
-        # is refused before the solve, without numpy's overflow warning and
-        # without an Infinity in run.json, which is not JSON
+    def test_huge_trial_size_exits_zero(self, tmp_path, mode):
+        # alpha = 5e306 is the cap of every scaled row's slack, a finite float:
+        # the run solves without numpy's overflow warning, run.json holds no
+        # Infinity, which is not JSON, and p is that of trial size 1e307
         demo = Path(__file__).resolve().parent.parent / "demo"
         pop_path = tmp_path / "population.csv"
         assert main(["generate", "--spec", str(demo / "spec.json"), "--out", str(pop_path)]) == 0
-        capsys.readouterr()
+        common = ["select", "--population", str(pop_path), "--targets", str(demo / "targets.json"),
+                  "--mode", mode]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["select", "--population", str(pop_path),
-                         "--targets", str(demo / "targets.json"), "--mode", mode,
-                         "--trial-size", "1e308", "--out", str(tmp_path / "run")])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: trial size 1e+308 overflows a target's slack cap\n")
+            code = main([*common, "--trial-size", "1e308", "--out", str(tmp_path / "run")])
+        assert code == 0
         assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
-        assert not (tmp_path / "run").exists()
+
+        def refuse(constant):
+            raise AssertionError(f"run.json holds {constant}")
+
+        run = json.loads((tmp_path / "run" / "run.json").read_text(), parse_constant=refuse)
+        assert run["alpha"] == 0.05 * 1e308 and run["trial_size"] == 1e308
+        assert main([*common, "--trial-size", "1e307", "--out", str(tmp_path / "ref")]) == 0
+        assert read_probabilities(tmp_path / "run") == read_probabilities(tmp_path / "ref")
 
     def test_run_without_rows_reports_one_pricing_pass(self, workspace):
         # no rows: the dual prices once and every member gets p = 1
@@ -391,9 +398,8 @@ class TestJsonEncoding:
             sel = solve_max_size(pop, targets, 20.0)
         else:
             sel = solve_fixed_size(pop, targets, 20.0)
-        for name in ("beta", "eta_max"):
-            got = np.array(run[name], dtype=float)
-            assert got.tobytes() == getattr(sel, name).tobytes()
+        assert "beta" not in run and "eta_max" not in run
+        assert run["row_labels"] == [list(label) for label in sel.row_labels]
         assert run["alpha"] == sel.alpha and run["expected_size"] == sel.expected_size
         assert run["trial_size"] == 20.0
 

@@ -1,8 +1,9 @@
 """The artifact corpus of ``tests/corpus.py`` against its committed manifest.
 
 This compares what another BLAS or platform should not move: each entry's
-command, exit code, stderr, ``mask.csv`` bytes, ``p`` within ``corpus.P_TOL``
-and the ``report.json`` score within a relative ``corpus.SCORE_TOL``.  ``python3 tests/corpus.py check --exact`` compares the
+command, exit code, stderr, ``mask.csv`` bytes, ``run.json``'s key list,
+``p`` within ``corpus.P_TOL`` and the ``report.json`` score within a relative
+``corpus.SCORE_TOL``.  ``python3 tests/corpus.py check --exact`` compares the
 full bytes.
 """
 
@@ -35,3 +36,16 @@ def test_a_moved_score_is_a_difference():
     got = copy.deepcopy(want)
     del got["score"]
     assert corpus.differences(got, want, exact=False) == ["score"]
+
+
+def test_a_changed_run_json_key_is_a_difference():
+    # run.json's values may move with the machine, but not its schema
+    want = corpus.load_manifest()["select/demo/targets/max"]
+    assert "alpha" in want["run_keys"]
+    added, missing, absent = (copy.deepcopy(want) for _ in range(3))
+    added["run_keys"] = sorted([*want["run_keys"], "beta"])
+    missing["run_keys"].remove("alpha")
+    del absent["run_keys"]
+    for got in (added, missing, absent):
+        assert corpus.differences(got, want, exact=False) == ["run_keys"]
+    assert corpus.differences(copy.deepcopy(want), want, exact=False) == []

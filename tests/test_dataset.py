@@ -181,6 +181,19 @@ def test_non_numeric_cell():
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    (b'id,"a\nb"\ns1,abc\n', "line 3, feature 'a\\nb': 'abc' is not numeric"),
+    (b'id,x\n"s\n0",1\ns1,abc\n', "line 4, feature 'x': 'abc' is not numeric"),
+    (b"id,x\ns0,1\n\ns1,abc\n", "line 4, feature 'x': 'abc' is not numeric"),
+    (b"id,x\r\ns0,1\r\ns1,2,3\r\n", "line 3: expected 2 cells, got 3"),
+], ids=["quoted header", "quoted id", "blank line", "crlf ragged"])
+def test_error_names_the_physical_line(text, message):
+    # a quoted cell that spans lines counts each of its lines
+    with pytest.raises(DspsError) as err:
+        load_file(text)
+    assert str(err.value) == message
+
+
 def test_missing_cell_is_error():
     with pytest.raises(DspsError, match="line 2, feature 'y': '' is not numeric"):
         load_file(b"id,x,y\ns1,1.0,\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dsps import lp_core
+from dsps import lp_core, selection
 from dsps.dataset import Population, feature_column
 from dsps.errors import DspsError, InfeasibleError
 from dsps.moments import TargetCriterion, TargetSet, expected_moment, moment_terms
@@ -90,17 +90,18 @@ class TestBuildLpSystem:
     def test_mean_row_three_members(self):
         pop = make_pop({"f": [1.0, 2.0, 3.0]})
         system = build_lp_system(pop, targets_of(("f", 1, 2.0)))
-        assert system.matrix.tolist() == [[-1.0, 0.0, 1.0]]
+        # the row x - 2, scaled by 1/(|t| + epsilon)
+        scale = 1.0 / (2.0 + 1e-6)
+        assert system.matrix.tolist() == [[-scale, 0.0, scale]]
         assert system.rhs.tolist() == [0.0]
         assert system.row_labels == (("f", 1),)
-        assert system.row_scales[0] == pytest.approx(1.0 / (2.0 + 1e-6))
 
     def test_variance_row_two_members(self):
         pop = make_pop({"f": [0.0, 2.0]})
         system = build_lp_system(pop, targets_of(("f", 1, 1.0), ("f", 2, 1.0)))
         # deviations from the target mean are +-1, so the variance row vanishes
         assert system.matrix[1].tolist() == [0.0, 0.0]
-        assert system.rhs[1] == -1.0
+        assert system.rhs[1] == -1.0 / (1.0 + 1e-6)
         assert system.row_labels == (("f", 1), ("f", 2))
 
     def test_rows_match_entrywise_recomputation(self):
@@ -134,13 +135,14 @@ class TestBuildLpSystem:
                             want, rhs = d**4 - m2**2 * (t + 3.0), 0.0
                         else:
                             want, rhs = d**order - t, 0.0
-                    assert system.matrix[j, i] == pytest.approx(want, rel=1e-12, abs=1e-12)
-                    assert system.rhs[j] == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-                assert system.row_scales[j] == pytest.approx(1.0 / (abs(t) + 1e-6))
+                    scale = 1.0 / (abs(t) + 1e-6)
+                    assert system.matrix[j, i] == pytest.approx(want * scale, rel=1e-12, abs=1e-12)
+                    assert system.rhs[j] == pytest.approx(rhs * scale, rel=1e-12, abs=1e-12)
 
     def test_rows_agree_with_the_reported_expected_moment(self):
-        # A_j p - C_j is the row's residual; scaled back by the moment terms it
-        # must equal the gap between the p-weighted moment and the target
+        # A_j p - C_j is the scaled row's residual; scaled back by the moment
+        # terms and the row scale it must equal the gap between the p-weighted
+        # moment and the target
         rng = np.random.default_rng(4242)
         for trial in range(5):
             pop = make_pop({"a": rng.normal(10, 3, 50), "b": rng.lognormal(1, 0.5, 50)})
@@ -156,7 +158,8 @@ class TestBuildLpSystem:
                 dof, scale, _ = moment_terms(order, t2)
                 moment = expected_moment(x, p, order, t1, t2)
                 got = system.matrix[j] @ p - system.rhs[j]
-                want = (moment - targets.value_of(feature, order)) * (p.sum() - dof) * scale
+                t = targets.value_of(feature, order)
+                want = (moment - t) * (p.sum() - dof) * scale / (abs(t) + 1e-6)
                 assert got == pytest.approx(want, rel=1e-9), (trial, feature, order)
 
     def test_rows_sorted_by_order_then_position(self):
@@ -167,15 +170,17 @@ class TestBuildLpSystem:
         system = build_lp_system(pop, targets)
         assert system.row_labels == (("b", 1), ("a", 1), ("b", 2), ("a", 2))
 
-    def test_scaled_view_applies_row_scales(self):
+    def test_rows_are_scaled_by_their_target(self):
+        # the rows x - 2 and (x - 2)^2 - 2 with rhs 0 and -2, each times
+        # 1/(|t| + epsilon), bit for bit
         pop = make_pop({"f": [1.0, 2.0, 4.0]})
         system = build_lp_system(pop, targets_of(("f", 1, 2.0), ("f", 2, 2.0)))
-        np.testing.assert_allclose(
-            system.scaled_matrix(), system.matrix * system.row_scales[:, None]
-        )
-        np.testing.assert_allclose(
-            system.scaled_rhs(), system.rhs * system.row_scales
-        )
+        scale = 1.0 / (2.0 + 1e-6)
+        assert system.matrix.tolist() == [
+            [-1.0 * scale, 0.0 * scale, 2.0 * scale],
+            [-1.0 * scale, -2.0 * scale, 2.0 * scale],
+        ]
+        assert system.rhs.tolist() == [0.0 * scale, -2.0 * scale]
 
     def test_empty_target_set_builds_zero_rows(self):
         pop = make_pop({"f": [1.0, 2.0]})
@@ -209,12 +214,12 @@ class TestHyperParams:
         sel = solve_max_size(pop, targets, 413.0)
         assert sel.alpha == pytest.approx(20.65)
         assert sel.alpha == ALPHA_FRACTION * 413.0
+        # each row carries its own scale, so one cap serves every criterion
+        system = build_lp_system(pop, targets)
         np.testing.assert_allclose(
-            sel.beta, [1.0 / (8.0 + 1e-6), 1.0 / (2.0 + 1e-6)]
+            system.matrix[:, 2], [12.0 / (8.0 + 1e-6), 142.0 / (2.0 + 1e-6)]
         )
-        np.testing.assert_allclose(
-            sel.eta_max, [20.65 * (8.0 + 1e-6), 20.65 * (2.0 + 1e-6)]
-        )
+        assert len(sel.eta) == system.n_rows and np.all(sel.eta <= sel.alpha + 1e-7)
 
     def test_auto_rejects_nonpositive_trial_size(self):
         pop = make_pop({"f": [7.0, 9.0, 20.0]})
@@ -222,11 +227,12 @@ class TestHyperParams:
             solve_max_size(pop, targets_of(("f", 1, 8.0)), 0.0)
 
     def test_auto_zero_target_falls_back_to_epsilon(self):
-        # a zero target would blow up 1/|t|; epsilon keeps both vectors finite
+        # a zero target would blow up 1/|t|; epsilon keeps the row finite
         pop = make_pop({"f": [-1.0, 1.0, 3.0]})
-        sel = solve_max_size(pop, targets_of(("f", 1, 0.0)), 20.0)
-        assert sel.beta[0] == pytest.approx(1e6)
-        assert sel.eta_max[0] == pytest.approx(1e-6)
+        targets = targets_of(("f", 1, 0.0))
+        assert build_lp_system(pop, targets).matrix[0].tolist() == pytest.approx([-1e6, 1e6, 3e6])
+        sel = solve_max_size(pop, targets, 20.0)
+        assert sel.alpha == 1.0 and sel.eta[0] <= sel.alpha + 1e-7
 
     def test_validation(self):
         pop = make_pop({"f": [7.0, 9.0, 20.0]})
@@ -245,6 +251,29 @@ class TestHyperParams:
         pop = make_pop({"f": [7.0, 9.0, 20.0]})
         with pytest.raises(DspsError, match="need a trial size"):
             solve(pop, targets_of(("f", 1, 8.0)))
+
+    @pytest.mark.parametrize("solve", [solve_max_size, solve_fixed_size], ids=["max", "fixed"])
+    def test_solver_reads_the_built_rows(self, solve, monkeypatch):
+        # one representation: the program solved holds build_lp_system's rows
+        # as they are, and every slack is capped by alpha alone
+        rng = np.random.default_rng(35)
+        pop = make_pop({"a": rng.normal(150, 25, 60), "b": rng.lognormal(3, 0.5, 60)})
+        targets = plant_subset(pop, rng.choice(60, 20, replace=False), orders=(1, 2, 3, 4))
+        seen = []
+
+        def recording(problem):
+            seen.append(problem)
+            return lp_core.solve_lp(problem)
+
+        monkeypatch.setattr(selection, "solve_lp", recording)
+        sel = solve(pop, targets, 20.0)
+        (problem,) = seen
+        system = build_lp_system(pop, targets)
+        k, n = system.n_rows, pop.n_members
+        assert problem.matrix[:k, :n].tobytes() == system.matrix.tobytes()
+        assert problem.rhs[:k].tobytes() == system.rhs.tobytes()
+        assert problem.n_vars == n + 2 * k
+        assert np.all(problem.upper[n:] == sel.alpha)
 
     @pytest.mark.parametrize("trial_size", [np.inf, np.nan, 0.0], ids=["inf", "nan", "zero"])
     def test_given_trial_size_out_of_range_is_an_invalid_sample_size(self, trial_size):
@@ -283,7 +312,7 @@ class TestSolveMaxSize:
         targets = subset_targets(pop, idx)
         system = build_lp_system(pop, targets)
         sel = solve_max_size(pop, targets, 0.05 / ALPHA_FRACTION)
-        best = best_subset_objective(system.scaled_matrix(), system.scaled_rhs(), 0.05)
+        best = best_subset_objective(system.matrix, system.rhs, 0.05)
         # the planted subset meets every row exactly
         assert best is not None and best <= -idx.size + 1e-9
         assert sel.solver.objective_value <= best + 1e-7
@@ -296,13 +325,12 @@ class TestSolveMaxSize:
         sel = solve_max_size(pop, targets, 10.0)
         system = build_lp_system(pop, targets)
         resid = np.abs(system.matrix @ sel.p - system.rhs)
-        slack_tol = 1e-7 / system.row_scales
-        assert np.all(resid <= sel.eta + slack_tol)
-        assert np.all(sel.eta <= sel.eta_max + slack_tol)
+        assert np.all(resid <= sel.eta + 1e-7)
+        assert np.all(sel.eta <= sel.alpha + 1e-7)
 
-    def test_eta_is_in_unscaled_row_units(self):
-        # a row's residual is (sum(p) - dof) * scale * (m - t) for the weighted
-        # moment m: a miss in target units times that factor, not the miss
+    def test_eta_is_in_scaled_row_units(self):
+        # a row's residual is (sum(p) - dof) * scale * (m - t) / (|t| + epsilon)
+        # for the weighted moment m: a relative miss times that factor
         pop, targets = shifted_mean_targets(1.0, 1.1)
         sel = solve_max_size(pop, targets, 100.0)
         assert np.count_nonzero(sel.eta) >= 3  # both means and a variance use slack
@@ -312,7 +340,8 @@ class TestSolveMaxSize:
             dof, scale, _ = moment_terms(c.order, m2)
             m = expected_moment(feature_column(pop, c.feature), sel.p, c.order, m1, m2)
             assert sel.eta[j] == pytest.approx(
-                (total - dof) * scale * abs(m - c.value), rel=1e-9, abs=1e-7 / sel.beta[j]
+                (total - dof) * scale * abs(m - c.value) / (abs(c.value) + 1e-6),
+                rel=1e-9, abs=1e-7,
             ), c
 
     def test_huge_trial_size_solves_without_overflow(self):
@@ -326,7 +355,7 @@ class TestSolveMaxSize:
         assert huge.p.tobytes() == solve_max_size(pop, targets, 1e307).p.tobytes()
 
     def test_widening_eta_max_cannot_shrink_the_optimum(self):
-        # a wider alpha widens every eta_max, so the optimum of the wider
+        # a wider alpha widens every slack cap, so the optimum of the wider
         # program is at most that of the tighter one
         rng = np.random.default_rng(89)
         pop = make_pop({"a": rng.normal(0, 1, 15)})
@@ -441,9 +470,9 @@ class TestSolveMaxSize:
         assert sel.expected_size == pytest.approx(x.size, abs=1e-6)
         system = build_lp_system(pop, targets)
         # rounding in a row sum grows with the magnitude of its terms
-        slack_tol = 1e-7 / system.row_scales + 1e-12 * (np.abs(system.matrix) @ sel.p)
+        slack_tol = 1e-7 + 1e-12 * (np.abs(system.matrix) @ sel.p)
         assert np.all(np.abs(system.matrix @ sel.p - system.rhs) <= sel.eta + slack_tol)
-        assert np.all(sel.eta <= sel.eta_max + slack_tol)
+        assert np.all(sel.eta <= sel.alpha + slack_tol)
 
     @pytest.fixture
     def dual_only(self, monkeypatch):
@@ -510,11 +539,11 @@ class TestSolveFixedSize:
         targets = subset_targets(pop, idx)
         sel = solve_fixed_size(pop, targets, 4.0)
         assert sel.alpha == 0.2
-        # one label and one slack setting per criterion: the size row has no slack
-        assert len(sel.row_labels) == len(sel.eta) == len(sel.eta_max) == len(targets)
+        # one label and one slack per criterion: the size row has no slack
+        assert len(sel.row_labels) == len(sel.eta) == len(targets)
         assert abs(sel.expected_size - 4.0) <= 1e-9 * 4.0
-        # criterion rows still honour their own slack budget
-        assert np.all(sel.eta <= sel.eta_max + 1e-7)
+        # criterion rows still honour the slack budget
+        assert np.all(sel.eta <= sel.alpha + 1e-7)
 
     def test_size_pinned_where_the_max_size_is_larger(self):
         # a random 40 of 300 shares the population's moments, so the max-size
