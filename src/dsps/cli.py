@@ -20,8 +20,8 @@ values is purely a property of the targets file handed in; the pipeline is
 identical.
 
 Exit codes: 0 success, 1 bad input, 2 infeasible targets, 3 every draw
-degenerate, 4 solver failure (a numerical breakdown in the LP solve, or no
-optimum within its iteration limit).
+degenerate, 4 solver failure (a numerical breakdown in the LP solve, no optimum
+within its iteration limit, or "infeasible" for targets that ``p = 0`` meets).
 """
 
 from __future__ import annotations
@@ -180,12 +180,10 @@ def cmd_select(args) -> int:
     if args.draws < 1:
         raise DspsError(f"--draws must be >= 1, got {args.draws}")
 
-    if args.mode == "max":
-        sel = solve_max_size(pop, targets, args.trial_size, relaxed=True)
-    elif args.mode == "max-strict":
-        sel = solve_max_size(pop, targets, args.trial_size, relaxed=False)
-    else:
+    if args.mode == "fixed":
         sel = solve_fixed_size(pop, targets, args.trial_size)
+    else:
+        sel = solve_max_size(pop, targets, args.trial_size, relaxed=args.mode == "max")
 
     best, stats = draw_best(sel.p, pop, targets, args.draws, args.seed)
     try:

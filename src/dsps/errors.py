@@ -38,4 +38,5 @@ class AllDrawsDegenerate(DspsError):
 
 
 class SolverFailure(DspsError):
-    """The LP solve broke down numerically or stopped at its iteration limit without an optimum."""
+    """The LP solve broke down numerically, stopped at its iteration limit without an optimum,
+    or called a max-size program infeasible that ``p = 0`` meets within its slack caps."""

@@ -16,8 +16,8 @@ convention) and order 4 ``(x_i - M1)^4 - M2^2 * (M4 + 3)`` with rhs ``0``.
 Each row is conditioned by the scale ``1/(|t| + EPSILON)`` of its target
 (the constant ``EPSILON = 1e-6`` guards a zero target), and the program is
 stated in those scaled rows alone: each row gains a pair of slacks
-``s+_j, s-_j`` in ``[0, alpha]``, where ``alpha = ALPHA_FRACTION * trial_size``
-is 5 % of the intended trial size, with ``row_j . p - s+_j + s-_j = rhs_j``,
+``s+_j, s-_j`` in ``[0, alpha]``, ``alpha = ALPHA_FRACTION * trial_size`` (5 % of
+the intended trial size; 0 in strict mode), with ``row_j . p - s+_j + s-_j = rhs_j``,
 and the objective trades expected size against slack, each unit costing 1:
 ``-sum(p) + sum(s+_j + s-_j)``.  The reported slack
 ``eta_j = |s+_j - s-_j| <= alpha`` is the scaled row's residual
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Population, feature_column
-from .errors import DspsError, InfeasibleError
+from .errors import DspsError, InfeasibleError, SolverFailure
 from .lp_core import LpProblem, LpSolution, SolveStatus, solve_lp
 from .moments import TargetSet, moment_terms
 
@@ -106,18 +106,17 @@ class SelectionProbabilities:
     """Solved inclusion probabilities plus the slack actually used.
 
     ``eta`` holds each criterion row's residual in scaled row units (see
-    the module docstring), aligned with ``row_labels`` and at most ``alpha``
-    (``ALPHA_FRACTION`` times the trial size), the cap of every slack; both
-    are ``None`` when the program has no slack rows.  ``expected_size`` is
-    ``sum(p)``.
+    the module docstring), aligned with ``row_labels`` and at most ``alpha``,
+    the cap of every slack: ``ALPHA_FRACTION`` times the trial size, or 0 in
+    strict mode or without a trial size.  ``expected_size`` is ``sum(p)``.
     """
 
     p: np.ndarray
-    eta: np.ndarray | None
+    eta: np.ndarray
     expected_size: float
     row_labels: tuple
     solver: LpSolution
-    alpha: float | None = None
+    alpha: float
 
 
 def _select(
@@ -132,22 +131,27 @@ def _select(
     Variables are ``[p, s_plus, s_minus]``; criterion row ``j`` reads
     ``A_j p - s_plus_j + s_minus_j = C_j``, every slack costs 1 and is
     capped at ``alpha = ALPHA_FRACTION * trial_size``, and each member costs
-    -1.  ``relaxed=False`` drops the slack columns and needs no trial size.
+    -1.  ``relaxed=False`` caps every slack at 0 and needs no trial size: the
+    solver never moves a column whose bounds meet, so no row gets slack.
     ``pin_size`` appends the slack-free size row ``sum(p) = trial_size``,
     scaled by ``1/(trial_size + EPSILON)``.  That makes the members' -1 a
     constant, so member ``i`` costs ``_LEVERAGE_COST * lev_i / max lev``
     instead, ``lev_i`` the sum of squares of its scaled criterion entries,
     which steers the vertex towards members that move the rows least.
     A given trial size that is not finite and positive raises
-    :class:`DspsError`, with or without slack rows; an infeasible program
-    raises :class:`InfeasibleError`.
+    :class:`DspsError` in every mode.  An infeasible program raises
+    :class:`InfeasibleError`, or :class:`SolverFailure` when it has no size
+    row and every ``|C_j| <= alpha``, since ``p = 0`` is feasible then.
     """
     # NaN fails both comparisons
     if trial_size is not None and not 0.0 < trial_size < np.inf:
         raise DspsError(f"trial size must be finite and positive, got {trial_size}")
     system = build_lp_system(pop, targets)
     A, C = system.matrix, system.rhs
-    k, n = system.n_rows if relaxed else 0, pop.n_members  # k slack pairs
+    k, n = system.n_rows, pop.n_members  # k slack pairs
+    if relaxed and k and trial_size is None:
+        raise DspsError("need a trial size to size the slack budget")
+    alpha = ALPHA_FRACTION * float(trial_size) if relaxed and trial_size is not None else 0.0
     cost = np.full(n, -1.0)
     if pin_size:
         # over max|A| the squares stay finite at any order; all-zero rows cost nothing
@@ -156,27 +160,23 @@ def _select(
         size_scale = 1.0 / (trial_size + EPSILON)
         A = np.vstack([A, np.full((1, n), size_scale)])
         C = np.append(C, trial_size * size_scale)
-    upper, alpha = np.ones(n), None
-    if k:
-        if trial_size is None:
-            raise DspsError("need a trial size to size the slack budget")
-        alpha = ALPHA_FRACTION * float(trial_size)
-        upper = np.concatenate([upper, np.full(2 * k, alpha)])
     A = np.hstack([A, -np.eye(len(A), k), np.eye(len(A), k)])
     c = np.concatenate([cost, np.ones(2 * k)])
+    upper = np.concatenate([np.ones(n), np.full(2 * k, alpha)])
     solution = solve_lp(LpProblem(c, A, C, np.zeros(n + 2 * k), upper))
     if solution.status is SolveStatus.INFEASIBLE:
+        if not pin_size and np.all(np.abs(system.rhs) <= alpha):
+            raise SolverFailure("the solve found the targets infeasible, but p = 0 "
+                                "meets every row within its slack cap")
         raise InfeasibleError(
             "no probability vector satisfies the targets "
             f"(best total violation {solution.objective_value:.3e})",
             violation=solution.objective_value,
         )
     p = np.clip(solution.z[:n], 0.0, 1.0)
-    # the scaled row residual |s_plus - s_minus|
-    eta = np.abs(solution.z[n:n + k] - solution.z[n + k:]) if k else None
     return SelectionProbabilities(
         p=p,
-        eta=eta,
+        eta=np.abs(solution.z[n:n + k] - solution.z[n + k:]),  # the scaled row residual
         expected_size=float(np.sum(p)),
         row_labels=system.row_labels,
         solver=solution,
@@ -193,10 +193,10 @@ def solve_max_size(
     """Largest expected sub-population matching the targets.
 
     ``trial_size`` sizes the slack budget ``alpha``; a relaxed program with
-    target rows needs it.  ``relaxed=False`` demands exact (to solver
-    tolerance) moment equality and uses no slack.  An optimum with zero expected size is
-    reported as infeasible: the empty selection satisfies any centred moment
-    row vacuously, but it is never a usable cohort.
+    target rows needs it.  ``relaxed=False`` caps every slack at 0, so each row
+    holds to solver tolerance, and needs no trial size.  An optimum with zero
+    expected size is reported as infeasible: the empty selection satisfies any
+    centred moment row vacuously, but it is never a usable cohort.
     """
     result = _select(pop, targets, trial_size, relaxed)
     if len(targets) > 0 and result.expected_size <= _EMPTY_SELECTION_TOL:

@@ -20,7 +20,7 @@ which another BLAS should not move; ``check --exact`` compares every hash as wel
 only holds on one machine.  A change that moves an
 entry lists it, with the reason, in CHANGES.md and then runs ``update``.
 
-The 114 entries:
+The 117 entries:
 
 * ``generate`` of ``demo/spec.json``, of the spec of instances 0-2 of
   each perfbench workload (seed 1) and of the paper-scale spec;
@@ -35,6 +35,9 @@ The 114 entries:
 * a zero skewness target in ``max``;
 * an order-6 target (``glucose`` order 1 = 150.1, order 6 = 3.0, trial size
   50) in the three modes, whose rows span about 1e11 in scaled units;
+* an order-10 target (``glucose`` order 1 = 150.1, order 10 = 1000, trial
+  size 50) in the three modes: ``p = 0`` meets both rows, so the max-size
+  solves' infeasible verdict is a solver failure;
 * ``evaluate`` of the mask of every demo-band select, of a mask that lists
   a member twice and of a mask whose values are written ``1.0``/``0.0``.
 """
@@ -166,9 +169,13 @@ def prepare(work: Path) -> list[Entry]:
         order6 = _write_json(Path("demo/order-6.json"), [
             {"feature": "glucose", "order": 1, "value": 150.1},
             {"feature": "glucose", "order": 6, "value": 3.0}])
-        for mode in MODES:
-            entries.append(_select(f"demo/order-6/{mode}", demo, order6,
-                                   *_mode_args(mode, 50), "--seed", str(DEMO_SEED)))
+        order10 = _write_json(Path("demo/order-10.json"), [
+            {"feature": "glucose", "order": 1, "value": 150.1},
+            {"feature": "glucose", "order": 10, "value": 1000.0}])
+        for name, targets in (("order-6", order6), ("order-10", order10)):
+            for mode in MODES:
+                entries.append(_select(f"demo/{name}/{mode}", demo, targets,
+                                       *_mode_args(mode, 50), "--seed", str(DEMO_SEED)))
         entries.extend(evaluations)
         entries.extend(_odd_masks(demo, "out/demo/glucose-60-90/o12/max/mask.csv",
                                   "demo/glucose-60-90-o12.json"))

@@ -207,7 +207,7 @@ class TestSelect:
         assert len(fixed_run["row_labels"]) == len(targets)
         assert abs(fixed_run["expected_size"] - 20.0) <= 1e-9 * 20.0
         strict_run = json.loads((tmp / "m2" / "run.json").read_text())
-        assert strict_run["alpha"] is None and "beta" not in strict_run
+        assert strict_run["alpha"] == 0.0 and "beta" not in strict_run
         assert strict_run["trial_size"] is None
 
     def test_reruns_are_byte_identical(self, workspace):
@@ -340,14 +340,37 @@ class TestSlackSettings:
             assert "unrecognized arguments: --n-target 20" in capsys.readouterr().err
             assert not (tmp / f"{mode}-n").exists()
 
-    def test_run_without_slack_rows_records_none(self, workspace):
+    def test_run_without_criterion_rows_records_the_trial_size_cap(self, workspace):
+        # a row-less max program still states its cap: 5 % of the trial
+        # size, or 0 without one
         tmp, pop, targets, pop_path, targets_path = workspace
         empty = tmp / "empty.json"
         empty.write_text("[]", encoding="utf-8")
-        assert main(["select", "--population", pop_path, "--targets", str(empty),
-                     "--mode", "max", "--trial-size", "20", "--out", str(tmp / "e")]) == 0
+        common = ["select", "--population", pop_path, "--targets", str(empty), "--mode", "max"]
+        assert main([*common, "--trial-size", "20", "--out", str(tmp / "e")]) == 0
         run = json.loads((tmp / "e" / "run.json").read_text())
-        assert run["alpha"] is None and "beta" not in run and "eta_max" not in run
+        assert run["alpha"] == 1.0 and "beta" not in run and "eta_max" not in run
+        assert main([*common, "--out", str(tmp / "none")]) == 0
+        assert json.loads((tmp / "none" / "run.json").read_text())["alpha"] == 0.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_records_a_numeric_alpha(self, workspace, mode):
+        # every mode solves one program shape, one slack pair per criterion
+        # row; max-strict caps each slack at 0
+        tmp, pop, targets, pop_path, targets_path = workspace
+        assert main(["select", "--population", pop_path, "--targets", targets_path,
+                     "--mode", mode, "--trial-size", "20", "--out", str(tmp / mode)]) == 0
+        run = json.loads((tmp / mode / "run.json").read_text())
+        assert isinstance(run["alpha"], float) and np.isfinite(run["alpha"])
+        assert run["alpha"] == (0.0 if mode == "max-strict" else 1.0)
+        if mode == "fixed":
+            sel = solve_fixed_size(pop, targets, 20.0)
+        else:
+            sel = solve_max_size(pop, targets, 20.0, relaxed=mode == "max")
+        assert sel.alpha == run["alpha"]
+        assert len(sel.eta) == len(sel.row_labels) == len(targets)
+        if mode == "max-strict":
+            assert sel.eta.tolist() == [0.0] * len(targets)
 
     @pytest.mark.parametrize("mode", ["max"])
     def test_huge_trial_size_exits_zero(self, tmp_path, mode):
@@ -674,6 +697,30 @@ class TestExitCodes:
             "infeasible: no probability vector satisfies the targets "
             "(best total violation 1.946e-01)\n"
         )
+
+    def test_order_ten_target_that_p_zero_meets_is_a_solver_failure(self, tmp_path, capsys):
+        # every row's rhs is 0, so p = 0 meets both rows within any cap: an
+        # "infeasible" verdict of the max-size solve is its own failure, not
+        # infeasible targets, while fixed mode solves at size 50
+        demo = Path(__file__).resolve().parent.parent / "demo"
+        pop_path = tmp_path / "population.csv"
+        assert main(["generate", "--spec", str(demo / "spec.json"), "--out", str(pop_path)]) == 0
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps([{"feature": "glucose", "order": 1, "value": 150.1},
+                                       {"feature": "glucose", "order": 10, "value": 1000.0}]),
+                           encoding="utf-8")
+        for mode, code in (("max", 4), ("max-strict", 4), ("fixed", 0)):
+            capsys.readouterr()
+            assert main(["select", "--population", str(pop_path), "--targets", str(targets),
+                         "--mode", mode, "--trial-size", "50",
+                         "--out", str(tmp_path / mode)]) == code, mode
+            if code:
+                assert capsys.readouterr().err == (
+                    "solver failure: the solve found the targets infeasible, "
+                    "but p = 0 meets every row within its slack cap\n")
+                assert not (tmp_path / mode).exists()
+            else:
+                assert (tmp_path / mode / "run.json").exists()
 
     def test_order_eighty_fixed_target_exits_two_without_a_warning(self, tmp_path, capsys):
         # fixed mode's member costs square the scaled rows, whose order-80

@@ -1,5 +1,6 @@
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -252,10 +253,14 @@ class TestHyperParams:
         with pytest.raises(DspsError, match="need a trial size"):
             solve(pop, targets_of(("f", 1, 8.0)))
 
-    @pytest.mark.parametrize("solve", [solve_max_size, solve_fixed_size], ids=["max", "fixed"])
+    @pytest.mark.parametrize("solve", [
+        solve_max_size,
+        partial(solve_max_size, relaxed=False),
+        solve_fixed_size,
+    ], ids=["max", "max-strict", "fixed"])
     def test_solver_reads_the_built_rows(self, solve, monkeypatch):
         # one representation: the program solved holds build_lp_system's rows
-        # as they are, and every slack is capped by alpha alone
+        # as they are, and every slack is capped by alpha alone, 0 in strict mode
         rng = np.random.default_rng(35)
         pop = make_pop({"a": rng.normal(150, 25, 60), "b": rng.lognormal(3, 0.5, 60)})
         targets = plant_subset(pop, rng.choice(60, 20, replace=False), orders=(1, 2, 3, 4))
@@ -299,7 +304,7 @@ class TestSolveMaxSize:
         pop = make_pop({"a": rng.normal(5, 1, 12)})
         targets = own_moment_targets(pop)
         sel = solve_max_size(pop, targets, relaxed=False)
-        assert sel.eta is None
+        assert sel.alpha == 0.0 and sel.eta.tolist() == [0.0] * len(targets)
         np.testing.assert_allclose(sel.p, np.ones(12), atol=1e-8)
 
     def test_expected_size_dominates_best_subset(self):
@@ -402,7 +407,7 @@ class TestSolveMaxSize:
         pop = make_pop({"f": [1.0, 2.0, 3.0, 4.0]})
         sel = solve_max_size(pop, TargetSet(()))
         np.testing.assert_array_equal(sel.p, np.ones(4))
-        assert sel.eta is None
+        assert sel.eta.shape == (0,) and sel.alpha == 0.0
         assert sel.expected_size == 4.0
 
     def test_rescaling_a_feature_leaves_the_size_unchanged(self):
