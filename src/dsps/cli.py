@@ -21,7 +21,7 @@ identical.
 
 Exit codes: 0 success, 1 bad input, 2 infeasible targets, 3 every draw
 degenerate, 4 solver failure (a numerical breakdown in the LP solve, no optimum
-within its iteration limit, or "infeasible" for targets that ``p = 0`` meets).
+within its iteration limit, or "infeasible" belied by ``p = 0`` or a zero certificate).
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import load_population, save_population, write_id_csv
-from .errors import AllDrawsDegenerate, DspsError, InfeasibleError, SolverFailure
+from .dataset import feature_column, load_population, save_population, write_id_csv
+from .errors import AllDrawsDegenerate, DspsError, InfeasibleError, InsufficientData, SolverFailure
 from .evaluate import _denominators, evaluate_selection
-from .moments import TargetSet
+from .moments import TargetSet, expected_moment
 from .realize import draw_best
 from .selection import EPSILON, solve_fixed_size, solve_max_size
 from .synthgen import SynthSpec, generate_population
@@ -136,18 +136,18 @@ def _load_mask_csv(path, pop) -> np.ndarray:
 
 
 def _report(realized, expected=None, **fields) -> dict:
-    """report.json from a realized report, the optional expected one, and ``fields``.
+    """report.json from a realized report, the optional expected moments, and ``fields``.
 
-    Both reports list the criteria in target order.
+    Both list the criteria in target order; expected moments beyond float64 are left out.
     """
     criteria = [
         {"feature": r.feature, "order": r.order, "target": r.target,
          "realized": r.achieved, "percentage_error": r.percentage_error}
         for r in realized.per_criterion
     ]
-    if expected is not None:
-        for row, e in zip(criteria, expected.per_criterion):
-            row["expected"] = e.achieved
+    if expected is not None and np.all(np.isfinite(expected)):
+        for row, e in zip(criteria, expected):
+            row["expected"] = e
     return {
         "schema": SCHEMA,
         "criteria": criteria,
@@ -187,9 +187,11 @@ def cmd_select(args) -> int:
 
     best, stats = draw_best(sel.p, pop, targets, args.draws, args.seed)
     try:
-        expected_report = evaluate_selection(pop, targets, sel.p)
-    except DspsError:
-        expected_report = None  # too little probability mass for weighted moments
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [expected_moment(feature_column(pop, c.feature), sel.p, c.order,
+                                        *targets.references(c.feature, c.order)) for c in targets]
+    except InsufficientData:  # too little probability mass for weighted moments
+        expected = None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -198,7 +200,7 @@ def cmd_select(args) -> int:
 
     report = _report(
         best.report,
-        expected_report,
+        expected,
         expected_size=sel.expected_size,
         solver={
             "status": sel.solver.status.value,

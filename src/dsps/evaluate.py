@@ -1,4 +1,4 @@
-"""Scoring a selection against its targets.
+"""Scoring a mask, the selected cohort, against its targets.
 
 Relative measures treat the target as the truth: RSSE is the sum of squared
 relative errors over criteria, percentage error the per-criterion absolute
@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Population, feature_column
 from .errors import DspsError, InsufficientData
-from .moments import TargetSet, expected_moment, expected_size, sample_moment
+from .moments import TargetSet, sample_moment
 
 __all__ = [
     "CriterionResult",
@@ -46,7 +46,7 @@ class EvaluationReport:
     rsse: float
     pe_mean: float
     pe_sd: float
-    realized_size: int | None
+    realized_size: int
 
 
 def _denominators(targets: np.ndarray) -> np.ndarray:
@@ -85,42 +85,29 @@ def evaluate_selection(
     targets: TargetSet,
     selection,
 ) -> EvaluationReport:
-    """Score a mask (realized moments) or probabilities (expected moments).
+    """Score a mask by the realized moments of the members it selects.
 
-    The dtype of ``selection`` decides: an integer or bool array is a mask,
-    whose nonzero entries select (:func:`dsps.realize.draw` returns one), and
-    a float array is inclusion probabilities.  Realized moments are the
-    selected members' own sample statistics: each is :func:`sample_moment` of
-    the feature column indexed by the mask, without building a
-    sub-population.  Either must be a vector of the population's length, or
-    :class:`DspsError` is raised, as for a moment or an error measure beyond
-    float64; a mask that selects nobody raises :class:`InsufficientData`.
-    Expected moments are probability-weighted and centred on the targets, so
-    the two coincide only in expectation.
+    ``selection`` is an integer or bool vector of the population's length
+    whose nonzero entries select (:func:`dsps.realize.draw` returns one).
+    Each moment is :func:`sample_moment` of the feature column indexed by the
+    mask, without building a sub-population.  Any other shape or dtype (a
+    float vector too: probabilities are not a selection) raises
+    :class:`DspsError`, as does a moment or an error measure beyond float64;
+    a mask that selects nobody raises :class:`InsufficientData`.
     """
     vec = np.asarray(selection)
     if vec.shape != (pop.n_members,):
         raise DspsError(f"selection of shape {vec.shape} for {pop.n_members} members")
+    if vec.dtype.kind not in "biu":
+        raise DspsError(f"a selection is an integer or bool mask, not dtype {vec.dtype}")
+    keep = vec.astype(bool)
+    realized_size = int(np.count_nonzero(keep))
+    if realized_size == 0:
+        raise InsufficientData("mask selects no members")
     with np.errstate(over="ignore", invalid="ignore"):
-        if vec.dtype.kind in "biu":
-            keep = vec.astype(bool)
-            realized_size = int(np.count_nonzero(keep))
-            if realized_size == 0:
-                raise InsufficientData("mask selects no members")
-            achieved = [
-                sample_moment(feature_column(pop, c.feature)[keep], c.order)
-                for c in targets
-            ]
-        else:
-            vec = np.asarray(vec, dtype=float)
-            realized_size = None
-            expected_size(vec)  # refuses a p outside [0, 1]
-            achieved = []
-            for c in targets:
-                x = feature_column(pop, c.feature)
-                m1 = targets.value_of(c.feature, 1) if targets.has(c.feature, 1) else None
-                m2 = targets.value_of(c.feature, 2) if targets.has(c.feature, 2) else None
-                achieved.append(expected_moment(x, vec, c.order, m1, m2))
+        achieved = [
+            sample_moment(feature_column(pop, c.feature)[keep], c.order) for c in targets
+        ]
     for c, value in zip(targets, achieved):
         if not np.isfinite(value):
             raise DspsError(f"the moment of ({c.feature!r}, {c.order}) overflows float64")

@@ -76,16 +76,9 @@ class TargetSet:
             if key in index:
                 raise DspsError(f"duplicate target for {key}")
             index[key] = c.value
-        for c in criteria:
-            if c.order >= 2 and (c.feature, 1) not in index:
-                raise DspsError(
-                    f"({c.feature!r}, {c.order}) needs an order-1 target"
-                )
-            if c.order in (3, 4) and (c.feature, 2) not in index:
-                raise DspsError(
-                    f"({c.feature!r}, {c.order}) needs an order-2 target"
-                )
         object.__setattr__(self, "_index", index)
+        for c in criteria:
+            self.references(c.feature, c.order)
 
     def __len__(self) -> int:
         return len(self.criteria)
@@ -101,6 +94,18 @@ class TargetSet:
             return self._index[(feature, order)]
         except KeyError:
             raise DspsError(f"no target for ({feature!r}, {order})") from None
+
+    def references(self, feature: str, order: int) -> tuple[float | None, float | None]:
+        """The target ``(mean, var)`` an order's moment is taken about, ``None`` where unused.
+
+        The mean centres orders >= 2 and the variance scales orders 3 and 4.
+        """
+        refs = []
+        for ref, used in ((1, order >= 2), (2, order in (3, 4))):
+            if used and (feature, ref) not in self._index:
+                raise DspsError(f"({feature!r}, {order}) needs an order-{ref} target")
+            refs.append(self._index[(feature, ref)] if used else None)
+        return refs[0], refs[1]
 
     @staticmethod
     def from_json(text: str | bytes) -> "TargetSet":

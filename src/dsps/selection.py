@@ -72,8 +72,8 @@ class ConstraintSystem:
 def _row_entries(x: np.ndarray, order: int, targets: TargetSet, feature: str):
     """(entries, rhs) of one criterion row, unscaled."""
     t = targets.value_of(feature, order)
-    d = x if order == 1 else x - targets.value_of(feature, 1)
-    var = targets.value_of(feature, 2) if order in (3, 4) else None
+    mean, var = targets.references(feature, order)
+    d = x if mean is None else x - mean
     dof, scale, shift = moment_terms(order, var)
     level = scale * (t + shift)
     return d**order - level, 0.0 - dof * level  # 0.0 - keeps a zero rhs +0.0
@@ -141,7 +141,8 @@ def _select(
     A given trial size that is not finite and positive raises
     :class:`DspsError` in every mode.  An infeasible program raises
     :class:`InfeasibleError`, or :class:`SolverFailure` when it has no size
-    row and every ``|C_j| <= alpha``, since ``p = 0`` is feasible then.
+    row and every ``|C_j| <= alpha``, since ``p = 0`` is feasible then, or
+    when its elastic certificate is 0, which contradicts the verdict.
     """
     # NaN fails both comparisons
     if trial_size is not None and not 0.0 < trial_size < np.inf:
@@ -168,6 +169,9 @@ def _select(
         if not pin_size and np.all(np.abs(system.rhs) <= alpha):
             raise SolverFailure("the solve found the targets infeasible, but p = 0 "
                                 "meets every row within its slack cap")
+        if solution.objective_value == 0.0:
+            raise SolverFailure("the solve found the targets infeasible, but its elastic "
+                                "run violates no row")
         raise InfeasibleError(
             "no probability vector satisfies the targets "
             f"(best total violation {solution.objective_value:.3e})",

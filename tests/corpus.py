@@ -20,7 +20,7 @@ which another BLAS should not move; ``check --exact`` compares every hash as wel
 only holds on one machine.  A change that moves an
 entry lists it, with the reason, in CHANGES.md and then runs ``update``.
 
-The 117 entries:
+The 118 entries:
 
 * ``generate`` of ``demo/spec.json``, of the spec of instances 0-2 of
   each perfbench workload (seed 1) and of the paper-scale spec;
@@ -38,6 +38,9 @@ The 117 entries:
 * an order-10 target (``glucose`` order 1 = 150.1, order 10 = 1000, trial
   size 50) in the three modes: ``p = 0`` meets both rows, so the max-size
   solves' infeasible verdict is a solver failure;
+* a ``fixed`` select at trial size 50 of ``weight`` order 1 at the
+  column's mean and order 19 = 3, whose main run ends infeasible with an
+  elastic certificate of 0: a solver failure;
 * ``evaluate`` of the mask of every demo-band select, of a mask that lists
   a member twice and of a mask whose values are written ``1.0``/``0.0``.
 """
@@ -176,6 +179,12 @@ def prepare(work: Path) -> list[Entry]:
             for mode in MODES:
                 entries.append(_select(f"demo/{name}/{mode}", demo, targets,
                                        *_mode_args(mode, 50), "--seed", str(DEMO_SEED)))
+        weight = float(np.mean(pop.data[:, pop.feature_index("weight")]))
+        zero_certificate = _write_json(Path("demo/zero-certificate.json"), [
+            {"feature": "weight", "order": 1, "value": weight},
+            {"feature": "weight", "order": 19, "value": 3.0}])
+        entries.append(_select("demo/zero-certificate/fixed", demo, zero_certificate,
+                               *_mode_args("fixed", 50), "--seed", str(DEMO_SEED)))
         entries.extend(evaluations)
         entries.extend(_odd_masks(demo, "out/demo/glucose-60-90/o12/max/mask.csv",
                                   "demo/glucose-60-90-o12.json"))

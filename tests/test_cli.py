@@ -29,6 +29,8 @@ from dsps.moments import TargetCriterion, TargetSet
 from dsps.selection import solve_fixed_size, solve_max_size
 from dsps.synthgen import plant_subset
 
+from oracles import weighted_moment_oracle
+
 SPEC_JSON = json.dumps(
     {
         "n_p": 60,
@@ -143,6 +145,12 @@ class TestSelect:
         for row in report["criteria"]:
             assert {"feature", "order", "target", "expected", "realized",
                     "percentage_error"} <= set(row)
+        # expected moments are taken about the target mean and variance, as the LP rows are
+        value = {(c.feature, c.order): c.value for c in targets}
+        for row in report["criteria"]:
+            want = weighted_moment_oracle(pop.data[:, 0].tolist(), values.tolist(), row["order"],
+                                          value.get(("f", 1)), value.get(("f", 2)))
+            assert row["expected"] == pytest.approx(want, rel=1e-9, abs=1e-12), row
         assert len(report["draws"]) == 10
         assert report["seeds"] == {
             "seed": 7, "n_draws": 10,
@@ -722,9 +730,10 @@ class TestExitCodes:
             else:
                 assert (tmp_path / mode / "run.json").exists()
 
-    def test_order_eighty_fixed_target_exits_two_without_a_warning(self, tmp_path, capsys):
+    def test_order_eighty_fixed_target_exits_four_without_a_warning(self, tmp_path, capsys):
         # fixed mode's member costs square the scaled rows, whose order-80
-        # entries reach 2e160 here: squared as they are, they overflow float64
+        # entries reach 2e160 here: squared as they are, they overflow float64.
+        # The main run ends infeasible with an elastic certificate of 0
         demo = Path(__file__).resolve().parent.parent / "demo"
         pop_path = tmp_path / "population.csv"
         assert main(["generate", "--spec", str(demo / "spec.json"), "--out", str(pop_path)]) == 0
@@ -737,8 +746,29 @@ class TestExitCodes:
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["select", "--population", str(pop_path), "--targets", str(targets),
                          "--mode", "fixed", "--trial-size", "50", "--out", str(tmp_path / "run")])
-        assert code == 2, capsys.readouterr().err
-        assert capsys.readouterr().err.startswith("infeasible: ")
+        assert code == 4, capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("solver failure: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_a_zero_elastic_certificate_is_a_solver_failure(self, tmp_path, capsys):
+        # an infeasible verdict whose elastic run violates no row contradicts
+        # itself; fixed mode has a size row, so the p = 0 rule cannot see it
+        demo = Path(__file__).resolve().parent.parent / "demo"
+        pop_path = tmp_path / "population.csv"
+        assert main(["generate", "--spec", str(demo / "spec.json"), "--out", str(pop_path)]) == 0
+        pop = load_population(pop_path)
+        mean = float(np.mean(pop.data[:, pop.feature_index("weight")]))
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps([{"feature": "weight", "order": 1, "value": mean},
+                                       {"feature": "weight", "order": 19, "value": 3.0}]),
+                           encoding="utf-8")
+        capsys.readouterr()
+        code = main(["select", "--population", str(pop_path), "--targets", str(targets),
+                     "--mode", "fixed", "--trial-size", "50", "--out", str(tmp_path / "run")])
+        assert code == 4, capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "solver failure: the solve found the targets infeasible, "
+            "but its elastic run violates no row\n")
         assert not (tmp_path / "run").exists()
 
     def test_fixed_select_on_all_zero_rows_is_zero(self, tmp_path):

@@ -9,6 +9,7 @@ from dsps.evaluate import (
     rsse,
 )
 from dsps.moments import TargetCriterion, TargetSet, expected_moment, sample_moment
+from dsps.realize import draw
 from dsps.selection import solve_max_size
 
 from oracles import moment_oracle, weighted_moment_oracle
@@ -104,23 +105,24 @@ class TestEvaluateSelection:
             )
 
     def test_probability_path_uses_target_centred_weights(self):
+        # probabilities are scored by expected moments about the targets'
+        # references, the rule the LP rows read, not by evaluate_selection
         pop, targets = self.instance()
-        rng = np.random.default_rng(607)
-        p = rng.uniform(0.1, 1.0, 24)
-        report = evaluate_selection(pop, targets, p)
-        xs = pop.data[:, 0].tolist()
-        assert report.realized_size is None
-        by_order = {r.order: r for r in report.per_criterion}
-        assert by_order[1].achieved == pytest.approx(
-            weighted_moment_oracle(xs, p.tolist(), 1), rel=1e-12
-        )
-        assert by_order[2].achieved == pytest.approx(
-            weighted_moment_oracle(xs, p.tolist(), 2, target_mean=5.2), rel=1e-12
+        p = np.random.default_rng(607).uniform(0.1, 1.0, 24)
+        x = pop.data[:, 0]
+        achieved = [expected_moment(x, p, c.order, *targets.references(c.feature, c.order))
+                    for c in targets]
+        assert achieved[0] == pytest.approx(weighted_moment_oracle(x.tolist(), p.tolist(), 1),
+                                            rel=1e-12)
+        assert achieved[1] == pytest.approx(
+            weighted_moment_oracle(x.tolist(), p.tolist(), 2, target_mean=5.2), rel=1e-12
         )
 
     def test_aggregates_match_per_criterion_errors(self):
         pop, targets = self.instance()
-        report = evaluate_selection(pop, targets, np.full(24, 0.7))
+        keep = np.zeros(24, dtype=np.int8)
+        keep[::3] = 1
+        report = evaluate_selection(pop, targets, keep)
         pes = np.array([r.percentage_error for r in report.per_criterion])
         assert report.pe_mean == pytest.approx(float(np.mean(pes)), rel=1e-12)
         assert report.pe_sd == pytest.approx(float(np.std(pes, ddof=1)), rel=1e-12)
@@ -136,28 +138,16 @@ class TestEvaluateSelection:
         assert a.realized_size == b.realized_size == 10
         assert a.rsse == pytest.approx(b.rsse, rel=1e-15)
 
-    def test_float_vector_counts_as_probabilities(self):
+    def test_float_vector_is_refused(self):
+        # a 0/1 float vector is read neither as probabilities nor as a mask,
+        # and nor is any other dtype that is not integer or bool
         pop, targets = self.instance()
-        keep = np.zeros(24)
-        keep[:10] = 1.0
-        report = evaluate_selection(pop, targets, keep)
-        assert report.realized_size is None
-        # the variance is centred on the target mean, as probabilities are
-        x = pop.data[:, 0]
-        assert [r.achieved for r in report.per_criterion] == [
-            expected_moment(x, keep, 1),
-            expected_moment(x, keep, 2, target_mean=5.2),
-        ]
-
-    @pytest.mark.parametrize("n_criteria", [0, 2])
-    def test_probability_outside_unit_interval_is_refused(self, n_criteria):
-        pop, targets = self.instance()
-        targets = TargetSet(targets.criteria[:n_criteria])
-        for bad in (1.5, np.nan):  # NaN fails both range comparisons
-            p = np.full(24, 0.5)
-            p[3] = bad
-            with pytest.raises(DspsError, match=f"probability {bad} outside"):
-                evaluate_selection(pop, targets, p)
+        keep = np.zeros(24, dtype=np.int8)
+        keep[:10] = 1
+        for dtype in (float, np.float32, complex, object, str):
+            vec = keep.astype(dtype)
+            with pytest.raises(DspsError, match=f"not dtype {vec.dtype}$"):
+                evaluate_selection(pop, targets, vec)
 
     def test_all_zero_mask_is_empty_selection(self):
         pop, targets = self.instance()
@@ -165,38 +155,41 @@ class TestEvaluateSelection:
             evaluate_selection(pop, targets, np.zeros(24, dtype=np.int8))
 
     def test_probability_length_mismatch(self):
+        # the shape is checked before the dtype, so probabilities of the
+        # wrong length get the message a mask of that length gets
         pop, targets = self.instance()
-        with pytest.raises(DspsError, match=r"selection of shape \(10,\) for 24 members"):
-            evaluate_selection(pop, targets, np.full(10, 0.5))
+        for vec in (np.full(10, 0.5), np.ones(10, dtype=np.int8)):
+            with pytest.raises(DspsError, match=r"selection of shape \(10,\) for 24 members"):
+                evaluate_selection(pop, targets, vec)
 
     def test_zero_target_propagates_and_epsilon_softens(self):
         pop = make_pop([1.0, -1.0, 2.0, -2.0])
         targets = TargetSet((TargetCriterion("f", 1, 0.0),))
-        p = np.full(4, 1.0)
         with pytest.raises(DspsError, match="has target 0"):
-            evaluate_selection(pop, targets, p)
+            evaluate_selection(pop, targets, np.ones(4, dtype=np.int8))
         # selection.EPSILON softens the zero target's LP row, so it solves,
-        # but nothing softens its score
+        # but nothing softens the score of its draw
         sel = solve_max_size(pop, targets, 4.0)
-        np.testing.assert_allclose(sel.p, p, atol=1e-9)
+        np.testing.assert_allclose(sel.p, 1.0, atol=1e-9)
         with pytest.raises(DspsError, match="has target 0"):
-            evaluate_selection(pop, targets, sel.p)
+            evaluate_selection(pop, targets, draw(sel.p, 0))
 
     def test_empty_target_set_scores_zero(self):
         pop, _ = self.instance()
-        report = evaluate_selection(pop, TargetSet(()), np.full(24, 0.5))
+        report = evaluate_selection(pop, TargetSet(()), np.ones(24, dtype=np.int8))
         assert report.per_criterion == ()
         assert report.rsse == 0.0 and report.pe_mean == 0.0 and report.pe_sd == 0.0
+        assert report.realized_size == 24
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_expected_moment_names_its_criterion(self):
-        # the kurtosis scale, the target variance squared, is 1e400: a
-        # Python float raised OverflowError for it
+    def test_overflowing_realized_moment_names_its_criterion(self):
+        # the kurtosis scale, the variance squared, is about 1e400: a Python
+        # float raised OverflowError for it
         pop = make_pop([0.0, 1e100, 3e100, 7e100])
         targets = TargetSet((TargetCriterion("f", 1, 2.5e100), TargetCriterion("f", 2, 1e200),
                              TargetCriterion("f", 4, 1.0)))
         with pytest.raises(DspsError, match=r"^the moment of \('f', 4\) overflows float64$"):
-            evaluate_selection(pop, targets, np.full(4, 0.5))
+            evaluate_selection(pop, targets, np.ones(4, dtype=np.int8))
 
 
 class TestMaskScoring:

@@ -173,6 +173,23 @@ class TestTargetSet:
         assert ts.has("a", 1)
         assert not ts.has("b", 1)
 
+    @pytest.mark.parametrize("order, want", [
+        (1, (None, None)), (2, (5.0, None)), (3, (5.0, 2.0)), (4, (5.0, 2.0)), (5, (5.0, None)),
+    ])
+    def test_references_are_the_targets_an_order_is_taken_about(self, order, want):
+        ts = TargetSet((
+            TargetCriterion("a", 1, 5.0),
+            TargetCriterion("a", 2, 2.0),
+            TargetCriterion("b", 1, 9.0),
+        ))
+        assert ts.references("a", order) == want
+        # the same rule is the prerequisite check: "b" has no order-2 target
+        if order in (3, 4):
+            with pytest.raises(DspsError, match=rf"\('b', {order}\) needs an order-2 target"):
+                ts.references("b", order)
+        else:
+            assert ts.references("b", order) == (None if order == 1 else 9.0, None)
+
     def test_duplicate_criterion(self):
         with pytest.raises(DspsError, match=r"duplicate target for \('a', 1\)"):
             TargetSet((

@@ -339,7 +339,6 @@ class TestDrawBestScoresEachMaskOnce:
 NOT_A_VECTOR = {
     "draw": lambda pop, targets, v: draw(v, 1),
     "draw_best": lambda pop, targets, v: draw_best(v, pop, targets, 3, seed=1),
-    "evaluate probabilities": lambda pop, targets, v: evaluate_selection(pop, targets, v),
     "evaluate mask":
         lambda pop, targets, v: evaluate_selection(pop, targets, (v > 0).astype(np.int8)),
     "expected_size": lambda pop, targets, v: expected_size(v),
