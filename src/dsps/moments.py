@@ -17,7 +17,7 @@ the target, not the weighted sample itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -57,7 +57,7 @@ class TargetCriterion:
 
 @dataclass(frozen=True)
 class TargetSet:
-    """Collection of criteria with prerequisite checks.
+    """The criteria, in target order and checked; :meth:`references` is its one lookup.
 
     Any order >= 2 requires an order-1 target for the same feature, and the
     standardised orders 3 and 4 additionally require order 2, since those
@@ -65,18 +65,16 @@ class TargetSet:
     """
 
     criteria: tuple[TargetCriterion, ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         criteria = tuple(self.criteria)
         object.__setattr__(self, "criteria", criteria)
-        index: dict[tuple[str, int], float] = {}
+        seen = set()
         for c in criteria:
             key = (c.feature, c.order)
-            if key in index:
+            if key in seen:
                 raise DspsError(f"duplicate target for {key}")
-            index[key] = c.value
-        object.__setattr__(self, "_index", index)
+            seen.add(key)
         for c in criteria:
             self.references(c.feature, c.order)
 
@@ -86,25 +84,17 @@ class TargetSet:
     def __iter__(self) -> Iterator[TargetCriterion]:
         return iter(self.criteria)
 
-    def has(self, feature: str, order: int) -> bool:
-        return (feature, order) in self._index
-
-    def value_of(self, feature: str, order: int) -> float:
-        try:
-            return self._index[(feature, order)]
-        except KeyError:
-            raise DspsError(f"no target for ({feature!r}, {order})") from None
-
     def references(self, feature: str, order: int) -> tuple[float | None, float | None]:
         """The target ``(mean, var)`` an order's moment is taken about, ``None`` where unused.
 
         The mean centres orders >= 2 and the variance scales orders 3 and 4.
         """
+        values = {(c.feature, c.order): c.value for c in self.criteria}
         refs = []
         for ref, used in ((1, order >= 2), (2, order in (3, 4))):
-            if used and (feature, ref) not in self._index:
+            if used and (feature, ref) not in values:
                 raise DspsError(f"({feature!r}, {order}) needs an order-{ref} target")
-            refs.append(self._index[(feature, ref)] if used else None)
+            refs.append(values[(feature, ref)] if used else None)
         return refs[0], refs[1]
 
     @staticmethod

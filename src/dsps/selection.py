@@ -36,7 +36,7 @@ import numpy as np
 from .dataset import Population, feature_column
 from .errors import DspsError, InfeasibleError, SolverFailure
 from .lp_core import LpProblem, LpSolution, SolveStatus, solve_lp
-from .moments import TargetSet, moment_terms
+from .moments import TargetCriterion, TargetSet, moment_terms
 
 __all__ = [
     "ConstraintSystem",
@@ -69,14 +69,13 @@ class ConstraintSystem:
         return self.rhs.size
 
 
-def _row_entries(x: np.ndarray, order: int, targets: TargetSet, feature: str):
-    """(entries, rhs) of one criterion row, unscaled."""
-    t = targets.value_of(feature, order)
-    mean, var = targets.references(feature, order)
+def _row_entries(x: np.ndarray, c: TargetCriterion, targets: TargetSet):
+    """(entries, rhs) of ``c``'s row over ``x``, unscaled, about ``targets``' references."""
+    mean, var = targets.references(c.feature, c.order)
     d = x if mean is None else x - mean
-    dof, scale, shift = moment_terms(order, var)
-    level = scale * (t + shift)
-    return d**order - level, 0.0 - dof * level  # 0.0 - keeps a zero rhs +0.0
+    dof, scale, shift = moment_terms(c.order, var)
+    level = scale * (c.value + shift)
+    return d**c.order - level, 0.0 - dof * level  # 0.0 - keeps a zero rhs +0.0
 
 
 def build_lp_system(pop: Population, targets: TargetSet) -> ConstraintSystem:
@@ -90,7 +89,7 @@ def build_lp_system(pop: Population, targets: TargetSet) -> ConstraintSystem:
         row_scale = 1.0 / (abs(c.value) + EPSILON)
         x = feature_column(pop, c.feature)
         with np.errstate(over="ignore", invalid="ignore"):
-            entries, b = _row_entries(x, c.order, targets, c.feature)
+            entries, b = _row_entries(x, c, targets)
             row, b = entries * row_scale, b * row_scale
         if not (np.isfinite(b) and np.all(np.isfinite(row))):
             raise DspsError(f"the row of ({c.feature!r}, {c.order}) overflows float64")

@@ -166,6 +166,31 @@ class TestSelect:
         assert run["row_labels"] == [[c.feature, c.order] for c in
                                      sorted(targets, key=lambda c: c.order)]
 
+    def test_expected_size_at_most_one_leaves_expected_moments_out(self, tmp_path):
+        # each order-1 entry of f is about -0.9 against its far mean, so
+        # alpha = 0.75 (trial size 15) caps sum(p) near 0.85, and g's mean
+        # splits it between a low and a high g: a weighted variance needs
+        # sum(p) above 1, so no criterion reports an expected moment, while a
+        # draw of both members still scores
+        f = [100.0, 110.0, 90.0, 105.0, 95.0, 120.0]
+        g = [10.0, 30.0, 10.0, 30.0, 20.0, 25.0]
+        pop = Population(tuple(f"m{i}" for i in range(6)), ("f", "g"), np.column_stack([f, g]))
+        targets = TargetSet((TargetCriterion("f", 1, 1000.0), TargetCriterion("f", 2, 1e9),
+                             TargetCriterion("g", 1, 20.0)))
+        save_population(pop, tmp_path / "population.csv")
+        (tmp_path / "targets.json").write_text(targets.to_json(), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["select", "--population", str(tmp_path / "population.csv"),
+                     "--targets", str(tmp_path / "targets.json"), "--trial-size", "15",
+                     "--draws", "50", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["expected_size"] <= 1.0
+        assert report["realized_size"] == 2
+        assert [(row["feature"], row["order"]) for row in report["criteria"]] == [
+            ("f", 1), ("f", 2), ("g", 1)]
+        for row in report["criteria"]:
+            assert "expected" not in row and "realized" in row, row
+
     def test_in_process_run_writes_only_through_sys_stdout(self, workspace, capfd):
         # a caller that runs main() in its own process (as the traced
         # benchmark does) reads the result from sys.stdout: nothing may reach
@@ -1162,6 +1187,24 @@ class TestPackaging:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    def test_runtime_imports_only_numpy_and_the_standard_library(self):
+        # numpy is the one runtime dependency: a fresh interpreter importing
+        # the CLI loads no other third-party top-level module
+        child = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import dsps.cli\n"
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = set(proc.stdout.split())
+        assert imported - set(sys.stdlib_module_names) == {"dsps", "numpy"}
 
     @pytest.mark.skipif(shutil.which("dsps") is None, reason="console script not on PATH")
     def test_console_script_runs(self):

@@ -233,6 +233,18 @@ def test_population_rejects_nonfinite():
         Population(("a",), ("x",), np.array([[np.inf]]))
 
 
+@pytest.mark.parametrize("ids, names, data, message", [
+    (("a",), ("x",), [1.0], "must be a 2-d matrix"),
+    ((), ("x",), np.zeros((0, 1)), "at least one member and one feature"),
+    (("a",), (), np.zeros((1, 0)), "at least one member and one feature"),
+    (("a", "b"), ("x",), [[1.0]], "^2 ids for 1 rows$"),
+    (("a",), ("x", "y"), [[1.0]], "^2 names for 1 columns$"),
+], ids=["1-d", "no members", "no features", "ids", "names"])
+def test_population_rejects_a_shape_its_labels_do_not_fit(ids, names, data, message):
+    with pytest.raises(DspsError, match=message):
+        Population(ids, names, data)
+
+
 def _outcome(load, text: bytes):
     """``(ids, feature names, data bytes)`` of a file's load, or ``(error class, message)``."""
     try:

@@ -90,6 +90,15 @@ class TestBasics:
         with pytest.raises(DspsError, match="lower bounds must be finite, upper bounds not NaN"):
             lp([0.0, 1.0], (), [0.0, lower], [1.0, upper])
 
+    @pytest.mark.parametrize("objective, message", [
+        ([], "objective must have at least one entry"),
+        ([1.0, np.inf], "objective entries must be finite"),
+        ([np.nan, 1.0], "objective entries must be finite"),
+    ], ids=["empty", "+inf", "NaN"])
+    def test_objective_must_be_finite_and_nonempty(self, objective, message):
+        with pytest.raises(DspsError, match=f"^{message}$"):
+            LpProblem(objective, np.zeros((0, len(objective))), [], 0.0, 1.0)
+
     def test_iteration_limit(self, monkeypatch):
         # a budget of 0 per column leaves each run its first iteration
         problem = lp([-1.0, -2.0, -3.0], [([1.0, 1.0, 1.0], "=", 1.5)], 0.0, 1.0)

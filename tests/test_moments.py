@@ -165,13 +165,14 @@ class TestExpectedMoment:
 
 class TestTargetSet:
     def test_lookup(self):
-        ts = TargetSet((
-            TargetCriterion("a", 1, 5.0),
-            TargetCriterion("a", 2, 2.0),
-        ))
-        assert ts.value_of("a", 2) == 2.0
-        assert ts.has("a", 1)
-        assert not ts.has("b", 1)
+        criteria = (TargetCriterion("a", 1, 5.0), TargetCriterion("a", 2, 2.0))
+        ts = TargetSet(criteria)
+        assert ts.criteria == criteria
+        assert {(c.feature, c.order): c.value for c in ts} == {("a", 1): 5.0, ("a", 2): 2.0}
+        assert ts.references("a", 2) == (5.0, None)
+        # the criteria are the only field: a second argument is refused, not dropped
+        with pytest.raises(TypeError):
+            TargetSet(criteria, {})
 
     @pytest.mark.parametrize("order, want", [
         (1, (None, None)), (2, (5.0, None)), (3, (5.0, 2.0)), (4, (5.0, 2.0)), (5, (5.0, None)),
@@ -242,6 +243,16 @@ class TestTargetSet:
     def test_from_json_refuses_what_it_used_to_coerce(self, item, field):
         with pytest.raises(DspsError, match=field):
             TargetSet.from_json(f"[{{{item}}}]")
+
+    @pytest.mark.parametrize("text, message", [
+        ('[{"feature": "x", "order": 1, "value": Infinity}]', r"^target for \('x', 1\) is not finite$"),
+        ('[{"feature": "x", "order": 1, "value": NaN}]', r"^target for \('x', 1\) is not finite$"),
+        ('[{"feature": "x", "order": 1}]', "needs feature/order/value$"),
+        ('[["x", 1, 2.0]]', "needs feature/order/value$"),
+    ], ids=["infinite value", "NaN value", "no value", "not an object"])
+    def test_from_json_refuses_a_criterion_it_cannot_hold(self, text, message):
+        with pytest.raises(DspsError, match=message):
+            TargetSet.from_json(text)
 
     def test_from_json_refuses_nesting_too_deep_to_parse(self):
         with pytest.raises(DspsError, match="does not parse"):

@@ -114,25 +114,26 @@ class TestBuildLpSystem:
         )
         system = build_lp_system(pop, targets)
         by_label = dict(zip(system.row_labels, range(system.n_rows)))
+        values = {(c.feature, c.order): c.value for c in targets}
         for feature, col in (("a", 0), ("b", 1)):
             x = pop.data[:, col]
             for order in (1, 2, 3, 4, 5):
-                if not targets.has(feature, order):
+                if (feature, order) not in values:
                     continue
-                t = targets.value_of(feature, order)
+                t = values[(feature, order)]
                 j = by_label[(feature, order)]
                 for i, xi in enumerate(x):
                     if order == 1:
                         want, rhs = xi - t, 0.0
                     else:
-                        d = xi - targets.value_of(feature, 1)
+                        d = xi - values[(feature, 1)]
                         if order == 2:
                             want, rhs = d * d - t, -t
                         elif order == 3:
-                            m2 = targets.value_of(feature, 2)
+                            m2 = values[(feature, 2)]
                             want, rhs = d**3 - m2**1.5 * t, 0.0
                         elif order == 4:
-                            m2 = targets.value_of(feature, 2)
+                            m2 = values[(feature, 2)]
                             want, rhs = d**4 - m2**2 * (t + 3.0), 0.0
                         else:
                             want, rhs = d**order - t, 0.0
@@ -153,13 +154,14 @@ class TestBuildLpSystem:
             ))
             p = rng.uniform(0.0, 1.0, 50)
             system = build_lp_system(pop, targets)
+            values = {(c.feature, c.order): c.value for c in targets}
             for j, (feature, order) in enumerate(system.row_labels):
                 x = feature_column(pop, feature)
-                t1, t2 = targets.value_of(feature, 1), targets.value_of(feature, 2)
+                t1, t2 = values[(feature, 1)], values[(feature, 2)]
                 dof, scale, _ = moment_terms(order, t2)
                 moment = expected_moment(x, p, order, t1, t2)
                 got = system.matrix[j] @ p - system.rhs[j]
-                t = targets.value_of(feature, order)
+                t = values[(feature, order)]
                 want = (moment - t) * (p.sum() - dof) * scale / (abs(t) + 1e-6)
                 assert got == pytest.approx(want, rel=1e-9), (trial, feature, order)
 
@@ -340,8 +342,9 @@ class TestSolveMaxSize:
         sel = solve_max_size(pop, targets, 100.0)
         assert np.count_nonzero(sel.eta) >= 3  # both means and a variance use slack
         total = float(np.sum(sel.p))
+        values = {(c.feature, c.order): c.value for c in targets}
         for j, c in enumerate(sorted(targets, key=lambda c: c.order)):
-            m1, m2 = targets.value_of(c.feature, 1), targets.value_of(c.feature, 2)
+            m1, m2 = values[(c.feature, 1)], values[(c.feature, 2)]
             dof, scale, _ = moment_terms(c.order, m2)
             m = expected_moment(feature_column(pop, c.feature), sel.p, c.order, m1, m2)
             assert sel.eta[j] == pytest.approx(
@@ -470,7 +473,8 @@ class TestSolveMaxSize:
         x = np.concatenate([center + np.asarray(half), center - np.asarray(half)])
         pop = make_pop({"f": x})
         targets = plant_subset(pop, np.arange(x.size), orders=(1, 2, 3))
-        assert abs(targets.value_of("f", 3)) < 1e-6
+        values = {(c.feature, c.order): c.value for c in targets}
+        assert abs(values[("f", 3)]) < 1e-6
         sel = solve_max_size(pop, targets, float(x.size))
         assert sel.expected_size == pytest.approx(x.size, abs=1e-6)
         system = build_lp_system(pop, targets)

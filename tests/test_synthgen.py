@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,13 @@ class TestSpecJson:
         spec = SynthSpec.from_json(text)
         assert (spec.n_p, spec.seed) == (12, 3) and type(spec.n_p) is int
         assert spec.features[0].dist == Normal(1.0, 2.0)
+
+    @pytest.mark.parametrize("dist", [{"mu": 0.0, "sigma": 1.0}, ["normal", 0.0, 1.0]],
+                             ids=["no type", "not an object"])
+    def test_distribution_node_needs_a_type(self, dist):
+        text = json.dumps({"n_p": 5, "seed": 0, "features": [{"name": "f", "dist": dist}]})
+        with pytest.raises(DspsError, match=f"^distribution node {re.escape(repr(dist))} needs a type$"):
+            SynthSpec.from_json(text)
 
     def test_unknown_distribution_type(self):
         with pytest.raises(DspsError, match="unknown distribution type 'cauchy'"):
