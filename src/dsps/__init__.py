@@ -75,4 +75,10 @@ __all__ = [
     "rsse",
     "gmi",
     "DspsError",
+    "Normal",
+    "LogNormal",
+    "Mixture",
+    "SynthSpec",
+    "generate_population",
+    "plant_subset",
 ]

@@ -37,7 +37,7 @@ from . import __version__
 from .dataset import feature_column, load_population, save_population, write_id_csv
 from .errors import AllDrawsDegenerate, DspsError, InfeasibleError, InsufficientData, SolverFailure
 from .evaluate import _denominators, evaluate_selection
-from .moments import TargetSet, expected_moment
+from .moments import TargetSet, count, expected_moment
 from .realize import draw_best
 from .selection import EPSILON, solve_fixed_size, solve_max_size
 from .synthgen import SynthSpec, generate_population
@@ -175,10 +175,8 @@ def cmd_select(args) -> int:
     targets = TargetSet.from_json(Path(args.targets).read_text(encoding="utf-8"))
     # scoring needs a relative error for every target: fail before the solve
     _denominators(np.array([c.value for c in targets]))
-    if args.seed < 0:
-        raise DspsError(f"--seed must be a non-negative integer, got {args.seed}")
-    if args.draws < 1:
-        raise DspsError(f"--draws must be >= 1, got {args.draws}")
+    count(args.seed, 0, "--seed")
+    count(args.draws, 1, "--draws")
 
     if args.mode == "fixed":
         sel = solve_fixed_size(pop, targets, args.trial_size)

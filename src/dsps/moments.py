@@ -44,9 +44,7 @@ class TargetCriterion:
     def __post_init__(self):
         if not isinstance(self.feature, str):
             raise DspsError(f"feature must be a string, got {self.feature!r}")
-        # a JSON true is a Python bool, which is an int
-        if isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 1:
-            raise DspsError(f"order must be a positive integer, got {self.order!r}")
+        object.__setattr__(self, "order", count(self.order, 1, "order"))
         value = float(self.value)
         if not np.isfinite(value):
             raise DspsError(f"target for ({self.feature!r}, {self.order}) is not finite")
@@ -127,7 +125,7 @@ class TargetSet:
 
 def json_number(value, what: str) -> float:
     """``value`` as a float if JSON holds a number there (not ``true``), else :class:`DspsError`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (int, float):  # json.loads gives exactly these, or a bool
         raise DspsError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
@@ -135,11 +133,21 @@ def json_number(value, what: str) -> float:
         raise DspsError(f"{what} is out of range, got {value}") from None
 
 
+def count(value, low: int, what: str) -> int:
+    """A Python or numpy integer >= ``low`` as an int; a bool, float or string raises DspsError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        kind = "positive" if low else "non-negative"
+        raise DspsError(f"{what} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
 def sample_moment(values, order: int) -> float:
     """Moment of ``values`` about their own mean, under the package conventions.
 
-    About given reference values it is :func:`expected_moment` with unit weights.
+    ``order`` is a :func:`count` >= 1, as in :func:`expected_moment`, which is this
+    moment about given reference values when the weights are all 1.
     """
+    order = count(order, 1, "order")
     x = np.asarray(values, dtype=float).ravel()
     n = x.size
     if n < 1:
@@ -211,8 +219,9 @@ def expected_moment(
 
     Mirrors :func:`sample_moment` with ``sum(p)`` in place of the count, but
     centres on ``target_mean`` (orders >= 2) and standardises by
-    ``target_var`` (orders 3 and 4), which must be supplied.
+    ``target_var`` (orders 3 and 4); a missing one is a :class:`DspsError`.
     """
+    order = count(order, 1, "order")
     x = np.asarray(values, dtype=float).ravel()
     q = np.asarray(p, dtype=float)
     if x.size != q.size:
@@ -221,7 +230,7 @@ def expected_moment(
     d = x
     if order >= 2:
         if target_mean is None:
-            raise InsufficientData(f"order-{order} weighted moment requires target_mean")
+            raise DspsError(f"order-{order} weighted moment requires target_mean")
         d = x - float(target_mean)
     if order == 2 and total <= 1.0:
         raise InsufficientData("weighted variance needs expected size above 1")
@@ -230,7 +239,7 @@ def expected_moment(
     sv = None
     if order in (3, 4):
         if target_var is None:
-            raise InsufficientData(f"order-{order} weighted moment requires target_var")
+            raise DspsError(f"order-{order} weighted moment requires target_var")
         sv = _variance_scale(target_var)
     dof, scale, shift = moment_terms(order, sv)
     return float(np.dot(q, d**order) / (total - dof) / scale - shift)

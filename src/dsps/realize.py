@@ -27,7 +27,7 @@ import numpy as np
 from .dataset import Population
 from .errors import AllDrawsDegenerate, DspsError, InsufficientData
 from .evaluate import EvaluationReport, evaluate_selection
-from .moments import TargetSet, probability_vector
+from .moments import TargetSet, count, probability_vector
 
 __all__ = ["RealizationResult", "DrawStats", "uniform_stream", "draw", "draw_best"]
 
@@ -50,19 +50,13 @@ class RealizationResult:
     report: EvaluationReport
 
 
-def _is_count(value, low: int) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= low
-
-
 def uniform_stream(seed: int, draw_index: int, n: int) -> np.ndarray:
     """The pinned uniforms for one draw: PCG64 on ``SeedSequence(seed, (draw_index,))``.
 
-    Both must be non-negative integers, or :class:`DspsError` is raised.
+    Each is a :func:`~dsps.moments.count` >= 0, or :class:`DspsError` is raised.
     """
-    for name, value in (("seed", seed), ("draw index", draw_index)):
-        if not _is_count(value, 0):
-            raise DspsError(f"{name} must be a non-negative integer, got {value!r}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(draw_index),))
+    ss = np.random.SeedSequence(entropy=count(seed, 0, "seed"),
+                                spawn_key=(count(draw_index, 0, "draw index"),))
     return np.random.Generator(np.random.PCG64(ss)).random(n)
 
 
@@ -84,6 +78,7 @@ def draw_best(
     """Best of ``n_draws`` independent realizations, scored by realized RSSE.
 
     ``p`` is the probability vector; draw ``k`` is ``draw(p, seed, k)``.
+    ``n_draws`` is a positive and ``seed`` a non-negative integer (numpy ones too).
     A draw that cannot be scored (empty, or too few members for a targeted
     order, or zero spread under a standardised target) gets RSSE ``+inf``.
     Ties prefer the larger draw, then the earlier draw index.  If every draw
@@ -95,8 +90,7 @@ def draw_best(
     mask, scored once: a later draw of it reuses the first draw's RSSE (or
     ``inf``), and cannot win the tie-break against that first draw.
     """
-    if not _is_count(n_draws, 1):
-        raise DspsError(f"n_draws must be a positive integer, got {n_draws!r}")
+    n_draws = count(n_draws, 1, "n_draws")
     vec = probability_vector(p)
     if vec.size != pop.n_members:
         raise DspsError(
@@ -107,7 +101,7 @@ def draw_best(
     best: RealizationResult | None = None
     best_key: tuple | None = None
     stats: list[DrawStats] = []
-    for k in range(int(n_draws)):
+    for k in range(n_draws):
         mask = draw(vec, seed, k)
         size = int(np.count_nonzero(mask))
         outcome = mask[fractional].tobytes()

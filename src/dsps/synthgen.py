@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import Population
 from .errors import DspsError
-from .moments import TargetCriterion, TargetSet, json_number, sample_moment
+from .moments import TargetCriterion, TargetSet, count, json_number, sample_moment
 
 __all__ = [
     "Normal",
@@ -108,10 +108,8 @@ class SynthSpec:
     features: tuple[FeatureSpec, ...]
 
     def __post_init__(self):
-        for name, low in (("n_p", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise DspsError(f"{name} must be an integer >= {low}, got {value!r}")
+        object.__setattr__(self, "n_p", count(self.n_p, 1, "n_p"))
+        object.__setattr__(self, "seed", count(self.seed, 0, "seed"))
         object.__setattr__(self, "features", tuple(self.features))
         if not self.features:
             raise DspsError("spec needs at least one feature")
@@ -164,7 +162,7 @@ def generate_population(spec: SynthSpec) -> Population:
     width = max(4, len(str(spec.n_p)))
     ids = tuple(f"m{i:0{width}d}" for i in range(1, spec.n_p + 1))
     for j, feat in enumerate(spec.features):
-        ss = np.random.SeedSequence(entropy=int(spec.seed), spawn_key=(j,))
+        ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(j,))
         rng = np.random.Generator(np.random.PCG64(ss))
         data[:, j] = feat.dist.sample(rng, spec.n_p)
     return Population(ids, tuple(f.name for f in spec.features), data)
@@ -181,7 +179,8 @@ def plant_subset(
     The returned targets are achievable by construction (the planted subset
     achieves them exactly), which makes them the standard way to build
     feasible test instances.  ``orders`` must include the prerequisites of
-    its higher orders (1 for anything above 1, and 2 for orders 3 and 4).
+    its higher orders (1 for anything above 1, and 2 for orders 3 and 4), each a
+    :func:`~dsps.moments.count` >= 1: a float, bool or string raises :class:`DspsError`.
     ``indices`` are distinct integer member indices; a 0/1 mask, floats or
     bools raise :class:`DspsError` rather than being read as indices.
     """
@@ -193,10 +192,8 @@ def plant_subset(
         raise DspsError(f"indices must be distinct integers, not a mask, got {idx.dtype} {idx[:5]}")
     if idx.min() < 0 or idx.max() >= pop.n_members:
         raise DspsError(f"indices out of range for population of {pop.n_members}")
-    orders = tuple(int(k) for k in orders)
-    if any(k < 1 for k in orders):
-        raise DspsError(f"orders must be >= 1, got {orders}")
-    if max(orders) >= 2 and idx.size < 2:
+    orders = tuple(count(k, 1, "order") for k in orders)
+    if max(orders, default=1) >= 2 and idx.size < 2:
         raise DspsError("need at least 2 planted members above order 1")
     names = tuple(features) if features is not None else pop.feature_names
     criteria = []

@@ -542,7 +542,7 @@ class TestExitCodes:
     # each given setting that is out of range raises the message of its check
     @pytest.mark.parametrize("setting, message", [
         (("--seed", "-1"), "--seed must be a non-negative integer, got -1"),
-        (("--draws", "0"), "--draws must be >= 1, got 0"),
+        (("--draws", "0"), "--draws must be a positive integer, got 0"),
     ], ids=["seed -1", "draws 0"])
     def test_bad_setting_raises_its_own_class(self, workspace, setting, message):
         tmp, pop, targets, pop_path, targets_path = workspace
@@ -1205,6 +1205,13 @@ class TestPackaging:
         assert proc.returncode == 0, proc.stderr
         imported = set(proc.stdout.split())
         assert imported - set(sys.stdlib_module_names) == {"dsps", "numpy"}
+
+    def test_all_lists_every_public_name_the_package_binds(self):
+        # `from dsps import *` gives what `dsps.<name>` gives, submodules aside
+        bound = {name for name, value in vars(dsps).items()
+                 if not name.startswith("_") and not isinstance(value, type(dsps))}
+        assert set(dsps.__all__) - {"__version__"} == bound
+        assert len(dsps.__all__) == len(set(dsps.__all__))
 
     @pytest.mark.skipif(shutil.which("dsps") is None, reason="console script not on PATH")
     def test_console_script_runs(self):

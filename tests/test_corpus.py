@@ -8,6 +8,8 @@ full bytes.
 """
 
 import copy
+import re
+from pathlib import Path
 
 import corpus
 
@@ -49,3 +51,11 @@ def test_a_changed_run_json_key_is_a_difference():
     for got in (added, missing, absent):
         assert corpus.differences(got, want, exact=False) == ["run_keys"]
     assert corpus.differences(copy.deepcopy(want), want, exact=False) == []
+
+
+def test_the_stated_corpus_size_is_the_manifest_size():
+    # README and the corpus docstring count the entries; neither may drift from the manifest
+    readme = (Path(corpus.__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    stated = [re.findall(r"pins the output of (\d+) fixed `dsps`\s+runs", readme),
+              re.findall(r"The (\d+) entries:", corpus.__doc__)]
+    assert stated == [[str(len(corpus.load_manifest()))]] * 2

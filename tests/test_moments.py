@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,10 +159,31 @@ class TestExpectedMoment:
             expected_moment([1.0, 2.0], [0.5, 0.5], 2, target_mean=1.5)
 
     def test_requires_reference_statistics(self):
-        with pytest.raises(InsufficientData, match="requires target_mean"):
+        # a missing reference is bad input, not too little mass: draw_best would
+        # score InsufficientData as RSSE +inf
+        with pytest.raises(DspsError, match="requires target_mean") as exc:
             expected_moment([1.0, 2.0], [1.0, 1.0], 2)
-        with pytest.raises(InsufficientData, match="requires target_var"):
+        assert exc.type is DspsError
+        with pytest.raises(DspsError, match="requires target_var") as exc:
             expected_moment([1.0, 2.0], [1.0, 1.0], 3, target_mean=1.5)
+        assert exc.type is DspsError
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.5, 2.0, True, "2", None])
+def test_moments_refuse_an_order_that_is_not_a_positive_integer(order):
+    # order 0 was once a moment of 1.0, and order 2.5 NaN with a RuntimeWarning
+    message = re.escape(f"order must be a positive integer, got {order!r}")
+    with pytest.raises(DspsError, match=message):
+        sample_moment([1.0, 2.0, 4.0], order)
+    with pytest.raises(DspsError, match=message):
+        expected_moment([1.0, 2.0, 4.0], [1.0, 1.0, 1.0], order, target_mean=2.0, target_var=1.0)
+
+
+def test_moments_take_a_numpy_order():
+    x = [1.0, 2.0, 4.0]
+    assert sample_moment(x, np.int64(3)) == sample_moment(x, 3)
+    assert expected_moment(x, [0.5, 1.0, 1.0], np.uint8(2), target_mean=2.0) == \
+        expected_moment(x, [0.5, 1.0, 1.0], 2, target_mean=2.0)
 
 
 class TestTargetSet:
@@ -216,6 +239,13 @@ class TestTargetSet:
     def test_bad_order(self):
         with pytest.raises(DspsError, match="order must be a positive integer, got 0"):
             TargetCriterion("a", 0, 1.0)
+
+    def test_numpy_order_is_stored_as_an_int(self):
+        # a numpy integer is an order, as it is a seed or a draw count
+        c = TargetCriterion("a", np.int64(2), 1.0)
+        assert type(c.order) is int and c == TargetCriterion("a", 2, 1.0)
+        ts = TargetSet((TargetCriterion("a", np.uint8(1), 5.0), c))
+        assert TargetSet.from_json(ts.to_json()) == ts
 
     def test_json_round_trip(self):
         ts = TargetSet((

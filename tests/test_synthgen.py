@@ -102,10 +102,28 @@ class TestSpecValidation:
             Mixture(((-1.0, Normal(0.0, 1.0)),))
         with pytest.raises(DspsError, match="mixture weights must have positive total"):
             Mixture(((0.0, Normal(0.0, 1.0)), (0.0, Normal(1.0, 1.0))))
-        with pytest.raises(DspsError, match="n_p must be an integer >= 1, got 0"):
+        with pytest.raises(DspsError, match="n_p must be a positive integer, got 0"):
             SynthSpec(0, 1, (FeatureSpec("f", Normal(0, 1)),))
         with pytest.raises(DspsError, match="spec needs at least one feature"):
             SynthSpec(10, 1, ())
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        spec = SynthSpec(np.int64(5), np.uint8(1), (FeatureSpec("f", Normal(0, 1)),))
+        assert type(spec.n_p) is int and type(spec.seed) is int
+        assert (spec.n_p, spec.seed) == (5, 1)
+        np.testing.assert_array_equal(
+            generate_population(spec).data,
+            generate_population(SynthSpec(5, 1, spec.features)).data)
+
+    @pytest.mark.parametrize("n_p, seed, message", [
+        (5.0, 1, "n_p must be a positive integer, got 5.0"),
+        (True, 1, "n_p must be a positive integer, got True"),
+        (5, -1, "seed must be a non-negative integer, got -1"),
+        (5, "1", "seed must be a non-negative integer, got '1'"),
+    ])
+    def test_counts_are_integers(self, n_p, seed, message):
+        with pytest.raises(DspsError, match=re.escape(message)):
+            SynthSpec(n_p, seed, (FeatureSpec("f", Normal(0, 1)),))
 
     def test_zero_sigma_gives_constant_column(self):
         spec = SynthSpec(50, 11, (FeatureSpec("flat", Normal(3.5, 0.0)),))
@@ -284,8 +302,26 @@ class TestPlantSubset:
 
     def test_order_zero_rejected(self):
         pop = generate_population(spec_two_features())
-        with pytest.raises(DspsError, match=r"orders must be >= 1, got \(0, 1\)"):
+        with pytest.raises(DspsError, match="order must be a positive integer, got 0"):
             plant_subset(pop, [0, 1], orders=(0, 1))
+
+    @pytest.mark.parametrize("order", [2.7, True, "2", 2.0])
+    def test_only_integer_orders_are_planted(self, order):
+        # each was once read through int(): 2.7 and "2" planted order 2, True order 1
+        pop = generate_population(spec_two_features())
+        message = f"order must be a positive integer, got {order!r}"
+        with pytest.raises(DspsError, match=re.escape(message)):
+            plant_subset(pop, [0, 1, 2], orders=(1, order))
+
+    def test_numpy_orders_are_planted_as_ints(self):
+        pop = generate_population(spec_two_features())
+        targets = plant_subset(pop, [0, 1, 2], orders=np.array([1, 2]))
+        assert targets == plant_subset(pop, [0, 1, 2], orders=(1, 2))
+        assert all(type(c.order) is int for c in targets)
+
+    def test_no_orders_plant_no_targets(self):
+        pop = generate_population(spec_two_features())
+        assert len(plant_subset(pop, [0], orders=())) == 0
 
     def test_singleton_cannot_plant_variance(self):
         pop = generate_population(spec_two_features())
