@@ -21,7 +21,7 @@ identical.
 
 Exit codes: 0 success, 1 bad input, 2 infeasible targets, 3 every draw
 degenerate, 4 solver failure (a numerical breakdown in the LP solve, no optimum
-within its iteration limit, or "infeasible" belied by ``p = 0`` or a zero certificate).
+within its iteration limit, or an infeasible verdict whose safe bound is not positive).
 """
 
 from __future__ import annotations

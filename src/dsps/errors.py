@@ -39,4 +39,4 @@ class AllDrawsDegenerate(DspsError):
 
 class SolverFailure(DspsError):
     """The LP solve broke down numerically, stopped at its iteration limit without an optimum,
-    or called a program infeasible that ``p = 0`` meets or whose elastic certificate is 0."""
+    or called a program infeasible without a positive safe bound on its least violation."""

@@ -104,13 +104,14 @@ def evaluate_selection(
     realized_size = int(np.count_nonzero(keep))
     if realized_size == 0:
         raise InsufficientData("mask selects no members")
-    with np.errstate(over="ignore", invalid="ignore"):
-        achieved = [
-            sample_moment(feature_column(pop, c.feature)[keep], c.order) for c in targets
-        ]
-    for c, value in zip(targets, achieved):
-        if not np.isfinite(value):
-            raise DspsError(f"the moment of ({c.feature!r}, {c.order}) overflows float64")
+    achieved = []
+    for c in targets:
+        try:
+            achieved.append(sample_moment(feature_column(pop, c.feature)[keep], c.order))
+        except InsufficientData:
+            raise
+        except DspsError:  # a checked order's moment fails only by overflowing
+            raise DspsError(f"the moment of ({c.feature!r}, {c.order}) overflows float64") from None
 
     t = np.array([c.value for c in targets], dtype=float)
     a = np.array(achieved, dtype=float)

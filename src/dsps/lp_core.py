@@ -25,8 +25,8 @@ the bound its cost picks.
   iterations.  A column with an infinite bound never flips.
 * **Infeasibility.**  When no column can enter, :func:`solve_lp` solves the
   elastic program, with one ``+e_r`` and one ``-e_r`` column of cost 1 per
-  row.  Its optimum, the least total violation, is the certificate reported
-  via ``objective_value``.
+  row: its optimum, the least total violation, is the certificate in
+  ``objective_value``, and its duals bound that violation below, safely.
 
 Rules:
 
@@ -60,6 +60,7 @@ reproducible quantity.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -139,9 +140,9 @@ class SolveStatus(enum.Enum):
 class LpSolution:
     """Solver outcome.
 
-    ``z`` is populated only for Optimal.  For Infeasible, ``objective_value``
-    holds the certificate: the smallest achievable total constraint
-    violation.  ``max_residual`` is the worst row violation at the final
+    ``z`` is populated only for Optimal, ``violation_bound`` only for Infeasible,
+    where it and the elastic certificate ``objective_value`` bracket the least
+    total violation.  ``max_residual`` is the worst row violation at the final
     iterate; for Infeasible, at the least-violation point.
     """
 
@@ -150,6 +151,7 @@ class LpSolution:
     objective_value: float
     iterations: int
     max_residual: float
+    violation_bound: float | None = None
 
 
 _FEAS_TOL = 1e-9
@@ -161,7 +163,7 @@ _ITERATION_BUDGET = 50  # iterations per column and per run
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the program: Optimal, or Infeasible with the elastic certificate.
+    """Solve the program: Optimal, or Infeasible with the elastic certificate and its bound.
 
     ``iterations`` counts both runs.  A breakdown, distinct from genuine
     infeasibility, raises :class:`SolverFailure`: a singular basis, a run past
@@ -172,14 +174,34 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     solution = _DualSimplex(problem).run()
     if solution.status is SolveStatus.OPTIMAL:
         return solution
-    elastic = _DualSimplex(_elastic_program(problem), spent=solution.iterations).run()
+    simplex = _DualSimplex(_elastic_program(problem), spent=solution.iterations)
+    elastic = simplex.run()
     if elastic.status is not SolveStatus.OPTIMAL:
         raise SolverFailure("the elastic program has no optimum")
     n, m = problem.n_vars, problem.n_rows
     # each row's violation is its elastic pair's sum
     residual = float(np.max(elastic.z[n:n + m] + elastic.z[n + m:], initial=0.0))
     return LpSolution(SolveStatus.INFEASIBLE, None, elastic.objective_value,
-                      elastic.iterations, residual)
+                      elastic.iterations, residual, _violation_bound(problem, simplex.y))
+
+
+def _violation_bound(problem: LpProblem, y: np.ndarray) -> float:
+    """A safe lower bound on the least total violation (Neumaier and Shcherbina 2004).
+
+    ``y.b - sum_j max(l_j g_j, u_j g_j)``, ``g = A^T y``, ``y`` clipped to ``[-1, 1]``, every
+    rounding bounded; overflow, or ``u_j = inf`` over a ``g_j`` that may be > 0, gives ``-inf``.
+    """
+    m, A, y = problem.n_rows, problem.matrix, np.clip(y, -1.0, 1.0)
+    with np.errstate(all="ignore"):
+        # g_j's roundoff is at most gamma_m (|A|^T |y|)_j plus m underflows: err is over twice it
+        g, err = A.T @ y, (m + 2) * (2.0**-51 * (np.abs(A).T @ np.abs(y)) + 5e-324)
+        # max(l g, u g) is convex in g, so it peaks at an end of g's interval
+        ends = (np.nextafter(g - err, -np.inf), np.nextafter(g + err, np.inf))
+        most = np.maximum(*(np.where(e > 0.0, problem.upper * e, problem.lower * e) for e in ends))
+        terms = np.append(np.nextafter(y * problem.rhs, -np.inf), -np.nextafter(most, np.inf))
+        if not np.sum(np.abs(terms)) < 2.0**1023:  # NaN, or a sum math.fsum might overflow
+            return -np.inf
+    return float(np.nextafter(math.fsum(terms.tolist()), -np.inf))
 
 
 def _elastic_program(problem: LpProblem) -> LpProblem:
@@ -253,14 +275,15 @@ class _DualSimplex:
         return LpSolution(status, z, objective, self.iterations, residual)
 
     def _refresh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rebuild ``B`` and ``xB``; return the structurals' reduced costs and which can move."""
+        """Rebuild ``B``, the duals ``y`` and ``xB``; return the reduced costs and which move."""
         struct = self.basis < self.n
         self.B = np.zeros((self.m, self.m))
         self.B[:, struct] = self.A[:, self.basis[struct]]
         self.B[self.basis[~struct] - self.n, np.flatnonzero(~struct)] = -1.0
         movable = self.gap > 0.0
         movable[self.basis[struct]] = False
-        d = self.cost[:self.n] - self.A.T @ self._solve_basis(self.cost[self.basis], transpose=True)
+        self.y = self._solve_basis(self.cost[self.basis], transpose=True)
+        d = self.cost[:self.n] - self.A.T @ self.y
         # a boxed column whose reduced cost drifted to the wrong sign moves to
         # the bound that sign picks, which keeps the basis dual feasible
         wrong = movable & np.isfinite(self.gap) & np.where(

@@ -107,9 +107,7 @@ class TargetSet:
         for item in raw:
             if not isinstance(item, dict) or not {"feature", "order", "value"} <= set(item):
                 raise DspsError(f"criterion {item!r} needs feature/order/value")
-            feature, order = item["feature"], item["order"]
-            if isinstance(order, float) and order.is_integer():
-                order = int(order)
+            feature, order = item["feature"], json_count(item["order"], 1, "order")
             what = f"value of ({feature!r}, {order!r})"
             value = json_number(item["value"], what)
             criteria.append(TargetCriterion(feature, order, value))
@@ -133,6 +131,12 @@ def json_number(value, what: str) -> float:
         raise DspsError(f"{what} is out of range, got {value}") from None
 
 
+def json_count(value, low: int, what: str) -> int:
+    """:func:`count` of a JSON number, where an integral float up to ``2**53`` is an integer."""
+    exact = isinstance(value, float) and value.is_integer() and abs(value) <= 2.0**53
+    return count(int(value) if exact else value, low, what)
+
+
 def count(value, low: int, what: str) -> int:
     """A Python or numpy integer >= ``low`` as an int; a bool, float or string raises DspsError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
@@ -154,12 +158,14 @@ def sample_moment(values, order: int) -> float:
         raise InsufficientData("no values")
     if order in (2, 3, 4) and n < 2:
         raise InsufficientData(f"order-{order} moment needs at least 2 values")
-    d = x
-    if order >= 2:
-        d = x - float(np.mean(x))
-    sv = _variance_scale(np.sum(d**2) / (n - 1)) if order in (3, 4) else None
-    dof, scale, shift = moment_terms(order, sv)
-    return float(np.sum(d**order) / (n - dof) / scale - shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = x - float(np.mean(x)) if order >= 2 else x
+        sv = _variance_scale(np.sum(d**2) / (n - 1)) if order in (3, 4) else None
+        dof, scale, shift = moment_terms(order, sv)
+        value = float(np.sum(d**order) / (n - dof) / scale - shift)
+    if not np.isfinite(value):
+        raise DspsError(f"the order-{order} moment overflows float64")
+    return value
 
 
 def moment_terms(order: int, var: float | None = None) -> tuple[int, float, float]:

@@ -139,9 +139,7 @@ def _select(
     which steers the vertex towards members that move the rows least.
     A given trial size that is not finite and positive raises
     :class:`DspsError` in every mode.  An infeasible program raises
-    :class:`InfeasibleError`, or :class:`SolverFailure` when it has no size
-    row and every ``|C_j| <= alpha``, since ``p = 0`` is feasible then, or
-    when its elastic certificate is 0, which contradicts the verdict.
+    :class:`InfeasibleError` if its safe bound is positive, else :class:`SolverFailure`.
     """
     # NaN fails both comparisons
     if trial_size is not None and not 0.0 < trial_size < np.inf:
@@ -165,12 +163,8 @@ def _select(
     upper = np.concatenate([np.ones(n), np.full(2 * k, alpha)])
     solution = solve_lp(LpProblem(c, A, C, np.zeros(n + 2 * k), upper))
     if solution.status is SolveStatus.INFEASIBLE:
-        if not pin_size and np.all(np.abs(system.rhs) <= alpha):
-            raise SolverFailure("the solve found the targets infeasible, but p = 0 "
-                                "meets every row within its slack cap")
-        if solution.objective_value == 0.0:
-            raise SolverFailure("the solve found the targets infeasible, but its elastic "
-                                "run violates no row")
+        if not solution.violation_bound > 0.0:
+            raise SolverFailure("the solve found the targets infeasible, but could not prove it")
         raise InfeasibleError(
             "no probability vector satisfies the targets "
             f"(best total violation {solution.objective_value:.3e})",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import Population
 from .errors import DspsError
-from .moments import TargetCriterion, TargetSet, count, json_number, sample_moment
+from .moments import TargetCriterion, TargetSet, count, json_count, json_number, sample_moment
 
 __all__ = [
     "Normal",
@@ -125,9 +125,7 @@ class SynthSpec:
                 FeatureSpec(f["name"], _dist_from_json(f["dist"]))
                 for f in raw["features"]
             )
-            # an integral float counts as an integer; SynthSpec checks the rest
-            n_p, seed = (int(v) if isinstance(v, float) and v.is_integer() else v
-                         for v in (raw["n_p"], raw["seed"]))
+            n_p, seed = json_count(raw["n_p"], 1, "n_p"), json_count(raw["seed"], 0, "seed")
             return SynthSpec(n_p, seed, features)
         except (KeyError, TypeError) as exc:
             raise DspsError(f"spec JSON is missing fields: {exc}") from None

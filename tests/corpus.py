@@ -37,10 +37,11 @@ The 118 entries:
   50) in the three modes, whose rows span about 1e11 in scaled units;
 * an order-10 target (``glucose`` order 1 = 150.1, order 10 = 1000, trial
   size 50) in the three modes: ``p = 0`` meets both rows, so the max-size
-  solves' infeasible verdict is a solver failure;
+  solves' infeasible verdict has a safe bound of 0, not positive, and is a
+  solver failure;
 * a ``fixed`` select at trial size 50 of ``weight`` order 1 at the
   column's mean and order 19 = 3, whose main run ends infeasible with an
-  elastic certificate of 0: a solver failure;
+  elastic certificate of 0 and a safe bound below 0: a solver failure;
 * ``evaluate`` of the mask of every demo-band select, of a mask that lists
   a member twice and of a mask whose values are written ``1.0``/``0.0``.
 """

@@ -5,6 +5,7 @@ Deliberately written in a different style from the library (plain loops,
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -77,6 +78,31 @@ def weighted_moment_oracle(xs, ps, k, target_mean=None, target_var=None):
 
 
 # ---- brute-force linear programming -------------------------------------
+
+def dual_bound_oracle(c, A, b, lower, upper, y):
+    """Exact ``y.b + sum_j min(l_j d_j, u_j d_j)``, ``d = c - A^T y``, as a ``Fraction``.
+
+    By weak duality, for any ``y`` this bounds ``min c.z`` over ``A z = b``,
+    ``l <= z <= u`` from below.  With ``c = 0`` and every ``|y_i| <= 1`` it
+    bounds the least total violation ``sum_i |a_i.z - b_i|`` over the box,
+    since each elastic column then prices at ``1 -/+ y_i >= 0``.  Every float
+    converts exactly; an infinite upper bound under a negative ``d_j`` gives
+    ``-inf``.
+    """
+    y = [Fraction(float(v)) for v in y]
+    total = sum((Fraction(float(b_i)) * y_i for b_i, y_i in zip(b, y)), Fraction(0))
+    for j in range(len(c)):
+        d = Fraction(float(c[j])) - sum(
+            (Fraction(float(A[i][j])) * y[i] for i in range(len(y))), Fraction(0))
+        at_lower = Fraction(float(lower[j])) * d
+        if math.isinf(upper[j]):
+            if d < 0:
+                return -math.inf
+            total += at_lower
+        else:
+            total += min(at_lower, Fraction(float(upper[j])) * d)
+    return total
+
 
 def lp_vertex_oracle(c, rows, lower, upper, tol=1e-8):
     """Minimise c.x over finite-box rows by enumerating candidate vertices.

@@ -732,7 +732,8 @@ class TestExitCodes:
         )
 
     def test_order_ten_target_that_p_zero_meets_is_a_solver_failure(self, tmp_path, capsys):
-        # every row's rhs is 0, so p = 0 meets both rows within any cap: an
+        # every row's rhs is 0, so p = 0 meets both rows within any cap: the
+        # least violation is 0, no safe bound on it is positive, and an
         # "infeasible" verdict of the max-size solve is its own failure, not
         # infeasible targets, while fixed mode solves at size 50
         demo = Path(__file__).resolve().parent.parent / "demo"
@@ -750,7 +751,7 @@ class TestExitCodes:
             if code:
                 assert capsys.readouterr().err == (
                     "solver failure: the solve found the targets infeasible, "
-                    "but p = 0 meets every row within its slack cap\n")
+                    "but could not prove it\n")
                 assert not (tmp_path / mode).exists()
             else:
                 assert (tmp_path / mode / "run.json").exists()
@@ -777,7 +778,8 @@ class TestExitCodes:
 
     def test_a_zero_elastic_certificate_is_a_solver_failure(self, tmp_path, capsys):
         # an infeasible verdict whose elastic run violates no row contradicts
-        # itself; fixed mode has a size row, so the p = 0 rule cannot see it
+        # itself: no safe bound on a least violation of 0 is positive, with a
+        # size row as without one
         demo = Path(__file__).resolve().parent.parent / "demo"
         pop_path = tmp_path / "population.csv"
         assert main(["generate", "--spec", str(demo / "spec.json"), "--out", str(pop_path)]) == 0
@@ -793,7 +795,7 @@ class TestExitCodes:
         assert code == 4, capsys.readouterr().err
         assert capsys.readouterr().err == (
             "solver failure: the solve found the targets infeasible, "
-            "but its elastic run violates no row\n")
+            "but could not prove it\n")
         assert not (tmp_path / "run").exists()
 
     def test_fixed_select_on_all_zero_rows_is_zero(self, tmp_path):

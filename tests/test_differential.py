@@ -1,20 +1,25 @@
-"""Differential checks of the LP solver against HiGHS and against itself.
+"""Differential checks of the LP solver against HiGHS, against itself and against exact dual bounds.
 
 Every program here is one the selection layer builds: the solve functions
 run as usual while ``solve_lp`` is recorded, and each recorded program is
 solved again by ``scipy.optimize.linprog(method="highs")``, and with one more
 ``[0, inf)`` column pinned to zero, the kind of column an elastic or slack
-variable adds.
+variable adds.  Above order 8, where HiGHS cannot serve, the solver's duals
+are checked in exact rationals instead.
 """
 
+import functools
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dsps import lp_core, selection
-from dsps.dataset import Population
-from dsps.errors import InfeasibleError
+from dsps.dataset import Population, feature_column
+from dsps.errors import InfeasibleError, SolverFailure
 from dsps.lp_core import LpProblem, SolveStatus, _DualSimplex, solve_lp
+from dsps.moments import TargetCriterion, TargetSet
 from dsps.selection import solve_fixed_size, solve_max_size
 from dsps.synthgen import (
     FeatureSpec,
@@ -26,7 +31,7 @@ from dsps.synthgen import (
     plant_subset,
 )
 
-from oracles import highs_objective
+from oracles import dual_bound_oracle, highs_objective
 
 MODES = ("max", "fixed", "strict")
 REL_TOL = 1e-7
@@ -220,3 +225,106 @@ def test_bland_rule_reaches_the_highs_optimum(seed, monkeypatch):
     assert solution.status is SolveStatus.OPTIMAL
     want = highs_objective(problem, linprog)
     assert abs(solution.objective_value - want) <= REL_TOL * max(1.0, abs(want))
+
+
+@functools.cache
+def high_order_sweep():
+    """Every select of a seeded subset of high-order targets on the demo population.
+
+    Each target set is one order-1 target (``glucose`` or ``weight`` at its
+    mean or 0.1 SD above it, or ``glucose`` at 150.1) and one criterion of the
+    same feature of order 5-40 whose target is 3, 1e3 or -50, solved in
+    ``max`` and ``fixed`` at trial size 50.  A record is the mode, the order,
+    the error raised (``None`` at exit 0), the main program and each
+    ``(problem, y, bound)`` that ``lp_core._violation_bound`` was given and
+    returned.
+    """
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    pop = generate_population(SynthSpec.from_json((demo / "spec.json").read_text()))
+    rng = np.random.default_rng(41)
+    firsts = [("glucose", 150.1)]
+    for feature in ("glucose", "weight"):
+        x = feature_column(pop, feature)
+        firsts += [(feature, float(np.mean(x))),
+                   (feature, float(np.mean(x) + 0.1 * np.std(x, ddof=1)))]
+    records = []
+    programs, bounds = [], []
+    violation_bound = lp_core._violation_bound
+
+    def recording(problem):
+        programs.append(problem)
+        return solve_lp(problem)
+
+    def bounding(problem, y):
+        bound = violation_bound(problem, y)
+        bounds.append((problem, y, bound))
+        return bound
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selection, "solve_lp", recording)
+        mp.setattr(lp_core, "_violation_bound", bounding)
+        for feature, mean in firsts:
+            for order in rng.choice(np.arange(5, 41), size=2, replace=False):
+                value = float(rng.choice([3.0, 1e3, -50.0]))
+                targets = TargetSet((TargetCriterion(feature, 1, mean),
+                                     TargetCriterion(feature, int(order), value)))
+                for mode, solve in (("max", solve_max_size), ("fixed", solve_fixed_size)):
+                    programs.clear()
+                    bounds.clear()
+                    try:
+                        solve(pop, targets, 50.0)
+                        error = None
+                    except (InfeasibleError, SolverFailure) as exc:
+                        error = exc
+                    records.append((mode, int(order), error, programs[0], list(bounds)))
+    return records
+
+
+def test_every_exit_two_has_a_positive_safe_bound():
+    # an infeasible main run ends in exit 2 exactly when the bound from the
+    # elastic duals is positive, and that float bound never exceeds the same
+    # bound in exact rationals, so a positive one proves the verdict
+    classes = {"exit 2": 0, "exit 4": 0}
+    for mode, order, error, _, bounds in high_order_sweep():
+        if not bounds:
+            continue
+        [(problem, y, bound)] = bounds
+        exact = dual_bound_oracle(np.zeros(problem.n_vars), problem.matrix, problem.rhs,
+                                  problem.lower, problem.upper, np.clip(y, -1.0, 1.0))
+        assert bound == -np.inf or Fraction(bound) <= exact, f"{mode} order {order}"
+        if isinstance(error, InfeasibleError):
+            assert bound > 0.0, f"{mode} order {order}"
+            # the bound and the elastic certificate bracket the least violation
+            assert bound <= error.violation * (1.0 + 1e-9), f"{mode} order {order}"
+            classes["exit 2"] += 1
+        else:
+            assert isinstance(error, SolverFailure) and not bound > 0.0, f"{mode} order {order}"
+            classes["exit 4"] += 1
+    assert classes == {"exit 2": 3, "exit 4": 3}
+
+
+# |objective - bound| / max(1, |objective|).  The main run may perturb its
+# costs, each by at most half the optimality tolerance, and its duals follow:
+# 500 members at 0.5e-9 each move the fixed-mode bound by up to 2.5e-7.  On
+# all 579 exit-0 solves of the full sweep (orders 5-40, every order-1 target
+# and value) the gap reached 2.0e-10 in max (366 solves) and 1.1e-7 in fixed
+# (213 solves, 90 of them perturbed)
+DUAL_GAP = {"max": 1e-9, "fixed": 3e-7}
+
+
+def test_exit_zero_objectives_meet_their_exact_dual_bound_at_high_orders():
+    # weak duality: any duals bound the optimum from below, so the main run's
+    # own duals, evaluated in exact rationals, must come within DUAL_GAP of
+    # its objective; HiGHS cannot serve as this oracle above order 8
+    solves = {"max": 0, "fixed": 0}
+    for mode, order, error, problem, _ in high_order_sweep():
+        if error is not None:
+            continue
+        simplex = _DualSimplex(problem)
+        objective = simplex.run().objective_value
+        exact = dual_bound_oracle(problem.objective, problem.matrix, problem.rhs,
+                                  problem.lower, problem.upper, simplex.y)
+        gap = abs(Fraction(objective) - exact) / max(1, abs(Fraction(objective)))
+        assert gap <= DUAL_GAP[mode], f"{mode} order {order}: gap {float(gap):.2e}"
+        solves[mode] += 1
+    assert solves == {"max": 7, "fixed": 6}

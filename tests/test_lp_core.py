@@ -370,18 +370,23 @@ def elastic_program(rows, n):
 class TestInfeasibilityCertificate:
     def test_certificate_is_the_least_total_violation(self):
         rng = np.random.default_rng(3)
-        checked = 0
+        checked = proven = 0
         for i in range(60):
             n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             rows = random_rows(rng, n, m)
             sol = solve_lp(lp(rng.normal(size=n), rows, 0.0, 1.0))
             if sol.status is not SolveStatus.INFEASIBLE:
+                assert sol.violation_bound is None
                 continue
             status, best = lp_vertex_oracle(*elastic_program(rows, n))
             assert status == "optimal"
             assert sol.objective_value == pytest.approx(best, rel=1e-7, abs=1e-9), f"program {i}"
+            # a safe bound never exceeds the least violation; an inequality
+            # row's [0, inf) slack may leave it at -inf, unproven
+            assert sol.violation_bound <= best + 1e-9 * max(1.0, best), f"program {i}"
+            proven += sol.violation_bound > 0.0
             checked += 1
-        assert checked >= 30
+        assert checked >= 30 and proven >= 10
 
     def test_certificate_matches_highs_elastic_minimum(self):
         linprog = pytest.importorskip("scipy.optimize").linprog

@@ -179,6 +179,18 @@ def test_moments_refuse_an_order_that_is_not_a_positive_integer(order):
         expected_moment([1.0, 2.0, 4.0], [1.0, 1.0, 1.0], order, target_mean=2.0, target_var=1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("values, order", [
+    ([1.0, 2.0, 4.0], 10**30),
+    ([1.0, 2.0, 4.0], 10**30 + 1),
+    ([0.0, 1e100, 3e100, 7e100], 4),
+], ids=["even order", "odd order", "kurtosis scale"])
+def test_an_overflowing_sample_moment_names_its_order(values, order):
+    # each returned inf or NaN, the first with "overflow encountered in power"
+    with pytest.raises(DspsError, match=rf"^the order-{order} moment overflows float64$"):
+        sample_moment(values, order)
+
+
 def test_moments_take_a_numpy_order():
     x = [1.0, 2.0, 4.0]
     assert sample_moment(x, np.int64(3)) == sample_moment(x, 3)
@@ -287,6 +299,18 @@ class TestTargetSet:
     def test_from_json_refuses_nesting_too_deep_to_parse(self):
         with pytest.raises(DspsError, match="does not parse"):
             TargetSet.from_json("[" * 100_000)
+
+    def test_from_json_takes_an_integral_float_order_only_up_to_two_to_the_53(self):
+        # 1e300 once became a 301-digit int, refused only by the row's overflow
+        # check, whose message printed every digit
+        with pytest.raises(DspsError, match=r"^order must be a positive integer, got 1e\+300$"):
+            TargetSet.from_json('[{"feature": "a", "order": 1e300, "value": 1.0}]')
+        message = "order must be a positive integer, got 9007199254740994.0"  # 2**53 + 2
+        with pytest.raises(DspsError, match=f"^{re.escape(message)}$"):
+            TargetSet.from_json('[{"feature": "a", "order": 9007199254740994.0, "value": 1.0}]')
+        ts = TargetSet.from_json('[{"feature": "a", "order": 1, "value": 1.0}, '
+                                 '{"feature": "a", "order": 9007199254740992.0, "value": 1.0}]')
+        assert ts.criteria[1].order == 2**53 and type(ts.criteria[1].order) is int
 
     def test_from_json_keeps_an_integer_value(self):
         ts = TargetSet.from_json('[{"feature": "a", "order": 1.0, "value": 3}]')

@@ -219,6 +219,13 @@ class TestSpecJson:
         with pytest.raises(DspsError, match=field):
             SynthSpec.from_json(json.dumps(raw))
 
+    def test_from_json_refuses_a_huge_integral_float_count(self):
+        # n_p = 1e300 once parsed to a 301-digit member count
+        spec = {"n_p": 1e300, "seed": 0,
+                "features": [{"name": "a", "dist": {"type": "normal", "mu": 0.0, "sigma": 1.0}}]}
+        with pytest.raises(DspsError, match=r"^n_p must be a positive integer, got 1e\+300$"):
+            SynthSpec.from_json(json.dumps(spec))
+
     def test_from_json_refuses_nesting_too_deep_to_parse(self):
         with pytest.raises(DspsError, match="does not parse"):
             SynthSpec.from_json("[" * 100_000)
