@@ -36,14 +36,7 @@ from .selection import (
     solve_fixed_size,
     solve_max_size,
 )
-from .synthgen import (
-    LogNormal,
-    Mixture,
-    Normal,
-    SynthSpec,
-    generate_population,
-    plant_subset,
-)
+from .synthgen import SynthSpec, generate_population, plant_subset
 
 __version__ = "0.1.0"
 
@@ -75,9 +68,6 @@ __all__ = [
     "rsse",
     "gmi",
     "DspsError",
-    "Normal",
-    "LogNormal",
-    "Mixture",
     "SynthSpec",
     "generate_population",
     "plant_subset",

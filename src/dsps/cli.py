@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import feature_column, load_population, save_population, write_id_csv
-from .errors import AllDrawsDegenerate, DspsError, InfeasibleError, InsufficientData, SolverFailure
+from .errors import AllDrawsDegenerate, DspsError, InfeasibleError, SolverFailure
 from .evaluate import _denominators, evaluate_selection
 from .moments import TargetSet, count, expected_moment
 from .realize import draw_best
@@ -138,14 +138,14 @@ def _load_mask_csv(path, pop) -> np.ndarray:
 def _report(realized, expected=None, **fields) -> dict:
     """report.json from a realized report, the optional expected moments, and ``fields``.
 
-    Both list the criteria in target order; expected moments beyond float64 are left out.
+    Both list the criteria in target order; ``expected = None`` leaves the expected moments out.
     """
     criteria = [
         {"feature": r.feature, "order": r.order, "target": r.target,
          "realized": r.achieved, "percentage_error": r.percentage_error}
         for r in realized.per_criterion
     ]
-    if expected is not None and np.all(np.isfinite(expected)):
+    if expected is not None:
         for row, e in zip(criteria, expected):
             row["expected"] = e
     return {
@@ -185,10 +185,9 @@ def cmd_select(args) -> int:
 
     best, stats = draw_best(sel.p, pop, targets, args.draws, args.seed)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = [expected_moment(feature_column(pop, c.feature), sel.p, c.order,
-                                        *targets.references(c.feature, c.order)) for c in targets]
-    except InsufficientData:  # too little probability mass for weighted moments
+        expected = [expected_moment(feature_column(pop, c.feature), sel.p, c.order,
+                                    *targets.references(c.feature, c.order)) for c in targets]
+    except DspsError:  # too little probability mass, or a moment beyond float64
         expected = None
 
     out = Path(args.out)

@@ -97,10 +97,7 @@ class TargetSet:
 
     @staticmethod
     def from_json(text: str | bytes) -> "TargetSet":
-        try:
-            raw = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # bad syntax, huge integer, deep nesting
-            raise DspsError(f"targets JSON does not parse: {exc}") from None
+        raw = json_parse(text, "targets")
         if not isinstance(raw, list):
             raise DspsError("targets JSON must be an array of criterion objects")
         criteria = []
@@ -119,6 +116,14 @@ class TargetSet:
             for c in self.criteria
         ]
         return json.dumps(rows, indent=2, sort_keys=True)
+
+
+def json_parse(text: str | bytes, what: str):
+    """``json.loads(text)``; text that does not parse raises :class:`DspsError` naming ``what``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, huge integer, deep nesting
+        raise DspsError(f"{what} JSON does not parse: {exc}") from None
 
 
 def json_number(value, what: str) -> float:
@@ -225,7 +230,8 @@ def expected_moment(
 
     Mirrors :func:`sample_moment` with ``sum(p)`` in place of the count, but
     centres on ``target_mean`` (orders >= 2) and standardises by
-    ``target_var`` (orders 3 and 4); a missing one is a :class:`DspsError`.
+    ``target_var`` (orders 3 and 4); a missing one, or a moment beyond
+    float64, is a :class:`DspsError`.
     """
     order = count(order, 1, "order")
     x = np.asarray(values, dtype=float).ravel()
@@ -233,11 +239,8 @@ def expected_moment(
     if x.size != q.size:
         raise DspsError(f"{x.size} values but {q.size} probabilities")
     total = expected_size(q)
-    d = x
-    if order >= 2:
-        if target_mean is None:
-            raise DspsError(f"order-{order} weighted moment requires target_mean")
-        d = x - float(target_mean)
+    if order >= 2 and target_mean is None:
+        raise DspsError(f"order-{order} weighted moment requires target_mean")
     if order == 2 and total <= 1.0:
         raise InsufficientData("weighted variance needs expected size above 1")
     if total <= 0.0:
@@ -247,5 +250,10 @@ def expected_moment(
         if target_var is None:
             raise DspsError(f"order-{order} weighted moment requires target_var")
         sv = _variance_scale(target_var)
-    dof, scale, shift = moment_terms(order, sv)
-    return float(np.dot(q, d**order) / (total - dof) / scale - shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = x - float(target_mean) if order >= 2 else x
+        dof, scale, shift = moment_terms(order, sv)
+        value = float(np.dot(q, d**order) / (total - dof) / scale - shift)
+    if not np.isfinite(value):
+        raise DspsError(f"the order-{order} moment overflows float64")
+    return value

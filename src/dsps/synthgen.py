@@ -1,150 +1,99 @@
 """Synthetic populations with known structure, for demos and self-tests.
 
-Each feature column is drawn i.i.d. from its own marginal (normal,
-log-normal, or a finite mixture of those); columns are independent.
-Generation is deterministic: column ``j`` uses PCG64 seeded with
-``SeedSequence(seed, spawn_key=(j,))``, so appending features never
-perturbs the existing columns.
+A spec is its JSON (``dsps generate --spec``): each feature column is drawn
+i.i.d. from its own marginal (normal, log-normal, or a finite mixture of
+those); columns are independent.  Generation is deterministic: column ``j``
+uses PCG64 seeded with ``SeedSequence(seed, spawn_key=(j,))``, so appending
+features never perturbs the existing columns.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dataset import Population
 from .errors import DspsError
-from .moments import TargetCriterion, TargetSet, count, json_count, json_number, sample_moment
+from .moments import (
+    TargetCriterion, TargetSet, count, json_count, json_number, json_parse, sample_moment,
+)
 
-__all__ = [
-    "Normal",
-    "LogNormal",
-    "Mixture",
-    "FeatureSpec",
-    "SynthSpec",
-    "generate_population",
-    "plant_subset",
-]
-
-
-@dataclass(frozen=True)
-class Normal:
-    """Gaussian marginal; ``sigma = 0`` degenerates to a constant column."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma >= 0.0:
-            raise DspsError(f"normal sigma must be nonnegative, got {self.sigma}")
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(self.mu, self.sigma, n)
-
-
-@dataclass(frozen=True)
-class LogNormal:
-    """Parameters are of the underlying normal on the log scale."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma >= 0.0:
-            raise DspsError(f"lognormal sigma must be nonnegative, got {self.sigma}")
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.lognormal(self.mu, self.sigma, n)
-
-
-@dataclass(frozen=True)
-class Mixture:
-    """Finite mixture: (weight, component) pairs, weights normalised to 1."""
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple((float(w), dist) for w, dist in self.components)
-        if not comps:
-            raise DspsError("mixture needs at least one component")
-        if not all(0.0 <= w < np.inf for w, _ in comps):
-            raise DspsError("mixture weights must be finite and nonnegative")
-        if not sum(w for w, _ in comps) > 0.0:
-            raise DspsError("mixture weights must have positive total")
-        object.__setattr__(self, "components", comps)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        weights = np.array([w for w, _ in self.components])
-        weights = weights / weights.sum()
-        choice = rng.choice(len(self.components), size=n, p=weights)
-        out = np.empty(n)
-        for idx, (_, dist) in enumerate(self.components):
-            sel = choice == idx
-            if sel.any():
-                out[sel] = dist.sample(rng, int(sel.sum()))
-        return out
-
-
-Distribution = Union[Normal, LogNormal, Mixture]
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    name: str
-    dist: Distribution
-
-    def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise DspsError(f"feature name must be a string, got {self.name!r}")
+__all__ = ["SynthSpec", "generate_population", "plant_subset"]
 
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """``n_p`` members, a ``seed``, and one ``(name, sample)`` pair per feature.
+
+    ``sample(rng, n)`` draws ``n`` values of the feature's marginal;
+    :meth:`from_json` builds it from the spec's distribution node.
+    """
+
     n_p: int
     seed: int
-    features: tuple[FeatureSpec, ...]
+    features: tuple[tuple[str, Callable[[np.random.Generator, int], np.ndarray]], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "features", tuple(self.features))
+        for name, _ in self.features:
+            if not isinstance(name, str):
+                raise DspsError(f"feature name must be a string, got {name!r}")
         object.__setattr__(self, "n_p", count(self.n_p, 1, "n_p"))
         object.__setattr__(self, "seed", count(self.seed, 0, "seed"))
-        object.__setattr__(self, "features", tuple(self.features))
         if not self.features:
             raise DspsError("spec needs at least one feature")
 
     @staticmethod
     def from_json(text: str | bytes) -> "SynthSpec":
+        raw = json_parse(text, "spec")
         try:
-            raw = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # bad syntax, huge integer, deep nesting
-            raise DspsError(f"spec JSON does not parse: {exc}") from None
-        try:
-            features = tuple(
-                FeatureSpec(f["name"], _dist_from_json(f["dist"]))
-                for f in raw["features"]
-            )
+            features = tuple((f["name"], _sampler(f["dist"])) for f in raw["features"])
             n_p, seed = json_count(raw["n_p"], 1, "n_p"), json_count(raw["seed"], 0, "seed")
             return SynthSpec(n_p, seed, features)
         except (KeyError, TypeError) as exc:
             raise DspsError(f"spec JSON is missing fields: {exc}") from None
 
 
-def _dist_from_json(node) -> Distribution:
+def _sampler(node) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Check a JSON distribution node and return its ``sample(rng, n)``.
+
+    ``normal`` and ``lognormal`` take ``mu`` and ``sigma`` (of the underlying
+    normal, for ``lognormal``); ``sigma = 0`` gives a constant column.  A
+    ``mixture`` draws each value's component with ``rng.choice`` under the
+    normalised weights, then samples the components in turn.
+    """
     if not isinstance(node, dict) or "type" not in node:
         raise DspsError(f"distribution node {node!r} needs a type")
     kind = node["type"]
     if kind in ("normal", "lognormal"):
         mu, sigma = (json_number(node[k], f"{kind} {k}") for k in ("mu", "sigma"))
-        return (Normal if kind == "normal" else LogNormal)(mu, sigma)
-    if kind == "mixture":
-        comps = tuple(
-            (json_number(c["weight"], "mixture weight"), _dist_from_json(c["dist"]))
-            for c in node["components"]
-        )
-        return Mixture(comps)
-    raise DspsError(f"unknown distribution type {kind!r}")
+        if not sigma >= 0.0:
+            raise DspsError(f"{kind} sigma must be nonnegative, got {sigma}")
+        return lambda rng, n: getattr(rng, kind)(mu, sigma, n)  # rng.normal or rng.lognormal
+    if kind != "mixture":
+        raise DspsError(f"unknown distribution type {kind!r}")
+    comps = [(json_number(c["weight"], "mixture weight"), _sampler(c["dist"]))
+             for c in node["components"]]
+    if not comps:
+        raise DspsError("mixture needs at least one component")
+    if not all(0.0 <= w < np.inf for w, _ in comps):
+        raise DspsError("mixture weights must be finite and nonnegative")
+    if not sum(w for w, _ in comps) > 0.0:
+        raise DspsError("mixture weights must have positive total")
+
+    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
+        weights = np.array([w for w, _ in comps])
+        choice = rng.choice(len(comps), size=n, p=weights / weights.sum())
+        out = np.empty(n)
+        for idx, (_, part) in enumerate(comps):
+            sel = choice == idx
+            if sel.any():
+                out[sel] = part(rng, int(sel.sum()))
+        return out
+
+    return sample
 
 
 def generate_population(spec: SynthSpec) -> Population:
@@ -159,11 +108,11 @@ def generate_population(spec: SynthSpec) -> Population:
         raise DspsError(f"n_p = {spec.n_p} is too large to allocate ({exc})") from None
     width = max(4, len(str(spec.n_p)))
     ids = tuple(f"m{i:0{width}d}" for i in range(1, spec.n_p + 1))
-    for j, feat in enumerate(spec.features):
+    for j, (_, sample) in enumerate(spec.features):
         ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(j,))
         rng = np.random.Generator(np.random.PCG64(ss))
-        data[:, j] = feat.dist.sample(rng, spec.n_p)
-    return Population(ids, tuple(f.name for f in spec.features), data)
+        data[:, j] = sample(rng, spec.n_p)
+    return Population(ids, tuple(name for name, _ in spec.features), data)
 
 
 def plant_subset(

@@ -28,15 +28,7 @@ from dsps.selection import (
     build_lp_system,
     solve_max_size,
 )
-from dsps.synthgen import (
-    FeatureSpec,
-    LogNormal,
-    Mixture,
-    Normal,
-    SynthSpec,
-    generate_population,
-    plant_subset,
-)
+from dsps.synthgen import SynthSpec, generate_population, plant_subset
 
 from oracles import (
     best_subset_objective,
@@ -45,6 +37,7 @@ from oracles import (
     moment_oracle,
     weighted_moment_oracle,
 )
+from specs import lognormal, mixture, normal, synth_spec
 
 
 def report(tag: str, ok: bool, detail: str) -> None:
@@ -54,19 +47,17 @@ def report(tag: str, ok: bool, detail: str) -> None:
 
 def test_accept_01_large_cohort_recovery_through_cli(tmp_path):
     """6062-member mixture population, planted 400-member cohort, full CLI run."""
-    features = []
+    features = {}
     rng = np.random.default_rng(8)
     for j in range(10):
         mu = float(rng.uniform(60.0, 200.0))
         spread = float(rng.uniform(5.0, 25.0))
         shift = float(rng.uniform(10.0, 40.0))
-        dist = Mixture((
-            (0.6, Normal(mu, spread)),
-            (0.4, Normal(mu + shift, spread * 1.5)),
-        ))
-        features.append(FeatureSpec(f"f{j}", dist))
-    spec = SynthSpec(n_p=6062, seed=20240817, features=tuple(features))
-    pop = generate_population(spec)
+        features[f"f{j}"] = mixture(
+            (0.6, normal(mu, spread)),
+            (0.4, normal(mu + shift, spread * 1.5)),
+        )
+    pop = generate_population(synth_spec(6062, 20240817, features))
 
     # biased cohort: a 400-member band of a two-feature severity score
     score = pop.data[:, 0] + 0.5 * pop.data[:, 3]
@@ -117,21 +108,19 @@ def test_accept_02_full_population_targets_select_everyone():
     for trial in range(20):
         n_p = int(rng.integers(100, 5001))
         n_feat = int(rng.integers(1, 4))
-        feats = []
+        feats = {}
         for j in range(n_feat):
             kind = rng.integers(0, 3)
             if kind == 0:
-                feats.append(FeatureSpec(f"f{j}", Normal(float(rng.uniform(-5, 200)),
-                                                         float(rng.uniform(0.5, 30)))))
+                feats[f"f{j}"] = normal(float(rng.uniform(-5, 200)), float(rng.uniform(0.5, 30)))
             elif kind == 1:
-                feats.append(FeatureSpec(f"f{j}", LogNormal(float(rng.uniform(0, 4)),
-                                                            float(rng.uniform(0.1, 0.6)))))
+                feats[f"f{j}"] = lognormal(float(rng.uniform(0, 4)), float(rng.uniform(0.1, 0.6)))
             else:
-                feats.append(FeatureSpec(f"f{j}", Mixture((
-                    (0.5, Normal(float(rng.uniform(0, 100)), float(rng.uniform(1, 10)))),
-                    (0.5, Normal(float(rng.uniform(100, 200)), float(rng.uniform(1, 10)))),
-                ))))
-        pop = generate_population(SynthSpec(n_p, int(rng.integers(0, 2**31)), tuple(feats)))
+                feats[f"f{j}"] = mixture(
+                    (0.5, normal(float(rng.uniform(0, 100)), float(rng.uniform(1, 10)))),
+                    (0.5, normal(float(rng.uniform(100, 200)), float(rng.uniform(1, 10)))),
+                )
+        pop = generate_population(synth_spec(n_p, int(rng.integers(0, 2**31)), feats))
         targets = plant_subset(pop, np.arange(n_p))
         sel = solve_max_size(pop, targets, float(n_p))
         worst_gap = max(worst_gap, n_p - sel.expected_size)

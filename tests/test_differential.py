@@ -21,17 +21,10 @@ from dsps.errors import InfeasibleError, SolverFailure
 from dsps.lp_core import LpProblem, SolveStatus, _DualSimplex, solve_lp
 from dsps.moments import TargetCriterion, TargetSet
 from dsps.selection import solve_fixed_size, solve_max_size
-from dsps.synthgen import (
-    FeatureSpec,
-    LogNormal,
-    Mixture,
-    Normal,
-    SynthSpec,
-    generate_population,
-    plant_subset,
-)
+from dsps.synthgen import SynthSpec, generate_population, plant_subset
 
 from oracles import dual_bound_oracle, highs_objective
+from specs import lognormal, mixture, normal, synth_spec
 
 MODES = ("max", "fixed", "strict")
 REL_TOL = 1e-7
@@ -43,21 +36,21 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def random_population(rng):
-    feats = []
+    feats = {}
     for j in range(int(rng.integers(1, 4))):
         kind = int(rng.integers(0, 3))
         if kind == 0:
-            dist = Normal(float(rng.uniform(-20, 150)), float(rng.uniform(0.5, 25)))
+            dist = normal(float(rng.uniform(-20, 150)), float(rng.uniform(0.5, 25)))
         elif kind == 1:
-            dist = LogNormal(float(rng.uniform(0, 4)), float(rng.uniform(0.1, 0.5)))
+            dist = lognormal(float(rng.uniform(0, 4)), float(rng.uniform(0.1, 0.5)))
         else:
-            dist = Mixture((
-                (0.6, Normal(float(rng.uniform(0, 50)), float(rng.uniform(1, 6)))),
-                (0.4, Normal(float(rng.uniform(50, 120)), float(rng.uniform(1, 6)))),
-            ))
-        feats.append(FeatureSpec(f"f{j}", dist))
+            dist = mixture(
+                (0.6, normal(float(rng.uniform(0, 50)), float(rng.uniform(1, 6)))),
+                (0.4, normal(float(rng.uniform(50, 120)), float(rng.uniform(1, 6)))),
+            )
+        feats[f"f{j}"] = dist
     n_p = int(rng.integers(40, 400))
-    return generate_population(SynthSpec(n_p, int(rng.integers(0, 2**31)), tuple(feats)))
+    return generate_population(synth_spec(n_p, int(rng.integers(0, 2**31)), feats))
 
 
 def recorded_problems(rng, mode, monkeypatch):
@@ -196,12 +189,12 @@ def test_bland_rule_reaches_the_highs_optimum(seed, monkeypatch):
     # _leaving_row runs to the optimum; the population mixes the benchmark's
     # three marginal shapes, and 30 planted members set targets at orders 1-4
     linprog = pytest.importorskip("scipy.optimize").linprog
-    features = (
-        FeatureSpec("normal", Normal(150.0, 25.0)),
-        FeatureSpec("lognormal", LogNormal(4.2, 0.2)),
-        FeatureSpec("mixture", Mixture(((0.7, LogNormal(2.5, 0.4)), (0.3, Normal(30.0, 5.0))))),
-    )
-    pop = generate_population(SynthSpec(300, seed, features))
+    features = {
+        "normal": normal(150.0, 25.0),
+        "lognormal": lognormal(4.2, 0.2),
+        "mixture": mixture((0.7, lognormal(2.5, 0.4)), (0.3, normal(30.0, 5.0))),
+    }
+    pop = generate_population(synth_spec(300, seed, features))
     rng = np.random.default_rng(seed)
     targets = plant_subset(pop, rng.choice(300, size=30, replace=False), orders=(1, 2, 3, 4))
     bland_rows, seen = [], []

@@ -191,6 +191,19 @@ def test_an_overflowing_sample_moment_names_its_order(values, order):
         sample_moment(values, order)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("values, order, refs", [
+    ([1.0, 2.0, 4.0], 10**30, (2.0,)),
+    ([1.0, 2.0, 4.0], 10**30 + 1, (2.0,)),
+    ([0.0, 1e100, 3e100, 7e100], 4, (2.75e100, 1e200)),
+    ([1e308, -1e308], 2, (0.0,)),
+], ids=["even order", "odd order", "kurtosis scale", "deviation"])
+def test_an_overflowing_expected_moment_names_its_order(values, order, refs):
+    # each returned inf or NaN, the first with "overflow encountered in power"
+    with pytest.raises(DspsError, match=rf"^the order-{order} moment overflows float64$"):
+        expected_moment(values, [1.0] * len(values), order, *refs)
+
+
 def test_moments_take_a_numpy_order():
     x = [1.0, 2.0, 4.0]
     assert sample_moment(x, np.int64(3)) == sample_moment(x, 3)

@@ -19,17 +19,10 @@ from dsps.selection import (
     solve_max_size,
 )
 
-from dsps.synthgen import (
-    FeatureSpec,
-    LogNormal,
-    Mixture,
-    Normal,
-    SynthSpec,
-    generate_population,
-    plant_subset,
-)
+from dsps.synthgen import generate_population, plant_subset
 
 from oracles import best_subset_objective
+from specs import lognormal, mixture, normal, synth_spec
 
 
 def make_pop(columns: dict) -> Population:
@@ -526,11 +519,11 @@ class TestSolveMaxSize:
     def test_percentile_band_solves_in_few_iterations(self):
         # the bound-flipping ratio test moves many members per iteration; one
         # flip per iteration would need about one iteration per member
-        spec = SynthSpec(2000, 11, (
-            FeatureSpec("a", Normal(150.0, 25.0)),
-            FeatureSpec("b", LogNormal(4.2, 0.2)),
-            FeatureSpec("c", Mixture(((0.7, LogNormal(2.5, 0.4)), (0.3, Normal(30.0, 5.0))))),
-        ))
+        spec = synth_spec(2000, 11, {
+            "a": normal(150.0, 25.0),
+            "b": lognormal(4.2, 0.2),
+            "c": mixture((0.7, lognormal(2.5, 0.4)), (0.3, normal(30.0, 5.0))),
+        })
         pop = generate_population(spec)
         lo, hi = np.percentile(pop.data[:, 0], (60.0, 90.0))
         idx = np.flatnonzero((pop.data[:, 0] >= lo) & (pop.data[:, 0] <= hi))
@@ -571,11 +564,11 @@ class TestSolveFixedSize:
         # `dsps select --draws 10 --seed s` scores them
         rsse = {}
         for seed in range(1, 9):
-            pop = generate_population(SynthSpec(6062, seed, (
-                FeatureSpec("x00", Normal(150.0, 25.0)),
-                FeatureSpec("x01", LogNormal(4.2, 0.2)),
-                FeatureSpec("x02", Mixture(((0.7, LogNormal(2.5, 0.4)), (0.3, Normal(30.0, 5.0))))),
-            )))
+            pop = generate_population(synth_spec(6062, seed, {
+                "x00": normal(150.0, 25.0),
+                "x01": lognormal(4.2, 0.2),
+                "x02": mixture((0.7, lognormal(2.5, 0.4)), (0.3, normal(30.0, 5.0))),
+            }))
             members = np.random.default_rng(seed).choice(6062, 300, replace=False)
             targets = plant_subset(pop, members, orders=(1, 2, 3, 4))
             sel = solve_fixed_size(pop, targets, 300.0)

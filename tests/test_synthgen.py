@@ -1,33 +1,45 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dsps import synthgen
 from dsps.errors import DspsError
 from dsps.evaluate import evaluate_selection
-from dsps.synthgen import (
-    FeatureSpec,
-    LogNormal,
-    Mixture,
-    Normal,
-    SynthSpec,
-    generate_population,
-    plant_subset,
-)
+from dsps.synthgen import SynthSpec, generate_population, plant_subset
 
 from oracles import moment_oracle
+from specs import lognormal, mixture, normal, synth_spec
 
 
 def spec_two_features(n_p=50, seed=11) -> SynthSpec:
-    return SynthSpec(
-        n_p=n_p,
-        seed=seed,
-        features=(
-            FeatureSpec("glucose", Normal(150.0, 30.0)),
-            FeatureSpec("weight", LogNormal(4.0, 0.3)),
-        ),
-    )
+    return synth_spec(n_p, seed, {"glucose": normal(150.0, 30.0), "weight": lognormal(4.0, 0.3)})
+
+
+def column_rng(seed, j):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,))))
+
+
+def reference_sample(rng, node, n):
+    """The documented draws of a distribution node, written out without the library."""
+    if node["type"] == "normal":
+        return rng.normal(node["mu"], node["sigma"], n)
+    if node["type"] == "lognormal":
+        return rng.lognormal(node["mu"], node["sigma"], n)
+    weights = np.array([c["weight"] for c in node["components"]], dtype=float)
+    which = rng.choice(weights.size, size=n, p=weights / weights.sum())
+    out = np.full(n, np.nan)
+    for k, component in enumerate(node["components"]):
+        members = np.flatnonzero(which == k)
+        if members.size:
+            out[members] = reference_sample(rng, component["dist"], members.size)
+    return out
+
+
+def test_exports_only_the_spec_and_its_two_uses():
+    assert synthgen.__all__ == ["SynthSpec", "generate_population", "plant_subset"]
 
 
 class TestGenerate:
@@ -41,34 +53,22 @@ class TestGenerate:
     def test_member_ids_one_based_zero_padded(self):
         pop = generate_population(spec_two_features(n_p=3))
         assert pop.member_ids == ("m0001", "m0002", "m0003")
-        wide = generate_population(
-            SynthSpec(12000, 1, (FeatureSpec("f", Normal(0, 1)),))
-        )
+        wide = generate_population(synth_spec(12000, 1, {"f": normal(0, 1)}))
         assert wide.member_ids[0] == "m00001"
         assert wide.member_ids[-1] == "m12000"
 
     def test_appending_a_feature_keeps_existing_columns(self):
         base = generate_population(spec_two_features())
-        extended = generate_population(
-            SynthSpec(
-                50,
-                11,
-                (
-                    FeatureSpec("glucose", Normal(150.0, 30.0)),
-                    FeatureSpec("weight", LogNormal(4.0, 0.3)),
-                    FeatureSpec("extra", Normal(0.0, 1.0)),
-                ),
-            )
-        )
+        extended = generate_population(synth_spec(50, 11, {
+            "glucose": normal(150.0, 30.0),
+            "weight": lognormal(4.0, 0.3),
+            "extra": normal(0.0, 1.0),
+        }))
         np.testing.assert_array_equal(base.data, extended.data[:, :2])
 
     def test_column_stream_depends_on_position_not_name(self):
-        a = generate_population(
-            SynthSpec(40, 5, (FeatureSpec("x", Normal(1.0, 2.0)),))
-        )
-        b = generate_population(
-            SynthSpec(40, 5, (FeatureSpec("renamed", Normal(1.0, 2.0)),))
-        )
+        a = generate_population(synth_spec(40, 5, {"x": normal(1.0, 2.0)}))
+        b = generate_population(synth_spec(40, 5, {"renamed": normal(1.0, 2.0)}))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_different_seeds_diverge(self):
@@ -77,38 +77,62 @@ class TestGenerate:
         assert not np.array_equal(a.data, b.data)
 
     def test_mixture_weights_are_normalised(self):
-        raw = Mixture(((2.0, Normal(0.0, 1.0)), (6.0, Normal(10.0, 1.0))))
-        scaled = Mixture(((0.25, Normal(0.0, 1.0)), (0.75, Normal(10.0, 1.0))))
-        a = generate_population(SynthSpec(200, 3, (FeatureSpec("f", raw),)))
-        b = generate_population(SynthSpec(200, 3, (FeatureSpec("f", scaled),)))
+        raw = mixture((2.0, normal(0.0, 1.0)), (6.0, normal(10.0, 1.0)))
+        scaled = mixture((0.25, normal(0.0, 1.0)), (0.75, normal(10.0, 1.0)))
+        a = generate_population(synth_spec(200, 3, {"f": raw}))
+        b = generate_population(synth_spec(200, 3, {"f": scaled}))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_mixture_actually_mixes(self):
-        mix = Mixture(((0.5, Normal(0.0, 0.1)), (0.5, Normal(100.0, 0.1))))
-        pop = generate_population(SynthSpec(300, 9, (FeatureSpec("f", mix),)))
+        mix = mixture((0.5, normal(0.0, 0.1)), (0.5, normal(100.0, 0.1)))
+        pop = generate_population(synth_spec(300, 9, {"f": mix}))
         x = pop.data[:, 0]
         assert np.sum(x < 50.0) > 50 and np.sum(x > 50.0) > 50
+
+    def test_mixture_inside_a_mixture_draws_in_the_documented_order(self):
+        # component choice first, then each component in turn, recursing into
+        # the inner mixture; the zero-weight component is never drawn from
+        inner = mixture((1.0, normal(0.0, 1.0)), (3.0, lognormal(1.0, 0.5)))
+        outer = mixture((2.0, inner), (0.0, normal(9.0, 2.0)), (1.0, normal(50.0, 2.0)))
+        nodes = {"flat": lognormal(0.0, 0.0), "nested": outer}
+        pop = generate_population(synth_spec(2000, 3, nodes))
+        for j, node in enumerate(nodes.values()):
+            want = reference_sample(column_rng(3, j), node, 2000)
+            np.testing.assert_array_equal(pop.data[:, j], want)
+        x = pop.data[:, 1]
+        assert np.sum(x > 40.0) > 500 and np.sum(x < 40.0) > 1000
 
 
 class TestSpecValidation:
     def test_bad_parameters(self):
-        with pytest.raises(DspsError, match="normal sigma must be nonnegative"):
-            Normal(0.0, -0.5)
-        with pytest.raises(DspsError, match="lognormal sigma must be nonnegative"):
-            LogNormal(0.0, -1.0)
-        with pytest.raises(DspsError, match="mixture needs at least one component"):
-            Mixture(())
-        with pytest.raises(DspsError, match="mixture weights must be finite and nonnegative"):
-            Mixture(((-1.0, Normal(0.0, 1.0)),))
-        with pytest.raises(DspsError, match="mixture weights must have positive total"):
-            Mixture(((0.0, Normal(0.0, 1.0)), (0.0, Normal(1.0, 1.0))))
+        for dist, message in [
+            (normal(0.0, -0.5), "normal sigma must be nonnegative, got -0.5"),
+            (lognormal(0.0, -1.0), "lognormal sigma must be nonnegative, got -1.0"),
+            (mixture(), "mixture needs at least one component"),
+            (mixture((-1.0, normal(0.0, 1.0))), "mixture weights must be finite and nonnegative"),
+            (mixture((0.0, normal(0.0, 1.0)), (0.0, normal(1.0, 1.0))),
+             "mixture weights must have positive total"),
+            (mixture((1.0, mixture((1.0, normal(0.0, -2.0))))), "normal sigma must be nonnegative"),
+        ]:
+            with pytest.raises(DspsError, match=f"^{re.escape(message)}"):
+                synth_spec(10, 1, {"f": dist})
+        features = synth_spec(10, 1, {"f": normal(0, 1)}).features
         with pytest.raises(DspsError, match="n_p must be a positive integer, got 0"):
-            SynthSpec(0, 1, (FeatureSpec("f", Normal(0, 1)),))
+            SynthSpec(0, 1, features)
+        with pytest.raises(DspsError, match="n_p must be a positive integer, got 0"):
+            synth_spec(0, 1, {"f": normal(0, 1)})
         with pytest.raises(DspsError, match="spec needs at least one feature"):
             SynthSpec(10, 1, ())
+        with pytest.raises(DspsError, match="spec needs at least one feature"):
+            synth_spec(10, 1, {})
+
+    def test_a_spec_built_directly_checks_its_names(self):
+        (_, sample), = synth_spec(10, 1, {"f": normal(0, 1)}).features
+        with pytest.raises(DspsError, match="^feature name must be a string, got 5$"):
+            SynthSpec(10, 1, ((5, sample),))
 
     def test_numpy_integers_are_stored_as_ints(self):
-        spec = SynthSpec(np.int64(5), np.uint8(1), (FeatureSpec("f", Normal(0, 1)),))
+        spec = SynthSpec(np.int64(5), np.uint8(1), synth_spec(5, 1, {"f": normal(0, 1)}).features)
         assert type(spec.n_p) is int and type(spec.seed) is int
         assert (spec.n_p, spec.seed) == (5, 1)
         np.testing.assert_array_equal(
@@ -122,22 +146,23 @@ class TestSpecValidation:
         (5, "1", "seed must be a non-negative integer, got '1'"),
     ])
     def test_counts_are_integers(self, n_p, seed, message):
+        features = synth_spec(5, 1, {"f": normal(0, 1)}).features
         with pytest.raises(DspsError, match=re.escape(message)):
-            SynthSpec(n_p, seed, (FeatureSpec("f", Normal(0, 1)),))
+            SynthSpec(n_p, seed, features)
 
     def test_zero_sigma_gives_constant_column(self):
-        spec = SynthSpec(50, 11, (FeatureSpec("flat", Normal(3.5, 0.0)),))
+        spec = synth_spec(50, 11, {"flat": normal(3.5, 0.0)})
         x = generate_population(spec).data[:, 0]
         np.testing.assert_array_equal(x, np.full(50, 3.5))
         assert np.var(x, ddof=1) == 0.0
 
     def test_zero_sigma_lognormal_is_constant_exp_mu(self):
-        spec = SynthSpec(20, 11, (FeatureSpec("flat", LogNormal(1.0, 0.0)),))
+        spec = synth_spec(20, 11, {"flat": lognormal(1.0, 0.0)})
         x = generate_population(spec).data[:, 0]
         np.testing.assert_allclose(x, np.full(20, np.e), rtol=1e-15)
 
     def test_large_sample_mean_is_close(self):
-        spec = SynthSpec(10_000, 99, (FeatureSpec("g", Normal(0.0, 1.0)),))
+        spec = synth_spec(10_000, 99, {"g": normal(0.0, 1.0)})
         x = generate_population(spec).data[:, 0]
         assert abs(float(np.mean(x))) < 0.05
 
@@ -171,10 +196,19 @@ class TestSpecJson:
         )
         spec = SynthSpec.from_json(text)
         assert spec.n_p == 25 and spec.seed == 7
-        assert spec.features[0].dist == Normal(1.0, 2.0)
-        assert isinstance(spec.features[1].dist, Mixture)
         pop = generate_population(spec)
-        assert pop.data.shape == (25, 2)
+        assert pop.data.shape == (25, 2) and pop.feature_names == ("a", "b")
+        np.testing.assert_array_equal(pop.data[:, 0], column_rng(7, 0).normal(1.0, 2.0, 25))
+        b = json.loads(text)["features"][1]["dist"]
+        np.testing.assert_array_equal(pop.data[:, 1], reference_sample(column_rng(7, 1), b, 25))
+
+    def test_readme_spec_generates(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### generate\n", 1)[1].split("\n### ", 1)[0]
+        text = section.split("```json\n", 1)[1].split("```", 1)[0]
+        pop = generate_population(SynthSpec.from_json(text))
+        assert pop.data.shape == (2000, 2) and pop.feature_names == ("glucose", "weight")
+        assert np.all(np.isfinite(pop.data))
 
     def test_unparseable_json(self):
         with pytest.raises(DspsError, match="spec JSON does not parse"):
@@ -235,7 +269,8 @@ class TestSpecJson:
             {"name": "a", "dist": {"type": "normal", "mu": 1, "sigma": 2}}]})
         spec = SynthSpec.from_json(text)
         assert (spec.n_p, spec.seed) == (12, 3) and type(spec.n_p) is int
-        assert spec.features[0].dist == Normal(1.0, 2.0)
+        np.testing.assert_array_equal(generate_population(spec).data[:, 0],
+                                      column_rng(3, 0).normal(1.0, 2.0, 12))
 
     @pytest.mark.parametrize("dist", [{"mu": 0.0, "sigma": 1.0}, ["normal", 0.0, 1.0]],
                              ids=["no type", "not an object"])
