@@ -5,70 +5,21 @@ target statistical moments, solve a linear program for per-member inclusion
 probabilities whose probability-weighted moments match the targets, then
 realize concrete sub-populations by independent Bernoulli draws and score
 them against the targets.
+
+The package exports each module's ``__all__``, the one list of its public names.
 """
 
-from .dataset import Population, feature_column, load_population, save_population
-from .errors import DspsError
-from .evaluate import (
-    EvaluationReport,
-    evaluate_selection,
-    gmi,
-    rsse,
-)
-from .lp_core import (
-    LpProblem,
-    LpSolution,
-    SolveStatus,
-    solve_lp,
-)
-from .moments import (
-    TargetCriterion,
-    TargetSet,
-    expected_moment,
-    expected_size,
-    sample_moment,
-)
-from .realize import RealizationResult, draw, draw_best
-from .selection import (
-    ConstraintSystem,
-    SelectionProbabilities,
-    build_lp_system,
-    solve_fixed_size,
-    solve_max_size,
-)
-from .synthgen import SynthSpec, generate_population, plant_subset
+from . import dataset, errors, evaluate, lp_core, moments, realize, selection, synthgen
+from .dataset import *
+from .errors import *
+from .evaluate import *
+from .lp_core import *
+from .moments import *
+from .realize import *
+from .selection import *
+from .synthgen import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Population",
-    "load_population",
-    "save_population",
-    "feature_column",
-    "TargetCriterion",
-    "TargetSet",
-    "sample_moment",
-    "expected_size",
-    "expected_moment",
-    "LpProblem",
-    "SolveStatus",
-    "LpSolution",
-    "solve_lp",
-    "ConstraintSystem",
-    "build_lp_system",
-    "SelectionProbabilities",
-    "solve_max_size",
-    "solve_fixed_size",
-    "RealizationResult",
-    "draw",
-    "draw_best",
-    "EvaluationReport",
-    "evaluate_selection",
-    "rsse",
-    "gmi",
-    "DspsError",
-    "SynthSpec",
-    "generate_population",
-    "plant_subset",
-]
+__all__ = ["__version__", *dataset.__all__, *errors.__all__, *evaluate.__all__, *lp_core.__all__,
+           *moments.__all__, *realize.__all__, *selection.__all__, *synthgen.__all__]

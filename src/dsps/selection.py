@@ -136,7 +136,9 @@ def _select(
     scaled by ``1/(trial_size + EPSILON)``.  That makes the members' -1 a
     constant, so member ``i`` costs ``_LEVERAGE_COST * lev_i / max lev``
     instead, ``lev_i`` the sum of squares of its scaled criterion entries,
-    which steers the vertex towards members that move the rows least.
+    which steers the vertex towards members that move the rows least.  At
+    high orders most of these costs fall far below the solver's optimality
+    tolerance, and the perturbation of a stalled solve outweighs them.
     A given trial size that is not finite and positive raises
     :class:`DspsError` in every mode.  An infeasible program raises
     :class:`InfeasibleError` if its safe bound is positive, else :class:`SolverFailure`.

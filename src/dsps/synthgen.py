@@ -80,12 +80,15 @@ def _sampler(node) -> Callable[[np.random.Generator, int], np.ndarray]:
         raise DspsError("mixture needs at least one component")
     if not all(0.0 <= w < np.inf for w, _ in comps):
         raise DspsError("mixture weights must be finite and nonnegative")
-    if not sum(w for w, _ in comps) > 0.0:
-        raise DspsError("mixture weights must have positive total")
+    weights = np.array([w for w, _ in comps])
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not 0.0 < total < np.inf:
+        raise DspsError(f"mixture weights must have positive total within float64, got {total}")
+    p = weights / total
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        weights = np.array([w for w, _ in comps])
-        choice = rng.choice(len(comps), size=n, p=weights / weights.sum())
+        choice = rng.choice(len(comps), size=n, p=p)
         out = np.empty(n)
         for idx, (_, part) in enumerate(comps):
             sel = choice == idx

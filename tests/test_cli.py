@@ -90,6 +90,17 @@ class TestGenerate:
         spec.write_text("{broken", encoding="utf-8")
         assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_mixture_weights_whose_total_overflows_are_input_error(self, tmp_path, capsys):
+        components = [{"weight": 1e308, "dist": {"type": "normal", "mu": mu, "sigma": 1.0}}
+                      for mu in (0.0, 1.0)]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_p": 10, "seed": 1, "features": [
+            {"name": "f", "dist": {"type": "mixture", "components": components}}]}), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: mixture weights must have positive total")
+        assert not out.exists()
+
     def test_huge_n_p_is_refused_at_once(self, tmp_path):
         # 2**62 rows of float64 exceed numpy's size limit, so the allocation
         # fails whatever the kernel's overcommit setting.  The run sits in a
@@ -1207,6 +1218,13 @@ class TestPackaging:
         assert proc.returncode == 0, proc.stderr
         imported = set(proc.stdout.split())
         assert imported - set(sys.stdlib_module_names) == {"dsps", "numpy"}
+
+    def test_all_is_the_version_then_each_modules_all(self):
+        # a public name is declared once, in its module's __all__
+        modules = ("dataset", "errors", "evaluate", "lp_core", "moments", "realize",
+                   "selection", "synthgen")
+        assert dsps.__all__ == ["__version__", *(name for module in modules
+                                                 for name in getattr(dsps, module).__all__)]
 
     def test_all_lists_every_public_name_the_package_binds(self):
         # `from dsps import *` gives what `dsps.<name>` gives, submodules aside

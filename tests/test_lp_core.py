@@ -116,6 +116,23 @@ class TestBasics:
         with pytest.raises(SolverFailure, match="^no optimum within 2 simplex iterations$"):
             solve_lp(problem)
 
+    def test_singular_basis_is_a_solver_failure(self, monkeypatch):
+        def singular(*_):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        problem = lp([-1.0, -2.0], [([1.0, 1.0], "=", 1.5)], 0.0, 1.0)
+        monkeypatch.setattr(lp_core.np.linalg, "solve", singular)
+        with pytest.raises(SolverFailure, match="^singular basis matrix$"):
+            solve_lp(problem)
+
+    def test_elastic_program_without_optimum_is_a_solver_failure(self, monkeypatch):
+        # the elastic program is always feasible; handing back the
+        # infeasible program itself stands in for a run that ends otherwise
+        problem = lp([0.0, 0.0], [([1.0, 1.0], "=", 5.0)], 0.0, 1.0)
+        monkeypatch.setattr(lp_core, "_elastic_program", lambda p: p)
+        with pytest.raises(SolverFailure, match="^the elastic program has no optimum$"):
+            solve_lp(problem)
+
     def test_negative_rhs_equality(self):
         sol = solve_lp(lp([0.0], [([2.0], "=", -1.0)], -2.0, 2.0))
         assert sol.status is SolveStatus.OPTIMAL

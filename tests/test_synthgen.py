@@ -112,6 +112,9 @@ class TestSpecValidation:
             (mixture((-1.0, normal(0.0, 1.0))), "mixture weights must be finite and nonnegative"),
             (mixture((0.0, normal(0.0, 1.0)), (0.0, normal(1.0, 1.0))),
              "mixture weights must have positive total"),
+            # each weight is finite, and their float64 sum is not
+            (mixture((1e308, normal(0.0, 1.0)), (1e308, normal(1.0, 1.0))),
+             "mixture weights must have positive total within float64, got inf"),
             (mixture((1.0, mixture((1.0, normal(0.0, -2.0))))), "normal sigma must be nonnegative"),
         ]:
             with pytest.raises(DspsError, match=f"^{re.escape(message)}"):
@@ -125,6 +128,11 @@ class TestSpecValidation:
             SynthSpec(10, 1, ())
         with pytest.raises(DspsError, match="spec needs at least one feature"):
             synth_spec(10, 1, {})
+
+    def test_weights_whose_total_float64_holds_draw_as_documented(self):
+        node = mixture((8e307, normal(0.0, 1.0)), (8e307, normal(9.0, 1.0)))
+        np.testing.assert_array_equal(generate_population(synth_spec(50, 2, {"f": node})).data[:, 0],
+                                      reference_sample(column_rng(2, 0), node, 50))
 
     def test_a_spec_built_directly_checks_its_names(self):
         (_, sample), = synth_spec(10, 1, {"f": normal(0, 1)}).features
