@@ -25,7 +25,11 @@ __all__ = ["Population", "load_population", "save_population", "write_id_csv", "
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """Immutable member table: ids, feature names, and an (n_p, n_x) float matrix."""
+    """Immutable member table: ids, feature names, and an (n_p, n_x) float matrix.
+
+    ``data`` is a read-only copy of the matrix given, so no write through the
+    caller's array, or through an array it is a view of, reaches it.
+    """
 
     member_ids: tuple[str, ...]
     feature_names: tuple[str, ...]
@@ -34,7 +38,7 @@ class Population:
     def __post_init__(self):
         object.__setattr__(self, "member_ids", tuple(self.member_ids))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=float))
+        data = np.array(self.data, dtype=float, order="C")
         if data.ndim != 2:
             raise DspsError("population data must be a 2-d matrix")
         n_p, n_x = data.shape
@@ -67,9 +71,11 @@ class Population:
 
 
 def _check_names(items: Iterable[str], what: str) -> None:
-    """Each name is unique and survives a CSV round trip, whose load strips every cell."""
+    """Each name is a unique string that survives a CSV round trip, whose load strips every cell."""
     seen = set()
     for item in items:
+        if not isinstance(item, str):
+            raise DspsError(f"{what} {item!r} is not a string")
         if item in seen:
             raise DspsError(f"duplicate {what} {item!r}")
         if item != item.strip():
@@ -176,9 +182,14 @@ def write_id_csv(path: str | Path, header, ids, values) -> None:
     value is written by ``repr``, so a float reloads bit for bit.  Header
     cells and ids are written by :func:`_quoted`, the one quoting rule; a
     number's ``repr`` never needs quotes.  Rows become Python lists
-    ``_CHUNK_ROWS`` at a time, which bounds the memory they take.
+    ``_CHUNK_ROWS`` at a time, which bounds the memory they take.  Values
+    of a shape that does not fit ``ids`` and ``header`` raise
+    :class:`DspsError` before the file is opened.
     """
     values = np.asarray(values)
+    n, width = len(ids), len(header) - 1
+    if values.shape != (n, width) and not (width == 1 and values.shape == (n,)):
+        raise DspsError(f"values of shape {values.shape} for {n} ids and {width + 1} header cells")
     with open(Path(path), "w", encoding="utf-8", newline="") as stream:
         stream.write(",".join(map(_quoted, header)) + "\n")
         for start in range(0, len(ids), _CHUNK_ROWS):

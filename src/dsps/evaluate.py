@@ -20,7 +20,6 @@ from .moments import TargetSet, sample_moment
 __all__ = [
     "CriterionResult",
     "EvaluationReport",
-    "rsse",
     "gmi",
     "evaluate_selection",
 ]
@@ -56,16 +55,6 @@ def _denominators(targets: np.ndarray) -> np.ndarray:
             f"criterion {idx} has target 0; relative error is undefined (drop the criterion)"
         )
     return np.abs(targets)
-
-
-def rsse(achieved, targets) -> float:
-    """Sum of squared relative errors of ``achieved`` against ``targets``."""
-    a = np.asarray(achieved, dtype=float).ravel()
-    t = np.asarray(targets, dtype=float).ravel()
-    if a.size != t.size:
-        raise DspsError(f"{a.size} achieved values for {t.size} targets")
-    den = _denominators(t)
-    return float(np.sum(((a - t) / den) ** 2))
 
 
 def gmi(mean_glucose: float) -> float:
@@ -116,10 +105,11 @@ def evaluate_selection(
     t = np.array([c.value for c in targets], dtype=float)
     a = np.array(achieved, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        pes = np.abs(a - t) / _denominators(t) * 100.0
+        rel = (a - t) / _denominators(t)
+        pes = np.abs(rel) * 100.0
         pe_mean = float(np.mean(pes)) if pes.size else 0.0
         pe_sd = float(np.std(pes, ddof=1)) if pes.size > 1 else 0.0
-        total = rsse(a, t)
+        total = float(np.sum(rel**2))
     if not np.all(np.isfinite([total, pe_mean, pe_sd])):
         # the largest relative error, or the first infinite one, overflows its square
         c = targets.criteria[int(np.argmax(pes))]

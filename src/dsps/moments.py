@@ -69,6 +69,8 @@ class TargetSet:
         object.__setattr__(self, "criteria", criteria)
         seen = set()
         for c in criteria:
+            if not isinstance(c, TargetCriterion):
+                raise DspsError(f"a target set holds TargetCriterion values, got {c!r}")
             key = (c.feature, c.order)
             if key in seen:
                 raise DspsError(f"duplicate target for {key}")

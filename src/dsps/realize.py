@@ -53,11 +53,11 @@ class RealizationResult:
 def uniform_stream(seed: int, draw_index: int, n: int) -> np.ndarray:
     """The pinned uniforms for one draw: PCG64 on ``SeedSequence(seed, (draw_index,))``.
 
-    Each is a :func:`~dsps.moments.count` >= 0, or :class:`DspsError` is raised.
+    Each argument is a :func:`~dsps.moments.count` >= 0, or :class:`DspsError` is raised.
     """
     ss = np.random.SeedSequence(entropy=count(seed, 0, "seed"),
                                 spawn_key=(count(draw_index, 0, "draw index"),))
-    return np.random.Generator(np.random.PCG64(ss)).random(n)
+    return np.random.Generator(np.random.PCG64(ss)).random(count(n, 0, "n"))
 
 
 def draw(p, seed: int, draw_index: int = 0) -> np.ndarray:
@@ -99,7 +99,6 @@ def draw_best(
     fractional = np.flatnonzero((vec > 0.0) & (vec < 1.0))
     scored: dict[bytes, float] = {}
     best: RealizationResult | None = None
-    best_key: tuple | None = None
     stats: list[DrawStats] = []
     for k in range(n_draws):
         mask = draw(vec, seed, k)
@@ -112,10 +111,9 @@ def draw_best(
                 scored[outcome] = float("inf")
             else:
                 scored[outcome] = report.rsse
-                key = (report.rsse, -size, k)
-                if best_key is None or key < best_key:
+                # strict, in index order: a tie keeps the earlier draw
+                if best is None or (report.rsse, -size) < (best.report.rsse, -best.report.realized_size):
                     best = RealizationResult(mask, k, report)
-                    best_key = key
         stats.append(DrawStats(k, size, scored[outcome]))
     if best is None:
         raise AllDrawsDegenerate(

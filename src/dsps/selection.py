@@ -118,48 +118,34 @@ class SelectionProbabilities:
     alpha: float
 
 
-def _select(
-    pop: Population,
-    targets: TargetSet,
-    trial_size: float | None,
-    relaxed: bool = True,
-    pin_size: bool = False,
-) -> SelectionProbabilities:
+def _select(pop: Population, targets: TargetSet, alpha: float, size=None) -> SelectionProbabilities:
     """Build and solve the selection program in scaled row space.
 
     Variables are ``[p, s_plus, s_minus]``; criterion row ``j`` reads
     ``A_j p - s_plus_j + s_minus_j = C_j``, every slack costs 1 and is
-    capped at ``alpha = ALPHA_FRACTION * trial_size``, and each member costs
-    -1.  ``relaxed=False`` caps every slack at 0 and needs no trial size: the
-    solver never moves a column whose bounds meet, so no row gets slack.
-    ``pin_size`` appends the slack-free size row ``sum(p) = trial_size``,
-    scaled by ``1/(trial_size + EPSILON)``.  That makes the members' -1 a
-    constant, so member ``i`` costs ``_LEVERAGE_COST * lev_i / max lev``
-    instead, ``lev_i`` the sum of squares of its scaled criterion entries,
-    which steers the vertex towards members that move the rows least.  At
-    high orders most of these costs fall far below the solver's optimality
-    tolerance, and the perturbation of a stalled solve outweighs them.
-    A given trial size that is not finite and positive raises
-    :class:`DspsError` in every mode.  An infeasible program raises
-    :class:`InfeasibleError` if its safe bound is positive, else :class:`SolverFailure`.
+    capped at ``alpha`` (0 holds every row: the solver never moves a column
+    whose bounds meet), and each member costs -1.  A ``size`` appends the
+    slack-free size row ``sum(p) = size``, scaled by ``1/(size + EPSILON)``.
+    That makes the members' -1 a constant, so member ``i`` costs
+    ``_LEVERAGE_COST * lev_i / max lev`` instead, ``lev_i`` the sum of squares
+    of its scaled criterion entries, which steers the vertex towards members
+    that move the rows least.  At high orders most of these costs fall far
+    below the solver's optimality tolerance, and the perturbation of a stalled
+    solve outweighs them.  The callers check ``alpha`` and ``size``.  An
+    infeasible program raises :class:`InfeasibleError` if its safe bound is
+    positive, else :class:`SolverFailure`.
     """
-    # NaN fails both comparisons
-    if trial_size is not None and not 0.0 < trial_size < np.inf:
-        raise DspsError(f"trial size must be finite and positive, got {trial_size}")
     system = build_lp_system(pop, targets)
     A, C = system.matrix, system.rhs
     k, n = system.n_rows, pop.n_members  # k slack pairs
-    if relaxed and k and trial_size is None:
-        raise DspsError("need a trial size to size the slack budget")
-    alpha = ALPHA_FRACTION * float(trial_size) if relaxed and trial_size is not None else 0.0
     cost = np.full(n, -1.0)
-    if pin_size:
+    if size is not None:
         # over max|A| the squares stay finite at any order; all-zero rows cost nothing
         lev = np.sum((A / (np.max(np.abs(A)) or 1.0)) ** 2, axis=0)
         cost = _LEVERAGE_COST * lev / np.max(lev, initial=1.0)
-        size_scale = 1.0 / (trial_size + EPSILON)
+        size_scale = 1.0 / (size + EPSILON)
         A = np.vstack([A, np.full((1, n), size_scale)])
-        C = np.append(C, trial_size * size_scale)
+        C = np.append(C, size * size_scale)
     A = np.hstack([A, -np.eye(len(A), k), np.eye(len(A), k)])
     c = np.concatenate([cost, np.ones(2 * k)])
     upper = np.concatenate([np.ones(n), np.full(2 * k, alpha)])
@@ -191,13 +177,21 @@ def solve_max_size(
 ) -> SelectionProbabilities:
     """Largest expected sub-population matching the targets.
 
-    ``trial_size`` sizes the slack budget ``alpha``; a relaxed program with
-    target rows needs it.  ``relaxed=False`` caps every slack at 0, so each row
-    holds to solver tolerance, and needs no trial size.  An optimum with zero
-    expected size is reported as infeasible: the empty selection satisfies any
-    centred moment row vacuously, but it is never a usable cohort.
+    ``trial_size`` sizes the slack cap ``alpha = ALPHA_FRACTION * trial_size``;
+    a relaxed program with targets needs it.  ``relaxed=False`` caps every
+    slack at 0, so each row holds to solver tolerance, and needs no trial size.
+    A given trial size that is not finite and positive raises
+    :class:`DspsError` in both modes.  An optimum with zero expected size is
+    reported as infeasible: the empty selection satisfies any centred moment
+    row vacuously, but it is never a usable cohort.
     """
-    result = _select(pop, targets, trial_size, relaxed)
+    # NaN fails both comparisons
+    if trial_size is not None and not 0.0 < trial_size < np.inf:
+        raise DspsError(f"trial size must be finite and positive, got {trial_size}")
+    if relaxed and len(targets) > 0 and trial_size is None:
+        raise DspsError("need a trial size to size the slack budget")
+    alpha = ALPHA_FRACTION * float(trial_size) if relaxed and trial_size is not None else 0.0
+    result = _select(pop, targets, alpha)
     if len(targets) > 0 and result.expected_size <= _EMPTY_SELECTION_TOL:
         raise InfeasibleError(
             "targets admit only the empty selection (max expected size 0)",
@@ -231,4 +225,4 @@ def solve_fixed_size(
     if trial_size <= 1.0 and any(c.order == 2 for c in targets):
         raise DspsError("a variance target needs a trial size above 1 in fixed mode, "
                         f"got {trial_size}")
-    return _select(pop, targets, float(trial_size), pin_size=True)
+    return _select(pop, targets, ALPHA_FRACTION * float(trial_size), float(trial_size))

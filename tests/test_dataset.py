@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -245,6 +246,26 @@ def test_population_rejects_a_shape_its_labels_do_not_fit(ids, names, data, mess
         Population(ids, names, data)
 
 
+def test_population_copies_the_matrix_it_is_given():
+    # a write through the caller's array, or through the array it views, never reaches pop.data
+    base = np.array([[1.0, 2.0], [3.0, 4.0]])
+    view = base[:, :]
+    pop = Population(("a", "b"), ("x", "y"), view)
+    base[0, 0] = view[1, 1] = 9.0
+    assert pop.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert view.flags.writeable and not pop.data.flags.writeable
+
+
+@pytest.mark.parametrize("ids, names, bad", [
+    ((1, 2), ("x",), "member id 1"),
+    (("a", None), ("x",), "member id None"),
+    (("a", "b"), (3,), "feature name 3"),
+], ids=["int-ids", "none-id", "int-name"])
+def test_a_name_that_is_not_a_string_is_input_error(ids, names, bad):
+    with pytest.raises(DspsError, match=f"^{bad} is not a string$"):
+        Population(ids, names, np.zeros((len(ids), len(names))))
+
+
 def _outcome(load, text: bytes):
     """``(ids, feature names, data bytes)`` of a file's load, or ``(error class, message)``."""
     try:
@@ -391,6 +412,20 @@ def test_id_csv_file_bytes_match_the_csv_module(tmp_path):
     again = load_population(tmp_path / "pop.csv")
     assert again.member_ids == pop.member_ids
     assert again.data.tobytes() == pop.data.tobytes()
+
+
+@pytest.mark.parametrize("header, ids, values, shape", [
+    (("member_id", "p"), ("a", "b", "c"), [0.1, 0.2], "(2,)"),
+    (("member_id", "p"), ("a", "b"), [0.1, 0.2, 0.3], "(3,)"),
+    (("id", "x"), ("a", "b"), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "(2, 3)"),
+    (("id", "x", "y"), ("a", "b"), [0.1, 0.2], "(2,)"),
+    (("id", "x"), ("a",), [[[1.0]]], "(1, 1, 1)"),
+], ids=["short", "long", "wide", "vector-under-two-features", "3-d"])
+def test_id_csv_refuses_values_that_do_not_fit_before_writing(tmp_path, header, ids, values, shape):
+    path = tmp_path / "ids.csv"
+    with pytest.raises(DspsError, match=rf"^values of shape {re.escape(shape)} for {len(ids)} ids"):
+        write_id_csv(path, header, ids, values)
+    assert not path.exists()
 
 
 def test_id_csv_across_row_chunks():

@@ -3,11 +3,7 @@ import pytest
 
 from dsps.dataset import Population
 from dsps.errors import DspsError, InsufficientData
-from dsps.evaluate import (
-    evaluate_selection,
-    gmi,
-    rsse,
-)
+from dsps.evaluate import evaluate_selection, gmi
 from dsps.moments import TargetCriterion, TargetSet, expected_moment, sample_moment
 from dsps.realize import draw
 from dsps.selection import solve_max_size
@@ -18,23 +14,6 @@ from oracles import moment_oracle, weighted_moment_oracle
 def make_pop(values) -> Population:
     x = np.asarray(values, dtype=float)
     return Population(tuple(f"m{i}" for i in range(x.size)), ("f",), x[:, None])
-
-
-class TestRsse:
-    def test_hand_computed_value(self):
-        # (0.1/1)^2 + (0.2/2)^2
-        assert rsse([1.1, 2.2], [1.0, 2.0]) == pytest.approx(0.02, rel=1e-12)
-
-    def test_perfect_match_is_zero(self):
-        assert rsse([3.0, -4.0], [3.0, -4.0]) == 0.0
-
-    def test_zero_target_is_a_hard_error(self):
-        with pytest.raises(DspsError, match="criterion 0 has target 0"):
-            rsse([0.1], [0.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DspsError, match="2 achieved values for 1 targets"):
-            rsse([1.0, 2.0], [1.0])
 
 
 def percentage_error(achieved: float, target: float) -> float:

@@ -265,6 +265,11 @@ class TestTargetSet:
         with pytest.raises(DspsError, match="order must be a positive integer, got 0"):
             TargetCriterion("a", 0, 1.0)
 
+    @pytest.mark.parametrize("item", ["a", ("a", 1, 5.0), None], ids=["str", "tuple", "none"])
+    def test_an_item_that_is_not_a_criterion_is_input_error(self, item):
+        with pytest.raises(DspsError, match="holds TargetCriterion values, got"):
+            TargetSet((item,))
+
     def test_numpy_order_is_stored_as_an_int(self):
         # a numpy integer is an order, as it is a seed or a draw count
         c = TargetCriterion("a", np.int64(2), 1.0)

@@ -49,6 +49,12 @@ class TestUniformStream:
         with pytest.raises(DspsError, match="must be a non-negative integer"):
             draw(np.array([0.5, 0.5]), seed=seed, draw_index=draw_index)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, True, "3", None])
+    def test_length_must_be_a_non_negative_integer(self, n):
+        # a library error, never numpy's bare ValueError or TypeError
+        with pytest.raises(DspsError, match=r"^n must be a non-negative integer, got "):
+            uniform_stream(0, 0, n)
+
     def test_numpy_integers_are_integers(self):
         np.testing.assert_array_equal(
             uniform_stream(np.int64(3), np.uint8(1), 5), uniform_stream(3, 1, 5)

@@ -248,6 +248,15 @@ class TestHyperParams:
         with pytest.raises(DspsError, match="need a trial size"):
             solve(pop, targets_of(("f", 1, 8.0)))
 
+    def test_a_missing_trial_size_is_reported_before_an_overflowing_row(self):
+        # solve_max_size checks its arguments before any row is built
+        pop = make_pop({"f": [98.0, 100.0, 103.0]})
+        targets = targets_of(("f", 1, 1.0), ("f", 200, 1.0))
+        with pytest.raises(DspsError, match="need a trial size"):
+            solve_max_size(pop, targets)
+        with pytest.raises(DspsError, match=r"the row of \('f', 200\) overflows float64"):
+            solve_max_size(pop, targets, relaxed=False)
+
     @pytest.mark.parametrize("solve", [
         solve_max_size,
         partial(solve_max_size, relaxed=False),
